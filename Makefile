@@ -31,8 +31,6 @@
 #                  (emits BENCH_concurrent_serve.json)
 #   make bench-serve — network serving bench: N client connections
 #                  against one server (emits BENCH_serve_network.json)
-#   make bench-vectorized — batch vs scalar executor query sweep
-#                  (emits BENCH_vectorized_exec.json)
 #   make bench-shard — scatter-gather scale-out sweep over shard
 #                  counts, differential-verified against the
 #                  single-engine oracle (emits BENCH_shard_scaleout.json)
@@ -50,7 +48,7 @@ STRESS_SEED ?= 777
 
 .PHONY: test lint faults concurrent serve-test shard-test repl-test \
 	elastic-test stress bench bench-parallel bench-concurrent \
-	bench-serve bench-vectorized bench-shard bench-repl bench-elastic
+	bench-serve bench-shard bench-repl bench-elastic
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -86,7 +84,7 @@ stress:
 test: lint faults concurrent serve-test shard-test repl-test elastic-test
 	$(PYTHON) -m pytest -x -q
 
-bench: bench-vectorized
+bench:
 	REPRO_BENCH_SCALE=$(REPRO_BENCH_SCALE) \
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
@@ -100,9 +98,6 @@ bench-concurrent:
 
 bench-serve:
 	$(PYTHON) -m repro.bench.serve
-
-bench-vectorized:
-	$(PYTHON) -m repro.bench.vectorized
 
 bench-shard:
 	$(PYTHON) -m repro.bench.shard

@@ -16,21 +16,17 @@ texts are joined with a ``NUL`` sentinel and the needle is located
 with C-level ``str.find`` hops over the joined region instead of one
 Python-level ``in`` per text.
 
-Both kernels are exact (no false negatives/positives) and degrade to
-``None`` when numpy is unavailable, letting callers keep their scalar
-loop.
+Both kernels are exact (no false negatives/positives) and return
+``None`` for inputs they do not apply to (a batch too small to pay off,
+a non-ASCII alphabet, a needle carrying the sentinel), letting callers
+keep their scalar loop.
 """
 
 from __future__ import annotations
 
-try:  # numpy is an accelerator, not a hard dependency
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    np = None
+import numpy as np
 
-__all__ = ["HAVE_NUMPY", "legality_mask", "containing_indices"]
-
-HAVE_NUMPY = np is not None
+__all__ = ["legality_mask", "containing_indices"]
 
 #: Texts below this total size are cheaper to reject one by one.
 _MIN_BATCH_CHARS = 256
@@ -64,10 +60,9 @@ def legality_mask(plugin, texts: list[str]):
     Returns a list of bools (True = every character is in the DFA's
     alphabet, so the scalar tokenizer must run; False = at least one
     illegal character, the fragment is REJECT without tokenizing), or
-    ``None`` when numpy is unavailable or the batch is too small to
-    beat the scalar pre-filter.
+    ``None`` when the batch is too small to beat the scalar pre-filter.
     """
-    if np is None or not texts:
+    if not texts:
         return None
     if any(ord(char) >= 128 for char in plugin.dfa.char_class):
         return None  # non-ASCII alphabet: table shape does not apply
@@ -100,11 +95,11 @@ def containing_indices(texts: list[str], needle: str):
     Joins the texts with a ``NUL`` sentinel and walks the matches with
     ``str.find`` (C level), mapping each match position back to its
     text with a ``searchsorted`` over the region offsets.  Returns
-    ``None`` — caller falls back to the scalar loop — when numpy is
-    unavailable, the needle is empty (everything matches, no scan
-    needed) or the needle itself contains the sentinel.
+    ``None`` — caller falls back to the scalar loop — when the needle
+    is empty (everything matches, no scan needed) or the needle itself
+    contains the sentinel.
     """
-    if np is None or not needle or "\x00" in needle:
+    if not needle or "\x00" in needle:
         return None
     if not texts:
         return []

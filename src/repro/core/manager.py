@@ -484,10 +484,6 @@ class IndexManager:
             low, high, include_low=include_low, include_high=include_high
         )
 
-    def lookup_typed_equal_nids(self, type_name: str, value: Any) -> list[int]:
-        """Batched :meth:`lookup_typed_equal` (exact, no verify)."""
-        return self.typed_index(type_name).equal_nids(value)
-
     def lookup_typed_top(
         self, type_name: str, k: int, largest: bool = True
     ) -> list[tuple[Any, int]]:
@@ -546,14 +542,13 @@ class IndexManager:
         leaf_nids = self._leaf_nids_of(doc)
         if doc.text_overlay is None or read_epoch() is None:
             cols = doc.columns()
-            if cols is not None:
-                leaf = (cols.kind == TEXT) | (cols.kind == ATTR)
-                slots = cols.text_id[leaf].tolist()
-                texts = doc.texts
-                leaf_texts = [texts[slot] for slot in slots]
-                matches = containing_indices(leaf_texts, needle)
-                if matches is not None:
-                    return [leaf_nids[i] for i in matches]
+            leaf = (cols.kind == TEXT) | (cols.kind == ATTR)
+            slots = cols.text_id[leaf].tolist()
+            texts = doc.texts
+            leaf_texts = [texts[slot] for slot in slots]
+            matches = containing_indices(leaf_texts, needle)
+            if matches is not None:
+                return [leaf_nids[i] for i in matches]
         pre_of = doc.pre_of
         text_of = doc.text_of
         return [

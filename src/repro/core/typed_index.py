@@ -210,18 +210,13 @@ class TypedIndex:
 
         Collects the ``(value, nid)`` keys with the tree's leaf-slice
         range scan (one list, no per-entry generator frames) — the
-        index-scan primitive of the vectorized executor.
+        index-scan primitive of the query executor.
         """
         low_key = None if low is None else (low, -1 if include_low else _MAX_NID)
         high_key = None if high is None else (high, _MAX_NID if include_high else -1)
         keys = self._lookup_tree().range_keys(
             low_key, high_key, include_low=True, include_high=include_high
         )
-        return [nid for _value, nid in keys]
-
-    def equal_nids(self, value: Any) -> list[int]:
-        """Batched :meth:`lookup_equal` (exact, no false positives)."""
-        keys = self._lookup_tree().range_keys((value, -1), (value, _MAX_NID))
         return [nid for _value, nid in keys]
 
     def top_values(

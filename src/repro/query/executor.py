@@ -1,31 +1,47 @@
-"""Executor for typed plan trees, with per-operator instrumentation.
+"""The plan executor: sorted numpy row-id pipelines, instrumented.
 
 Runs the plans built by :mod:`repro.query.planner` against one
-document.  Each operator records its output cardinality and (inclusive)
-wall time into an ``actuals`` dict keyed by the node's ``op_id``; the
-registry passed as ``metrics`` receives aggregate counters so repeated
-queries show up in :meth:`repro.database.Database.metrics`.
+document.  Operators exchange sorted, duplicate-free int64 ``pre``
+arrays and evaluate the structural operators with the merge/interval
+kernels of :mod:`repro.query.kernels`:
+
+* ``IndexLookup`` maps the index's nids to owned pres with one
+  ``searchsorted`` over the document's sorted nid plane;
+* ``AncestorWalk`` / ``StructuralVerify`` become O(depth) batched
+  column gathers plus interval stabbing (``anc < pre <= anc + size``);
+* ``Intersect`` / ``Union`` are single ``np.intersect1d`` /
+  ``np.union1d`` merges.
+
+**Sortedness invariant**: every array handed between operators is
+sorted ascending with no duplicates.  All kernels both rely on it
+(binary-search probes) and preserve it, so no operator ever re-sorts.
+
+Each operator records its output cardinality and (inclusive) wall time
+into an ``actuals`` dict keyed by the node's ``op_id``; the manager's
+metrics registry receives aggregate counters so repeated queries show
+up in :meth:`repro.database.Database.metrics`.
 
 Correctness invariant: whatever the plan shape, the result equals
 :func:`repro.query.evaluator.evaluate_naive` — index operators only
 *narrow the candidate set*, and ``StructuralVerify`` re-establishes the
-full path structure and predicate before a node is emitted.
+full path structure and every predicate part the plan does not prove
+(:attr:`repro.query.plan.StructuralVerify.residual`) before a node is
+emitted.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from typing import Iterable, Iterator
+
+import numpy as np
 
 from ..core.manager import IndexManager
-from ..xmldb.document import Document
-from .ast import Comparison, FunctionPredicate, Step
-from .evaluator import (
-    _predicate_holds,
-    evaluate_naive,
-    test_matches,
-)
+from ..xmldb.columns import EMPTY_PRES, DocColumns
+from ..xmldb.document import ATTR, TEXT, Document
+from ..xmldb.mvcc import read_epoch
+from .ast import FunctionPredicate
+from .evaluator import evaluate_naive
+from .kernels import ancestor_walk, filter_predicates, structural_verify
 from .plan import (
     AncestorWalk,
     FullScan,
@@ -39,220 +55,162 @@ from .plan import (
 __all__ = ["execute_plan"]
 
 
-# ---------------------------------------------------------------------------
-# Structural navigation (shared with the legacy planner tests)
-# ---------------------------------------------------------------------------
+def _string_equal_pres(
+    manager: IndexManager, doc: Document, cols: DocColumns, value: str
+) -> "np.ndarray":
+    """Owned pres whose XDM string value equals ``value``.
 
-
-def _context_starts(
-    doc: Document, pre: int, steps: tuple[Step, ...], idx: int
-) -> set[int]:
-    """Context nodes from which ``steps[:idx+1]`` can select ``pre``."""
-    step = steps[idx]
-    if not test_matches(doc, pre, step.test):
-        return set()
-    if any(not _predicate_holds(doc, pre, p) for p in step.predicates):
-        return set()
-    if idx == 0:
-        if step.axis == "child":
-            parent = doc.parent(pre)
-            return set() if parent is None else {parent}
-        if step.axis == "descendant":
-            return set(doc.ancestors(pre))
-        return {pre}  # self
-    if step.axis == "child":
-        predecessors: Iterable[int] = (
-            () if doc.parent(pre) is None else (doc.parent(pre),)
+    Batch counterpart of ``manager.lookup_string``: one leaf-slice
+    scan of the hash bucket, nid→pre mapping via ``searchsorted``
+    (which also drops other documents' nids), then collision
+    verification per *kind* — leaf nodes compare their heap slot
+    directly (no per-node resolution through the store), containers
+    fall back to ``string_value``.  Under an active MVCC overlay with
+    a pinned epoch all verification goes through ``string_value`` so
+    the reader sees its snapshot's values.
+    """
+    pres = cols.pres_of_nids(
+        manager.string_index.candidate_nids(value), assume_unique=True
+    )
+    if pres.size == 0:
+        return pres
+    if doc.text_overlay is not None and read_epoch() is not None:
+        keep = np.fromiter(
+            (doc.string_value(int(pre)) == value for pre in pres),
+            dtype=bool,
+            count=pres.size,
         )
-    elif step.axis == "descendant":
-        predecessors = doc.ancestors(pre)
-    else:  # self
-        predecessors = (pre,)
-    starts: set[int] = set()
-    for predecessor in predecessors:
-        starts |= _context_starts(doc, predecessor, steps, idx - 1)
-    return starts
+        return pres[keep]
+    kinds = cols.kind[pres]
+    leaf = (kinds == TEXT) | (kinds == ATTR)
+    keep = np.empty(pres.size, dtype=bool)
+    texts = doc.texts
+    leaf_slots = cols.text_id[pres[leaf]].tolist()
+    keep[leaf] = [texts[slot] == value for slot in leaf_slots]
+    container = ~leaf
+    if container.any():
+        keep[container] = _container_values_equal(
+            doc, cols, pres[container], value
+        )
+    return pres[keep]
 
 
-def _matches_absolute(
-    doc: Document,
-    pre: int,
-    steps: tuple[Step, ...],
-    idx: int,
-    skip_predicate: Comparison | None,
-    memo: dict[tuple[int, int], bool],
-) -> bool:
-    """Could ``pre`` be selected by ``steps[:idx+1]`` from the document
-    node?  ``skip_predicate`` is the comparison the index already
-    answered (not re-verified here; the caller re-checks it)."""
-    key = (pre, idx)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    step = steps[idx]
-    result = test_matches(doc, pre, step.test)
-    if result:
-        for predicate in step.predicates:
-            if predicate is skip_predicate:
-                continue
-            if not _predicate_holds(doc, pre, predicate):
-                result = False
-                break
-    if result:
-        if idx == 0:
-            if step.axis == "child":
-                result = doc.parent(pre) == 0
-            else:
-                result = pre != 0
-        elif step.axis == "child":
-            parent = doc.parent(pre)
-            result = parent is not None and _matches_absolute(
-                doc, parent, steps, idx - 1, skip_predicate, memo
-            )
-        else:
-            result = any(
-                _matches_absolute(doc, anc, steps, idx - 1, skip_predicate, memo)
-                for anc in doc.ancestors(pre)
-            )
-    memo[key] = result
-    return result
+def _container_values_equal(
+    doc: Document, cols: DocColumns, pres: "np.ndarray", value: str
+) -> "np.ndarray":
+    """Boolean mask: does each container node's XDM string value equal
+    ``value``?
+
+    Document/element values concatenate their TEXT descendants.  The
+    dominant shape — an element wrapping exactly one text node (every
+    field element of the workloads) — is resolved with two
+    ``searchsorted`` probes against the sorted TEXT-position plane and
+    one direct heap-slot comparison; zero-text containers compare
+    against the empty string.  Only multi-text containers (and the
+    rare comment/PI candidates, whose value is their own content) fall
+    back to ``string_value``.
+    """
+    kinds = cols.kind[pres]
+    concat = (kinds == 0) | (kinds == 1)  # DOC | ELEM
+    keep = np.empty(pres.size, dtype=bool)
+    text_pos = cols.text_positions()
+    cpres = pres[concat]
+    lo = np.searchsorted(text_pos, cpres + 1, side="left")
+    hi = np.searchsorted(text_pos, cols.end[cpres], side="right")
+    count = hi - lo
+    ckeep = np.empty(cpres.size, dtype=bool)
+    ckeep[count == 0] = value == ""
+    one = count == 1
+    if one.any():
+        texts = doc.texts
+        slots = cols.text_id[text_pos[lo[one]]].tolist()
+        ckeep[one] = [texts[slot] == value for slot in slots]
+    many = count > 1
+    if many.any():
+        ckeep[many] = [
+            doc.string_value(int(pre)) == value for pre in cpres[many]
+        ]
+    keep[concat] = ckeep
+    other = ~concat  # comment / processing-instruction candidates
+    if other.any():
+        keep[other] = [
+            doc.string_value(int(pre)) == value for pre in pres[other]
+        ]
+    return keep
 
 
-# ---------------------------------------------------------------------------
-# Operator execution
-# ---------------------------------------------------------------------------
-
-
-def _owned_pres(
-    manager: IndexManager, doc: Document, nids: Iterable[int]
-) -> Iterator[int]:
-    """Pres of the nids that belong to ``doc`` (indices span documents)."""
-    doc_of_nid = manager.store._doc_of_nid
-    for nid in nids:
-        if doc_of_nid.get(nid) is doc:
-            yield doc.pre_of(nid)
-
-
-def _index_nids(manager: IndexManager, node: IndexLookup) -> Iterable[int]:
-    """nids of value-matching nodes for one ``IndexLookup`` (all
-    documents; ownership filtering is the caller's job)."""
+def _index_pres(
+    manager: IndexManager, doc: Document, cols: DocColumns, node: IndexLookup
+) -> "np.ndarray":
+    """Owned pres of the value-matching nodes of one ``IndexLookup``
+    (the indices span documents; ``pres_of_nids`` drops foreign nids)."""
     driver = node.driver
     if isinstance(driver, FunctionPredicate):
-        if driver.function == "contains":
-            nids: Iterable[int] = manager.lookup_contains(driver.literal)
-        else:
-            nids = manager.lookup_regex(driver.literal)
-    elif node.kind == "string":
-        nids = manager.lookup_string(driver.literal)
-    else:  # a typed index (double, dateTime, ...)
-        kind, op, value = node.kind, node.op_symbol, node.value
-        if node.high_op is not None:
-            # Fused range conjunction: one bounded window scan.
-            nids = (
-                nid
-                for _v, nid in manager.lookup_typed_range(
-                    kind,
-                    low=value,
-                    high=node.high_value,
-                    include_low=(op == ">="),
-                    include_high=(node.high_op == "<="),
-                )
-            )
-        elif op == "=":
-            nids = manager.lookup_typed_equal(kind, value)
-        elif op == "<":
-            nids = (
-                nid
-                for _v, nid in manager.lookup_typed_range(
-                    kind, high=value, include_high=False
-                )
-            )
-        elif op == "<=":
-            nids = (
-                nid for _v, nid in manager.lookup_typed_range(kind, high=value)
-            )
-        elif op == ">":
-            nids = (
-                nid
-                for _v, nid in manager.lookup_typed_range(
-                    kind, low=value, include_low=False
-                )
-            )
-        else:  # >=
-            nids = (
-                nid for _v, nid in manager.lookup_typed_range(kind, low=value)
-            )
-    return nids
-
-
-def _index_hits(
-    manager: IndexManager, doc: Document, node: IndexLookup
-) -> list[int]:
-    """Pres of value-matching nodes for one ``IndexLookup``."""
-    return list(_owned_pres(manager, doc, _index_nids(manager, node)))
+        lookup = (
+            manager.lookup_contains
+            if driver.function == "contains"
+            else manager.lookup_regex
+        )
+        return cols.pres_of_nids(lookup(driver.literal))
+    if node.kind == "string":
+        return _string_equal_pres(manager, doc, cols, driver.literal)
+    # One typed value per node: the scan cannot repeat a nid.
+    return cols.pres_of_nids(
+        manager.lookup_typed_range_nids(node.kind, **node.bounds),
+        assume_unique=True,
+    )
 
 
 def _run(
     manager: IndexManager,
     doc: Document,
+    cols: DocColumns,
     node: PlanNode,
     actuals: dict[int, dict],
-):
-    """Execute one operator; returns hit pres (list) or contexts (set)."""
+) -> "np.ndarray":
+    """Execute one operator; returns its sorted output pres (inclusive
+    time and output cardinality are recorded into ``actuals``)."""
     start = time.perf_counter()
-    if isinstance(node, FullScan):
-        result = evaluate_naive(doc, node.path)
+    metrics = manager.metrics
+    if isinstance(node, FullScan):  # always the whole plan
+        pres = np.asarray(evaluate_naive(doc, node.path), dtype=np.int64)
+        metrics.counter("query.plans.scan").inc()
     elif isinstance(node, IndexLookup):
-        result = _index_hits(manager, doc, node)
+        pres = _index_pres(manager, doc, cols, node)
     elif isinstance(node, AncestorWalk):
-        hits = _run(manager, doc, node.children[0], actuals)
-        steps = node.operand_steps
-        contexts: set[int] = set()
-        last = len(steps) - 1
-        for pre in hits:
-            contexts |= _context_starts(doc, pre, steps, last)
-        result = contexts
+        hits = _run(manager, doc, cols, node.children[0], actuals)
+        pres = ancestor_walk(doc, cols, hits, node.operand_steps)
     elif isinstance(node, Intersect):
-        sets = [_run(manager, doc, child, actuals) for child in node.children]
-        result = set.intersection(*sets) if sets else set()
+        pres = _run(manager, doc, cols, node.children[0], actuals)
+        for child in node.children[1:]:
+            pres = np.intersect1d(
+                pres,
+                _run(manager, doc, cols, child, actuals),
+                assume_unique=True,
+            )
     elif isinstance(node, Union):
-        result = set()
+        pres = EMPTY_PRES
         for child in node.children:
-            result |= _run(manager, doc, child, actuals)
-    elif isinstance(node, StructuralVerify):
-        candidates = _run(manager, doc, node.children[0], actuals)
-        steps = node.path.steps
-        predicate = node.predicate
-        memo: dict[tuple[int, int], bool] = {}
-        last = len(steps) - 1
-        verified: set[int] = set()
-        for context in candidates:
-            if not _matches_absolute(doc, context, steps, last, predicate, memo):
-                continue
-            # Structural match established; re-verify the full predicate
-            # properly (guards general-comparison corners such as !=,
-            # and the non-driver conjuncts).
-            if _predicate_holds(doc, context, predicate):
-                verified.add(context)
-        result = sorted(verified)
+            pres = np.union1d(
+                pres, _run(manager, doc, cols, child, actuals)
+            )
+    elif isinstance(node, StructuralVerify):  # root of every index plan
+        candidates = _run(manager, doc, cols, node.children[0], actuals)
+        pres = structural_verify(
+            doc, cols, candidates, node.path.steps, node.predicate
+        )
+        pres = filter_predicates(doc, pres, node.residual)
+        metrics.counter("query.plans.index").inc()
     else:  # pragma: no cover - defensive
         raise TypeError(f"unknown plan node {node!r}")
+    rows = int(pres.size)
     actuals[node.op_id] = {
-        "rows": len(result),
+        "rows": rows,
         "seconds": time.perf_counter() - start,
     }
-    manager.metrics.counter("query.exec.scalar_ops").inc()
-    return result
-
-
-def _scalar_forced() -> bool:
-    """Is the ``REPRO_SCALAR_EXEC=1`` escape hatch set?  Read per call
-    so tests (and operators) can flip it at runtime."""
-    return os.environ.get("REPRO_SCALAR_EXEC", "").lower() in (
-        "1",
-        "true",
-        "yes",
-    )
+    metrics.counter("query.exec.vectorized_ops").inc()
+    metrics.histogram("query.exec.batch_rows").observe(rows)
+    return pres
 
 
 def execute_plan(
@@ -260,38 +218,13 @@ def execute_plan(
     doc: Document,
     plan: PlanNode,
     actuals: dict[int, dict] | None = None,
-    vectorized: bool | None = None,
 ) -> list[int]:
     """Run a plan tree over one document; returns matching pres sorted
     in document order.  ``actuals`` (if given) is filled with
     per-operator ``{"rows", "seconds"}`` entries keyed by ``op_id``.
-
-    ``vectorized`` selects the executor: ``None`` (default) uses the
-    batch executor (:mod:`repro.query.vexecutor`) unless the
-    ``REPRO_SCALAR_EXEC=1`` escape hatch is set; ``True``/``False``
-    force one side.  Without numpy the scalar executor always runs.
-    Both executors return identical results.
     """
     if actuals is None:
         actuals = {}
-    metrics = manager.metrics
-    if vectorized is None:
-        vectorized = not _scalar_forced()
-    result: list[int] | None = None
-    if vectorized:
-        cols = doc.columns()
-        if cols is not None:
-            from .vexecutor import run_vectorized
-
-            result = run_vectorized(manager, doc, cols, plan, actuals)
-    if result is None:
-        scalar = _run(manager, doc, plan, actuals)
-        if isinstance(scalar, set):  # a bare candidate operator as root
-            scalar = sorted(scalar)
-        result = scalar
-    if isinstance(plan, FullScan):
-        metrics.counter("query.plans.scan").inc()
-    else:
-        metrics.counter("query.plans.index").inc()
-    metrics.counter("query.rows").inc(len(result))
+    result = _run(manager, doc, doc.columns(), plan, actuals).tolist()
+    manager.metrics.counter("query.rows").inc(len(result))
     return result

@@ -1,11 +1,10 @@
 """Vectorized structural kernels over the pre/size/level columns.
 
-These are the batch counterparts of the per-node walks in
-:mod:`repro.query.executor`: ``ancestor_walk`` replaces the recursive
-``_context_starts`` and ``structural_verify`` replaces the memoized
-``_matches_absolute``.  Both operate on sorted numpy ``pre`` arrays and
-reduce every axis question to integer arithmetic on the shredded
-columns:
+The structural operators of :mod:`repro.query.executor`:
+``ancestor_walk`` finds the contexts from which an operand path selects
+some index hit, ``structural_verify`` keeps the candidates an absolute
+path selects.  Both operate on sorted numpy ``pre`` arrays and reduce
+every axis question to integer arithmetic on the shredded columns:
 
 * parent — one gather from the ``parent_pre`` plane;
 * ancestors — O(depth) parent gathers with per-level dedup;
@@ -15,10 +14,11 @@ columns:
   is exact);
 * node tests — boolean masks over the ``kind``/``name_id`` columns.
 
-Steps that carry their own nested predicates fall back to the scalar
-``_predicate_holds`` per *surviving* node — batches shrink before the
-fallback runs, so the scalar work is bounded by the candidate set, not
-the document.  Equivalence with the scalar operators is enforced by
+Steps that carry their own nested predicates fall back to the naive
+evaluator's ``_predicate_holds`` per *surviving* node — batches shrink
+before the fallback runs, so the per-node work is bounded by the
+candidate set, not the document.  Equivalence with
+:func:`repro.query.evaluator.evaluate_path` is enforced by
 ``tests/query/test_vectorized_equivalence.py`` and the randomized
 kernel property suite.
 """
@@ -40,7 +40,13 @@ from .ast import (
 )
 from .evaluator import _predicate_holds
 
-__all__ = ["match_test", "ancestor_walk", "structural_verify", "kway_merge"]
+__all__ = [
+    "match_test",
+    "filter_predicates",
+    "ancestor_walk",
+    "structural_verify",
+    "kway_merge",
+]
 
 
 def kway_merge(arrays: "list[np.ndarray]") -> "np.ndarray":
@@ -105,19 +111,13 @@ def match_test(
     raise TypeError(f"unknown node test {test!r}")
 
 
-def _step_filter(
-    doc: Document,
-    cols: DocColumns,
-    pres: "np.ndarray",
-    step: Step,
-    skip_predicate=None,
+def filter_predicates(
+    doc: Document, pres: "np.ndarray", predicates, skip_predicate=None
 ) -> "np.ndarray":
-    """Nodes of ``pres`` matching the step's test and predicates
-    (``skip_predicate`` excluded — the index already answered it)."""
-    if pres.size == 0:
-        return pres
-    pres = pres[match_test(doc, cols, pres, step.test)]
-    for predicate in step.predicates:
+    """Nodes of ``pres`` on which every predicate holds, checked per
+    surviving node with the naive evaluator (``skip_predicate``
+    excluded — the index already answered it)."""
+    for predicate in predicates:
         if predicate is skip_predicate or pres.size == 0:
             continue
         keep = np.fromiter(
@@ -135,8 +135,8 @@ def ancestor_walk(
     hits: "np.ndarray",
     steps: tuple[Step, ...],
 ) -> "np.ndarray":
-    """Batch ``_context_starts``: the sorted unique context pres from
-    which the operand ``steps`` can select some node in ``hits``.
+    """The sorted unique context pres from which the operand ``steps``
+    can select some node in ``hits``.
 
     Walks the steps backwards: the frontier is filtered by the current
     step's test/predicates, then expanded to its predecessors (parents
@@ -144,21 +144,17 @@ def ancestor_walk(
     self).  The predecessors reached past step 0 are the contexts.
     """
     frontier = hits
-    for idx in range(len(steps) - 1, -1, -1):
-        step = steps[idx]
-        frontier = _step_filter(doc, cols, frontier, step)
+    for step in reversed(steps):
         if frontier.size == 0:
             return EMPTY_PRES
+        frontier = frontier[match_test(doc, cols, frontier, step.test)]
+        frontier = filter_predicates(doc, frontier, step.predicates)
         if step.axis == "child":
-            predecessors = cols.parents_of(frontier)
+            frontier = cols.parents_of(frontier)
         elif step.axis == "descendant":
-            predecessors = cols.ancestors_of(frontier)
-        else:  # self
-            predecessors = frontier
-        if idx == 0:
-            return predecessors
-        frontier = predecessors
-    return EMPTY_PRES  # pragma: no cover - loop always returns
+            frontier = cols.ancestors_of(frontier)
+        # self: the frontier is its own predecessor set
+    return frontier
 
 
 def structural_verify(
@@ -168,16 +164,17 @@ def structural_verify(
     steps: tuple[Step, ...],
     skip_predicate,
 ) -> "np.ndarray":
-    """Batch ``_matches_absolute``: the candidates selectable by the
-    absolute ``steps`` from the document node.
+    """The candidates selectable by the absolute ``steps`` from the
+    document node (``skip_predicate`` is not checked: the caller's plan
+    answers it or re-checks it).
 
     Restricts work to the ancestor closure of the candidate batch and
     sweeps the steps *forwards* over it: ``matched`` holds the closure
     nodes reachable by ``steps[:idx+1]``; a child step requires the
     parent in the previous front, a descendant step requires *some*
     strict ancestor in it (interval stabbing, no tree walking).  The
-    closure is ancestor-closed, so every chain the scalar recursion
-    could find lives entirely inside it.
+    closure is ancestor-closed, so every chain from the document node
+    to a candidate lives entirely inside it.
     """
     if candidates.size == 0:
         return EMPTY_PRES
@@ -190,20 +187,9 @@ def structural_verify(
             mask &= cols.parent_pre[candidates] == 0
         else:  # descendant (self never starts an absolute path)
             mask &= candidates != 0
-        matched = candidates[mask]
-        for predicate in step.predicates:
-            if predicate is skip_predicate or matched.size == 0:
-                continue
-            keep = np.fromiter(
-                (
-                    _predicate_holds(doc, int(pre), predicate)
-                    for pre in matched
-                ),
-                dtype=bool,
-                count=matched.size,
-            )
-            matched = matched[keep]
-        return matched
+        return filter_predicates(
+            doc, candidates[mask], step.predicates, skip_predicate
+        )
     closure = np.union1d(candidates, cols.ancestors_of(candidates))
     matched = EMPTY_PRES
     for idx, step in enumerate(steps):
@@ -216,24 +202,11 @@ def structural_verify(
         elif step.axis == "child":
             mask &= cols.parent_in(matched, closure)
         else:
-            # descendant — and, mirroring the scalar recursion, any
-            # other axis resolves through the ancestor closure too.
+            # descendant (the planner admits no other axis here).
             mask &= cols.has_ancestor_in(matched, closure)
-        matched = closure[mask]
+        matched = filter_predicates(
+            doc, closure[mask], step.predicates, skip_predicate
+        )
         if matched.size == 0:
             return EMPTY_PRES
-        for predicate in step.predicates:
-            if predicate is skip_predicate:
-                continue
-            keep = np.fromiter(
-                (
-                    _predicate_holds(doc, int(pre), predicate)
-                    for pre in matched
-                ),
-                dtype=bool,
-                count=matched.size,
-            )
-            matched = matched[keep]
-            if matched.size == 0:
-                return EMPTY_PRES
     return np.intersect1d(candidates, matched, assume_unique=False)

@@ -21,13 +21,32 @@ instrumentation.  Shapes:
 Every node carries the planner's cost estimates (``estimated_rows``,
 ``estimated_cost``) and a stable ``op_id`` the executor uses to report
 per-operator actuals in ``explain(..., execute=True)``.
+
+**Plan-proved predicates**: ``StructuralVerify`` re-checks the full
+predicate with the naive evaluator on the (already narrowed)
+survivors, except for the parts the plan shape proves redundant
+(:meth:`PlanNode.answers`).  The base case: an ``AncestorWalk`` over an
+``IndexLookup`` whose driver *is* an atomic predicate guarantees that
+predicate for every candidate it emits (each candidate, by
+construction, reaches an exact, verified index hit through the operand
+path), provided the operand path carries no positional predicate
+(whose per-context counting the existential walk cannot reproduce).
+The guarantee propagates structurally: an ``Intersect`` guarantees
+whatever *any* child guarantees (its output is a subset of each
+child's), a ``Union`` guarantees what *all* children guarantee, and an
+``or`` predicate is guaranteed once any disjunct is.  For ``and``
+predicates the re-check shrinks to the *residual* conjuncts the plan
+does not prove — ``[a >= x and a < y]`` planned as range walks needs no
+re-check at all, while a partially covered conjunction re-checks only
+the uncovered conjuncts.  Plans are immutable once built, so the
+residual is computed once, when ``StructuralVerify`` is constructed.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterator
 
-from .ast import Path, Step
+from .ast import BooleanExpr, Path, PositionPredicate, Step
 
 __all__ = [
     "PlanNode",
@@ -55,6 +74,18 @@ class PlanNode:
         self.estimated_cost: float = 0.0
         #: Stable pre-order operator id (assigned by :func:`number_plan`).
         self.op_id: int = -1
+
+    def answers(self, predicate) -> bool:
+        """True when every candidate this subtree emits provably
+        satisfies ``predicate`` (see the module docstring for the
+        argument).  Boolean predicates decompose — ``or`` needs one
+        guaranteed disjunct, ``and`` needs all conjuncts; the set
+        operators and the walk override this with what their shape
+        guarantees."""
+        if isinstance(predicate, BooleanExpr):
+            decide = any if predicate.op == "or" else all
+            return decide(self.answers(part) for part in predicate.children)
+        return False
 
     # -- rendering ------------------------------------------------------
 
@@ -131,6 +162,19 @@ class IndexLookup(PlanNode):
         self.high_op = high_op
         self.high_value = high_value
         self.proves = (driver,) if proves is None else proves
+        self.bounds: dict[str, Any] | None = None
+        if kind not in ("string", "substring"):
+            bounds = {}
+            if op_symbol in ("=", ">", ">="):
+                bounds["low"] = value
+                bounds["include_low"] = op_symbol != ">"
+            if op_symbol in ("=", "<", "<="):
+                bounds["high"] = value
+                bounds["include_high"] = op_symbol != "<"
+            if high_op is not None:
+                bounds["high"] = high_value
+                bounds["include_high"] = high_op == "<="
+            self.bounds = bounds
 
     def describe(self) -> str:
         if self.high_op is not None:
@@ -147,9 +191,18 @@ class AncestorWalk(PlanNode):
 
     op = "AncestorWalk"
 
-    def __init__(self, child: PlanNode, operand_steps: tuple[Step, ...]):
+    def __init__(self, child: IndexLookup, operand_steps: tuple[Step, ...]):
         super().__init__((child,))
         self.operand_steps = operand_steps
+
+    def answers(self, predicate) -> bool:
+        if any(proved is predicate for proved in self.children[0].proves):
+            return not any(
+                isinstance(step_predicate, PositionPredicate)
+                for step in self.operand_steps
+                for step_predicate in step.predicates
+            )
+        return super().answers(predicate)
 
     def describe(self) -> str:
         return f"AncestorWalk[{len(self.operand_steps)} step(s)]"
@@ -163,6 +216,11 @@ class Intersect(PlanNode):
     def __init__(self, children: tuple[PlanNode, ...]):
         super().__init__(children)
 
+    def answers(self, predicate) -> bool:
+        return any(
+            child.answers(predicate) for child in self.children
+        ) or super().answers(predicate)
+
     def describe(self) -> str:
         return f"Intersect[{len(self.children)}]"
 
@@ -175,12 +233,19 @@ class Union(PlanNode):
     def __init__(self, children: tuple[PlanNode, ...]):
         super().__init__(children)
 
+    def answers(self, predicate) -> bool:
+        return all(
+            child.answers(predicate) for child in self.children
+        ) or super().answers(predicate)
+
     def describe(self) -> str:
         return f"Union[{len(self.children)}]"
 
 
 class StructuralVerify(PlanNode):
-    """Verify the outer path and re-check the full predicate."""
+    """Verify the outer path and re-check the predicate parts the
+    candidate subplan does not prove (``residual``; empty when it
+    proves the whole predicate)."""
 
     op = "StructuralVerify"
 
@@ -188,6 +253,16 @@ class StructuralVerify(PlanNode):
         super().__init__((child,))
         self.path = path
         self.predicate = predicate
+        if child.answers(predicate):
+            self.residual: tuple = ()
+        elif isinstance(predicate, BooleanExpr) and predicate.op == "and":
+            self.residual = tuple(
+                conjunct
+                for conjunct in predicate.children
+                if not child.answers(conjunct)
+            )
+        else:
+            self.residual = (predicate,)
 
     def describe(self) -> str:
         return f"StructuralVerify[{len(self.path.steps)} step(s)]"

@@ -301,8 +301,8 @@ def _fuse_range_conjuncts(manager: IndexManager, conjuncts):
     complement intersect is usually near-empty; the window does the
     heavy lifting.  Returns ``(fused plans, leftover conjuncts)``;
     every branch ``proves`` the absorbed conjuncts its witnesses
-    imply, so the batch executor can skip the scalar re-check
-    (:func:`repro.query.vexecutor._residual_predicates`).
+    imply, so the verify step can skip their re-check
+    (:attr:`repro.query.plan.StructuralVerify.residual`).
     """
     groups: dict = {}
     leftovers = []
@@ -551,7 +551,6 @@ def query(
     text: str,
     document: str | None = None,
     use_indexes: bool | str = True,
-    vectorized: bool | None = None,
 ) -> list[int]:
     """Evaluate a query; returns matching node ids in document order.
 
@@ -563,10 +562,6 @@ def query(
     * ``"auto"`` — cost-based: use the index only when its statistics
       predict fewer candidates than :data:`SCAN_THRESHOLD` of the
       document (an unselective range is cheaper to scan).
-
-    ``vectorized`` picks the executor (``None``: batch by default with
-    the ``REPRO_SCALAR_EXEC=1`` escape hatch; see
-    :func:`repro.query.executor.execute_plan`).
     """
     if use_indexes not in (True, False, "auto"):
         raise ValueError("use_indexes must be True, False or 'auto'")
@@ -581,7 +576,7 @@ def query(
     with metrics.timer("query.evaluate").time():
         for doc in docs:
             plan = _plan_for(manager, doc, text, parsed.path, use_indexes)
-            pres = execute_plan(manager, doc, plan, vectorized=vectorized)
+            pres = execute_plan(manager, doc, plan)
             results.extend(doc.nid[pre] for pre in pres)
     metrics.counter("query.executed").inc()
     return results

@@ -450,13 +450,21 @@ class ShardEngine:
         run at the pinned epoch."""
         return self.manager.read_view()
 
-    def _as_of_view(self, as_of: int):
+    def _read_scope(self, as_of: int | None = None):
+        """The view one read evaluates under: the retained snapshot of
+        epoch ``as_of``; else an auto-pinned view so the whole
+        evaluation runs at one epoch; else nothing (the caller already
+        pinned a view, or the engine is single-threaded)."""
         controller = self.manager.concurrency
-        if controller is None:
-            raise ValueError(
-                "as_of queries require concurrent=True and retain_epochs"
-            )
-        return controller.read_view_as_of(as_of)
+        if as_of is not None:
+            if controller is None:
+                raise ValueError(
+                    "as_of queries require concurrent=True and retain_epochs"
+                )
+            return controller.read_view_as_of(as_of)
+        if controller is not None and active_view() is None:
+            return controller.read_view()
+        return nullcontext()
 
     def retained_epochs(self) -> list[int]:
         """Epochs answerable with ``as_of`` right now (oldest first;
@@ -469,24 +477,12 @@ class ShardEngine:
 
     def query(self, text: str, document: str | None = None,
               use_indexes: bool | str = True,
-              vectorized: bool | None = None,
               as_of: int | None = None) -> list[int]:
-        if as_of is not None:
-            with self._as_of_view(as_of):
-                return _query(self.manager, text, document, use_indexes,
-                              vectorized=vectorized)
-        controller = self.manager.concurrency
-        if controller is not None and active_view() is None:
-            # Auto-pin: the whole evaluation runs at one epoch.
-            with controller.read_view():
-                return _query(self.manager, text, document, use_indexes,
-                              vectorized=vectorized)
-        return _query(self.manager, text, document, use_indexes,
-                      vectorized=vectorized)
+        with self._read_scope(as_of):
+            return _query(self.manager, text, document, use_indexes)
 
     def query_rows(self, text: str, document: str | None = None,
                    use_indexes: bool | str = True,
-                   vectorized: bool | None = None,
                    as_of: int | None = None) -> list[tuple[str, int, int]]:
         """Like :meth:`query`, but returns ``(document, pre, nid)``
         rows instead of bare nids.
@@ -497,17 +493,9 @@ class ShardEngine:
         differential suite compares bit-for-bit.  Mapping runs at the
         same pinned epoch as the evaluation.
         """
-        if as_of is not None:
-            with self._as_of_view(as_of):
-                return self._rows_of(self.query(
-                    text, document, use_indexes, vectorized=vectorized))
-        controller = self.manager.concurrency
-        if controller is not None and active_view() is None:
-            with controller.read_view():
-                return self._rows_of(self.query(
-                    text, document, use_indexes, vectorized=vectorized))
-        return self._rows_of(self.query(
-            text, document, use_indexes, vectorized=vectorized))
+        with self._read_scope(as_of):
+            return self._rows_of(
+                _query(self.manager, text, document, use_indexes))
 
     def _rows_of(self, nids: list[int]) -> list[tuple[str, int, int]]:
         node = self.store.node
@@ -517,17 +505,15 @@ class ShardEngine:
             rows.append((doc.name, pre, nid))
         return rows
 
-    def explain(self, text: str, execute: bool = False):
+    def explain(self, text: str, document: str | None = None,
+                execute: bool = False):
         """Plan report (see :func:`repro.query.planner.explain`): an
         :class:`~repro.query.planner.Explanation` comparable to the
-        legacy summary strings and carrying per-document plan trees."""
-        controller = self.manager.concurrency
-        if controller is not None and active_view() is None:
-            # Auto-pin like query(): pricing and (with execute=True)
-            # operator execution must not straddle epochs.
-            with controller.read_view():
-                return _explain(self.manager, text, execute=execute)
-        return _explain(self.manager, text, execute=execute)
+        legacy summary strings and carrying per-document plan trees.
+        Pinned like :meth:`query`: pricing and (with ``execute=True``)
+        operator execution must not straddle epochs."""
+        with self._read_scope():
+            return _explain(self.manager, text, document, execute=execute)
 
     def metrics(self) -> dict:
         """Snapshot of runtime counters and timers (queries, plan

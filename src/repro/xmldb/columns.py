@@ -1,9 +1,9 @@
 """Numpy views over a document's pre/size/level columns.
 
-The batch query executor (:mod:`repro.query.vexecutor`) exchanges
-sorted ``pre`` row-id arrays between operators, and its structural
-kernels reduce containment and ancestry to integer arithmetic over
-these columns — exactly what the paper's pre/size/level shredding was
+The query executor (:mod:`repro.query.executor`) exchanges sorted
+``pre`` row-id arrays between operators, and its structural kernels
+reduce containment and ancestry to integer arithmetic over these
+columns — exactly what the paper's pre/size/level shredding was
 chosen for ("a range encoding ... permits efficient depth-first
 traversal").  :class:`DocColumns` materialises the Python list columns
 of one :class:`~repro.xmldb.document.Document` as contiguous numpy
@@ -26,17 +26,12 @@ the multi-document store array-shaped.
 
 from __future__ import annotations
 
-try:  # numpy is an accelerator, not a hard dependency
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    np = None
+import numpy as np
 
-__all__ = ["DocColumns", "HAVE_NUMPY", "EMPTY_PRES"]
-
-HAVE_NUMPY = np is not None
+__all__ = ["DocColumns", "EMPTY_PRES"]
 
 #: Shared empty row-id batch (int64, the pre-plane dtype).
-EMPTY_PRES = np.empty(0, dtype=np.int64) if HAVE_NUMPY else None
+EMPTY_PRES = np.empty(0, dtype=np.int64)
 
 
 class DocColumns:
@@ -58,8 +53,6 @@ class DocColumns:
     )
 
     def __init__(self, doc) -> None:
-        if np is None:  # pragma: no cover - guarded by HAVE_NUMPY
-            raise RuntimeError("numpy is required for DocColumns")
         self.kind = np.asarray(doc.kind, dtype=np.int8)
         self.size = np.asarray(doc.size, dtype=np.int64)
         self.level = np.asarray(doc.level, dtype=np.int32)

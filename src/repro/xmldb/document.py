@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..errors import DocumentError
+from .columns import DocColumns
 from .mvcc import read_epoch
 from .names import Vocabulary
 from .parser import escape_attribute, escape_text
@@ -129,15 +130,11 @@ class Document:
         still touch a structural column, e.g. rename)."""
         self._columns = None
 
-    def columns(self):
+    def columns(self) -> DocColumns:
         """Numpy snapshot of the structural columns (cached until the
-        next structural change); ``None`` when numpy is unavailable."""
+        next structural change)."""
         columns = self._columns
         if columns is None:
-            from .columns import HAVE_NUMPY, DocColumns
-
-            if not HAVE_NUMPY:
-                return None
             if self._nid_map_dirty:
                 self._rebuild_nid_map_now()
             columns = DocColumns(self)

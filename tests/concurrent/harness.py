@@ -2,12 +2,11 @@
 
 Spins up N reader threads and M writer threads against one live
 :class:`~repro.database.Database`.  Every reader query runs inside a
-pinned :meth:`~repro.database.Database.read_view` under *both*
-executors — the vectorized batch pipeline and the scalar per-node
-walk — and each is cross-checked against the naive full-scan oracle
+pinned :meth:`~repro.database.Database.read_view` and is
+cross-checked against the naive full-scan oracle
 (:func:`repro.query.evaluate_naive`) evaluated on the *same pinned
 snapshot* — the document's text reads resolve through the MVCC
-overlay, so all three sides see epoch-consistent state.  Any
+overlay, so both sides see epoch-consistent state.  Any
 divergence, or a post-run :meth:`verify` failure, is a hard failure;
 error messages carry the thread slot and seed so a failing
 interleaving can be replayed.
@@ -141,14 +140,12 @@ def run_stress(
                     break
                 text = rng.choice(QUERY_MAKERS)(rng)
                 with db.read_view():
-                    batch = sorted(db.query(text, vectorized=True))
-                    scalar = sorted(db.query(text, vectorized=False))
+                    answer = sorted(db.query(text))
                     expected = oracle(db.store.document("people"), text)
-                if batch != expected or scalar != expected:
+                if answer != expected:
                     errors.append(
                         f"reader {slot} (seed {seed}): divergence on "
-                        f"{text!r}: batch={batch} scalar={scalar} "
-                        f"oracle={expected}"
+                        f"{text!r}: answer={answer} oracle={expected}"
                     )
                     stop.set()
                     return

@@ -1,19 +1,20 @@
-"""Differential suite: batch executor vs. scalar executor vs. naive.
+"""Differential suite: the plan executor vs. the naive oracle.
 
-The vectorized executor must be bit-identical to the scalar one on
-every workload query, in every execution mode, and its supporting
-caches (contains/regex memo, lazy nid map, plan-proved predicate
-elision) must never leak stale results across mutations.
+The executor must be bit-identical to ``use_indexes=False`` (the
+``evaluate_naive`` full scan) on every workload query, in every
+``use_indexes`` mode, and its supporting caches (contains/regex memo,
+lazy nid map, plan-proved predicate elision) must never leak stale
+results across mutations.  ``TestOracleIsNotBlind`` injects executor
+bugs and requires this same check to report them.
 """
 
-import os
-from unittest import mock
+from dataclasses import replace
 
 import pytest
 
 from repro.core import IndexManager
-from repro.query import parse_query, query
-from repro.query.executor import _scalar_forced
+from repro.query import executor, kernels, parse_query, query
+from repro.query.ast import AnyTest
 from repro.query.planner import build_plan
 from repro.query.plan import (
     AncestorWalk,
@@ -22,18 +23,19 @@ from repro.query.plan import (
     StructuralVerify,
     Union as PlanUnion,
 )
-from repro.query.vexecutor import _residual_predicates
 from repro.workloads import DATASETS, QUERY_SETS
 
 #: Small generator scale: a few thousand nodes per corpus keeps the
 #: sweep in tier-1 time while exercising every query shape.
 SCALE = 1.0
 
+CORPORA = ("XMark1", "DBLP", "PSD", "Wiki", "EPAGeo")
+
 
 @pytest.fixture(scope="module")
 def managers():
     loaded = {}
-    for name in ("XMark1", "DBLP", "PSD", "Wiki", "EPAGeo"):
+    for name in CORPORA:
         manager = IndexManager(
             string=True, typed=("double",), substring=True
         )
@@ -43,51 +45,76 @@ def managers():
 
 
 def _workload_cases():
-    for dataset in ("XMark1", "DBLP", "PSD", "Wiki", "EPAGeo"):
+    for dataset in CORPORA:
         for query_name, text in QUERY_SETS[dataset]:
             yield pytest.param(
                 dataset, text, id=f"{dataset}-{query_name}"
             )
 
 
+@pytest.fixture(scope="module")
+def oracle(managers):
+    """``evaluate_naive`` answers of every workload query."""
+    return {
+        (dataset, text): query(managers[dataset], text, use_indexes=False)
+        for dataset in CORPORA
+        for _name, text in QUERY_SETS[dataset]
+    }
+
+
+def _divergences(managers, oracle):
+    """``(dataset, text, mode)`` of every workload query some index
+    mode answers differently from the oracle."""
+    return [
+        (dataset, text, mode)
+        for (dataset, text), naive in oracle.items()
+        for mode in (True, "auto")
+        if query(managers[dataset], text, use_indexes=mode) != naive
+    ]
+
+
 class TestWorkloadEquivalence:
-    @pytest.mark.parametrize("dataset,text", _workload_cases())
-    def test_three_way_agreement(self, managers, dataset, text):
-        manager = managers[dataset]
-        vectorized = query(manager, text, vectorized=True)
-        scalar = query(manager, text, vectorized=False)
-        naive = query(manager, text, use_indexes=False)
-        assert vectorized == scalar == naive
-
     @pytest.mark.parametrize("use_indexes", [True, False, "auto"])
-    def test_modes_agree(self, managers, use_indexes):
-        manager = managers["DBLP"]
-        text = "//inproceedings[year >= 2000 and year < 2005]"
-        assert query(
-            manager, text, use_indexes=use_indexes, vectorized=True
-        ) == query(manager, text, use_indexes=use_indexes, vectorized=False)
+    @pytest.mark.parametrize("dataset,text", _workload_cases())
+    def test_executor_matches_oracle(self, managers, oracle, dataset, text,
+                                     use_indexes):
+        answer = query(managers[dataset], text, use_indexes=use_indexes)
+        assert answer == oracle[dataset, text]
 
 
-class TestScalarEscapeHatch:
-    def test_env_forces_scalar(self, managers):
-        with mock.patch.dict(os.environ, {"REPRO_SCALAR_EXEC": "1"}):
-            assert _scalar_forced()
-        with mock.patch.dict(os.environ, {"REPRO_SCALAR_EXEC": "0"}):
-            assert not _scalar_forced()
-        assert _scalar_forced() is (
-            os.environ.get("REPRO_SCALAR_EXEC", "").lower()
-            in ("1", "true", "yes")
-        )
+class TestOracleIsNotBlind:
+    """With one executor, the oracle comparison is the only thing that
+    kills executor bugs — so prove it does: each injected bug must make
+    the equivalence check above report a divergence."""
 
-    def test_env_routes_execution(self, managers):
-        manager = managers["XMark1"]
-        text = "//item[price < 10]"
-        expected = query(manager, text, vectorized=False)
-        before = manager.metrics.counter("query.exec.vectorized_ops").value
-        with mock.patch.dict(os.environ, {"REPRO_SCALAR_EXEC": "1"}):
-            assert query(manager, text) == expected
-        after = manager.metrics.counter("query.exec.vectorized_ops").value
-        assert after == before  # no batch operators ran
+    def test_clean_executor_has_no_divergence(self, managers, oracle):
+        assert _divergences(managers, oracle) == []
+
+    def test_verify_skipping_the_outermost_step_filter_is_caught(
+        self, managers, oracle, monkeypatch
+    ):
+        def buggy(doc, cols, candidates, steps, skip_predicate):
+            unfiltered = replace(steps[0], test=AnyTest())
+            return kernels.structural_verify(
+                doc, cols, candidates, (unfiltered, *steps[1:]),
+                skip_predicate,
+            )
+
+        monkeypatch.setattr(executor, "structural_verify", buggy)
+        assert _divergences(managers, oracle)
+
+    def test_walk_skipping_the_node_tests_is_caught(
+        self, managers, oracle, monkeypatch
+    ):
+        # The axis-confusion bugs are injected in
+        # test_vectorized_kernels_property.py: these flat corpora are
+        # blind to them.
+        def buggy(doc, cols, hits, steps):
+            untested = tuple(replace(step, test=AnyTest()) for step in steps)
+            return kernels.ancestor_walk(doc, cols, hits, untested)
+
+        monkeypatch.setattr(executor, "ancestor_walk", buggy)
+        assert _divergences(managers, oracle)
 
 
 class TestPlanProvedPredicates:
@@ -103,7 +130,7 @@ class TestPlanProvedPredicates:
 
     def test_single_driver_fully_proved(self, managers):
         node = self._verify_node(managers["XMark1"], "//item[price < 10]")
-        assert _residual_predicates(node) == []
+        assert node.residual == ()
 
     def test_fused_range_window(self, managers):
         node = self._verify_node(
@@ -122,22 +149,22 @@ class TestPlanProvedPredicates:
         lookup = window.children[0]
         assert isinstance(lookup, IndexLookup)
         # Both conjuncts fused into one bounded window scan...
-        assert lookup.high_op == "<" and lookup.high_value == 2005.0
-        assert lookup.op_symbol == ">=" and lookup.value == 2000.0
+        assert lookup.bounds == {
+            "low": 2000.0, "include_low": True,
+            "high": 2005.0, "include_high": False,
+        }
         assert len(lookup.proves) == 2
-        # ...and every branch proves both, so no scalar re-check
-        # remains.
-        assert _residual_predicates(node) == []
+        # ...and every branch proves both, so no re-check remains.
+        assert node.residual == ()
 
     def test_partially_covered_conjunction_keeps_residual(self, managers):
         manager = managers["XMark1"]
         text = '//item[quantity = 5 and payment = "Cash"]'
         node = self._verify_node(manager, text)
-        residual = _residual_predicates(node)
         # The uncovered string-inequality conjunct must be re-checked.
         predicate = node.predicate
-        assert all(part in predicate.children for part in residual)
-        assert query(manager, text, vectorized=True) == query(
+        assert all(part in predicate.children for part in node.residual)
+        assert query(manager, text) == query(
             manager, text, use_indexes=False
         )
 
