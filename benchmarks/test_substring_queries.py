@@ -49,7 +49,7 @@ def test_substring_index_build(benchmark, managers):
     def build():
         index = SubstringIndex()
         for nid, text in leaves:
-            index.set_entry(nid, text)
+            index.set_entry(nid, index.field_of_text(text))
         return index
 
     index = benchmark(build)

@@ -1,6 +1,6 @@
 """The paper's primary contribution: generic updatable XML value indices."""
 
-from .builder import ValueIndex, build_document, compute_fields
+from .builder import build_document, compute_fields
 from .hashing import EMPTY_HASH, HashAccumulator, combine, combine_all, hash_string
 from .manager import IndexManager
 from .parallel import (
@@ -14,6 +14,7 @@ from .string_index import StringIndex
 from .substring_index import SubstringIndex
 from .typed_index import TypedIndex
 from .updater import apply_structural_change, apply_text_updates
+from .value_index import ValueIndex
 
 __all__ = [
     "EMPTY_HASH",

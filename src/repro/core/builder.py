@@ -18,35 +18,12 @@ indexed and contribute nothing.
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from ..xmldb.document import ATTR, DOC, ELEM, TEXT, Document
+from .value_index import ValueIndex
 
-__all__ = ["ValueIndex", "build_document", "compute_fields"]
-
-
-class ValueIndex(Protocol):
-    """What builder/updater need from an index (string or typed)."""
-
-    identity: object
-
-    def field_of_text(self, text: str) -> object: ...
-
-    def combine(self, left: object, right: object) -> object: ...
-
-    def begin_bulk(self) -> None: ...
-
-    def stage_entry(self, nid: int, field: object) -> None: ...
-
-    def finish_bulk(self) -> None: ...
-
-    def set_entry(self, nid: int, field: object) -> None: ...
-
-    def remove_entry(self, nid: int) -> None: ...
-
-    def remove_entries(self, nids: Sequence[int]) -> int: ...
-
-    def field_of(self, nid: int) -> object: ...
+__all__ = ["build_document", "compute_fields"]
 
 
 def compute_fields(
@@ -75,29 +52,18 @@ def compute_fields(
     nids = doc.nid
     enter = [index.stage_entry if bulk else index.set_entry for index in indexes]
     k = len(indexes)
-    # Pre-compute leaf fields; indices with a batch hook (the string
-    # index hashes all values vectorised) exploit it.
+    # Pre-compute leaf fields in one batch per index (the string index
+    # hashes all values vectorised, the typed index pre-classifies).
     leaf_pres = [
         pre
         for pre in range(start, end + 1)
         if kinds[pre] in (TEXT, ATTR)
     ]
     leaf_texts = [doc.text_of(pre) for pre in leaf_pres]
-    leaf_fields: list[dict[int, object]] = []
-    for index in indexes:
-        batch = getattr(index, "field_of_texts", None)
-        if batch is not None:
-            fields = batch(leaf_texts)
-        else:
-            field_of_text = index.field_of_text
-            fields = [field_of_text(text) for text in leaf_texts]
-        leaf_fields.append(dict(zip(leaf_pres, fields)))
-    if k == 1:
-        return [
-            _compute_fields_single(
-                doc, start, end, indexes[0], enter[0], leaf_fields[0]
-            )
-        ]
+    leaf_fields: list[dict[int, object]] = [
+        dict(zip(leaf_pres, index.field_of_texts(leaf_texts)))
+        for index in indexes
+    ]
     # Stack frames: (subtree_end_pre, nid, [accumulator per index]).
     # The bottom frame is a sentinel (nid None) accumulating the
     # contribution of the range's top-level subtrees.
@@ -134,50 +100,6 @@ def compute_fields(
             for i in range(k):
                 enter[i](nids[pre], leaf_fields[i][pre])
         # COMMENT/PI: not indexed, nothing contributed.
-        pre += 1
-    return stack[0][2]
-
-
-def _compute_fields_single(
-    doc: Document,
-    start: int,
-    end: int,
-    index: ValueIndex,
-    enter,
-    leaf_fields: dict[int, object],
-) -> object:
-    """Single-index fast path of :func:`compute_fields` (identical
-    traversal, no per-index inner loops — index creation is hot).
-
-    Returns the range's contribution (see :func:`compute_fields`).
-    """
-    kinds = doc.kind
-    sizes = doc.size
-    nids = doc.nid
-    combine = index.combine
-    identity = index.identity
-    # [subtree_end_pre, nid, accumulator]; bottom frame is a sentinel
-    # (nid None) accumulating the range's top-level contribution.
-    stack: list[list] = [[end, None, identity]]
-    pre = start
-    while pre <= end or len(stack) > 1:
-        while len(stack) > 1 and (pre > end or pre > stack[-1][0]):
-            _closed_end, nid, field = stack.pop()
-            enter(nid, field)
-            top = stack[-1]
-            top[2] = combine(top[2], field)
-        if pre > end:
-            break
-        kind = kinds[pre]
-        if kind in (ELEM, DOC):
-            stack.append([pre + sizes[pre], nids[pre], identity])
-        elif kind == TEXT:
-            field = leaf_fields[pre]
-            enter(nids[pre], field)
-            top = stack[-1]
-            top[2] = combine(top[2], field)
-        elif kind == ATTR:
-            enter(nids[pre], leaf_fields[pre])
         pre += 1
     return stack[0][2]
 

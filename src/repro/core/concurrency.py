@@ -311,7 +311,13 @@ class ConcurrencyController:
 
     def _capture(self) -> ManagerSnapshot:
         manager = self.manager
-        trees = {index: index.tree.snapshot() for index in manager.indexes}
+        # An index without a snapshottable tree is read live; text
+        # updates take the exclusive latch while one exists.
+        trees = {
+            index: index.tree.snapshot()
+            for index in manager.indexes
+            if index.snapshottable
+        }
         return ManagerSnapshot(manager.epoch, trees)
 
     def publish(self) -> None:
@@ -555,22 +561,12 @@ class ConcurrencyController:
 
     def view_statistics(self, view: ReadView, kind: str):
         """Planner statistics computed from ``view``'s pinned trees."""
-        from ..errors import IndexError_
-        from .statistics import StringIndexStatistics, TypedIndexStatistics
-
         manager = self.manager
-        if kind == "string":
-            if manager.string_index is None:
-                raise IndexError_("string index not enabled")
-            index = manager.string_index
-        else:
-            index = manager.typed_index(kind)
+        index = manager.index(kind)
         tree = view.tree_for(index)
         if tree is None:
             # Index created after the view pinned (exclusive op, so no
             # such view can be live — defensive fallback only).
             return manager.statistics(kind)
         manager.metrics.counter("statistics.view_builds").inc()
-        if kind == "string":
-            return StringIndexStatistics.from_tree(tree, view.epoch)
-        return TypedIndexStatistics.from_tree(tree, view.epoch)
+        return index.statistics_type.from_tree(tree, view.epoch)

@@ -1,9 +1,11 @@
 """The index manager: the library's main entry point.
 
 Owns a :class:`~repro.xmldb.store.Store` plus the generic value indices
-over it (one string equality index, any number of typed range indices),
-keeps them consistent across document loads and updates, and exposes
-the lookup API the query layer plans against.
+over it (one string equality index, any number of typed range indices,
+optionally the substring index), keeps them consistent across document
+loads and updates through the one protocol of
+:class:`~repro.core.value_index.ValueIndex`, and exposes the lookup API
+the query layer plans against.
 
 Self-tuning by construction (paper Section 1): no paths, no types to
 configure — every node of every document is covered.
@@ -22,13 +24,14 @@ from ..obs import MetricsRegistry
 from ..xmldb.document import ATTR, TEXT, Document
 from ..xmldb.mvcc import read_epoch
 from ..xmldb.store import Store, StructuralChange
-from .builder import ValueIndex, compute_fields
+from .builder import compute_fields
 from .concurrency import ConcurrencyController, ReadView, active_view
 from .parallel import AUTO_MIN_ROWS, compute_fields_parallel, resolve_workers
 from .string_index import StringIndex
 from .substring_index import SubstringIndex
 from .typed_index import TypedIndex
 from .updater import apply_structural_change, apply_text_updates
+from .value_index import ValueIndex
 
 __all__ = ["IndexManager"]
 
@@ -48,6 +51,7 @@ class IndexManager:
         store: The document store to index (a fresh one by default).
         string: Build the string equality index.
         typed: XML type names to build range indices for.
+        substring: Build the q-gram substring index.
         order: B-tree order for all index trees.
         parallel: Default creation-pass parallelism — ``None`` (serial),
             ``"auto"`` (available CPUs, skipping small documents) or a
@@ -63,7 +67,6 @@ class IndexManager:
         string: bool = True,
         typed: Iterable[str] = ("double",),
         substring: bool = False,
-        substring_q: int = 3,
         order: int = 64,
         parallel: int | str | None = None,
         parallel_backend: str = "process",
@@ -76,7 +79,7 @@ class IndexManager:
             name: TypedIndex(name, order=order) for name in typed
         }
         self.substring_index: SubstringIndex | None = (
-            SubstringIndex(q=substring_q) if substring else None
+            SubstringIndex() if substring else None
         )
         self._order = order
         self.parallel = parallel
@@ -149,12 +152,25 @@ class IndexManager:
 
     @property
     def indexes(self) -> list[ValueIndex]:
-        """All active indices, string first."""
+        """All active indices: string first, then typed, then substring."""
         result: list[ValueIndex] = []
         if self.string_index is not None:
             result.append(self.string_index)
         result.extend(self.typed_indexes.values())
+        if self.substring_index is not None:
+            result.append(self.substring_index)
         return result
+
+    def index(self, kind: str) -> ValueIndex:
+        """The active index named ``kind`` (``"string"``, a typed-index
+        name or ``"substring"``)."""
+        for index in self.indexes:
+            if index.kind == kind:
+                return index
+        raise IndexError_(
+            f"no {kind!r} index; "
+            f"available: {[index.kind for index in self.indexes]}"
+        )
 
     def typed_index(self, type_name: str) -> TypedIndex:
         index = self.typed_indexes.get(type_name)
@@ -174,13 +190,7 @@ class IndexManager:
         with self._exclusive():
             index = TypedIndex(type_name, order=self._order)
             self.typed_indexes[type_name] = index
-            with self.metrics.timer("index.build").time():
-                index.begin_bulk()
-                for doc in self.store.documents.values():
-                    self._compute_document(doc, [index], parallel)
-                index.finish_bulk()
-            self.metrics.counter("index.builds").inc()
-            self.bump_epoch()
+            self._bulk_build(self.store.documents.values(), [index], parallel)
         return index
 
     # ------------------------------------------------------------------
@@ -210,20 +220,27 @@ class IndexManager:
                 doc, indexes, workers, backend=self.parallel_backend
             )
 
+    def _bulk_build(
+        self, docs: Iterable[Document], indexes: list[ValueIndex], parallel
+    ) -> None:
+        """Create ``indexes`` over ``docs``: stage every document's
+        fields, then bulk-load each tree once.  Callers hold the
+        exclusive latch."""
+        with self.metrics.timer("index.build").time():
+            for index in indexes:
+                index.begin_bulk()
+            for doc in docs:
+                self._compute_document(doc, indexes, parallel)
+            for index in indexes:
+                index.finish_bulk()
+        self.metrics.counter("index.builds").inc()
+        self.bump_epoch()
+
     def _build_document(self, doc: Document, parallel,
                         structural: bool = True) -> None:
         with self._exclusive(structural=structural):
-            with self.metrics.timer("index.build").time():
-                indexes = self.indexes
-                for index in indexes:
-                    index.begin_bulk()
-                self._compute_document(doc, indexes, parallel)
-                for index in indexes:
-                    index.finish_bulk()
-                self._substring_add_range(doc, 0, len(doc) - 1)
-            self.metrics.counter("index.builds").inc()
+            self._bulk_build([doc], self.indexes, parallel)
             self._leaf_nids_cache.pop(doc.name, None)
-            self.bump_epoch()
 
     def load(
         self, name: str, xml: str, parallel: int | str | None = _DEFAULT
@@ -265,27 +282,16 @@ class IndexManager:
         self._build_document(doc, parallel, structural=False)
         return doc
 
-    def _substring_add_range(self, doc: Document, start: int, end: int) -> None:
-        if self.substring_index is None:
-            return
-        set_entry = self.substring_index.set_entry
-        for pre in range(start, end + 1):
-            if doc.kind[pre] in (TEXT, ATTR):
-                set_entry(doc.nid[pre], doc.text_of(pre))
-
     def build_all(self, parallel: int | str | None = _DEFAULT) -> None:
-        """(Re)build all indices over all documents already in the store."""
+        """(Re)build all indices over all documents already in the
+        store; entries the documents already have are dropped first."""
         with self._exclusive():
-            with self.metrics.timer("index.build").time():
-                for index in self.indexes:
-                    index.begin_bulk()
-                for doc in self.store.documents.values():
-                    self._compute_document(doc, self.indexes, parallel)
-                    self._substring_add_range(doc, 0, len(doc) - 1)
-                for index in self.indexes:
-                    index.finish_bulk()
-            self.metrics.counter("index.builds").inc()
-            self.bump_epoch()
+            docs = list(self.store.documents.values())
+            indexes = self.indexes
+            for doc in docs:
+                for index in indexes:
+                    index.remove_entries(doc.nid)
+            self._bulk_build(docs, indexes, parallel)
 
     def unload(self, name: str) -> None:
         """Drop a document and all its index entries (one bulk pass per
@@ -295,8 +301,6 @@ class IndexManager:
             nids = doc.nid
             for index in self.indexes:
                 index.remove_entries(nids)
-            if self.substring_index is not None:
-                self.substring_index.remove_entries(nids)
             self.store.remove_document(name)
             self._leaf_nids_cache.pop(name, None)
             self.bump_epoch()
@@ -320,17 +324,18 @@ class IndexManager:
         writer holds the latch *shared* (readers keep running),
         records every overwritten text slot's before-value in the
         document overlay, and publishes a new index snapshot at the
-        end.  The substring index mutates its gram postings in place
-        and cannot be snapshotted, so its presence forces the
-        exclusive latch instead.
+        end.  An index that is not snapshottable (the substring index
+        mutates its gram postings in place) forces the exclusive latch
+        instead.
         """
         controller = self.concurrency
+        indexes = self.indexes
         if controller is None:
             scope = nullcontext(None)
-        elif self.substring_index is not None:
-            scope = controller.exclusive()
-        else:
+        elif all(index.snapshottable for index in indexes):
             scope = controller.text_update()
+        else:
+            scope = controller.exclusive()
         with scope as write_epoch:
             nids: list[int] = []
             seen: set[int] = set()
@@ -342,14 +347,7 @@ class IndexManager:
                     if nid not in seen:
                         seen.add(nid)
                         nids.append(nid)
-                if self.substring_index is not None:
-                    for nid in nids:
-                        doc, pre = self.store.node(nid)
-                        if doc.kind[pre] in (TEXT, ATTR):
-                            self.substring_index.set_entry(
-                                nid, doc.text_of(pre)
-                            )
-                recomputed = apply_text_updates(self.store, nids, self.indexes)
+                recomputed = apply_text_updates(self.store, nids, indexes)
             self.metrics.counter("index.updates").inc(len(nids))
             self.bump_epoch()
         return recomputed
@@ -366,45 +364,39 @@ class IndexManager:
         if slot >= 0 and doc.text_overlay is not None:
             doc.text_overlay.record(slot, write_epoch, doc.texts[slot])
 
-    def delete_subtree(self, nid: int) -> StructuralChange:
-        """Delete a subtree and maintain indices (stop-the-world:
-        structural splices take the exclusive latch, see
-        docs/concurrency.md)."""
+    def _apply_structural(self, splice) -> StructuralChange:
+        """Run one store splice and maintain every index over it
+        (stop-the-world: structural splices take the exclusive latch,
+        see docs/concurrency.md)."""
         with self._exclusive():
             with self.metrics.timer("index.update").time():
-                change = self.store.delete_subtree(nid)
+                change = splice()
                 apply_structural_change(self.store, change, self.indexes)
-                self._substring_apply_change(change)
+            self._leaf_nids_cache.pop(change.document.name, None)
             self.metrics.counter("index.updates").inc()
             self.bump_epoch()
         return change
+
+    def delete_subtree(self, nid: int) -> StructuralChange:
+        """Delete a subtree and maintain indices (stop-the-world)."""
+        return self._apply_structural(lambda: self.store.delete_subtree(nid))
 
     def insert_xml(
         self, parent_nid: int, fragment: str, before_nid: int | None = None
     ) -> StructuralChange:
         """Insert an XML fragment and maintain indices (stop-the-world)."""
-        with self._exclusive():
-            with self.metrics.timer("index.update").time():
-                change = self.store.insert_xml(parent_nid, fragment, before_nid)
-                apply_structural_change(self.store, change, self.indexes)
-                self._substring_apply_change(change)
-            self.metrics.counter("index.updates").inc()
-            self.bump_epoch()
-        return change
+        return self._apply_structural(
+            lambda: self.store.insert_xml(parent_nid, fragment, before_nid)
+        )
 
     def insert_attribute(
         self, owner_nid: int, name: str, value: str
     ) -> StructuralChange:
         """Add an attribute to an element and index its value
         (stop-the-world)."""
-        with self._exclusive():
-            with self.metrics.timer("index.update").time():
-                change = self.store.insert_attribute(owner_nid, name, value)
-                apply_structural_change(self.store, change, self.indexes)
-                self._substring_apply_change(change)
-            self.metrics.counter("index.updates").inc()
-            self.bump_epoch()
-        return change
+        return self._apply_structural(
+            lambda: self.store.insert_attribute(owner_nid, name, value)
+        )
 
     def delete_attribute(self, attr_nid: int) -> StructuralChange:
         """Remove an attribute node and drop its index entries."""
@@ -420,18 +412,6 @@ class IndexManager:
             self.store.rename(nid, new_name)
             # A rename can change which nodes a name test selects.
             self.bump_epoch()
-
-    def _substring_apply_change(self, change: StructuralChange) -> None:
-        self._leaf_nids_cache.pop(change.document.name, None)
-        if self.substring_index is None:
-            return
-        for nid in change.removed_nids:
-            self.substring_index.remove_entry(nid)
-        doc = change.document
-        for nid in change.added_nids:
-            pre = doc.pre_of(nid)
-            if doc.kind[pre] in (TEXT, ATTR):
-                self.substring_index.set_entry(nid, doc.text_of(pre))
 
     # ------------------------------------------------------------------
     # Lookups
@@ -633,18 +613,11 @@ class IndexManager:
         trees instead (memoized per view), so a plan priced at epoch E
         never mixes in a newer epoch's distribution.
         """
-        from .statistics import StringIndexStatistics, TypedIndexStatistics
-
         view = active_view()
         if view is not None:
             return view.statistics(kind)
 
-        if kind == "string":
-            if self.string_index is None:
-                raise IndexError_("string index not enabled")
-            index = self.string_index
-        else:
-            index = self.typed_index(kind)
+        index = self.index(kind)
         cached = self._statistics_cache.get(kind)
         if cached is not None:
             drift = index.mutations - cached.mutations
@@ -655,10 +628,9 @@ class IndexManager:
                 self.metrics.counter("statistics.cached").inc()
                 return cached
         with self.metrics.timer("statistics.refresh").time():
-            if kind == "string":
-                snapshot = StringIndexStatistics.from_index(index)
-            else:
-                snapshot = TypedIndexStatistics.from_index(index)
+            snapshot = index.statistics_type.from_tree(
+                index.tree, index.mutations
+            )
         self.metrics.counter("statistics.refreshes").inc()
         self._statistics_cache[kind] = snapshot
         return snapshot
@@ -669,33 +641,22 @@ class IndexManager:
 
     def index_sizes(self) -> dict[str, int]:
         """Modelled byte size per index (Figure 9 bottom)."""
-        sizes: dict[str, int] = {}
-        if self.string_index is not None:
-            sizes["string"] = self.string_index.byte_size()
-        for name, index in self.typed_indexes.items():
-            sizes[name] = index.byte_size()
-        if self.substring_index is not None:
-            sizes["substring"] = self.substring_index.byte_size()
-        return sizes
+        return {index.kind: index.byte_size() for index in self.indexes}
 
     def check_consistency(self) -> None:
         """Verify all index fields against freshly computed ones.
 
         Test support: rebuilds every index from scratch and compares
-        stored fields, value-tree contents and entry counts.
+        stored fields and key entries.
         """
         rebuilt = IndexManager(
             store=self.store,
             string=self.string_index is not None,
             typed=tuple(self.typed_indexes),
+            substring=self.substring_index is not None,
             order=self._order,
         )
         rebuilt.build_all()
-        if self.string_index is not None:
-            fresh = rebuilt.string_index
-            assert self.string_index.hash_of == fresh.hash_of
-            assert list(self.string_index.tree.keys()) == list(fresh.tree.keys())
-        for name, index in self.typed_indexes.items():
-            fresh_typed = rebuilt.typed_indexes[name]
-            assert index.fragment_of_node == fresh_typed.fragment_of_node, name
-            assert list(index.tree.keys()) == list(fresh_typed.tree.keys()), name
+        for index, fresh in zip(self.indexes, rebuilt.indexes):
+            assert index.fields == fresh.fields, index.kind
+            assert list(index.entries()) == list(fresh.entries()), index.kind

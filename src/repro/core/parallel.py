@@ -35,9 +35,8 @@ from typing import Sequence
 
 from ..errors import IndexError_
 from ..xmldb.document import ATTR, ELEM, TEXT, Document
-from .builder import ValueIndex, compute_fields
-from .string_index import StringIndex
-from .typed_index import TypedIndex
+from .builder import compute_fields
+from .value_index import ValueIndex
 
 __all__ = [
     "Chunk",
@@ -171,22 +170,24 @@ class _Collector:
     Delegates the algebra (H/C or FSM/SCT) to a real index object but
     records staged entries privately, so workers never touch shared
     index state and the main thread can replay runs in serial order.
+    Fields the index would not store (rejected FSM states — most of a
+    typed index's entries) are dropped here: they are dead weight in
+    worker results.
     """
 
-    __slots__ = ("identity", "combine", "field_of_text", "field_of_texts",
+    __slots__ = ("identity", "combine", "field_of_texts", "stores",
                  "entries")
 
-    def __init__(self, algebra):
+    def __init__(self, algebra: ValueIndex):
         self.identity = algebra.identity
         self.combine = algebra.combine
-        self.field_of_text = algebra.field_of_text
-        batch = getattr(algebra, "field_of_texts", None)
-        if batch is not None:
-            self.field_of_texts = batch
+        self.field_of_texts = algebra.field_of_texts
+        self.stores = algebra.stores
         self.entries: list[tuple[int, object]] = []
 
     def stage_entry(self, nid: int, field: object) -> None:
-        self.entries.append((nid, field))
+        if self.stores(field):
+            self.entries.append((nid, field))
 
 
 class _ChunkView:
@@ -226,55 +227,27 @@ def _chunk_payload(doc: Document, chunk: Chunk):
     )
 
 
-def _spec_of(index: ValueIndex) -> tuple:
-    """Picklable recipe to rebuild an index's algebra in a worker."""
-    if type(index) is StringIndex:
-        return ("string",)
-    if type(index) is TypedIndex:
-        return ("typed", index.type_name)
-    raise IndexError_(
-        f"process backend cannot rebuild a {type(index).__name__}; "
-        "use the thread backend for custom index types"
-    )
-
-
 #: Per-process cache of rebuilt algebras (plugin construction is not
 #: free; every chunk of every build in this worker shares them).
-_ALGEBRAS: dict[tuple, object] = {}
+_ALGEBRAS: dict[tuple, ValueIndex] = {}
 
 
-def _algebra_for(spec: tuple):
+def _algebra_for(spec: tuple) -> ValueIndex:
+    """An empty index rebuilt from :meth:`ValueIndex.spec`."""
     algebra = _ALGEBRAS.get(spec)
     if algebra is None:
-        if spec[0] == "string":
-            algebra = StringIndex(order=4)
-        else:
-            algebra = TypedIndex(spec[1], order=4)
-        _ALGEBRAS[spec] = algebra
+        cls, args = spec
+        algebra = _ALGEBRAS[spec] = cls(*args)
     return algebra
-
-
-def _filtered_entries(algebra, entries: list) -> list:
-    """Drop entries the index would not store (rejected FSM fields) —
-    they are dead weight in worker results, and most typed-index
-    entries are rejections (the paper's storage argument)."""
-    keeps = getattr(algebra, "is_stored_field", None)
-    if keeps is None:
-        return entries
-    return [(nid, field) for nid, field in entries if keeps(field)]
 
 
 def _process_chunk(specs: tuple, payload: tuple):
     """Worker-process entry: compute one chunk from column slices."""
     kinds, sizes, nids, texts = payload
     view = _ChunkView(kinds, sizes, nids, texts)
-    algebras = [_algebra_for(spec) for spec in specs]
-    collectors = [_Collector(algebra) for algebra in algebras]
+    collectors = [_Collector(_algebra_for(spec)) for spec in specs]
     contributions = compute_fields(view, 0, len(kinds) - 1, collectors, bulk=True)
-    return [
-        _filtered_entries(algebra, c.entries)
-        for algebra, c in zip(algebras, collectors)
-    ], contributions
+    return [c.entries for c in collectors], contributions
 
 
 def _thread_chunk(doc: Document, indexes: Sequence[ValueIndex], chunk: Chunk):
@@ -283,10 +256,7 @@ def _thread_chunk(doc: Document, indexes: Sequence[ValueIndex], chunk: Chunk):
     contributions = compute_fields(
         doc, chunk.start, chunk.end, collectors, bulk=True
     )
-    return [
-        _filtered_entries(index, c.entries)
-        for index, c in zip(indexes, collectors)
-    ], contributions
+    return [c.entries for c in collectors], contributions
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +294,6 @@ def compute_fields_parallel(
     indexes: Sequence[ValueIndex],
     workers: int,
     backend: str = "process",
-    bulk: bool = True,
 ) -> None:
     """Chunked, pooled equivalent of the whole-document Figure 7 pass.
 
@@ -337,7 +306,7 @@ def compute_fields_parallel(
     plan = split_document(doc, max(workers * CHUNKS_PER_WORKER, 1))
     chunks = plan.chunks
     if backend == "process":
-        specs = tuple(_spec_of(index) for index in indexes)
+        specs = tuple(index.spec() for index in indexes)
         payloads = [_chunk_payload(doc, chunk) for chunk in chunks]
         if workers <= 1 or len(chunks) <= 1:
             results = [_process_chunk(specs, payload) for payload in payloads]
@@ -354,7 +323,7 @@ def compute_fields_parallel(
                 results = list(
                     pool.map(lambda c: _thread_chunk(doc, indexes, c), chunks)
                 )
-    _replay(doc, plan, results, indexes, bulk)
+    _replay(doc, plan, results, indexes)
 
 
 def _replay(
@@ -362,11 +331,9 @@ def _replay(
     plan: SplitPlan,
     results: list,
     indexes: Sequence[ValueIndex],
-    bulk: bool,
 ) -> None:
-    """Fold spine fields and emit all entries in serial close order."""
+    """Fold spine fields and stage all entries in serial close order."""
     k = len(indexes)
-    enter = [index.stage_entry if bulk else index.set_entry for index in indexes]
     # Spine fields, deepest first: each spine node's field is the fold
     # (in document order) of its chunk contributions and, where
     # present, its spine child's field — pure C/SCT algebra, no text.
@@ -401,26 +368,16 @@ def _replay(
         for node in spine
     )
     events.sort()
-    batch_enter = [
-        getattr(index, "stage_entries", None) if bulk else None
-        for index in indexes
-    ]
     for _end, _tie, _tie2, (what, ref) in events:
         if what == "chunk":
             entries_per_index, _contributions = results[ref]
-            for i in range(k):
-                batch = batch_enter[i]
-                if batch is not None:
-                    batch(entries_per_index[i])
-                    continue
-                emit = enter[i]
-                for nid, field in entries_per_index[i]:
-                    emit(nid, field)
+            for index, entries in zip(indexes, entries_per_index):
+                index.stage_entries(entries)
         else:
             fields = spine_fields[ref]
             nid = doc.nid[ref]
             for i in range(k):
-                enter[i](nid, fields[i])
+                indexes[i].stage_entry(nid, fields[i])
 
 
 def build_document_parallel(
@@ -437,6 +394,6 @@ def build_document_parallel(
     resolved = resolve_workers(workers)
     for index in indexes:
         index.begin_bulk()
-    compute_fields_parallel(doc, indexes, resolved, backend=backend, bulk=True)
+    compute_fields_parallel(doc, indexes, resolved, backend=backend)
     for index in indexes:
         index.finish_bulk()

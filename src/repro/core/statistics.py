@@ -104,22 +104,15 @@ class TypedIndexStatistics:
     mutations: int
 
     @classmethod
-    def from_index(cls, index, buckets: int = 32) -> "TypedIndexStatistics":
-        values = [value for value, _nid in index.tree.keys()]
-        return cls(
-            histogram=EquiDepthHistogram(values, buckets),
-            mutations=index.mutations,
-        )
-
-    @classmethod
     def from_tree(
         cls, tree, mutations: int, buckets: int = 32
     ) -> "TypedIndexStatistics":
-        """Build from a pinned tree snapshot (epoch-consistent reads).
+        """Build from the index's value tree or a pinned snapshot of it.
 
-        ``mutations`` records the snapshot's identity (a read view
-        passes its epoch) — drift-based refresh does not apply to a
-        frozen view.
+        ``mutations`` records the snapshot's identity: the index's
+        mutation counter for the live tree (drift-based refresh), a
+        read view's epoch for a pinned one (a frozen view never
+        drifts).
         """
         values = [value for value, _nid in tree.keys()]
         return cls(
@@ -158,17 +151,9 @@ class StringIndexStatistics:
     mutations: int
 
     @classmethod
-    def from_index(cls, index) -> "StringIndexStatistics":
-        distinct = len({field for field in index.hash_of.values()})
-        return cls(
-            entries=len(index),
-            distinct_hashes=max(1, distinct),
-            mutations=index.mutations,
-        )
-
-    @classmethod
     def from_tree(cls, tree, mutations: int) -> "StringIndexStatistics":
-        """Build from a pinned tree snapshot; keys are (hash, nid)."""
+        """Build from the live tree or a pinned snapshot of it; keys
+        are (hash, nid).  ``mutations`` as for the typed statistics."""
         distinct = len({key[0] for key in tree.keys()})
         return cls(
             entries=len(tree),

@@ -15,36 +15,37 @@ stored hashes with the associative ``C`` (see
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterator
 
+import numpy as np
+
 from ..btree import BPlusTree
-from .concurrency import active_view
 from .hashing import EMPTY_HASH, combine, hash_string, hash_strings
+from .statistics import StringIndexStatistics
+from .value_index import ValueIndex
 
 __all__ = ["StringIndex"]
 
 _MAX_NID = 1 << 62
 
 
-class StringIndex:
-    """Equality index on string values via the hash function H."""
+class StringIndex(ValueIndex):
+    """Equality index on string values via the hash function H.
 
-    #: Builder protocol: field contributed by absent content.
+    Every field is stored and is its own tree key, so the B-tree on
+    ``(hash, nid)`` answers an equality lookup with one range scan.
+    """
+
     identity = EMPTY_HASH
+    column = (".sidx", "HASH")
+    statistics_type = StringIndexStatistics
 
     def __init__(self, order: int = 64):
-        # nid -> stored hash; the per-node "field" of paper Figure 7.
-        self.hash_of: dict[int, int] = {}
-        # B-tree on (hash, nid): equality lookup = one range scan.
-        self.tree = BPlusTree(order=order, key_bytes=8, value_bytes=0)
-        self._staged: list[tuple[int, int]] | None = None
-        #: Counts entry changes; used to invalidate planner statistics.
-        self.mutations = 0
-
-    # ------------------------------------------------------------------
-    # Builder protocol (used by repro.core.builder / updater)
-    # ------------------------------------------------------------------
+        super().__init__(
+            "string", BPlusTree(order=order, key_bytes=8, value_bytes=0)
+        )
+        #: nid -> stored hash (this index's name for its field map).
+        self.hash_of = self.fields
 
     def field_of_text(self, text: str) -> int:
         """H(text) — the field of a text/attribute node."""
@@ -58,91 +59,15 @@ class StringIndex:
         """C(left, right) — fold a child's field into an accumulator."""
         return combine(left, right)
 
-    def begin_bulk(self) -> None:
-        """Enter bulk-build mode: entries staged, tree built at the end."""
-        self._staged = []
+    def pack_fields(self, fields: list[int]) -> bytes:
+        return np.asarray(fields, dtype="<u4").tobytes()
 
-    def stage_entry(self, nid: int, field: int) -> None:
-        """Record a node's field during creation (bulk mode)."""
-        self.hash_of[nid] = field
-        self._staged.append((field, nid))
-
-    def stage_entries(self, pairs: list[tuple[int, int]]) -> None:
-        """Batch form of :meth:`stage_entry` over ``(nid, field)`` runs
-        (parallel-build replay); same effect, C-level loops."""
-        self.hash_of.update(pairs)
-        self._staged.extend((field, nid) for nid, field in pairs)
-
-    def finish_bulk(self) -> None:
-        """Sort staged entries and bulk-load the B-tree.
-
-        Entries already in the tree (earlier documents) are merged in,
-        so loading additional documents keeps prior coverage.
-        """
-        staged = self._staged
-        self._staged = None
-        staged.sort()
-        self.mutations += len(staged)
-        if len(self.tree):
-            existing = list(self.tree.keys())
-            entries = heapq.merge(existing, staged)
-        else:
-            entries = staged
-        self.tree.bulk_load((key, None) for key in entries)
-
-    def set_entry(self, nid: int, field: int) -> None:
-        """Insert or refresh one node's entry (update path)."""
-        old = self.hash_of.get(nid)
-        if old == field:
-            return
-        if old is not None:
-            self.tree.delete((old, nid))
-        self.hash_of[nid] = field
-        self.tree.insert((field, nid))
-        self.mutations += 1
-
-    def remove_entry(self, nid: int) -> None:
-        """Drop a node's entry (subtree deletion)."""
-        old = self.hash_of.pop(nid, None)
-        if old is not None:
-            self.tree.delete((old, nid))
-            self.mutations += 1
-
-    def remove_entries(self, nids) -> int:
-        """Bulk form of :meth:`remove_entry` (document unload).
-
-        Pops all stored hashes first, then drops the tree keys in one
-        :meth:`~repro.btree.BPlusTree.remove_many` pass instead of one
-        tree descent per node.  Returns the number of entries removed.
-        """
-        keys = []
-        hash_of = self.hash_of
-        for nid in nids:
-            old = hash_of.pop(nid, None)
-            if old is not None:
-                keys.append((old, nid))
-        if keys:
-            self.tree.remove_many(keys)
-            self.mutations += len(keys)
-        return len(keys)
-
-    def field_of(self, nid: int):
-        """Stored field of a node; ``None`` if the node is not indexed."""
-        return self.hash_of.get(nid)
+    def unpack_fields(self, payload: bytes, count: int) -> list[int]:
+        return np.frombuffer(payload, dtype="<u4").tolist()
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-
-    def _lookup_tree(self):
-        """The tree to answer lookups from: the active read view's
-        pinned snapshot when one is installed, else the live tree."""
-        view = active_view()
-        if view is not None:
-            pinned = view.tree_for(self)
-            if pinned is not None:
-                return pinned
-        return self.tree
 
     def lookup_hash(self, hash_value: int) -> Iterator[int]:
         """All nids whose string value hashes to ``hash_value``."""
@@ -171,9 +96,6 @@ class StringIndex:
     # ------------------------------------------------------------------
     # Statistics / storage model
     # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.hash_of)
 
     def byte_size(self) -> int:
         """Modelled storage: a 4-byte hash per indexed node plus the

@@ -29,8 +29,10 @@ documented in DESIGN.md.
 from __future__ import annotations
 
 from collections import Counter
+from typing import Iterable, Iterator
 
 from .hashing import hash_string
+from .value_index import ValueIndex
 
 __all__ = ["SubstringIndex", "literal_factors"]
 
@@ -38,11 +40,16 @@ __all__ = ["SubstringIndex", "literal_factors"]
 DEFAULT_Q = 3
 
 
-def _grams(text: str, q: int) -> set[int]:
+#: The field of a node that carries no gram: every container, and any
+#: leaf shorter than ``q``.  Never stored.
+NO_GRAMS: frozenset[int] = frozenset()
+
+
+def _grams(text: str, q: int) -> frozenset[int]:
     """Distinct hashed q-grams of ``text`` (empty if shorter than q)."""
-    if len(text) < q:
-        return set()
-    return {hash_string(text[i : i + q]) for i in range(len(text) - q + 1)}
+    return frozenset(
+        hash_string(text[i : i + q]) for i in range(len(text) - q + 1)
+    )
 
 
 def literal_factors(pattern: str) -> list[str]:
@@ -115,60 +122,69 @@ def literal_factors(pattern: str) -> list[str]:
     return [f for f in factors if f]
 
 
-class SubstringIndex:
+class SubstringIndex(ValueIndex):
     """Positional q-gram index over value leaves.
+
+    Under the index protocol a leaf's field is its gram set, and both
+    ``identity`` and ``combine`` yield the empty set: containers store
+    nothing (the typed index's "absence signifies reject" rule), so the
+    one creation/update pass maintains this index like any other.  Its
+    keys are the grams themselves, kept in posting sets rather than a
+    ``(key, nid)`` tree — which is why it cannot be snapshotted.
 
     Args:
         q: Gram width (>= 2).
     """
 
+    identity = NO_GRAMS
+    absent = NO_GRAMS
+
     def __init__(self, q: int = DEFAULT_Q):
         if q < 2:
             raise ValueError("q must be at least 2")
+        super().__init__("substring", None)
         self.q = q
         # gram hash -> set of leaf nids containing the gram.
         self._postings: dict[int, set[int]] = {}
-        # leaf nid -> its current gram set (for delta maintenance).
-        self._grams_of: dict[int, set[int]] = {}
-        # leaves too short to carry any gram (scan fallback set —
-        # they can still match needles shorter than themselves).
-        self._short: set[int] = set()
+
+    def field_of_text(self, text: str) -> frozenset[int]:
+        return _grams(text, self.q)
+
+    def combine(self, left, right) -> frozenset[int]:
+        return NO_GRAMS
+
+    def stores(self, field: frozenset[int]) -> bool:
+        return bool(field)
+
+    def spec(self) -> tuple:
+        return (type(self), (self.q,))
 
     # ------------------------------------------------------------------
-    # Maintenance
+    # Maintenance: posting sets in place of the tree
     # ------------------------------------------------------------------
 
-    def set_entry(self, nid: int, text: str) -> None:
-        """Insert or refresh one leaf's grams (delta update)."""
-        new = _grams(text, self.q)
-        old = self._grams_of.get(nid, set())
-        for gram in old - new:
-            postings = self._postings.get(gram)
-            if postings is not None:
-                postings.discard(nid)
-                if not postings:
-                    del self._postings[gram]
+    def stage_entry(self, nid: int, field: frozenset[int]) -> None:
+        # Nothing to sort or bulk-load: postings take entries directly.
+        self.set_entry(nid, field)
+
+    def finish_bulk(self) -> None:
+        self._staged = None
+
+    def _rekey(self, nid, old, new) -> None:
+        """Delta-update the postings from gram set ``old`` to ``new``."""
+        old = old or NO_GRAMS
+        new = new or NO_GRAMS
+        self._drop_postings(old - new, {nid})
         for gram in new - old:
             self._postings.setdefault(gram, set()).add(nid)
-        if new:
-            self._grams_of[nid] = new
-            self._short.discard(nid)
-        else:
-            self._grams_of.pop(nid, None)
-            if text:
-                self._short.add(nid)
-            else:
-                self._short.discard(nid)
 
-    def remove_entry(self, nid: int) -> None:
-        """Drop a leaf's grams (subtree deletion)."""
-        for gram in self._grams_of.pop(nid, set()):
+    def _drop_postings(self, grams: Iterable[int], nids: set[int]) -> None:
+        for gram in grams:
             postings = self._postings.get(gram)
             if postings is not None:
-                postings.discard(nid)
+                postings -= nids
                 if not postings:
                     del self._postings[gram]
-        self._short.discard(nid)
 
     def remove_entries(self, nids) -> int:
         """Bulk form of :meth:`remove_entry` (document unload).
@@ -176,19 +192,19 @@ class SubstringIndex:
         Collects the union of dropped grams first and prunes each
         posting list once, instead of per-nid discards.
         """
-        drop = [nid for nid in nids if nid in self._grams_of or nid in self._short]
-        dropped = set(drop)
+        fields = self.fields
+        dropped = {nid for nid in nids if nid in fields}
         touched: set[int] = set()
-        for nid in drop:
-            touched |= self._grams_of.pop(nid, set())
-            self._short.discard(nid)
-        for gram in touched:
-            postings = self._postings.get(gram)
-            if postings is not None:
-                postings -= dropped
-                if not postings:
-                    del self._postings[gram]
-        return len(drop)
+        for nid in dropped:
+            touched |= fields.pop(nid)
+        self._drop_postings(touched, dropped)
+        self.mutations += len(dropped)
+        return len(dropped)
+
+    def entries(self) -> Iterator[tuple[int, int]]:
+        postings = self._postings
+        return ((gram, nid) for gram in sorted(postings)
+                for nid in sorted(postings[gram]))
 
     # ------------------------------------------------------------------
     # Lookup
@@ -247,10 +263,6 @@ class SubstringIndex:
     # ------------------------------------------------------------------
     # Statistics / storage model
     # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        """Number of indexed leaves (with at least one gram)."""
-        return len(self._grams_of)
 
     def posting_count(self) -> int:
         return sum(len(p) for p in self._postings.values())

@@ -16,47 +16,98 @@ stays at 2-3% of database size in the paper's Figure 9.
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Iterator
 
 from ..btree import BPlusTree
+from ..varint import decode_varint, encode_varint
 from .classify import legality_mask
-from .concurrency import active_view
-from .fsm import Fragment, REJECT_FRAGMENT, get_plugin
+from .fsm import Fragment, REJECT_FRAGMENT, TypePlugin, get_plugin
+from .statistics import TypedIndexStatistics
+from .value_index import ValueIndex
 
-__all__ = ["TypedIndex"]
+__all__ = ["TypedIndex", "pack_fragment", "unpack_fragment"]
 
 _MAX_NID = 1 << 62
 
 
-class TypedIndex:
-    """Range index over one XML type's castable values."""
+def pack_fragment(plugin: TypePlugin, fragment: Fragment) -> bytes:
+    """On-disk bytes of one stored fragment: state and token count as
+    varints, then per token its class id and class-specific payload."""
+    out = bytearray(encode_varint(fragment.state))
+    out += encode_varint(len(fragment.tokens))
+    for cid, payload, length in fragment.tokens:
+        out.append(cid)
+        if cid in plugin.run_class_ids:
+            out += encode_varint(payload)
+            out += encode_varint(length)
+        elif cid in plugin.char_class_ids:
+            out += payload.encode("utf-8")
+    return bytes(out)
+
+
+def unpack_fragment(
+    plugin: TypePlugin, payload: bytes, offset: int
+) -> tuple[Fragment, int]:
+    """Inverse of :func:`pack_fragment` at ``offset``; returns the
+    fragment and the offset just past it."""
+    state, offset = decode_varint(payload, offset)
+    count, offset = decode_varint(payload, offset)
+    tokens = []
+    for _ in range(count):
+        cid = payload[offset]
+        offset += 1
+        if cid in plugin.run_class_ids:
+            value, offset = decode_varint(payload, offset)
+            length, offset = decode_varint(payload, offset)
+            tokens.append((cid, value, length))
+        elif cid in plugin.char_class_ids:
+            # The packer wrote the character's full UTF-8 encoding;
+            # consume exactly that many bytes (a single-byte read would
+            # misalign the rest of the stream for non-ASCII payloads).
+            first = payload[offset]
+            if first < 0x80:
+                width = 1
+            elif first >= 0xF0:
+                width = 4
+            elif first >= 0xE0:
+                width = 3
+            else:
+                width = 2
+            char = payload[offset : offset + width].decode("utf-8")
+            tokens.append((cid, char, 1))
+            offset += width
+        else:
+            tokens.append((cid, None, 1))
+    return Fragment(state, tuple(tokens)), offset
+
+
+class TypedIndex(ValueIndex):
+    """Range index over one XML type's castable values.
+
+    A field (FSM fragment) is stored iff its state is not the reject
+    state; its tree key is the typed value it casts to, if any.
+    """
+
+    absent = REJECT_FRAGMENT
+    statistics_type = TypedIndexStatistics
 
     def __init__(self, type_name: str, order: int = 64):
+        super().__init__(
+            type_name, BPlusTree(order=order, key_bytes=12, value_bytes=0)
+        )
         self.plugin = get_plugin(type_name)
-        self.type_name = type_name
-        #: Builder protocol: field contributed by absent content.
         self.identity = self.plugin.empty_fragment
-        # nid -> Fragment, for non-rejected nodes only.
-        self.fragment_of_node: dict[int, Fragment] = {}
-        # nid -> typed value, for nodes present in the value tree
-        # (needed to locate the (value, nid) key on maintenance).
-        self._value_of: dict[int, Any] = {}
-        self.tree = BPlusTree(order=order, key_bytes=12, value_bytes=0)
-        self._staged: list[tuple[Any, int]] | None = None
-        #: Counts entry changes; used to invalidate planner statistics.
-        self.mutations = 0
-
-    # ------------------------------------------------------------------
-    # Builder protocol
-    # ------------------------------------------------------------------
+        self.column = (f".{type_name}.tidx", "FRAG")
+        #: nid -> Fragment, for non-rejected nodes only (this index's
+        #: name for its field map).
+        self.fragment_of_node = self.fields
 
     def field_of_text(self, text: str) -> Fragment:
         """Run the FSM over a text value (paper Figure 7, line 7)."""
         return self.plugin.fragment_of_text(text)
 
     def field_of_texts(self, texts: list[str]) -> list[Fragment]:
-        """Batch form of :meth:`field_of_text` (builder batch hook).
+        """Batch form of :meth:`field_of_text`.
 
         Classifies all texts at once with the vectorized region kernel
         (:func:`repro.core.classify.legality_mask`): texts carrying any
@@ -76,106 +127,30 @@ class TypedIndex:
         """SCT probe + payload merge (paper Figure 7, lines 14/18)."""
         return self.plugin.combine(left, right)
 
-    def begin_bulk(self) -> None:
-        self._staged = []
-
-    def stage_entry(self, nid: int, field: Fragment) -> None:
-        if field.state == 0:  # rejected: store nothing
-            return
-        self.fragment_of_node[nid] = field
-        value = self.plugin.cast(field)
-        if value is not None:
-            self._value_of[nid] = value
-            self._staged.append((value, nid))
-
-    def is_stored_field(self, field: Fragment) -> bool:
-        """True iff staging ``field`` would store anything (parallel
-        chunk workers drop rejected entries before shipping them)."""
+    def stores(self, field: Fragment) -> bool:
         return field.state != 0
 
-    def stage_entries(self, pairs: list[tuple[int, Fragment]]) -> None:
-        """Batch form of :meth:`stage_entry` over ``(nid, field)`` runs."""
-        for nid, field in pairs:
-            self.stage_entry(nid, field)
+    def key_of(self, field: Fragment) -> Any:
+        return self.plugin.cast(field)
 
-    def finish_bulk(self) -> None:
-        """Bulk-load the value tree, merging entries of earlier loads."""
-        staged = self._staged
-        self._staged = None
-        staged.sort()
-        self.mutations += len(staged)
-        if len(self.tree):
-            existing = list(self.tree.keys())
-            entries = heapq.merge(existing, ((v, n) for v, n in staged))
-        else:
-            entries = iter(staged)
-        self.tree.bulk_load((key, None) for key in entries)
+    def spec(self) -> tuple:
+        return (type(self), (self.kind,))
 
-    def set_entry(self, nid: int, field: Fragment) -> None:
-        self.mutations += 1
-        old_value = self._value_of.pop(nid, None)
-        if old_value is not None:
-            self.tree.delete((old_value, nid))
-        if field.state == 0:
-            self.fragment_of_node.pop(nid, None)
-            return
-        self.fragment_of_node[nid] = field
-        value = self.plugin.cast(field)
-        if value is not None:
-            self._value_of[nid] = value
-            self.tree.insert((value, nid))
+    def pack_fields(self, fields: list[Fragment]) -> bytes:
+        plugin = self.plugin
+        return b"".join(pack_fragment(plugin, field) for field in fields)
 
-    def remove_entry(self, nid: int) -> None:
-        self.mutations += 1
-        self.fragment_of_node.pop(nid, None)
-        old_value = self._value_of.pop(nid, None)
-        if old_value is not None:
-            self.tree.delete((old_value, nid))
-
-    def remove_entries(self, nids) -> int:
-        """Bulk form of :meth:`remove_entry` (document unload).
-
-        Drops all side-structure entries and removes the value-tree
-        keys in one :meth:`~repro.btree.BPlusTree.remove_many` pass.
-        Returns the number of nodes that had a stored state.
-        """
-        keys = []
-        removed = 0
-        fragment_of_node = self.fragment_of_node
-        value_of = self._value_of
-        for nid in nids:
-            if fragment_of_node.pop(nid, None) is not None:
-                removed += 1
-            old_value = value_of.pop(nid, None)
-            if old_value is not None:
-                keys.append((old_value, nid))
-        if keys:
-            self.tree.remove_many(keys)
-        if removed or keys:
-            self.mutations += max(removed, len(keys))
-        return removed
-
-    def field_of(self, nid: int) -> Fragment:
-        """Stored fragment of a node (REJECT for absent entries)."""
-        return self.fragment_of_node.get(nid, REJECT_FRAGMENT)
+    def unpack_fields(self, payload: bytes, count: int) -> list[Fragment]:
+        fields = []
+        offset = 0
+        for _ in range(count):
+            field, offset = unpack_fragment(self.plugin, payload, offset)
+            fields.append(field)
+        return fields
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-
-    def value_of(self, nid: int) -> Any:
-        """Typed value of a node, or None if not castable."""
-        return self._value_of.get(nid)
-
-    def _lookup_tree(self):
-        """The tree to answer lookups from: the active read view's
-        pinned snapshot when one is installed, else the live tree."""
-        view = active_view()
-        if view is not None:
-            pinned = view.tree_for(self)
-            if pinned is not None:
-                return pinned
-        return self.tree
 
     def lookup_equal(self, value: Any) -> Iterator[int]:
         """nids whose typed value equals ``value`` (no false positives)."""
@@ -248,7 +223,7 @@ class TypedIndex:
 
     def castable_count(self) -> int:
         """Nodes with a complete typed value in the value tree."""
-        return len(self._value_of)
+        return len(self.tree)
 
     def byte_size(self) -> int:
         """Modelled storage: 8 bytes per indexed value, the per-node
@@ -256,7 +231,7 @@ class TypedIndex:
         tree's inner overhead — mirroring the paper's [value, state]
         accounting (their XMark1 double index is ~9 bytes per indexed
         node: an 8-byte double + 1-byte state)."""
-        size = 8 * len(self._value_of)
+        size = 8 * len(self.tree)
         byte_size_of = self.plugin.byte_size_of
         for fragment in self.fragment_of_node.values():
             size += byte_size_of(fragment)

@@ -18,7 +18,8 @@ from typing import Iterable, Sequence
 
 from ..xmldb.document import COMMENT, ELEM, PI, TEXT, Document
 from ..xmldb.store import Store, StructuralChange
-from .builder import ValueIndex, compute_fields
+from .builder import compute_fields
+from .value_index import ValueIndex
 
 __all__ = ["apply_text_updates", "apply_structural_change", "recompute_ancestors"]
 

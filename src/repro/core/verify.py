@@ -71,14 +71,14 @@ def _verify_document(manager, doc, report) -> None:
         nid = doc.nid[pre]
         report.nodes_checked += 1
         if kind in (COMMENT, PI):
-            if string_index is not None and nid in string_index.hash_of:
+            if string_index is not None and nid in string_index.fields:
                 report._problem(
                     f"{doc.name}#{nid}: comment/PI must not be indexed"
                 )
             continue
         value = doc.string_value(pre)
         if string_index is not None:
-            stored = string_index.hash_of.get(nid)
+            stored = string_index.field_of(nid)
             expected = hash_string(value)
             report.entries_checked += 1
             if stored is None:
@@ -116,25 +116,30 @@ def _verify_document(manager, doc, report) -> None:
 
 
 def _verify_trees(manager, report) -> None:
-    if manager.string_index is not None:
-        try:
-            manager.string_index.tree.check_invariants()
-        except AssertionError as exc:
-            report._problem(f"string index B-tree: {exc}")
-        tree_nids = {nid for _h, nid in manager.string_index.tree.keys()}
-        map_nids = set(manager.string_index.hash_of)
-        for extra in sorted(tree_nids - map_nids)[:10]:
-            report._problem(f"string tree has orphan nid {extra}")
-        for missing in sorted(map_nids - tree_nids)[:10]:
-            report._problem(f"string tree lacks nid {missing}")
-    for type_name, index in manager.typed_indexes.items():
+    """Each tree is well-formed and holds exactly the keys of the
+    stored fields (which :func:`_verify_document` checked against the
+    text)."""
+    for index in manager.indexes:
+        if not index.snapshottable:
+            continue
+        kind = index.kind
         try:
             index.tree.check_invariants()
         except AssertionError as exc:
-            report._problem(f"{type_name} index B-tree: {exc}")
-        tree_nids = {nid for _v, nid in index.tree.keys()}
-        value_nids = set(index._value_of)
-        for extra in sorted(tree_nids - value_nids)[:10]:
-            report._problem(f"{type_name} tree has orphan nid {extra}")
-        for missing in sorted(value_nids - tree_nids)[:10]:
-            report._problem(f"{type_name} tree lacks nid {missing}")
+            report._problem(f"{kind} index B-tree: {exc}")
+        tree_nids = set()
+        orphans = []
+        for key, nid in index.tree.keys():
+            if index.value_of(nid) == key:
+                tree_nids.add(nid)
+            else:
+                orphans.append(nid)
+        missing = [
+            nid
+            for nid in index.fields
+            if nid not in tree_nids and index.value_of(nid) is not None
+        ]
+        for extra in sorted(orphans)[:10]:
+            report._problem(f"{kind} tree has orphan nid {extra}")
+        for nid in sorted(missing)[:10]:
+            report._problem(f"{kind} tree lacks nid {nid}")

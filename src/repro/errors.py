@@ -7,6 +7,7 @@ __all__ = [
     "XmlSyntaxError",
     "DocumentError",
     "IndexError_",
+    "FormatError",
     "QuerySyntaxError",
     "QueryEvaluationError",
     "TransactionConflict",
@@ -42,6 +43,10 @@ class DocumentError(ReproError):
 
 class IndexError_(ReproError):
     """Raised on invalid index operations (name clashes, missing index)."""
+
+
+class FormatError(ReproError):
+    """Raised on malformed or incompatible on-disk data."""
 
 
 class QuerySyntaxError(ReproError):

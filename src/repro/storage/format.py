@@ -18,7 +18,8 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
-from ..errors import ReproError
+from ..errors import FormatError
+from ..varint import decode_varint, encode_varint
 
 __all__ = [
     "FormatError",
@@ -43,10 +44,6 @@ VERSION = 1
 #: marks a CRC-framed WAL body.  Data files keep writing version 1 (the
 #: section layout is unchanged); readers accept both.
 SUPPORTED_VERSIONS = frozenset({1, 2})
-
-
-class FormatError(ReproError):
-    """Raised on malformed or incompatible files."""
 
 
 def write_header(fh: BinaryIO, version: int = VERSION) -> None:
@@ -102,33 +99,3 @@ def pack_array(values, dtype: str) -> bytes:
 def unpack_array(payload: bytes, dtype: str) -> list:
     """Inverse of :func:`pack_array` (returns a Python list)."""
     return np.frombuffer(payload, dtype=np.dtype(dtype).newbyteorder("<")).tolist()
-
-
-def encode_varint(value: int) -> bytes:
-    """LEB128-encode a non-negative integer of any size."""
-    if value < 0:
-        raise ValueError("varints are unsigned")
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
-
-
-def decode_varint(payload: bytes, offset: int) -> tuple[int, int]:
-    """Decode a varint at ``offset``; returns (value, next offset)."""
-    result = 0
-    shift = 0
-    while True:
-        if offset >= len(payload):
-            raise FormatError("truncated varint")
-        byte = payload[offset]
-        offset += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, offset
-        shift += 7

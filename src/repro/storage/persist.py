@@ -8,10 +8,13 @@ Layout of a database directory::
     <stem>.sidx          string-index hash column for the document
     <stem>.<type>.tidx   typed-index fragments for the document
 
-The string and typed indices persist their per-node fields (the
-expensive part: hashing/FSM over all text); their B-trees are
-rebuilt by bulk load at open, and the optional substring index is
-re-derived from the leaves.  Documents round-trip exactly.
+Each index with a persisted ``column`` (string, typed) stores its
+per-node fields (the expensive part: hashing/FSM over all text), packed
+by the index's own ``pack_fields``; at open the fields are staged back
+through the index protocol (``begin_bulk``/``stage_entries``/
+``finish_bulk``), which rebuilds the B-trees by bulk load.  An index
+without a column (substring) is re-derived by the ordinary creation
+pass.  Documents round-trip exactly.
 
 Snapshots commit atomically (see ``docs/durability.md``): every data
 file is written to a temp name, fsynced and renamed under an
@@ -30,18 +33,15 @@ import io
 import json
 import os
 
-from ..core.fsm.fragment import Fragment
+from ..core.builder import compute_fields
 from ..core.manager import IndexManager
-from ..core.string_index import StringIndex
-from ..core.typed_index import TypedIndex
+from ..core.value_index import ValueIndex
 from ..errors import ReproError
 from ..xmldb.document import Document
 from ..xmldb.store import Store
 from . import faults
 from .format import (
     FormatError,
-    encode_varint,
-    decode_varint,
     pack_array,
     read_header,
     read_sections,
@@ -344,104 +344,28 @@ def load_store(path: str) -> Store:
 # ---------------------------------------------------------------------------
 
 
-def _string_index_bytes(index: StringIndex, doc: Document) -> bytes:
-    nids = []
-    hashes = []
-    for nid in doc.nid:
-        field = index.hash_of.get(nid)
-        if field is not None:
-            nids.append(nid)
-            hashes.append(field)
+def _index_bytes(index: ValueIndex, doc: Document) -> bytes:
+    """One index's field column for ``doc``: the nids that store a
+    field, then the fields as packed by the index."""
+    stored = index.fields
+    nids = [nid for nid in doc.nid if nid in stored]
     fh = io.BytesIO()
     write_header(fh)
     write_section(fh, "NIDS", pack_array(nids, "<u8"))
-    write_section(fh, "HASH", pack_array(hashes, "<u4"))
+    write_section(
+        fh, index.column[1], index.pack_fields([stored[nid] for nid in nids])
+    )
     return fh.getvalue()
 
 
-def _read_string_index_into(index: StringIndex, path: str) -> None:
+def _stage_index_file(index: ValueIndex, path: str) -> None:
+    """Stage one field column back into ``index`` (bulk mode)."""
     with open(path, "rb") as fh:
         read_header(fh)
         sections = dict(read_sections(fh))
     nids = unpack_array(sections["NIDS"], "<u8")
-    hashes = unpack_array(sections["HASH"], "<u4")
-    for nid, field in zip(nids, hashes):
-        index.hash_of[nid] = field
-
-
-def _pack_fragment(index: TypedIndex, fragment: Fragment) -> bytes:
-    out = bytearray(encode_varint(fragment.state))
-    out += encode_varint(len(fragment.tokens))
-    for cid, payload, length in fragment.tokens:
-        out.append(cid)
-        if cid in index.plugin.run_class_ids:
-            out += encode_varint(payload)
-            out += encode_varint(length)
-        elif cid in index.plugin.char_class_ids:
-            out += payload.encode("utf-8")
-    return bytes(out)
-
-
-def _unpack_fragment(index: TypedIndex, payload: bytes, offset: int) -> tuple[Fragment, int]:
-    state, offset = decode_varint(payload, offset)
-    count, offset = decode_varint(payload, offset)
-    tokens = []
-    for _ in range(count):
-        cid = payload[offset]
-        offset += 1
-        if cid in index.plugin.run_class_ids:
-            value, offset = decode_varint(payload, offset)
-            length, offset = decode_varint(payload, offset)
-            tokens.append((cid, value, length))
-        elif cid in index.plugin.char_class_ids:
-            # The packer wrote the character's full UTF-8 encoding;
-            # consume exactly that many bytes (a single-byte read would
-            # misalign the rest of the stream for non-ASCII payloads).
-            first = payload[offset]
-            if first < 0x80:
-                width = 1
-            elif first >= 0xF0:
-                width = 4
-            elif first >= 0xE0:
-                width = 3
-            else:
-                width = 2
-            char = payload[offset : offset + width].decode("utf-8")
-            tokens.append((cid, char, 1))
-            offset += width
-        else:
-            tokens.append((cid, None, 1))
-    return Fragment(state, tuple(tokens)), offset
-
-
-def _typed_index_bytes(index: TypedIndex, doc: Document) -> bytes:
-    nids = []
-    blob = bytearray()
-    for nid in doc.nid:
-        fragment = index.fragment_of_node.get(nid)
-        if fragment is not None:
-            nids.append(nid)
-            blob += _pack_fragment(index, fragment)
-    fh = io.BytesIO()
-    write_header(fh)
-    write_section(fh, "NIDS", pack_array(nids, "<u8"))
-    write_section(fh, "FRAG", bytes(blob))
-    return fh.getvalue()
-
-
-def _read_typed_index_into(index: TypedIndex, path: str) -> None:
-    with open(path, "rb") as fh:
-        read_header(fh)
-        sections = dict(read_sections(fh))
-    nids = unpack_array(sections["NIDS"], "<u8")
-    blob = sections["FRAG"]
-    offset = 0
-    for nid in nids:
-        fragment, offset = _unpack_fragment(index, blob, offset)
-        index.fragment_of_node[nid] = fragment
-        value = index.plugin.cast(fragment)
-        if value is not None:
-            index._value_of[nid] = value
+    fields = index.unpack_fields(sections[index.column[1]], len(nids))
+    index.stage_entries(zip(nids, fields))
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +389,9 @@ def save_manager(manager: IndexManager, path: str,
     for name, doc in manager.store.documents.items():
         stem = stems[name]
         files[f"{stem}.doc"] = _document_bytes(doc)
-        if manager.string_index is not None:
-            files[f"{stem}.sidx"] = _string_index_bytes(
-                manager.string_index, doc
-            )
-        for type_name, index in manager.typed_indexes.items():
-            files[f"{stem}.{type_name}.tidx"] = _typed_index_bytes(index, doc)
+        for index in manager.indexes:
+            if index.column is not None:
+                files[stem + index.column[0]] = _index_bytes(index, doc)
     manifest = _store_manifest(manager.store, stems, epoch)
     manifest["indexes"] = {
         "string": manager.string_index is not None,
@@ -491,8 +412,9 @@ def load_manager(path: str) -> IndexManager:
     """Open a directory written by :func:`save_manager`.
 
     Per-node fields are read back from the index files (no re-hashing,
-    no FSM runs); the B-trees are rebuilt by sorted bulk load, and the
-    substring index (if configured) is re-derived from the leaves.
+    no FSM runs) and staged through the index protocol, which rebuilds
+    the B-trees by sorted bulk load; an index without a persisted
+    column (substring) is re-derived by the creation pass.
     """
     manifest = _read_manifest(path)
     config = manifest.get("indexes")
@@ -506,25 +428,20 @@ def load_manager(path: str) -> IndexManager:
         string=config["string"],
         typed=tuple(config["typed"]),
         substring=config["substring"] is not None,
-        substring_q=config["substring"] or 3,
     )
+    indexes = manager.indexes
+    derived = [index for index in indexes if index.column is None]
+    for index in indexes:
+        index.begin_bulk()
     for name, doc in store.documents.items():
         stem = manifest["documents"][name]
-        if manager.string_index is not None:
-            _read_string_index_into(
-                manager.string_index, os.path.join(path, f"{stem}.sidx")
-            )
-        for type_name, index in manager.typed_indexes.items():
-            _read_typed_index_into(
-                index, os.path.join(path, f"{stem}.{type_name}.tidx")
-            )
-        manager._substring_add_range(doc, 0, len(doc) - 1)
-    # Rebuild the B-trees from the recovered fields.
-    if manager.string_index is not None:
-        index = manager.string_index
-        entries = sorted((field, nid) for nid, field in index.hash_of.items())
-        index.tree.bulk_load((key, None) for key in entries)
-    for index in manager.typed_indexes.values():
-        entries = sorted((value, nid) for nid, value in index._value_of.items())
-        index.tree.bulk_load((key, None) for key in entries)
+        for index in indexes:
+            if index.column is not None:
+                _stage_index_file(
+                    index, os.path.join(path, stem + index.column[0])
+                )
+        if derived:
+            compute_fields(doc, 0, len(doc) - 1, derived, bulk=True)
+    for index in indexes:
+        index.finish_bulk()
     return manager

@@ -47,6 +47,10 @@ ATTRIBUTE_HEAVY = (
 )
 
 
+class CustomStringIndex(StringIndex):
+    """Module-level so the process backend can pickle its class."""
+
+
 def serial_snapshot(doc):
     string, typed = StringIndex(), TypedIndex("double")
     build_document(doc, [string, typed])
@@ -142,14 +146,18 @@ class TestResolveWorkers:
                 hand_docs["mixed"], [StringIndex()], 2, backend="greenlet"
             )
 
-    def test_process_backend_rejects_custom_index(self, hand_docs):
-        class Custom(StringIndex):
-            pass
-
-        with pytest.raises(IndexError_):
-            compute_fields_parallel(
-                hand_docs["mixed"], [Custom()], 1, backend="process"
-            )
+    def test_process_backend_rebuilds_any_index_from_its_spec(
+        self, hand_docs
+    ):
+        """Workers rebuild the algebra from ``ValueIndex.spec()``, so a
+        subclass needs no registration (there is no per-kind switch)."""
+        doc = hand_docs["mixed"]
+        custom, plain = CustomStringIndex(), StringIndex()
+        build_document_parallel(doc, [custom], workers=2, backend="process")
+        build_document(doc, [plain])
+        assert custom.spec() == (CustomStringIndex, ())
+        assert custom.hash_of == plain.hash_of
+        assert list(custom.tree.keys()) == list(plain.tree.keys())
 
 
 class TestEquivalence:
@@ -226,6 +234,24 @@ class TestManagerIntegration:
         assert len(doc) < AUTO_MIN_ROWS
         assert manager._build_workers(doc, "auto") == 0
         manager.check_consistency()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_substring_index_parallel_equals_serial(self, backend):
+        """The substring index rides the same chunked pass as the
+        others: every index of a pooled build equals the serial one."""
+        xml = DATASETS["DBLP"].build(SCALE)
+        serial = IndexManager(substring=True)
+        serial.load("DBLP", xml)
+        parallel = IndexManager(
+            substring=True, parallel=2, parallel_backend=backend
+        )
+        parallel.load("DBLP", xml)
+        for built, expected in zip(parallel.indexes, serial.indexes):
+            assert list(built.fields.items()) == list(
+                expected.fields.items()
+            ), built.kind
+            assert list(built.entries()) == list(expected.entries())
+        assert len(parallel.substring_index) > 0
 
     def test_build_all_parallel(self):
         serial = IndexManager()

@@ -68,7 +68,8 @@ class TestIndexStatistics:
         return m
 
     def test_typed_snapshot(self, manager):
-        stats = TypedIndexStatistics.from_index(manager.typed_index("double"))
+        index = manager.typed_index("double")
+        stats = TypedIndexStatistics.from_tree(index.tree, index.mutations)
         total = stats.histogram.total
         assert total == manager.typed_index("double").castable_count()
         # Estimates track reality within a factor for broad ranges.
@@ -78,7 +79,8 @@ class TestIndexStatistics:
         assert actual / 4 <= estimate + stats.estimate("<", 0.0) + 50
 
     def test_string_snapshot(self, manager):
-        stats = StringIndexStatistics.from_index(manager.string_index)
+        index = manager.string_index
+        stats = StringIndexStatistics.from_tree(index.tree, index.mutations)
         assert stats.entries == len(manager.string_index)
         assert 1 <= stats.estimate_equal() < 10
 

@@ -36,28 +36,28 @@ class TestStandalone:
 
     def test_set_and_candidates(self):
         index = SubstringIndex(q=3)
-        index.set_entry(1, "hello world")
-        index.set_entry(2, "hello there")
+        index.set_entry(1, index.field_of_text("hello world"))
+        index.set_entry(2, index.field_of_text("hello there"))
         assert index.candidates("hello") == {1, 2}
         assert index.candidates("world") == {1}
         assert index.candidates("nothing") == set()
 
     def test_short_needle_unsupported(self):
         index = SubstringIndex(q=3)
-        index.set_entry(1, "hello")
+        index.set_entry(1, index.field_of_text("hello"))
         assert index.candidates("he") is None
         assert not index.supports("he")
 
     def test_delta_update(self):
         index = SubstringIndex(q=3)
-        index.set_entry(1, "hello")
-        index.set_entry(1, "goodbye")
+        index.set_entry(1, index.field_of_text("hello"))
+        index.set_entry(1, index.field_of_text("goodbye"))
         assert index.candidates("hello") == set()
         assert index.candidates("goodbye") == {1}
 
     def test_remove_entry(self):
         index = SubstringIndex(q=3)
-        index.set_entry(1, "hello")
+        index.set_entry(1, index.field_of_text("hello"))
         index.remove_entry(1)
         assert index.candidates("hello") == set()
         assert len(index) == 0
@@ -65,30 +65,30 @@ class TestStandalone:
 
     def test_short_text_tracked(self):
         index = SubstringIndex(q=3)
-        index.set_entry(1, "ab")
+        index.set_entry(1, index.field_of_text("ab"))
         assert len(index) == 0  # no grams
-        index.set_entry(1, "")
+        index.set_entry(1, index.field_of_text(""))
         index.remove_entry(1)
 
     def test_no_false_negatives_on_leaves(self):
         index = SubstringIndex(q=3)
         texts = {i: f"value number {i} of some {i % 7} kind" for i in range(50)}
         for nid, text in texts.items():
-            index.set_entry(nid, text)
+            index.set_entry(nid, index.field_of_text(text))
         needle = "number 4"
         expected = {nid for nid, text in texts.items() if needle in text}
         assert expected <= index.candidates(needle)
 
     def test_byte_size_grows(self):
         index = SubstringIndex(q=3)
-        index.set_entry(1, "abcdef")
+        index.set_entry(1, index.field_of_text("abcdef"))
         small = index.byte_size()
-        index.set_entry(2, "ghijklmnop")
+        index.set_entry(2, index.field_of_text("ghijklmnop"))
         assert index.byte_size() > small
 
     def test_gram_distribution(self):
         index = SubstringIndex(q=3)
-        index.set_entry(1, "aaaa")  # single distinct gram "aaa"
+        index.set_entry(1, index.field_of_text("aaaa"))  # single distinct gram "aaa"
         assert index.gram_distribution() == {1: 1}
 
 

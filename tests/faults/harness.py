@@ -129,7 +129,7 @@ def signature(manager) -> dict:
             else None
         ),
         "typed": {
-            name: sorted(index._value_of.items())
+            name: sorted(index.entries())
             for name, index in manager.typed_indexes.items()
         },
     }

@@ -1,9 +1,11 @@
-"""``repro.query`` imports nothing it does not use.
+"""``repro.query``, ``repro.core`` and ``repro.storage`` import nothing
+they do not use.
 
 ``make lint`` (ruff, rule F401) checks this for the whole tree, but it
 is skipped wherever ruff is not installed; merging two executors into
-one is exactly the change that leaves imports behind, so the query
-package gets the check inside tier-1 too.
+one, or three index-maintenance paths into one base class, is exactly
+the change that leaves imports behind, so these packages get the check
+inside tier-1 too.
 """
 
 import ast
@@ -11,16 +13,21 @@ import pathlib
 
 import pytest
 
+import repro.core
 import repro.query
+import repro.storage
 
 MODULES = sorted(
     path
-    for path in pathlib.Path(repro.query.__file__).parent.glob("*.py")
+    for package in (repro.query, repro.core, repro.storage)
+    for path in pathlib.Path(package.__file__).parent.rglob("*.py")
     if path.name != "__init__.py"  # re-exports by design
 )
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}"
+)
 def test_every_import_is_used(path):
     source = path.read_text()
     assert "# noqa" not in source
@@ -35,6 +42,13 @@ def test_every_import_is_used(path):
     used = {
         node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
     }
+    # Names listed in ``__all__`` are re-exported on purpose.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
     # Quoted annotations ("np.ndarray") are strings, not Name nodes.
     for node in ast.walk(tree):
         for annotation in (

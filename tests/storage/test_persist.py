@@ -1,6 +1,7 @@
 """Tests for the on-disk persistence layer."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -183,28 +184,60 @@ class TestManagerRoundtrip:
         assert "weird/name with spaces!.xml" in loaded.store.documents
 
 
+class TestParentCommitDirectory:
+    """``fixtures/pr13_db`` was checkpointed by the commit before the
+    index protocol moved field packing into the index classes (PR 13,
+    ``7f8e60c``): it must still open, and re-saving it must reproduce
+    every data file byte for byte."""
+
+    FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "pr13_db"
+
+    def test_opens_and_verifies(self):
+        from repro.core.verify import verify_database
+
+        loaded = load_manager(str(self.FIXTURE))
+        assert sorted(loaded.typed_indexes) == ["dateTime", "double"]
+        assert loaded.substring_index is not None
+        loaded.check_consistency()
+        report = verify_database(loaded)
+        assert report.ok, report.summary()
+        assert list(loaded.lookup_typed_equal("double", 78.23))
+        assert list(loaded.lookup_typed_equal("double", -2500.0))
+        assert list(loaded.lookup_contains("nïc"))
+
+    def test_resaved_files_are_byte_identical(self, tmp_path):
+        loaded = load_manager(str(self.FIXTURE))
+        save_manager(loaded, str(tmp_path / "db"))
+        names = sorted(p.name for p in self.FIXTURE.iterdir())
+        assert sorted(p.name for p in (tmp_path / "db").iterdir()) == names
+        assert sum(name.endswith("idx") for name in names) == 6
+        for name in names:
+            assert (tmp_path / "db" / name).read_bytes() == (
+                self.FIXTURE / name
+            ).read_bytes(), name
+
+
 class TestFragmentPacking:
     """Regression: char-class payloads are full UTF-8 sequences, but
     the unpacker used to consume a single byte, misaligning every
     token that followed a non-ASCII character."""
 
     @pytest.fixture()
-    def index(self):
+    def plugin(self):
         from types import SimpleNamespace
 
-        plugin = SimpleNamespace(
+        return SimpleNamespace(
             run_class_ids=frozenset({0}), char_class_ids=frozenset({1})
         )
-        return SimpleNamespace(plugin=plugin)
 
     @pytest.mark.parametrize("char", ["+", "€", "ß", "→", "𝄞"])
-    def test_non_ascii_char_class_roundtrip(self, index, char):
+    def test_non_ascii_char_class_roundtrip(self, plugin, char):
         from repro.core.fsm import Fragment
-        from repro.storage.persist import _pack_fragment, _unpack_fragment
+        from repro.core.typed_index import pack_fragment, unpack_fragment
 
         fragment = Fragment(3, ((1, char, 1), (0, 42, 2), (1, char, 1)))
-        packed = _pack_fragment(index, fragment)
-        unpacked, offset = _unpack_fragment(index, packed, 0)
+        packed = pack_fragment(plugin, fragment)
+        unpacked, offset = unpack_fragment(plugin, packed, 0)
         assert unpacked == fragment
         assert offset == len(packed)
 
@@ -240,11 +273,11 @@ class TestFragmentPacking:
         try:
             m = IndexManager(typed=("money",))
             m.load("prices", "<r><p>€42</p><q>$7</q><x>words</x></r>")
-            expected = sorted(m.typed_indexes["money"]._value_of.items())
+            expected = list(m.typed_indexes["money"].entries())
             save_manager(m, str(tmp_path / "db"))
             loaded = load_manager(str(tmp_path / "db"))
             index = loaded.typed_indexes["money"]
-            assert sorted(index._value_of.items()) == expected
+            assert list(index.entries()) == expected
             assert list(index.lookup_equal("€42"))
             assert list(index.lookup_equal("$7"))
             loaded.check_consistency()
