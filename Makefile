@@ -1,9 +1,8 @@
 # Tiered checks for the reproduction.
 #
-#   make test    — tier-1: lint (when ruff is available) + the
-#                  crash-recovery fault suite + the concurrent
-#                  differential suite + the full unit/property suite
-#                  (ROADMAP verify)
+#   make test    — tier-1: lint (when ruff is available) + the whole
+#                  tests/ tree once (ROADMAP verify); the suite targets
+#                  below select parts of it
 #   make lint    — ruff over src/ (config in pyproject.toml); skipped
 #                  with a notice when ruff is not installed
 #   make faults  — just the fault-injection crash-recovery suite
@@ -81,7 +80,7 @@ stress:
 	REPRO_STRESS_SECONDS=$(STRESS_SECONDS) REPRO_STRESS_SEED=$(STRESS_SEED) \
 	$(PYTHON) -m pytest tests/concurrent -q -s
 
-test: lint faults concurrent serve-test shard-test repl-test elastic-test
+test: lint
 	$(PYTHON) -m pytest -x -q
 
 bench:

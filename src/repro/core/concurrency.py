@@ -170,8 +170,9 @@ class ReadView:
     published snapshot, and installs the thread-local read context so
     index lookups (via each index's ``_lookup_tree``) and document
     text reads (via the MVCC overlay) resolve at this view's epoch.
-    Statistics are computed from the pinned trees and memoized, so a
-    plan priced inside the view can never mix epochs.
+    Only answers are pinned: the planner prices every reader from the
+    manager's one statistics snapshot, and estimates choose between
+    correct plans (``docs/query-engine.md``).
 
     ``at`` pins a specific (already captured) snapshot instead of the
     currently published one — the serving layer uses this to run each
@@ -190,7 +191,6 @@ class ReadView:
         self._at = at
         self.snapshot: ManagerSnapshot | None = None
         self.epoch: int | None = None
-        self._stats: dict[str, Any] = {}
         self._reading = None
         self._previous_view: "ReadView | None" = None
         self._depth = 0
@@ -242,14 +242,6 @@ class ReadView:
     def tree_for(self, index: Any) -> "TreeSnapshot | None":
         """The pinned tree snapshot backing ``index``, if captured."""
         return self.snapshot.trees.get(index)
-
-    def statistics(self, kind: str):
-        """View-local planner statistics at this view's epoch."""
-        cached = self._stats.get(kind)
-        if cached is None:
-            cached = self._controller.view_statistics(self, kind)
-            self._stats[kind] = cached
-        return cached
 
 
 class SessionPin:
@@ -536,11 +528,12 @@ class ConcurrencyController:
     def exclusive(self, structural: bool = True) -> Iterator[None]:
         """Scope for a structural change: writer lock + exclusive latch.
 
-        Drains all read views first; since no reader can be pinned
-        while we hold the latch, overlays are cleared wholesale and
-        the new snapshot is published on exit.  ``structural=False``
-        marks drain-only exclusive scopes (checkpoints) that change no
-        indexed state and therefore must not invalidate session pins.
+        Drains all read views first and publishes the new snapshot on
+        exit; overlays are pruned to the oldest pin as on any publish
+        (session pins and open transactions hold no latch and outlive
+        the scope).  ``structural=False`` marks drain-only exclusive
+        scopes (checkpoints) that change no indexed state and therefore
+        must not invalidate session pins.
         """
         self.check_write_allowed()
         with self.write_lock:
@@ -556,17 +549,3 @@ class ConcurrencyController:
                         # serve torn history.
                         self._retained.clear()
                 self.publish()
-
-    # -- view statistics -------------------------------------------------
-
-    def view_statistics(self, view: ReadView, kind: str):
-        """Planner statistics computed from ``view``'s pinned trees."""
-        manager = self.manager
-        index = manager.index(kind)
-        tree = view.tree_for(index)
-        if tree is None:
-            # Index created after the view pinned (exclusive op, so no
-            # such view can be live — defensive fallback only).
-            return manager.statistics(kind)
-        manager.metrics.counter("statistics.view_builds").inc()
-        return index.statistics_type.from_tree(tree, view.epoch)

@@ -609,14 +609,10 @@ class IndexManager:
         :data:`STATS_DRIFT_MIN` mutations or ``1/STATS_DRIFT_DENOMINATOR``
         of its size since they were taken.
 
-        Inside a read view the statistics come from the view's pinned
-        trees instead (memoized per view), so a plan priced at epoch E
-        never mixes in a newer epoch's distribution.
+        Pinned, as-of and live readers all price from this one
+        snapshot: estimates only choose between correct plans, so a
+        view's answers stay pinned whatever distribution priced them.
         """
-        view = active_view()
-        if view is not None:
-            return view.statistics(kind)
-
         index = self.index(kind)
         cached = self._statistics_cache.get(kind)
         if cached is not None:

@@ -107,13 +107,8 @@ class TypedIndexStatistics:
     def from_tree(
         cls, tree, mutations: int, buckets: int = 32
     ) -> "TypedIndexStatistics":
-        """Build from the index's value tree or a pinned snapshot of it.
-
-        ``mutations`` records the snapshot's identity: the index's
-        mutation counter for the live tree (drift-based refresh), a
-        read view's epoch for a pinned one (a frozen view never
-        drifts).
-        """
+        """Build from the index's value tree; ``mutations`` is the
+        index's mutation counter at build time (drift-based refresh)."""
         values = [value for value, _nid in tree.keys()]
         return cls(
             histogram=EquiDepthHistogram(values, buckets),
@@ -152,8 +147,8 @@ class StringIndexStatistics:
 
     @classmethod
     def from_tree(cls, tree, mutations: int) -> "StringIndexStatistics":
-        """Build from the live tree or a pinned snapshot of it; keys
-        are (hash, nid).  ``mutations`` as for the typed statistics."""
+        """Build from the index's tree; keys are (hash, nid).
+        ``mutations`` as for the typed statistics."""
         distinct = len({key[0] for key in tree.keys()})
         return cls(
             entries=len(tree),

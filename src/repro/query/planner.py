@@ -519,10 +519,11 @@ def _plan_for(
     mode; entries are valid for one index epoch only.
 
     A reader inside a pinned view resolves the epoch from the *view*,
-    not the live manager: its plan is cached under — and priced
-    against statistics of — the epoch it pinned, so a concurrent
-    writer's newer statistics can never leak into it (and its plan
-    never poisons the cache for readers at the newer epoch).
+    not the live manager: its plan is cached under the epoch it
+    pinned, so it is never served a plan built at a newer epoch (and
+    its plan never poisons the cache for readers there).  Pricing is
+    not pinned — ``manager.statistics`` is one snapshot for every
+    reader, and estimates only choose between correct plans.
     """
     view = active_view()
     epoch = manager.epoch if view is None else view.epoch

@@ -23,12 +23,10 @@ from __future__ import annotations
 import base64
 import os
 import threading
-import time
 
 from ..client import Client, ClientError
 from ..shard.engine import ShardEngine
 from ..storage.wal import decode_frames
-from . import primary as _primary
 
 __all__ = ["Follower", "FollowerServer", "ReplicationError"]
 

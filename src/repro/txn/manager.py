@@ -10,16 +10,19 @@ transaction should re-read the latest value of all ancestor nodes of an
 update (and their direct children, per the update algorithm) to
 recompute their new hash values."
 
-This module implements exactly that discipline:
+A transaction is a session pin plus a write buffer over the engine's
+own MVCC (:mod:`repro.core.concurrency`, ``docs/concurrency.md``):
 
-* transactions buffer text writes locally (no store mutation, no locks);
-* commit validates only the *written text nodes themselves* against
-  versions committed after the transaction began (first-committer-wins
-  on true write-write conflicts);
-* the winning writes are applied and ancestors recomputed from live
-  index state — re-reading "the latest value ... of their direct
-  children" — under a short structural mutex that stands in for the
-  engine's latch (Python-level concurrency).
+* ``begin`` pins the published epoch; reads run in a view at that pin
+  (text resolves through the overlay of :mod:`repro.xmldb.mvcc`), so
+  they are repeatable against *any* writer;
+* writes are buffered locally (no store mutation, no locks);
+* commit, under the controller's writer lock, validates only the
+  *written text nodes themselves* — a slot with an overlay version
+  newer than the pin, or a structural change since the pin, aborts
+  (first-committer-wins) — then applies the buffer as one epoch, whose
+  ancestor recomputation re-reads "the latest value ... of their direct
+  children" from live index state.
 
 The result is serialisable for disjoint write sets, which the tests
 check by comparing interleaved commits against a from-scratch rebuild.
@@ -27,11 +30,9 @@ check by comparing interleaved commits against a from-scratch rebuild.
 
 from __future__ import annotations
 
-import itertools
-import threading
-from contextlib import nullcontext
-from typing import Iterator
+from typing import Iterator, NoReturn
 
+from ..core.concurrency import SessionPin
 from ..core.manager import IndexManager
 from ..errors import TransactionConflict, TransactionStateError
 
@@ -39,117 +40,30 @@ __all__ = ["TransactionManager", "Transaction"]
 
 
 class TransactionManager:
-    """Hands out transactions over one :class:`IndexManager`."""
+    """Hands out transactions over one :class:`IndexManager` (enables
+    its concurrency controller: transactions are MVCC sessions)."""
 
     def __init__(self, index_manager: IndexManager):
         self.index_manager = index_manager
-        self._commit_counter = itertools.count(1)
-        self._clock = 0
-        # nid -> commit timestamp of the last committed write.
-        self._versions: dict[int, int] = {}
-        # nid -> [(commit_ts, value *before* that commit)], ascending —
-        # the undo chain that gives active transactions snapshot reads.
-        self._history: dict[int, list[tuple[int, str]]] = {}
-        # start_ts of active transactions (multiset), for GC of history.
-        self._active: dict[int, int] = {}
-        self._mutex = threading.Lock()
+        self.controller = index_manager.enable_concurrency()
 
     def begin(self) -> "Transaction":
-        """Start a transaction snapshotted at the current commit clock."""
-        with self._mutex:
-            txn = Transaction(self, self._clock)
-            self._active[txn.start_ts] = self._active.get(txn.start_ts, 0) + 1
-            return txn
-
-    def _finished(self, txn: "Transaction") -> None:
-        with self._mutex:
-            remaining = self._active.get(txn.start_ts, 0) - 1
-            if remaining > 0:
-                self._active[txn.start_ts] = remaining
-            else:
-                self._active.pop(txn.start_ts, None)
-            self._prune_history()
-
-    def _prune_history(self) -> None:
-        """Drop undo versions no active transaction can still need.
-
-        A version ``(ts, before)`` serves transactions with
-        ``start_ts < ts``; once the oldest active snapshot is >= ts it
-        is garbage.  Caller holds the mutex.
-        """
-        oldest = min(self._active, default=self._clock)
-        for nid in list(self._history):
-            chain = [
-                entry for entry in self._history[nid] if entry[0] > oldest
-            ]
-            if chain:
-                self._history[nid] = chain
-            else:
-                del self._history[nid]
-
-    def _read_snapshot(self, nid: int, start_ts: int) -> str:
-        """Value of ``nid`` as of snapshot ``start_ts``."""
-        store = self.index_manager.store
-        with self._mutex:
-            chain = self._history.get(nid)
-            if chain:
-                # The value before the earliest commit after start_ts.
-                for commit_ts, before in chain:
-                    if commit_ts > start_ts:
-                        return before
-            doc, pre = store.node(nid)
-            return doc.text_of(pre)
-
-    def _commit(self, txn: "Transaction") -> int:
-        # Under the concurrent serving path, the whole commit — txn
-        # validation plus index apply/publish — runs inside the
-        # controller's writer lock, so a transaction commit is one
-        # atomic epoch installation with respect to Database-level
-        # writers and snapshot readers (update_texts re-enters the
-        # lock; it is reentrant by design).
-        controller = self.index_manager.concurrency
-        if controller is not None:
-            # Committing from inside a read view would wait on the
-            # writer lock while holding the latch shared — fail fast
-            # rather than risk the cross-lock cycle.
-            controller.check_write_allowed()
-        outer = nullcontext() if controller is None else controller.write_lock
-        with outer, self._mutex:
-            # First-committer-wins validation: only the updated text
-            # nodes themselves are checked — never their ancestors.
-            for nid in txn._writes:
-                if self._versions.get(nid, 0) > txn.start_ts:
-                    raise TransactionConflict(
-                        f"node {nid} was modified by a concurrent transaction"
-                    )
-            ts = next(self._commit_counter)
-            self._clock = ts
-            store = self.index_manager.store
-            for nid in txn._writes:
-                self._versions[nid] = ts
-                doc, pre = store.node(nid)
-                self._history.setdefault(nid, []).append(
-                    (ts, doc.text_of(pre))
-                )
-            # Apply writes and recompute ancestors from the *live*
-            # children values (the Section 5.1 commit-time re-read).
-            self.index_manager.update_texts(list(txn._writes.items()))
-            txn.commit_epoch = self.index_manager.epoch
-            return ts
+        """Start a transaction pinned at the published epoch."""
+        return Transaction(self, self.controller.open_pin())
 
 
 class Transaction:
     """A buffered optimistic transaction.  Not thread-shared."""
 
-    def __init__(self, manager: TransactionManager, start_ts: int):
+    def __init__(self, manager: TransactionManager, pin: SessionPin):
         self._manager = manager
-        self.start_ts = start_ts
+        self._pin = pin
         self._writes: dict[int, str] = {}
         self.status = "active"
-        self.commit_ts: int | None = None
         #: Index epoch this transaction's apply published (set at
         #: commit); readers pinned below it cannot see its writes.
         self.commit_epoch: int | None = None
+        self.commit_ts: int | None = None  # the same epoch
 
     # ------------------------------------------------------------------
     # Operations
@@ -158,6 +72,21 @@ class Transaction:
     def _require_active(self) -> None:
         if self.status != "active":
             raise TransactionStateError(f"transaction is {self.status}")
+
+    def _finish(self, status: str) -> None:
+        self.status = status
+        self._manager.controller.close_pin(self._pin)
+
+    def _conflict(self, reason: str) -> NoReturn:
+        self._finish("aborted")
+        raise TransactionConflict(reason)
+
+    def _require_valid_pin(self) -> None:
+        """Caller excludes structural writers (latch or writer lock)."""
+        if not self._manager.controller.pin_valid(self._pin):
+            self._conflict(
+                "a structural update invalidated this transaction's snapshot"
+            )
 
     def update_text(self, nid: int, new_text: str) -> None:
         """Buffer a text-value write (visible to this txn only)."""
@@ -170,13 +99,18 @@ class Transaction:
 
     def read_text(self, nid: int) -> str:
         """Snapshot read: own writes first, else the value as of this
-        transaction's begin timestamp (repeatable reads — concurrent
-        commits do not bleed into an open transaction)."""
+        transaction's pinned epoch (repeatable reads — no later commit,
+        transactional or not, bleeds into an open transaction)."""
         self._require_active()
         buffered = self._writes.get(nid)
         if buffered is not None:
             return buffered
-        return self._manager._read_snapshot(nid, self.start_ts)
+        # The per-request view of a pinned network session: shared
+        # latch + text resolved through the overlay at the pin's epoch.
+        with self._manager.controller.read_view_at(self._pin):
+            self._require_valid_pin()
+            doc, pre = self._manager.index_manager.store.node(nid)
+            return doc.text_of(pre)
 
     def writes(self) -> Iterator[tuple[int, str]]:
         return iter(self._writes.items())
@@ -186,30 +120,48 @@ class Transaction:
     # ------------------------------------------------------------------
 
     def commit(self) -> int:
-        """Validate and apply; returns the commit timestamp.
+        """Validate and apply; returns the epoch the commit published.
 
-        Raises :class:`~repro.errors.TransactionConflict` if another
-        transaction committed a write to one of this transaction's
-        nodes after this transaction began (the buffer is discarded).
+        Raises :class:`~repro.errors.TransactionConflict` if any writer
+        changed one of this transaction's nodes, or the document
+        structure, after this transaction began (the buffer is
+        discarded).
         """
         self._require_active()
-        try:
-            ts = self._manager._commit(self)
-        except TransactionConflict:
-            self.status = "aborted"
-            self._manager._finished(self)
-            raise
-        self.status = "committed"
-        self.commit_ts = ts
-        self._manager._finished(self)
-        return ts
+        manager = self._manager.index_manager
+        controller = self._manager.controller
+        # Committing from inside a read view would wait on the writer
+        # lock while holding the latch shared — fail fast (the
+        # transaction stays active) rather than risk the cross-lock
+        # cycle.
+        controller.check_write_allowed()
+        # Validation and apply are one atomic epoch installation with
+        # respect to every other writer (update_texts re-enters the
+        # lock; it is reentrant by design).
+        with controller.write_lock:
+            self._require_valid_pin()
+            # First-committer-wins: only the updated text nodes
+            # themselves are checked — never their ancestors.
+            for nid in self._writes:
+                doc, pre = manager.store.node(nid)
+                if doc.text_overlay.changed_since(
+                    doc.text_id[pre], self._pin.epoch
+                ):
+                    self._conflict(
+                        f"node {nid} was modified by a concurrent writer"
+                    )
+            # Apply writes and recompute ancestors from the *live*
+            # children values (the Section 5.1 commit-time re-read).
+            manager.update_texts(list(self._writes.items()))
+            self.commit_epoch = self.commit_ts = manager.epoch
+        self._finish("committed")
+        return self.commit_epoch
 
     def abort(self) -> None:
         """Discard all buffered writes."""
         self._require_active()
         self._writes.clear()
-        self.status = "aborted"
-        self._manager._finished(self)
+        self._finish("aborted")
 
     # Context-manager sugar: commit on clean exit, abort on exception.
     def __enter__(self) -> "Transaction":

@@ -8,8 +8,8 @@ reader consistent, writers record the *before* value of every slot
 they overwrite, stamped with the epoch their change introduces; a
 reader pinned at epoch E resolves a slot by taking the before-value of
 the first overlay entry with ``epoch > E``, falling back to the live
-heap.  This mirrors the undo chains of :mod:`repro.txn.manager`, but
-keyed by (document, heap slot) instead of nid.
+heap.  Transactions (:mod:`repro.txn.manager`) read and validate
+against the same chains; there is no second version store.
 
 The reader side is a thread-local: :func:`reading_at` installs the
 pinned epoch for the duration of a query, and :meth:`Document.text_of`
@@ -83,6 +83,12 @@ class TextOverlay:
                 if entry_epoch > epoch:
                     return before
         return live
+
+    def changed_since(self, slot: int, epoch: int) -> bool:
+        """Was ``slot`` overwritten after ``epoch``?  Exact for an
+        epoch that is still pinned (pruning keeps versions above it)."""
+        chain = self.versions.get(slot)
+        return bool(chain) and chain[-1][0] > epoch
 
     def prune(self, oldest_pin: int | None) -> None:
         """Drop entries no pinned reader can still need.

@@ -1,11 +1,10 @@
-"""``repro.query``, ``repro.core`` and ``repro.storage`` import nothing
-they do not use.
+"""No module under ``src/repro`` imports anything it does not use.
 
 ``make lint`` (ruff, rule F401) checks this for the whole tree, but it
 is skipped wherever ruff is not installed; merging two executors into
-one, or three index-maintenance paths into one base class, is exactly
-the change that leaves imports behind, so these packages get the check
-inside tier-1 too.
+one, three index-maintenance paths into one base class, or two MVCC
+designs into one is exactly the change that leaves imports behind, so
+every package gets the check inside tier-1 too.
 """
 
 import ast
@@ -13,14 +12,11 @@ import pathlib
 
 import pytest
 
-import repro.core
-import repro.query
-import repro.storage
+import repro
 
 MODULES = sorted(
     path
-    for package in (repro.query, repro.core, repro.storage)
-    for path in pathlib.Path(package.__file__).parent.rglob("*.py")
+    for path in pathlib.Path(repro.__file__).parent.rglob("*.py")
     if path.name != "__init__.py"  # re-exports by design
 )
 

@@ -2,12 +2,14 @@
 
 The executor must be bit-identical to ``use_indexes=False`` (the
 ``evaluate_naive`` full scan) on every workload query, in every
-``use_indexes`` mode, and its supporting caches (contains/regex memo,
-lazy nid map, plan-proved predicate elision) must never leak stale
-results across mutations.  ``TestOracleIsNotBlind`` injects executor
+``use_indexes`` mode, under any planner statistics (zero, infinite or
+stale), and its supporting caches (contains/regex memo, lazy nid map,
+plan-proved predicate elision) must never leak stale results across
+mutations.  ``TestOracleIsNotBlind`` injects executor
 bugs and requires this same check to report them.
 """
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -23,7 +25,7 @@ from repro.query.plan import (
     StructuralVerify,
     Union as PlanUnion,
 )
-from repro.workloads import DATASETS, QUERY_SETS
+from repro.workloads import DATASETS, QUERY_SETS, random_text_updates
 
 #: Small generator scale: a few thousand nodes per corpus keeps the
 #: sweep in tier-1 time while exercising every query shape.
@@ -80,6 +82,70 @@ class TestWorkloadEquivalence:
                                      use_indexes):
         answer = query(managers[dataset], text, use_indexes=use_indexes)
         assert answer == oracle[dataset, text]
+
+
+class _ConstantStatistics:
+    """Statistics (and histogram) whose every estimate is one number."""
+
+    def __init__(self, value):
+        self.value = value
+        self.histogram = self
+
+    def estimate(self, *_args):
+        return self.value
+
+    estimate_equal = estimate_less_equal = estimate_range = estimate
+
+
+@pytest.fixture(scope="module")
+def drifted():
+    """Per corpus: a manager that took its statistics snapshots and
+    *then* rewrote a tenth of its text nodes, those stale snapshots,
+    and the naive answers over the updated documents."""
+    loaded = {}
+    for name in CORPORA:
+        manager = IndexManager(
+            string=True, typed=("double",), substring=True
+        )
+        # A third of the sweep's scale: constant estimates force both
+        # sides of every pricing decision whatever the corpus size.
+        doc = manager.load(name, DATASETS[name].build(SCALE / 3))
+        stale = {
+            kind: manager.statistics(kind) for kind in ("string", "double")
+        }
+        manager.update_texts(random_text_updates(
+            doc, len(doc) // 10, random.Random(5), numeric_share=0.5
+        ))
+        naive = {
+            text: query(manager, text, use_indexes=False)
+            for _name, text in QUERY_SETS[name]
+        }
+        loaded[name] = manager, stale, naive
+    return loaded
+
+
+class TestEstimatesNeverChangeAnswers:
+    """Every reader — pinned, as-of or live — prices from one shared,
+    possibly stale statistics snapshot.  That is sound only if an
+    estimate can pick a slower plan but never a wrong one: whatever
+    ``IndexManager.statistics`` claims, rows equal the oracle's."""
+
+    @pytest.mark.parametrize("use_indexes", [True, "auto"])
+    @pytest.mark.parametrize("snapshot", ["zero", "infinite", "stale"])
+    @pytest.mark.parametrize("dataset,text", _workload_cases())
+    def test_adversarial_statistics(self, drifted, monkeypatch, dataset,
+                                    text, snapshot, use_indexes):
+        manager, stale, naive = drifted[dataset]
+        adversarial = {
+            "zero": lambda kind: _ConstantStatistics(0.0),
+            "infinite": lambda kind: _ConstantStatistics(float("inf")),
+            "stale": stale.__getitem__,
+        }[snapshot]
+        monkeypatch.setattr(
+            IndexManager, "statistics", lambda self, kind: adversarial(kind)
+        )
+        manager._plan_cache.clear()  # price this plan, not a cached one
+        assert query(manager, text, use_indexes=use_indexes) == naive[text]
 
 
 class TestOracleIsNotBlind:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import IndexManager
+from repro.errors import TransactionConflict
 from repro.txn import TransactionManager
 from repro.xmldb import TEXT
 
@@ -79,25 +80,24 @@ class TestSnapshotReads:
             writer = txns.begin()
             writer.update_text(nid, value)
             writer.commit()
-        # With no open transactions, the undo chains are garbage.
-        assert txns._history == {}
+        # With no open transactions, the overlay versions are garbage.
+        assert len(manager.store.document("doc").text_overlay) == 0
 
     def test_history_retained_while_reader_open(self, setup):
         manager, txns = setup
+        overlay = manager.store.document("doc").text_overlay
         nid = text_nid(manager, "one")
         reader = txns.begin()
-        writer = txns.begin()
-        writer.update_text(nid, "v1")
-        writer.commit()
-        assert nid in txns._history
+        for value in ("v1", "v2"):
+            writer = txns.begin()
+            writer.update_text(nid, value)
+            writer.commit()
+        # Every version above the reader's pin is kept for it.
+        assert len(overlay) == 2
+        assert reader.read_text(nid) == "one"
         reader.abort()
-        # Next commit prunes everything the departed reader pinned.
-        other = txns.begin()
-        other.update_text(text_nid(manager, "two"), "x")
-        other.commit()
-        assert all(
-            ts > 0 for chain in txns._history.values() for ts, _ in chain
-        )
+        # The last transaction closing releases them all.
+        assert len(overlay) == 0
 
     def test_aborted_writer_leaves_no_versions(self, setup):
         manager, txns = setup
@@ -106,8 +106,29 @@ class TestSnapshotReads:
         writer = txns.begin()
         writer.update_text(nid, "junk")
         writer.abort()
+        assert len(manager.store.document("doc").text_overlay) == 0
         assert reader.read_text(nid) == "one"
         assert txns.begin().read_text(nid) == "one"
+
+    def test_repeatable_read_across_non_transactional_update(self, setup):
+        """The transaction rides the engine's epochs, so a plain
+        ``manager.update_text`` is a concurrent writer like any other."""
+        manager, txns = setup
+        nid = text_nid(manager, "one")
+        reader = txns.begin()
+        assert reader.read_text(nid) == "one"
+        manager.update_text(nid, "ONE")
+        assert reader.read_text(nid) == "one"
+        assert txns.begin().read_text(nid) == "ONE"
+
+    def test_structural_update_invalidates_reads(self, setup):
+        manager, txns = setup
+        nid = text_nid(manager, "one")
+        reader = txns.begin()
+        manager.delete_subtree(text_nid(manager, "three"))
+        with pytest.raises(TransactionConflict, match="structural"):
+            reader.read_text(nid)
+        assert reader.status == "aborted"
 
     def test_write_skew_is_allowed_but_documented(self, setup):
         """This is snapshot-read + first-committer-wins on write sets,

@@ -1,11 +1,14 @@
 """Tests for the ancestor-lock-free transaction layer."""
 
 import random
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.core import IndexManager
+from repro.database import Database
 from repro.errors import TransactionConflict, TransactionStateError
 from repro.txn import TransactionManager
 from repro.xmldb import TEXT
@@ -136,6 +139,66 @@ class TestConflicts:
         t2.commit()
         assert list(manager.lookup_string("ArthurBeeblebrox"))
 
+    def test_non_transactional_update_conflicts(self, setup):
+        """A plain ``manager.update_text`` is a concurrent writer: the
+        transaction must not silently overwrite it (lost update)."""
+        manager, txns = setup
+        nid = text_nid(manager, "Dent")
+        txn = txns.begin()
+        txn.update_text(nid, "Beeblebrox")
+        manager.update_text(nid, "Prefect")
+        with pytest.raises(TransactionConflict):
+            txn.commit()
+        assert txn.status == "aborted"
+        assert list(manager.lookup_string("ArthurPrefect"))
+        manager.check_consistency()
+
+    def test_non_transactional_sibling_update_does_not_conflict(self, setup):
+        manager, txns = setup
+        txn = txns.begin()
+        txn.update_text(text_nid(manager, "Dent"), "Prefect")
+        manager.update_text(text_nid(manager, "Arthur"), "Ford")
+        assert txn.commit() == manager.epoch == txn.commit_epoch
+        assert list(manager.lookup_string("FordPrefect"))
+        manager.check_consistency()
+
+    def test_database_update_conflicts(self, tmp_path):
+        """The same two guarantees through the durable facade."""
+        with Database(str(tmp_path / "db"), concurrent=True) as db:
+            db.load("doc", PERSON)
+            nid = text_nid(db.manager, "Dent")
+            txn = TransactionManager(db.manager).begin()
+            txn.update_text(nid, "Beeblebrox")
+            db.update_text(nid, "Prefect")
+            other = TransactionManager(db.manager).begin()
+            assert other.read_text(nid) == "Prefect"
+            db.update_text(nid, "Slartibartfast")
+            assert other.read_text(nid) == "Prefect"
+            with pytest.raises(TransactionConflict):
+                txn.commit()
+            assert list(db.lookup_string("ArthurSlartibartfast"))
+            assert db.verify().ok
+
+    @pytest.mark.parametrize("structural", ["insert_xml", "delete_subtree"])
+    def test_structural_update_aborts_open_transactions(
+        self, setup, structural
+    ):
+        """Structural splices are not versioned: they invalidate the
+        transaction's pin, whatever it wrote."""
+        manager, txns = setup
+        txn = txns.begin()
+        txn.update_text(text_nid(manager, "Dent"), "Prefect")
+        if structural == "insert_xml":
+            doc = manager.store.document("doc")
+            manager.insert_xml(doc.nid[doc.root_element()], "<pet>Eddie</pet>")
+        else:
+            manager.delete_subtree(text_nid(manager, "4"))
+        with pytest.raises(TransactionConflict, match="structural"):
+            txn.commit()
+        assert txn.status == "aborted"
+        assert list(manager.lookup_string("Dent"))
+        manager.check_consistency()
+
     def test_interleaved_commit_order_is_commutative(self, setup):
         """Whichever order sibling transactions commit, the final index
         equals a from-scratch rebuild (commutativity of C)."""
@@ -212,6 +275,50 @@ class TestConcurrentThreads:
         doc = manager.store.document("doc")
         assert doc.string_value(doc.pre_of(nid)) == winners[0]
         manager.check_consistency()
+
+
+def test_threaded_increments_lose_no_update(setup):
+    """Read-modify-write through transactions, racing each other and a
+    plain ``manager.update_text`` writer on a sibling: every committed
+    increment survives, so the counter equals the number of commits."""
+    manager, txns = setup
+    counter, sibling = text_nid(manager, "2"), text_nid(manager, "4")
+    manager.update_text(counter, "0")
+    deadline = time.monotonic() + 30
+    commits = []
+
+    def increment(rounds=20):
+        done = 0
+        while done < rounds and time.monotonic() < deadline:
+            txn = txns.begin()
+            txn.update_text(counter, str(int(txn.read_text(counter)) + 1))
+            try:
+                txn.commit()
+            except TransactionConflict:
+                continue
+            done += 1
+        commits.append(done)
+
+    def plain_writer():
+        for i in range(60):
+            manager.update_text(sibling, str(i % 10))
+
+    threads = [threading.Thread(target=increment) for _ in range(4)]
+    threads.append(threading.Thread(target=plain_writer))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert commits == [20] * 4
+    doc, pre = manager.store.node(counter)
+    assert doc.text_of(pre) == "80"
+    manager.check_consistency()
 
 
 def test_randomized_transaction_soak(setup):
