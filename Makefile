@@ -38,16 +38,20 @@
 #   make bench-elastic — read throughput under continuous migrations
 #                  vs quiesced + per-migration cost
 #                  (emits BENCH_elastic.json)
+#   make pairs PARENT=<rev> WORKLOAD=<w> [PAIRS=10] — alternating
+#                  parent/change runs of the BENCHMARK.json command
+#                  (tools/pairs.py): medians, quartiles, pairs won
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 REPRO_BENCH_SCALE ?= 0.12
 STRESS_SECONDS ?= 30
 STRESS_SEED ?= 777
+PAIRS ?= 10
 
 .PHONY: test lint faults concurrent serve-test shard-test repl-test \
 	elastic-test stress bench bench-parallel bench-concurrent \
-	bench-serve bench-shard bench-repl bench-elastic
+	bench-serve bench-shard bench-repl bench-elastic pairs
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -106,3 +110,7 @@ bench-repl:
 
 bench-elastic:
 	$(PYTHON) -m repro.bench.elastic
+
+pairs:
+	$(PYTHON) tools/pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
+	    --pairs $(PAIRS)

@@ -1,5 +1,8 @@
-"""B+tree substrate shared by the string and typed value indices."""
+"""Sorted-set substrate shared by the string and typed value indices:
+the :class:`SortedRun` they sit on and the copy-on-write
+:class:`BPlusTree` that is its delta."""
 
 from .bplus import BPlusTree
+from .sorted_run import SortedRun
 
-__all__ = ["BPlusTree"]
+__all__ = ["BPlusTree", "SortedRun"]

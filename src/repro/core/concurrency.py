@@ -5,14 +5,16 @@ This module gives the reproduction its concurrent serving path
 
 * **Readers** open a :class:`ReadView` — an O(1) pin of the last
   *published* :class:`ManagerSnapshot` (the manager's epoch plus one
-  :class:`~repro.btree.bplus.TreeSnapshot` per index).  For the view's
-  lifetime the thread's index lookups resolve against those immutable
-  tree roots and its text reads resolve through the MVCC overlay
+  :class:`~repro.btree.sorted_run.RunSnapshot` per index: its base
+  columns and a snapshot of its delta tree).  For the view's lifetime
+  the thread's index lookups resolve against those immutable versions
+  and its text reads resolve through the MVCC overlay
   (:mod:`repro.xmldb.mvcc`) at the pinned epoch — lock-free with
   respect to text writers.
 * **Text writers** serialize among themselves (one writer RLock),
-  record before-values into the overlay, mutate the copy-on-write
-  trees, and *publish* a new snapshot at the end — so a reader either
+  record before-values into the overlay, mutate the indices' copy-on-
+  write deltas (folding one into a new base run when it has drifted far
+  enough), and *publish* a new snapshot at the end — so a reader either
   sees all of an update's index entries and text values, or none.
 * **Structural writers** (subtree insert/delete, loads/unloads, index
   builds, checkpoints) splice columns in place, which cannot be
@@ -37,7 +39,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 from ..xmldb.mvcc import TextOverlay, reading_at
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..btree.bplus import TreeSnapshot
+    from ..btree.sorted_run import RunSnapshot
     from .manager import IndexManager
 
 __all__ = [
@@ -157,9 +159,9 @@ class ManagerSnapshot:
 
     __slots__ = ("epoch", "trees")
 
-    def __init__(self, epoch: int, trees: dict[Any, "TreeSnapshot"]):
+    def __init__(self, epoch: int, trees: dict[Any, "RunSnapshot"]):
         self.epoch = epoch
-        #: index object -> pinned TreeSnapshot of its value tree.
+        #: index object -> pinned RunSnapshot of its value run.
         self.trees = trees
 
 
@@ -239,8 +241,8 @@ class ReadView:
             finally:
                 self._controller.latch.release_shared()
 
-    def tree_for(self, index: Any) -> "TreeSnapshot | None":
-        """The pinned tree snapshot backing ``index``, if captured."""
+    def tree_for(self, index: Any) -> "RunSnapshot | None":
+        """The pinned run snapshot backing ``index``, if captured."""
         return self.snapshot.trees.get(index)
 
 
@@ -251,8 +253,8 @@ class SessionPin:
     shared latch for a connection's lifetime would block structural
     writers and checkpoints indefinitely, so a session pin only
     registers in the controller's pin table (keeping the MVCC overlay
-    versions for its epoch alive — the pinned trees are immutable
-    copy-on-write snapshots and need no protection).  The trade-off:
+    versions for its epoch alive — the pinned runs are immutable
+    versions and need no protection).  The trade-off:
     structural operations are *not* excluded and splice the shared
     document arrays in place, invalidating the pinned view; the
     serving layer checks :meth:`ConcurrencyController.pin_valid`

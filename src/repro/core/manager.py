@@ -19,6 +19,8 @@ from typing import Any, Iterable, Iterator
 
 import re
 
+import numpy as np
+
 from ..errors import IndexError_
 from ..obs import MetricsRegistry
 from ..xmldb.document import ATTR, TEXT, Document
@@ -35,11 +37,6 @@ from .value_index import ValueIndex
 
 __all__ = ["IndexManager"]
 
-#: Statistics snapshots refresh after this many absolute mutations ...
-STATS_DRIFT_MIN = 100
-#: ... or once the drift exceeds this fraction of the index size.
-STATS_DRIFT_DENOMINATOR = 10
-
 #: Per-call default: "use the manager's configured ``parallel`` knob".
 _DEFAULT = object()
 
@@ -52,7 +49,7 @@ class IndexManager:
         string: Build the string equality index.
         typed: XML type names to build range indices for.
         substring: Build the q-gram substring index.
-        order: B-tree order for all index trees.
+        order: Node order of every index's delta tree.
         parallel: Default creation-pass parallelism — ``None`` (serial),
             ``"auto"`` (available CPUs, skipping small documents) or a
             worker count.  Per-call overrides exist on the build
@@ -143,8 +140,8 @@ class IndexManager:
 
         ``structural=False`` marks exclusive scopes that only *add*
         state (e.g. adopting a migrated document): existing documents'
-        columns are untouched and the B-trees are republished
-        copy-on-write, so session pins stay valid.
+        columns are untouched and every index publishes a new version
+        beside the pinned ones, so session pins stay valid.
         """
         if self.concurrency is None:
             return nullcontext()
@@ -224,7 +221,7 @@ class IndexManager:
         self, docs: Iterable[Document], indexes: list[ValueIndex], parallel
     ) -> None:
         """Create ``indexes`` over ``docs``: stage every document's
-        fields, then bulk-load each tree once.  Callers hold the
+        fields, then merge each index's staged columns once.  Callers hold the
         exclusive latch."""
         with self.metrics.timer("index.build").time():
             for index in indexes:
@@ -273,10 +270,10 @@ class IndexManager:
 
         Unlike :meth:`load` this build is *non-structural* for pinned
         readers: adopting only adds a document (no existing column is
-        spliced, and ``finish_bulk`` republishes the trees
-        copy-on-write), so session pins opened before the import stay
-        valid — a migration must not invalidate in-flight cluster
-        views on the destination shard.
+        spliced, and ``finish_bulk`` publishes a new run version
+        beside the pinned ones), so session pins opened before the
+        import stay valid — a migration must not invalidate in-flight
+        cluster views on the destination shard.
         """
         doc = self.store.adopt_document(doc)
         self._build_document(doc, parallel, structural=False)
@@ -457,9 +454,10 @@ class IndexManager:
         high: Any = None,
         include_low: bool = True,
         include_high: bool = True,
-    ) -> list[int]:
-        """Batched :meth:`lookup_typed_range` returning just the nids
-        (leaf-slice collection, no per-entry generator frames)."""
+    ) -> "np.ndarray":
+        """Batched :meth:`lookup_typed_range` returning just the nids:
+        an int64 array in no particular order (a slice of the index's
+        nid column, no per-entry Python objects)."""
         return self.typed_index(type_name).range_nids(
             low, high, include_low=include_low, include_high=include_high
         )
@@ -604,10 +602,12 @@ class IndexManager:
     def statistics(self, kind: str):
         """Selectivity statistics for one index (cached snapshots).
 
-        ``kind`` is ``"string"`` or a typed-index name.  Snapshots are
-        recomputed once the index has drifted by more than
-        :data:`STATS_DRIFT_MIN` mutations or ``1/STATS_DRIFT_DENOMINATOR``
-        of its size since they were taken.
+        ``kind`` is ``"string"`` or a typed-index name.  A snapshot is
+        recomputed once the index has rebuilt its base run since it
+        was taken — the drift rule of
+        :meth:`~repro.core.value_index.ValueIndex._mutated`, a bulk
+        build or an unload — so it is read off columns that are
+        already merged, at most a small delta behind.
 
         Pinned, as-of and live readers all price from this one
         snapshot: estimates only choose between correct plans, so a
@@ -615,14 +615,9 @@ class IndexManager:
         """
         index = self.index(kind)
         cached = self._statistics_cache.get(kind)
-        if cached is not None:
-            drift = index.mutations - cached.mutations
-            threshold = max(
-                STATS_DRIFT_MIN, len(index.tree) // STATS_DRIFT_DENOMINATOR
-            )
-            if drift <= threshold:
-                self.metrics.counter("statistics.cached").inc()
-                return cached
+        if cached is not None and cached.mutations >= index.folded_at:
+            self.metrics.counter("statistics.cached").inc()
+            return cached
         with self.metrics.timer("statistics.refresh").time():
             snapshot = index.statistics_type.from_tree(
                 index.tree, index.mutations

@@ -12,15 +12,20 @@ provides the estimates the planner's ``auto`` mode uses:
 * leaf-count statistics for the substring index via gram posting lists.
 
 Statistics are snapshots: they record the index's mutation counter at
-build time and are recomputed by the manager once the index has drifted
-past a threshold.
+build time and are recomputed by the manager once the index has folded
+its delta since (one drift rule, in
+:class:`~repro.core.value_index.ValueIndex`).  They are read off the
+index's sorted key column — a strided slice and an ``np.unique`` —
+never off a scan of its entries.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
+
+import numpy as np
 
 __all__ = [
     "EquiDepthHistogram",
@@ -36,22 +41,27 @@ class EquiDepthHistogram:
     skewed distributions keep uniform per-bucket resolution.
     """
 
-    def __init__(self, values: list[Any], buckets: int = 32):
+    def __init__(self, values: Sequence[Any], buckets: int = 32):
         if buckets < 1:
             raise ValueError("need at least one bucket")
         self.total = len(values)
         self._bounds: list[Any] = []
-        if not values:
+        if not self.total:
             return
-        ordered = sorted(values)
-        self.minimum = ordered[0]
-        self.maximum = ordered[-1]
+        # A stable sort is linear on an index's key column, which
+        # arrives sorted; the values stay one numpy column throughout.
+        ordered = np.sort(np.asarray(values), kind="stable")
         step = max(1, self.total // buckets)
-        # bounds[i] = upper value of bucket i; depth per bucket = step.
-        self._bounds = [
-            ordered[min(i + step - 1, self.total - 1)]
-            for i in range(0, self.total, step)
-        ]
+        # bounds[i] = upper value of bucket i; depth per bucket = step:
+        # one strided gather (behind the minimum).
+        picks = np.minimum(
+            np.arange(-1, self.total + step - 1, step), self.total - 1
+        )
+        picks[0] = 0
+        picked = ordered[picks].tolist()
+        self.minimum = picked[0]
+        self._bounds = picked[1:]
+        self.maximum = picked[-1]
         self._depth = step
 
     def estimate_less_equal(self, value: Any) -> float:
@@ -107,11 +117,11 @@ class TypedIndexStatistics:
     def from_tree(
         cls, tree, mutations: int, buckets: int = 32
     ) -> "TypedIndexStatistics":
-        """Build from the index's value tree; ``mutations`` is the
+        """Build from the index's value run; ``mutations`` is the
         index's mutation counter at build time (drift-based refresh)."""
-        values = [value for value, _nid in tree.keys()]
+        keys, _nids = tree.columns()
         return cls(
-            histogram=EquiDepthHistogram(values, buckets),
+            histogram=EquiDepthHistogram(keys, buckets),
             mutations=mutations,
         )
 
@@ -147,12 +157,12 @@ class StringIndexStatistics:
 
     @classmethod
     def from_tree(cls, tree, mutations: int) -> "StringIndexStatistics":
-        """Build from the index's tree; keys are (hash, nid).
+        """Build from the index's run of ``(hash, nid)`` entries.
         ``mutations`` as for the typed statistics."""
-        distinct = len({key[0] for key in tree.keys()})
+        keys, _nids = tree.columns()
         return cls(
-            entries=len(tree),
-            distinct_hashes=max(1, distinct),
+            entries=len(keys),
+            distinct_hashes=max(1, len(np.unique(keys))),
             mutations=mutations,
         )
 

@@ -1,7 +1,7 @@
 """The string equality index (paper Section 3).
 
 Covers *every* document, element, attribute and text node: each node
-stores the 32-bit hash of its XDM string value, and a B-tree over
+stores the 32-bit hash of its XDM string value, and a sorted run over
 ``(hash, nid)`` supports equality lookups.  A lookup returns candidate
 nodes for a hash; the caller verifies candidates against the actual
 string value to filter hash collisions (Section 6: "keeping the false
@@ -19,20 +19,18 @@ from typing import Iterator
 
 import numpy as np
 
-from ..btree import BPlusTree
+from ..btree import SortedRun
 from .hashing import EMPTY_HASH, combine, hash_string, hash_strings
 from .statistics import StringIndexStatistics
 from .value_index import ValueIndex
 
 __all__ = ["StringIndex"]
 
-_MAX_NID = 1 << 62
-
 
 class StringIndex(ValueIndex):
     """Equality index on string values via the hash function H.
 
-    Every field is stored and is its own tree key, so the B-tree on
+    Every field is stored and is its own tree key, so the run sorted on
     ``(hash, nid)`` answers an equality lookup with one range scan.
     """
 
@@ -41,9 +39,7 @@ class StringIndex(ValueIndex):
     statistics_type = StringIndexStatistics
 
     def __init__(self, order: int = 64):
-        super().__init__(
-            "string", BPlusTree(order=order, key_bytes=8, value_bytes=0)
-        )
+        super().__init__("string", SortedRun("<u4", order=order))
         #: nid -> stored hash (this index's name for its field map).
         self.hash_of = self.fields
 
@@ -70,11 +66,10 @@ class StringIndex(ValueIndex):
     # ------------------------------------------------------------------
 
     def lookup_hash(self, hash_value: int) -> Iterator[int]:
-        """All nids whose string value hashes to ``hash_value``."""
-        for (_hash, nid), _none in self._lookup_tree().range(
-            (hash_value, -1), (hash_value, _MAX_NID)
-        ):
-            yield nid
+        """All nids whose string value hashes to ``hash_value``,
+        ascending."""
+        nids = self._lookup_tree().nids_between(hash_value, hash_value)
+        return iter(np.sort(nids).tolist())
 
     def candidates(self, value: str) -> Iterator[int]:
         """Candidate nids for an equality predicate on ``value``.
@@ -84,25 +79,22 @@ class StringIndex(ValueIndex):
         """
         return self.lookup_hash(hash_string(value))
 
-    def candidate_nids(self, value: str) -> list[int]:
-        """Batched :meth:`candidates` (one leaf-slice range scan; same
-        unverified hash-bucket contents, as a list)."""
+    def candidate_nids(self, value: str) -> "np.ndarray":
+        """Batched :meth:`candidates`: the same unverified hash-bucket
+        contents as an int64 array (two ``searchsorted`` and a slice of
+        the run's nid column)."""
         hash_value = hash_string(value)
-        keys = self._lookup_tree().range_keys(
-            (hash_value, -1), (hash_value, _MAX_NID)
-        )
-        return [nid for _hash, nid in keys]
+        return self._lookup_tree().nids_between(hash_value, hash_value)
 
     # ------------------------------------------------------------------
     # Statistics / storage model
     # ------------------------------------------------------------------
 
     def byte_size(self) -> int:
-        """Modelled storage: a 4-byte hash per indexed node plus the
-        B-tree's inner-level overhead.
+        """Modelled storage: a 4-byte hash per indexed node.
 
         This matches the paper's accounting — XMark1's reported string
         index (17.8 MB over 4.69 M nodes) is 4 bytes/node: the hash
         column is the index; nids come from the clustered order.
         """
-        return 4 * len(self.hash_of) + self.tree.inner_byte_size()
+        return 4 * len(self.hash_of)

@@ -5,9 +5,10 @@ For one XML type (double, dateTime, ...) the index keeps:
 * per non-rejected node, its FSM state plus the compact token payload
   (:class:`~repro.core.fsm.fragment.Fragment`) — the paper's
   ``[node id, state]`` side structure;
-* a clustered B-tree on ``(typed value, nid)`` over the nodes whose
+* a sorted run on ``(typed value, nid)`` over the nodes whose
   fragment is a complete ("castable") lexical value — the paper's
-  ``[value, state, node id]`` tuples supporting range lookups.
+  clustered ``[value, state, node id]`` tuples supporting range
+  lookups.
 
 Nodes whose value is rejected by the FSM store *nothing* ("the absence
 of a state signifies the reject state"), which is why the double index
@@ -16,9 +17,12 @@ stays at 2-3% of database size in the paper's Figure 9.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Iterator
 
-from ..btree import BPlusTree
+import numpy as np
+
+from ..btree import SortedRun
 from ..varint import decode_varint, encode_varint
 from .classify import legality_mask
 from .fsm import Fragment, REJECT_FRAGMENT, TypePlugin, get_plugin
@@ -92,9 +96,10 @@ class TypedIndex(ValueIndex):
     statistics_type = TypedIndexStatistics
 
     def __init__(self, type_name: str, order: int = 64):
-        super().__init__(
-            type_name, BPlusTree(order=order, key_bytes=12, value_bytes=0)
-        )
+        # Only xs:double casts to what an f8 column holds exactly;
+        # Decimal, unbounded int and bool keys stay Python objects.
+        dtype = np.float64 if type_name == "double" else object
+        super().__init__(type_name, SortedRun(dtype, order=order))
         self.plugin = get_plugin(type_name)
         self.identity = self.plugin.empty_fragment
         self.column = (f".{type_name}.tidx", "FRAG")
@@ -153,11 +158,10 @@ class TypedIndex(ValueIndex):
     # ------------------------------------------------------------------
 
     def lookup_equal(self, value: Any) -> Iterator[int]:
-        """nids whose typed value equals ``value`` (no false positives)."""
-        for (_value, nid), _none in self._lookup_tree().range(
-            (value, -1), (value, _MAX_NID)
-        ):
-            yield nid
+        """nids whose typed value equals ``value`` (no false positives),
+        ascending."""
+        nids = self._lookup_tree().nids_between(value, value)
+        return iter(np.sort(nids).tolist())
 
     def lookup_range(
         self,
@@ -169,10 +173,10 @@ class TypedIndex(ValueIndex):
         """(value, nid) pairs with ``low <op> value <op> high``."""
         low_key = None if low is None else (low, -1 if include_low else _MAX_NID)
         high_key = None if high is None else (high, _MAX_NID if include_high else -1)
-        for (value, nid), _none in self._lookup_tree().range(
+        cursor = self._lookup_tree().range(
             low_key, high_key, include_low=True, include_high=include_high
-        ):
-            yield value, nid
+        )
+        return map(itemgetter(0), cursor)  # ((value, nid), None) pairs
 
     def range_nids(
         self,
@@ -180,26 +184,22 @@ class TypedIndex(ValueIndex):
         high: Any = None,
         include_low: bool = True,
         include_high: bool = True,
-    ) -> list[int]:
-        """Batched :meth:`lookup_range` returning just the nids.
-
-        Collects the ``(value, nid)`` keys with the tree's leaf-slice
-        range scan (one list, no per-entry generator frames) — the
-        index-scan primitive of the query executor.
+    ) -> "np.ndarray":
+        """Batched :meth:`lookup_range` returning just the nids, as an
+        int64 array in no particular order: two ``searchsorted`` and a
+        slice of the run's nid column — the index-scan primitive of
+        the query executor.
         """
-        low_key = None if low is None else (low, -1 if include_low else _MAX_NID)
-        high_key = None if high is None else (high, _MAX_NID if include_high else -1)
-        keys = self._lookup_tree().range_keys(
-            low_key, high_key, include_low=True, include_high=include_high
+        return self._lookup_tree().nids_between(
+            low, high, include_low, include_high
         )
-        return [nid for _value, nid in keys]
 
     def top_values(
         self, k: int, largest: bool = True
     ) -> list[tuple[Any, int]]:
-        """The ``k`` extreme (value, nid) entries of the value tree.
+        """The ``k`` extreme (value, nid) entries of the value run.
 
-        ``largest=True`` walks the tree right-to-left (descending
+        ``largest=True`` walks the run right-to-left (descending
         values); ``False`` returns the smallest entries ascending.
         """
         if k <= 0:
@@ -226,13 +226,13 @@ class TypedIndex(ValueIndex):
         return len(self.tree)
 
     def byte_size(self) -> int:
-        """Modelled storage: 8 bytes per indexed value, the per-node
-        state/payload bytes for every stored fragment, and the value
-        tree's inner overhead — mirroring the paper's [value, state]
-        accounting (their XMark1 double index is ~9 bytes per indexed
-        node: an 8-byte double + 1-byte state)."""
+        """Modelled storage: 8 bytes per indexed value plus the
+        per-node state/payload bytes for every stored fragment —
+        mirroring the paper's [value, state] accounting (their XMark1
+        double index is ~9 bytes per indexed node: an 8-byte double +
+        1-byte state; a sorted run has no inner levels to add)."""
         size = 8 * len(self.tree)
         byte_size_of = self.plugin.byte_size_of
         for fragment in self.fragment_of_node.values():
             size += byte_size_of(fragment)
-        return size + self.tree.inner_byte_size()
+        return size

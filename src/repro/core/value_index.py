@@ -21,20 +21,26 @@ a subclass supplies    meaning
 ``unpack_fields``      ``column`` naming its file suffix and section
 =====================  ==============================================
 
-Everything else — the stored-field map, the ``(key, nid)`` B+-tree,
+Everything else — the stored-field map, the sorted ``(key, nid)`` run,
 bulk staging, entry maintenance, the snapshot-aware lookup tree and the
-``mutations`` drift counter — lives here once.
+``mutations`` drift counter with the one rule that reads it — lives
+here once.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Iterable, Iterator
 
-from ..btree import BPlusTree
+from ..btree import SortedRun
 from .concurrency import active_view
 
-__all__ = ["ValueIndex"]
+__all__ = ["ValueIndex", "STATS_DRIFT_MIN", "STATS_DRIFT_DENOMINATOR"]
+
+#: An index folds its delta into a new base run — and its planner
+#: statistics go stale — after this many absolute mutations ...
+STATS_DRIFT_MIN = 100
+#: ... or once the drift exceeds this fraction of the index size.
+STATS_DRIFT_DENOMINATOR = 10
 
 
 class ValueIndex:
@@ -43,8 +49,8 @@ class ValueIndex:
     Args:
         kind: The index's name under its manager (``"string"``, an XML
             type name, ``"substring"``).
-        tree: The ``(key, nid)`` tree, or ``None`` for an index that
-            keeps its keys elsewhere and therefore cannot be
+        tree: The sorted ``(key, nid)`` run, or ``None`` for an index
+            that keeps its keys elsewhere and therefore cannot be
             snapshotted (see :attr:`snapshottable`).
     """
 
@@ -58,19 +64,22 @@ class ValueIndex:
     #: Planner statistics class built over the tree (``from_tree``).
     statistics_type: Any = None
 
-    def __init__(self, kind: str, tree: BPlusTree | None):
+    def __init__(self, kind: str, tree: SortedRun | None):
         self.kind = kind
         #: nid -> stored field; the per-node "field" of paper Figure 7.
         self.fields: dict[int, Any] = {}
         self.tree = tree
-        self._staged: list[tuple[Any, int]] | None = None
-        #: Counts stored-field changes; planner statistics refresh once
-        #: this has drifted far enough from their snapshot.
+        self._staged: tuple[list, list[int]] | None = None
+        #: Counts stored-field changes.
         self.mutations = 0
+        #: ``mutations`` when the tree's base run was last rebuilt.
+        #: Once the counter has drifted far enough from it the delta is
+        #: folded; statistics taken before it are stale.
+        self.folded_at = 0
 
     @property
     def snapshottable(self) -> bool:
-        """True iff read views can pin this index (copy-on-write tree).
+        """True iff read views can pin this index (immutable versions).
         Text updates run under the shared latch only when every index
         is snapshottable; otherwise they drain readers first."""
         return self.tree is not None
@@ -115,8 +124,9 @@ class ValueIndex:
     # ------------------------------------------------------------------
 
     def begin_bulk(self) -> None:
-        """Enter bulk mode: entries staged, tree built at the end."""
-        self._staged = []
+        """Enter bulk mode: entries staged as a key and a nid column,
+        merged into the tree at the end."""
+        self._staged = ([], [])
 
     def stage_entry(self, nid: int, field: Any) -> None:
         """Record a node's field during creation (bulk mode)."""
@@ -124,7 +134,9 @@ class ValueIndex:
             self.fields[nid] = field
             key = self.key_of(field)
             if key is not None:
-                self._staged.append((key, nid))
+                keys, nids = self._staged
+                keys.append(key)
+                nids.append(nid)
 
     def stage_entries(self, pairs: Iterable[tuple[int, Any]]) -> None:
         """:meth:`stage_entry` over a run of ``(nid, field)`` pairs."""
@@ -133,19 +145,30 @@ class ValueIndex:
             stage_entry(nid, field)
 
     def finish_bulk(self) -> None:
-        """Sort the staged keys and bulk-load the tree, merging in the
-        keys already there (earlier documents keep their coverage)."""
-        staged = self._staged
+        """Merge the staged columns into the tree's base run (earlier
+        documents keep their coverage)."""
+        keys, nids = self._staged
         self._staged = None
-        staged.sort()
-        self.mutations += len(staged)
-        if len(self.tree):
-            staged = heapq.merge(self.tree.keys(), staged)
-        self.tree.bulk_load((key, None) for key in staged)
+        if keys:
+            self.tree.merge(keys, nids)
+            self.mutations += len(keys)
+            self.folded_at = self.mutations
 
     # ------------------------------------------------------------------
     # Entry maintenance (updates)
     # ------------------------------------------------------------------
+
+    def _mutated(self) -> None:
+        """Count one stored-field change.  The one drift rule: more
+        than ``max(STATS_DRIFT_MIN, size / STATS_DRIFT_DENOMINATOR)``
+        mutations after the tree's base run was built, the delta is
+        folded into a new one."""
+        self.mutations += 1
+        drift = self.mutations - self.folded_at
+        if drift > STATS_DRIFT_MIN and self.tree is not None:
+            if drift > len(self.tree) // STATS_DRIFT_DENOMINATOR:
+                self.tree.fold()
+                self.folded_at = self.mutations
 
     def _rekey(self, nid: int, old: Any, new: Any) -> None:
         """Move ``nid``'s key from ``old``'s to ``new``'s (``None`` =
@@ -169,35 +192,27 @@ class ValueIndex:
             return
         self.fields[nid] = field
         self._rekey(nid, old, field)
-        self.mutations += 1
+        self._mutated()
 
     def remove_entry(self, nid: int) -> None:
         """Drop a node's entry (subtree deletion)."""
         old = self.fields.pop(nid, None)
         if old is not None:
             self._rekey(nid, old, None)
-            self.mutations += 1
+            self._mutated()
 
     def remove_entries(self, nids: Iterable[int]) -> int:
         """Bulk :meth:`remove_entry` (document unload): pops the stored
-        fields, then drops their keys in one
-        :meth:`~repro.btree.BPlusTree.remove_many` pass instead of one
-        tree descent per node.  Returns the number of entries removed."""
+        fields, then drops their keys with one mask over the tree's nid
+        column instead of one descent per node.  Returns the number of
+        entries removed."""
         fields = self.fields
-        key_of = self.key_of
-        removed = 0
-        keys = []
-        for nid in nids:
-            old = fields.pop(nid, None)
-            if old is not None:
-                removed += 1
-                key = key_of(old)
-                if key is not None:
-                    keys.append((key, nid))
-        if keys:
-            self.tree.remove_many(keys)
-        self.mutations += removed
-        return removed
+        dropped = [nid for nid in nids if fields.pop(nid, None) is not None]
+        if dropped:
+            self.tree.remove_nids(dropped)
+            self.mutations += len(dropped)
+            self.folded_at = self.mutations
+        return len(dropped)
 
     # ------------------------------------------------------------------
     # Reading

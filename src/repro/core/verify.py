@@ -3,7 +3,7 @@
 Where :meth:`IndexManager.check_consistency` compares indices against a
 fresh *rebuild* (same code path), this module re-derives every indexed
 fact straight from document text — hash values via ``H`` over XDM
-string values, typed states via a fresh FSM run, B-tree structure via
+string values, typed states via a fresh FSM run, sorted-run structure via
 its own invariant checker — and reports every discrepancy instead of
 stopping at the first.  This is the tool an operator runs after a
 crash recovery or a suspected bug.
@@ -126,7 +126,7 @@ def _verify_trees(manager, report) -> None:
         try:
             index.tree.check_invariants()
         except AssertionError as exc:
-            report._problem(f"{kind} index B-tree: {exc}")
+            report._problem(f"{kind} index run: {exc}")
         tree_nids = set()
         orphans = []
         for key, nid in index.tree.keys():

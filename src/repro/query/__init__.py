@@ -14,7 +14,7 @@ from .plan import (
     Union,
     render_plan,
 )
-from .planner import Explanation, build_plan, explain, query
+from .planner import Explanation, build_plan, explain, query, query_rows
 
 __all__ = [
     "AncestorWalk",
@@ -34,5 +34,6 @@ __all__ = [
     "explain",
     "parse_query",
     "query",
+    "query_rows",
     "render_plan",
 ]

@@ -5,8 +5,9 @@ document.  Operators exchange sorted, duplicate-free int64 ``pre``
 arrays and evaluate the structural operators with the merge/interval
 kernels of :mod:`repro.query.kernels`:
 
-* ``IndexLookup`` maps the index's nids to owned pres with one
-  ``searchsorted`` over the document's sorted nid plane;
+* ``IndexLookup`` takes a slice of the index's nid column and maps it
+  to owned pres with one ``searchsorted`` over the document's sorted
+  nid plane;
 * ``AncestorWalk`` / ``StructuralVerify`` become O(depth) batched
   column gathers plus interval stabbing (``anc < pre <= anc + size``);
 * ``Intersect`` / ``Union`` are single ``np.intersect1d`` /
@@ -18,7 +19,7 @@ sorted ascending with no duplicates.  All kernels both rely on it
 
 Each operator records its output cardinality and (inclusive) wall time
 into an ``actuals`` dict keyed by the node's ``op_id``; the manager's
-metrics registry receives aggregate counters so repeated queries show
+metrics registry receives them once per plan, so repeated queries show
 up in :meth:`repro.database.Database.metrics`.
 
 Correctness invariant: whatever the plan shape, the result equals
@@ -52,7 +53,7 @@ from .plan import (
     Union,
 )
 
-__all__ = ["execute_plan"]
+__all__ = ["execute_plan", "execute_pres"]
 
 
 def _string_equal_pres(
@@ -60,8 +61,8 @@ def _string_equal_pres(
 ) -> "np.ndarray":
     """Owned pres whose XDM string value equals ``value``.
 
-    Batch counterpart of ``manager.lookup_string``: one leaf-slice
-    scan of the hash bucket, nid→pre mapping via ``searchsorted``
+    Batch counterpart of ``manager.lookup_string``: one slice of the
+    hash bucket's nid column, nid→pre mapping via ``searchsorted``
     (which also drops other documents' nids), then collision
     verification per *kind* — leaf nodes compare their heap slot
     directly (no per-node resolution through the store), containers
@@ -171,10 +172,9 @@ def _run(
     """Execute one operator; returns its sorted output pres (inclusive
     time and output cardinality are recorded into ``actuals``)."""
     start = time.perf_counter()
-    metrics = manager.metrics
     if isinstance(node, FullScan):  # always the whole plan
         pres = np.asarray(evaluate_naive(doc, node.path), dtype=np.int64)
-        metrics.counter("query.plans.scan").inc()
+        manager.metrics.counter("query.plans.scan").inc()
     elif isinstance(node, IndexLookup):
         pres = _index_pres(manager, doc, cols, node)
     elif isinstance(node, AncestorWalk):
@@ -200,16 +200,37 @@ def _run(
             doc, cols, candidates, node.path.steps, node.predicate
         )
         pres = filter_predicates(doc, pres, node.residual)
-        metrics.counter("query.plans.index").inc()
+        manager.metrics.counter("query.plans.index").inc()
     else:  # pragma: no cover - defensive
         raise TypeError(f"unknown plan node {node!r}")
-    rows = int(pres.size)
     actuals[node.op_id] = {
-        "rows": rows,
+        "rows": int(pres.size),
         "seconds": time.perf_counter() - start,
     }
-    metrics.counter("query.exec.vectorized_ops").inc()
-    metrics.histogram("query.exec.batch_rows").observe(rows)
+    return pres
+
+
+def execute_pres(
+    manager: IndexManager,
+    doc: Document,
+    plan: PlanNode,
+    actuals: dict[int, dict] | None = None,
+) -> "np.ndarray":
+    """Run a plan tree over one document; returns the matching pres as
+    a sorted int64 array.  ``actuals`` (if given) is filled with
+    per-operator ``{"rows", "seconds"}`` entries keyed by ``op_id``.
+    The operators' metrics are flushed here, once per plan.
+    """
+    operators: dict[int, dict] = {}
+    pres = _run(manager, doc, doc.columns(), plan, operators)
+    if actuals is not None:
+        actuals.update(operators)
+    metrics = manager.metrics
+    metrics.counter("query.exec.vectorized_ops").inc(len(operators))
+    batch_rows = metrics.histogram("query.exec.batch_rows")
+    for operator in operators.values():
+        batch_rows.observe(operator["rows"])
+    metrics.counter("query.rows").inc(int(pres.size))
     return pres
 
 
@@ -219,12 +240,5 @@ def execute_plan(
     plan: PlanNode,
     actuals: dict[int, dict] | None = None,
 ) -> list[int]:
-    """Run a plan tree over one document; returns matching pres sorted
-    in document order.  ``actuals`` (if given) is filled with
-    per-operator ``{"rows", "seconds"}`` entries keyed by ``op_id``.
-    """
-    if actuals is None:
-        actuals = {}
-    result = _run(manager, doc, doc.columns(), plan, actuals).tolist()
-    manager.metrics.counter("query.rows").inc(len(result))
-    return result
+    """:func:`execute_pres` with the pres as a list, in document order."""
+    return execute_pres(manager, doc, plan, actuals).tolist()

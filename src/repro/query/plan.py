@@ -142,7 +142,7 @@ class IndexLookup(PlanNode):
     A typed lookup may carry a *second* bound (``high_op``/
     ``high_value``): the planner fuses conjoined range comparisons over
     the same operand path (``[a >= x and a < y]``) into one bounded
-    window scan of the value B-tree.  ``proves`` lists every atomic
+    window scan of the value run.  ``proves`` lists every atomic
     predicate each emitted node is guaranteed to satisfy (the driver
     alone for plain lookups; all fused conjuncts for a window) — the
     batch executor uses it to elide the scalar predicate re-check.

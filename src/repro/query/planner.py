@@ -30,6 +30,10 @@ repeated queries skip recognition, routing and pricing entirely.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
+from typing import Iterator
+
+import numpy as np
 
 from ..core.concurrency import active_view
 from ..core.manager import IndexManager
@@ -45,7 +49,7 @@ from .ast import (
     TextTest,
 )
 from .evaluator import typed_literal
-from .executor import execute_plan
+from .executor import execute_plan, execute_pres
 from .plan import (
     AncestorWalk,
     FullScan,
@@ -59,7 +63,7 @@ from .plan import (
 )
 from .parser import parse_query
 
-__all__ = ["query", "explain", "Explanation", "build_plan"]
+__all__ = ["query", "query_rows", "explain", "Explanation", "build_plan"]
 
 #: ``auto`` mode scans when the index is expected to return more than
 #: this fraction of the document as candidates.
@@ -283,7 +287,7 @@ def _fuse_range_conjuncts(manager: IndexManager, conjuncts):
     """Fuse typed range conjuncts over the same operand path into
     bounded window lookups.
 
-    ``[year >= 2000 and year < 2005]`` becomes a B-tree scan of the
+    ``[year >= 2000 and year < 2005]`` becomes a sorted-run scan of the
     ``[2000, 2005)`` window instead of an open-ended scan of everything
     ``>= 2000`` whose bulk is then discarded.
 
@@ -547,6 +551,31 @@ def _plan_for(
 # ---------------------------------------------------------------------------
 
 
+def _evaluate(
+    manager: IndexManager,
+    text: str,
+    document: str | None,
+    use_indexes: bool | str,
+) -> Iterator[tuple[Document, np.ndarray]]:
+    """Plan and run ``text`` per document: ``(document, sorted pres)``
+    in store order — what :func:`query` and :func:`query_rows` turn
+    into their two result shapes."""
+    if use_indexes not in (True, False, "auto"):
+        raise ValueError("use_indexes must be True, False or 'auto'")
+    parsed = _parse(text)
+    doc_name = parsed.document or document
+    if doc_name is not None:
+        docs = [manager.store.document(doc_name)]
+    else:
+        docs = list(manager.store.documents.values())
+    metrics = manager.metrics
+    with metrics.timer("query.evaluate").time():
+        for doc in docs:
+            plan = _plan_for(manager, doc, text, parsed.path, use_indexes)
+            yield doc, execute_pres(manager, doc, plan)
+    metrics.counter("query.executed").inc()
+
+
 def query(
     manager: IndexManager,
     text: str,
@@ -564,23 +593,26 @@ def query(
       predict fewer candidates than :data:`SCAN_THRESHOLD` of the
       document (an unselective range is cheaper to scan).
     """
-    if use_indexes not in (True, False, "auto"):
-        raise ValueError("use_indexes must be True, False or 'auto'")
-    parsed = _parse(text)
-    doc_name = parsed.document or document
-    if doc_name is not None:
-        docs = [manager.store.document(doc_name)]
-    else:
-        docs = list(manager.store.documents.values())
-    metrics = manager.metrics
     results: list[int] = []
-    with metrics.timer("query.evaluate").time():
-        for doc in docs:
-            plan = _plan_for(manager, doc, text, parsed.path, use_indexes)
-            pres = execute_plan(manager, doc, plan)
-            results.extend(doc.nid[pre] for pre in pres)
-    metrics.counter("query.executed").inc()
+    for doc, pres in _evaluate(manager, text, document, use_indexes):
+        results.extend(doc.columns().nid[pres].tolist())
     return results
+
+
+def query_rows(
+    manager: IndexManager,
+    text: str,
+    document: str | None = None,
+    use_indexes: bool | str = True,
+) -> list[tuple[str, int, int]]:
+    """Like :func:`query`, but returns ``(document, pre, nid)`` rows,
+    built straight from the executor's pre arrays (a nid is never
+    resolved back to its row)."""
+    rows: list[tuple[str, int, int]] = []
+    for doc, pres in _evaluate(manager, text, document, use_indexes):
+        nids = doc.columns().nid[pres].tolist()
+        rows.extend(zip(repeat(doc.name), pres.tolist(), nids))
+    return rows
 
 
 class ExplainReport:

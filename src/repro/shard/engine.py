@@ -29,6 +29,7 @@ from ..core import IndexManager
 from ..core.concurrency import active_view
 from ..query import explain as _explain
 from ..query import query as _query
+from ..query import query_rows as _query_rows
 from ..storage import faults
 from ..storage.groupcommit import GroupCommitLog
 from ..storage.persist import (
@@ -490,20 +491,12 @@ class ShardEngine:
         nids are surrogates of one engine's nid space; ``(document,
         pre)`` addresses are stable across *placements*, which is what
         the scatter-gather coordinator merges and what the cross-shard
-        differential suite compares bit-for-bit.  Mapping runs at the
-        same pinned epoch as the evaluation.
+        differential suite compares bit-for-bit.  The rows are built
+        from the executor's pre arrays at the evaluation's own pinned
+        epoch.
         """
         with self._read_scope(as_of):
-            return self._rows_of(
-                _query(self.manager, text, document, use_indexes))
-
-    def _rows_of(self, nids: list[int]) -> list[tuple[str, int, int]]:
-        node = self.store.node
-        rows = []
-        for nid in nids:
-            doc, pre = node(nid)
-            rows.append((doc.name, pre, nid))
-        return rows
+            return _query_rows(self.manager, text, document, use_indexes)
 
     def explain(self, text: str, document: str | None = None,
                 execute: bool = False):

@@ -12,9 +12,9 @@ Each index with a persisted ``column`` (string, typed) stores its
 per-node fields (the expensive part: hashing/FSM over all text), packed
 by the index's own ``pack_fields``; at open the fields are staged back
 through the index protocol (``begin_bulk``/``stage_entries``/
-``finish_bulk``), which rebuilds the B-trees by bulk load.  An index
-without a column (substring) is re-derived by the ordinary creation
-pass.  Documents round-trip exactly.
+``finish_bulk``), which rebuilds the sorted runs by one column merge.
+An index without a column (substring) is re-derived by the ordinary
+creation pass.  Documents round-trip exactly.
 
 Snapshots commit atomically (see ``docs/durability.md``): every data
 file is written to a temp name, fsynced and renamed under an
@@ -413,7 +413,7 @@ def load_manager(path: str) -> IndexManager:
 
     Per-node fields are read back from the index files (no re-hashing,
     no FSM runs) and staged through the index protocol, which rebuilds
-    the B-trees by sorted bulk load; an index without a persisted
+    the sorted runs by one column merge; an index without a persisted
     column (substring) is re-derived by the creation pass.
     """
     manifest = _read_manifest(path)

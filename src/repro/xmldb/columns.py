@@ -99,12 +99,18 @@ class DocColumns:
         distinct nids (index scans never repeat a nid) — distinct nids
         map to distinct pres, so a plain sort restores the batch
         invariant.
+
+        The indices span every document, so nids outside this
+        document's ``[min, max]`` are dropped with two comparisons
+        before the binary-search probe: each document probes its own
+        share of an index scan, not all of it.
         """
         if not isinstance(nids, (list, np.ndarray)):
             nids = list(nids)
         arr = np.asarray(nids, dtype=np.int64)
-        if arr.size == 0:
+        if arr.size == 0 or self.n == 0:
             return EMPTY_PRES
+        arr = arr[(arr >= self.nid_sorted[0]) & (arr <= self.nid_sorted[-1])]
         pres = self._map_nids(arr)
         pres = pres[pres >= 0]
         if pres.size == 0:

@@ -1,0 +1,171 @@
+"""``python tools/pairs.py --parent REV --workload W [--pairs 10]``
+
+Alternating parent/change runs of the repo's benchmark, the evidence a
+PR that claims a gain has to show (ROADMAP "rules carried over").
+
+The parent commit is checked out with ``git worktree add`` under a
+temporary directory; the change is the working tree the script runs
+from.  Pair ``i`` runs the ``command`` of ``BENCHMARK.json`` on both
+sides with ``--workload W --seed i --seconds <run_seconds>``, the
+parent first in odd pairs and the change first in even ones, and reads
+the JSON line each run ends with.  Every run is printed as it finishes;
+the table at the end gives, per end-to-end metric: both medians, both
+pairs of quartiles, how many pairs the change won (ties count for
+neither side) and the metric's ``better``/``bound`` from
+``BENCHMARK.json``.  The exit code is non-zero if any run reported
+``failed > 0``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def contract(root: str = ROOT) -> dict:
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def final_json(stdout: str) -> dict:
+    """The JSON line a benchmark run ends with:
+    ``{"correct", "attempted", "failed", "metrics"}``."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("the run printed nothing")
+    return json.loads(lines[-1])
+
+
+def values_of(result: dict) -> dict[str, float]:
+    return {name: entry["value"] for name, entry in result["metrics"].items()}
+
+
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def summarise(
+    metrics: list[dict], parent: list[dict], change: list[dict]
+) -> list[dict]:
+    """One row per end-to-end metric of ``BENCHMARK.json`` over the
+    paired results (``parent[i]`` and ``change[i]`` ran the same seed)."""
+    rows = []
+    for metric in metrics:
+        name = metric["name"]
+        ours = [values_of(result)[name] for result in change]
+        theirs = [values_of(result)[name] for result in parent]
+        lower = metric["better"] == "lower"
+        won = sum(
+            (mine < other) if lower else (mine > other)
+            for mine, other in zip(ours, theirs)
+        )
+        rows.append({
+            "name": name,
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "bound": metric["bound"],
+            "parent_median": statistics.median(theirs),
+            "parent_quartiles": _quartiles(theirs),
+            "change_median": statistics.median(ours),
+            "change_quartiles": _quartiles(ours),
+            "won": won,
+            "pairs": len(ours),
+        })
+    return rows
+
+
+def render(rows: list[dict]) -> str:
+    lines = [
+        f"{'metric':26s} {'parent median [q1, q3]':>34s} "
+        f"{'change median [q1, q3]':>34s} {'won':>6s}  better  bound"
+    ]
+    for row in rows:
+        sides = [
+            f"{row[f'{side}_median']:10.6g} "
+            f"[{row[f'{side}_quartiles'][0]:.6g}, "
+            f"{row[f'{side}_quartiles'][1]:.6g}]"
+            for side in ("parent", "change")
+        ]
+        lines.append(
+            f"{row['name']:26s} {sides[0]:>34s} {sides[1]:>34s} "
+            f"{row['won']:3d}/{row['pairs']:<2d}  {row['better']:6s}  "
+            f"{row['bound']:g}"
+        )
+    return "\n".join(lines)
+
+
+def failed_runs(results: list[dict]) -> int:
+    return sum(1 for result in results if result["failed"] > 0)
+
+
+def run_once(command: list[str], cwd: str, workload: str, seed: int,
+             seconds: float) -> dict:
+    done = subprocess.run(
+        command + ["--workload", workload, "--seed", str(seed),
+                   "--seconds", str(seconds)],
+        cwd=cwd, capture_output=True, text=True, timeout=1800)
+    try:
+        return final_json(done.stdout)
+    except ValueError as exc:
+        raise RuntimeError(
+            f"{workload} seed {seed} in {cwd} gave no result ({exc}):\n"
+            f"{done.stdout[-2000:]}\n{done.stderr[-2000:]}") from exc
+
+
+def run_pairs(bench: dict, parent_dir: str, change_dir: str, workload: str,
+              pairs: int) -> tuple[list[dict], list[dict]]:
+    """Run ``pairs`` alternating pairs; returns the parent's and the
+    change's results, index-aligned by pair."""
+    results: dict[str, list[dict]] = {"parent": [], "change": []}
+    dirs = {"parent": parent_dir, "change": change_dir}
+    for pair in range(1, pairs + 1):
+        order = ("parent", "change") if pair % 2 else ("change", "parent")
+        for side in order:
+            result = run_once(bench["command"], dirs[side], workload, pair,
+                              bench["run_seconds"])
+            results[side].append(result)
+            print(f"pair {pair:2d} {side:6s} seed {pair} "
+                  f"failed {result['failed']}/{result['attempted']} "
+                  + json.dumps(values_of(result)), flush=True)
+    return results["parent"], results["change"]
+
+
+def main(argv=None) -> int:
+    bench = contract()
+    parser = argparse.ArgumentParser(prog="python tools/pairs.py",
+                                     description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True,
+                        help="revision of the parent commit")
+    parser.add_argument("--workload", required=True,
+                        choices=[w["name"] for w in bench["workloads"]])
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="pairs-") as scratch:
+        parent_dir = os.path.join(scratch, "parent")
+        subprocess.run(["git", "worktree", "add", "--detach", parent_dir,
+                        args.parent], cwd=ROOT, check=True)
+        try:
+            parent, change = run_pairs(bench, parent_dir, ROOT,
+                                       args.workload, args.pairs)
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force",
+                            parent_dir], cwd=ROOT, check=True)
+    print(render(summarise(bench["end_to_end"], parent, change)))
+    failed = failed_runs(parent) + failed_runs(change)
+    if failed:
+        print(f"{failed} run(s) reported failed operations")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
