@@ -38,9 +38,10 @@
 #   make bench-elastic — read throughput under continuous migrations
 #                  vs quiesced + per-migration cost
 #                  (emits BENCH_elastic.json)
-#   make pairs PARENT=<rev> WORKLOAD=<w> [PAIRS=10] — alternating
+#   make pairs PARENT=<rev> WORKLOAD=<w|all> [PAIRS=10] — alternating
 #                  parent/change runs of the BENCHMARK.json command
-#                  (tools/pairs.py): medians, quartiles, pairs won
+#                  (tools/pairs.py) on one workload or all of them:
+#                  medians, quartiles, pairs won and a verdict per metric
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))

@@ -95,10 +95,19 @@ class IndexManager:
         #: Runtime counters and timers (build/update/query/WAL paths).
         self.metrics = MetricsRegistry()
         #: Mutation epoch: bumped by every operation that changes what a
-        #: query may return (loads, unloads, updates, new indices).  The
-        #: planner keys its plan cache on this.
+        #: query may return (loads, unloads, updates, new indices).  It
+        #: names the MVCC snapshots readers pin and keys the text-lookup
+        #: memo; plans key on :attr:`plan_generation` instead.
         self.epoch = 0
-        # (query text, document, mode) -> (epoch, plan); owned by
+        #: Bumped by every operation that can change which plan is
+        #: right: a change of the index set or of any document's
+        #: structure, and any rebuild of an index's base run (after
+        #: which the statistics plans are priced from are refreshed).
+        #: A text update that folds no delta leaves it alone.
+        self.plan_generation = 0
+        # ``folded_at`` of every index when the generation last moved.
+        self._folds: tuple[int, ...] = ()
+        # (query text, mode) -> (plan generation, plan); owned by
         # repro.query.planner, stored here so it shares the manager's
         # lifetime and invalidation.
         self._plan_cache: dict[tuple, tuple[int, object]] = {}
@@ -109,9 +118,20 @@ class IndexManager:
         #: ``is None`` check when disabled.
         self.concurrency: ConcurrencyController | None = None
 
-    def bump_epoch(self) -> None:
-        """Invalidate cached query plans (document/index set changed)."""
+    def bump_epoch(self, structural: bool = False) -> None:
+        """Advance the epoch after a change to what queries return.
+
+        Cached plans survive it — a text update changes answers, not
+        which plan is right — unless the change is ``structural`` (the
+        index set or a document's structure) or some index has rebuilt
+        its base run since the generation last moved; then
+        :attr:`plan_generation` moves too.
+        """
         self.epoch += 1
+        folds = tuple(index.folded_at for index in self.indexes)
+        if structural or folds != self._folds:
+            self._folds = folds
+            self.plan_generation += 1
 
     # ------------------------------------------------------------------
     # Concurrent serving
@@ -231,7 +251,7 @@ class IndexManager:
             for index in indexes:
                 index.finish_bulk()
         self.metrics.counter("index.builds").inc()
-        self.bump_epoch()
+        self.bump_epoch(structural=True)
 
     def _build_document(self, doc: Document, parallel,
                         structural: bool = True) -> None:
@@ -300,7 +320,7 @@ class IndexManager:
                 index.remove_entries(nids)
             self.store.remove_document(name)
             self._leaf_nids_cache.pop(name, None)
-            self.bump_epoch()
+            self.bump_epoch(structural=True)
 
     # ------------------------------------------------------------------
     # Updates
@@ -371,7 +391,7 @@ class IndexManager:
                 apply_structural_change(self.store, change, self.indexes)
             self._leaf_nids_cache.pop(change.document.name, None)
             self.metrics.counter("index.updates").inc()
-            self.bump_epoch()
+            self.bump_epoch(structural=True)
         return change
 
     def delete_subtree(self, nid: int) -> StructuralChange:
@@ -408,7 +428,7 @@ class IndexManager:
         with self._exclusive():
             self.store.rename(nid, new_name)
             # A rename can change which nodes a name test selects.
-            self.bump_epoch()
+            self.bump_epoch(structural=True)
 
     # ------------------------------------------------------------------
     # Lookups

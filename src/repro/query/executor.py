@@ -7,7 +7,9 @@ kernels of :mod:`repro.query.kernels`:
 
 * ``IndexLookup`` takes a slice of the index's nid column and maps it
   to owned pres with one ``searchsorted`` over the document's sorted
-  nid plane;
+  nid plane.  The slice spans every document; a caller running one
+  plan over several documents passes a probe memo, so each lookup
+  scans its index once and every document takes its share;
 * ``AncestorWalk`` / ``StructuralVerify`` become O(depth) batched
   column gathers plus interval stabbing (``anc < pre <= anc + size``);
 * ``Intersect`` / ``Union`` are single ``np.intersect1d`` /
@@ -57,22 +59,20 @@ __all__ = ["execute_plan", "execute_pres"]
 
 
 def _string_equal_pres(
-    manager: IndexManager, doc: Document, cols: DocColumns, value: str
+    doc: Document, cols: DocColumns, nids: "np.ndarray", value: str
 ) -> "np.ndarray":
-    """Owned pres whose XDM string value equals ``value``.
+    """Owned pres whose XDM string value equals ``value``, out of the
+    hash bucket ``nids`` of ``value``.
 
-    Batch counterpart of ``manager.lookup_string``: one slice of the
-    hash bucket's nid column, nid→pre mapping via ``searchsorted``
-    (which also drops other documents' nids), then collision
-    verification per *kind* — leaf nodes compare their heap slot
-    directly (no per-node resolution through the store), containers
-    fall back to ``string_value``.  Under an active MVCC overlay with
-    a pinned epoch all verification goes through ``string_value`` so
-    the reader sees its snapshot's values.
+    Batch counterpart of ``manager.lookup_string``: nid→pre mapping via
+    ``searchsorted`` (which also drops other documents' nids), then
+    collision verification per *kind* — leaf nodes compare their heap
+    slot directly (no per-node resolution through the store),
+    containers fall back to ``string_value``.  Under an active MVCC
+    overlay with a pinned epoch all verification goes through
+    ``string_value`` so the reader sees its snapshot's values.
     """
-    pres = cols.pres_of_nids(
-        manager.string_index.candidate_nids(value), assume_unique=True
-    )
+    pres = cols.pres_of_nids(nids)
     if pres.size == 0:
         return pres
     if doc.text_overlay is not None and read_epoch() is not None:
@@ -140,11 +140,11 @@ def _container_values_equal(
     return keep
 
 
-def _index_pres(
-    manager: IndexManager, doc: Document, cols: DocColumns, node: IndexLookup
-) -> "np.ndarray":
-    """Owned pres of the value-matching nodes of one ``IndexLookup``
-    (the indices span documents; ``pres_of_nids`` drops foreign nids)."""
+def _scan(manager: IndexManager, node: IndexLookup) -> "np.ndarray":
+    """The index scan behind one ``IndexLookup``: the nids of every
+    document's matching entries, an int64 array in no particular order.
+    No nid repeats — one typed value and one hash per node, and the
+    ``contains``/``matches`` lookups return distinct leaves."""
     driver = node.driver
     if isinstance(driver, FunctionPredicate):
         lookup = (
@@ -152,14 +152,34 @@ def _index_pres(
             if driver.function == "contains"
             else manager.lookup_regex
         )
-        return cols.pres_of_nids(lookup(driver.literal))
+        return np.fromiter(lookup(driver.literal), dtype=np.int64)
     if node.kind == "string":
-        return _string_equal_pres(manager, doc, cols, driver.literal)
-    # One typed value per node: the scan cannot repeat a nid.
-    return cols.pres_of_nids(
-        manager.lookup_typed_range_nids(node.kind, **node.bounds),
-        assume_unique=True,
-    )
+        return manager.string_index.candidate_nids(driver.literal)
+    return manager.lookup_typed_range_nids(node.kind, **node.bounds)
+
+
+def _index_pres(
+    manager: IndexManager,
+    doc: Document,
+    cols: DocColumns,
+    node: IndexLookup,
+    probes: dict | None,
+) -> "np.ndarray":
+    """Owned pres of the value-matching nodes of one ``IndexLookup``.
+
+    The scan spans every document (``pres_of_nids`` takes this
+    document's share); with a ``probes`` memo it runs once per probe
+    and later documents reuse it.
+    """
+    if probes is None:
+        nids = _scan(manager, node)
+    else:
+        nids = probes.get(node.probe)
+        if nids is None:
+            nids = probes[node.probe] = _scan(manager, node)
+    if node.kind == "string":
+        return _string_equal_pres(doc, cols, nids, node.driver.literal)
+    return cols.pres_of_nids(nids)
 
 
 def _run(
@@ -168,6 +188,7 @@ def _run(
     cols: DocColumns,
     node: PlanNode,
     actuals: dict[int, dict],
+    probes: dict | None,
 ) -> "np.ndarray":
     """Execute one operator; returns its sorted output pres (inclusive
     time and output cardinality are recorded into ``actuals``)."""
@@ -176,26 +197,28 @@ def _run(
         pres = np.asarray(evaluate_naive(doc, node.path), dtype=np.int64)
         manager.metrics.counter("query.plans.scan").inc()
     elif isinstance(node, IndexLookup):
-        pres = _index_pres(manager, doc, cols, node)
+        pres = _index_pres(manager, doc, cols, node, probes)
     elif isinstance(node, AncestorWalk):
-        hits = _run(manager, doc, cols, node.children[0], actuals)
+        hits = _run(manager, doc, cols, node.children[0], actuals, probes)
         pres = ancestor_walk(doc, cols, hits, node.operand_steps)
     elif isinstance(node, Intersect):
-        pres = _run(manager, doc, cols, node.children[0], actuals)
+        pres = _run(manager, doc, cols, node.children[0], actuals, probes)
         for child in node.children[1:]:
             pres = np.intersect1d(
                 pres,
-                _run(manager, doc, cols, child, actuals),
+                _run(manager, doc, cols, child, actuals, probes),
                 assume_unique=True,
             )
     elif isinstance(node, Union):
         pres = EMPTY_PRES
         for child in node.children:
             pres = np.union1d(
-                pres, _run(manager, doc, cols, child, actuals)
+                pres, _run(manager, doc, cols, child, actuals, probes)
             )
     elif isinstance(node, StructuralVerify):  # root of every index plan
-        candidates = _run(manager, doc, cols, node.children[0], actuals)
+        candidates = _run(
+            manager, doc, cols, node.children[0], actuals, probes
+        )
         pres = structural_verify(
             doc, cols, candidates, node.path.steps, node.predicate
         )
@@ -215,14 +238,18 @@ def execute_pres(
     doc: Document,
     plan: PlanNode,
     actuals: dict[int, dict] | None = None,
+    probes: dict | None = None,
 ) -> "np.ndarray":
     """Run a plan tree over one document; returns the matching pres as
     a sorted int64 array.  ``actuals`` (if given) is filled with
     per-operator ``{"rows", "seconds"}`` entries keyed by ``op_id``.
-    The operators' metrics are flushed here, once per plan.
+    ``probes`` (if given) memoizes the index scans by
+    :attr:`~repro.query.plan.IndexLookup.probe` for further documents
+    of the same query and the same read scope.  The operators' metrics
+    are flushed here, once per plan.
     """
     operators: dict[int, dict] = {}
-    pres = _run(manager, doc, doc.columns(), plan, operators)
+    pres = _run(manager, doc, doc.columns(), plan, operators, probes)
     if actuals is not None:
         actuals.update(operators)
     metrics = manager.metrics

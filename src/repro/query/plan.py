@@ -1,9 +1,9 @@
 """Typed plan trees for the query execution engine.
 
 The planner (:mod:`repro.query.planner`) compiles a parsed query into a
-tree of these operators for one document; the executor
-(:mod:`repro.query.executor`) runs the tree with per-operator
-instrumentation.  Shapes:
+tree of these operators, one tree for every document of the store; the
+executor (:mod:`repro.query.executor`) runs the tree on each document
+with per-operator instrumentation.  Shapes:
 
 * ``FullScan`` — the naive evaluator over the whole document (always
   applicable; the baseline every other plan is priced against);
@@ -175,6 +175,13 @@ class IndexLookup(PlanNode):
                 bounds["high"] = high_value
                 bounds["include_high"] = high_op == "<="
             self.bounds = bounds
+        #: What the lookup asks its index: lookups with equal probes
+        #: return the same nids, so a query scans once per probe.
+        if self.bounds is None:
+            self.probe = (kind, getattr(driver, "function", op_symbol),
+                          driver.literal)
+        else:
+            self.probe = (kind, *self.bounds.items())
 
     def describe(self) -> str:
         if self.high_op is not None:

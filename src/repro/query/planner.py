@@ -22,9 +22,13 @@ dateTime/date/... index.  Anything the planner does not recognise falls
 back to a ``FullScan``, so results always equal
 :func:`repro.query.evaluator.evaluate_naive`.
 
-Plans are cached per ``(query text, document, mode)`` and invalidated
-by the manager's mutation epoch (every update path bumps it), so
-repeated queries skip recognition, routing and pricing entirely.
+A plan is priced store-wide (index estimates count every document's
+entries, and so does the scan they are weighed against), so one plan
+serves every document.  Plans are cached per ``(query text, mode)``
+while the manager's ``plan_generation`` stands — structural changes,
+index-set changes and base-run rebuilds move it, text updates do not
+— so repeated queries skip recognition, routing and pricing for every
+reader, pinned or live.  Each index is scanned once per query.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from typing import Iterator
 
 import numpy as np
 
-from ..core.concurrency import active_view
 from ..core.manager import IndexManager
 from ..core.substring_index import literal_factors
 from ..xmldb.document import Document
@@ -66,7 +69,7 @@ from .parser import parse_query
 __all__ = ["query", "query_rows", "explain", "Explanation", "build_plan"]
 
 #: ``auto`` mode scans when the index is expected to return more than
-#: this fraction of the document as candidates.
+#: this fraction of the store's nodes as candidates.
 SCAN_THRESHOLD = 0.25
 
 #: Cost units: visiting one document node during a scan costs 1.
@@ -461,19 +464,22 @@ def _cover_plan(manager: IndexManager, predicate) -> PlanNode | None:
 
 def build_plan(
     manager: IndexManager,
-    doc: Document,
+    doc: Document | None,
     path: Path,
     use_indexes: bool | str = True,
 ) -> PlanNode:
-    """Compile one document's plan for a parsed path.
+    """Compile the plan of a parsed path.
 
     ``use_indexes`` mirrors :func:`query`: ``True`` forces the index
     plan whenever one applies, ``False`` forces the scan, and ``"auto"``
-    prices both and keeps the cheaper.
+    prices both and keeps the cheaper.  Both are priced store-wide, so
+    the plan is the same for every document; ``doc``, the document a
+    per-document caller is about to run it on, does not change it.
     """
+    nodes = manager.store.total_nodes()
     scan = FullScan(path)
-    scan.estimated_rows = float(len(doc))
-    scan.estimated_cost = len(doc) * SCAN_COST_PER_NODE
+    scan.estimated_rows = float(nodes)
+    scan.estimated_cost = nodes * SCAN_COST_PER_NODE
     if use_indexes is False:
         scan.reason = "forced"
         return number_plan(scan)
@@ -497,10 +503,10 @@ def build_plan(
         scan.reason = "no index applies"
         return number_plan(scan)
     candidates = cover.estimated_rows
-    if use_indexes == "auto" and candidates > SCAN_THRESHOLD * len(doc):
+    if use_indexes == "auto" and candidates > SCAN_THRESHOLD * nodes:
         scan.reason = (
             f"cost: ~{candidates:.0f} candidates > "
-            f"{SCAN_THRESHOLD:.0%} of {len(doc)} nodes"
+            f"{SCAN_THRESHOLD:.0%} of {nodes} nodes"
         )
         return number_plan(scan)
     verify = StructuralVerify(cover, path, predicate)
@@ -514,35 +520,33 @@ def build_plan(
 
 def _plan_for(
     manager: IndexManager,
-    doc: Document,
     text: str,
     path: Path,
     use_indexes: bool | str,
 ) -> PlanNode:
-    """Cached :func:`build_plan`, keyed by query text, document and
-    mode; entries are valid for one index epoch only.
+    """Cached :func:`build_plan`, keyed by query text and mode; an
+    entry is served while the manager's ``plan_generation`` is the one
+    it was built at.
 
-    A reader inside a pinned view resolves the epoch from the *view*,
-    not the live manager: its plan is cached under the epoch it
-    pinned, so it is never served a plan built at a newer epoch (and
-    its plan never poisons the cache for readers there).  Pricing is
-    not pinned — ``manager.statistics`` is one snapshot for every
-    reader, and estimates only choose between correct plans.
+    Neither the epoch nor a read view is part of the key: pinned,
+    ``as_of`` and live readers share one plan, across text updates.
+    A plan holds no results (execution reads each reader's own
+    snapshot) and any plan is a correct plan — estimates only choose
+    between plans that ``StructuralVerify`` makes equally exact.
     """
-    view = active_view()
-    epoch = manager.epoch if view is None else view.epoch
+    generation = manager.plan_generation
     cache = manager._plan_cache
-    key = (text, doc.name, use_indexes)
+    key = (text, use_indexes)
     entry = cache.get(key)
-    if entry is not None and entry[0] == epoch:
+    if entry is not None and entry[0] == generation:
         manager.metrics.counter("query.plan_cache.hits").inc()
         return entry[1]
     manager.metrics.counter("query.plan_cache.misses").inc()
-    plan = build_plan(manager, doc, path, use_indexes)
+    plan = build_plan(manager, None, path, use_indexes)
     with manager._plan_lock:
         if len(cache) >= PLAN_CACHE_SIZE:
             cache.pop(next(iter(cache)))
-        cache[key] = (epoch, plan)
+        cache[key] = (generation, plan)
     return plan
 
 
@@ -557,9 +561,16 @@ def _evaluate(
     document: str | None,
     use_indexes: bool | str,
 ) -> Iterator[tuple[Document, np.ndarray]]:
-    """Plan and run ``text`` per document: ``(document, sorted pres)``
-    in store order — what :func:`query` and :func:`query_rows` turn
-    into their two result shapes."""
+    """Plan ``text`` once and run it per document: ``(document, sorted
+    pres)`` in store order — what :func:`query` and :func:`query_rows`
+    turn into their two result shapes.
+
+    Across documents the call keeps a probe memo, so each index lookup
+    of the plan scans its index once and every document takes its
+    share.  The memo lives for this call only — inside the caller's
+    read scope, never across queries — and a query over one document
+    does without it.
+    """
     if use_indexes not in (True, False, "auto"):
         raise ValueError("use_indexes must be True, False or 'auto'")
     parsed = _parse(text)
@@ -570,9 +581,10 @@ def _evaluate(
         docs = list(manager.store.documents.values())
     metrics = manager.metrics
     with metrics.timer("query.evaluate").time():
+        plan = _plan_for(manager, text, parsed.path, use_indexes)
+        probes = {} if len(docs) > 1 else None
         for doc in docs:
-            plan = _plan_for(manager, doc, text, parsed.path, use_indexes)
-            yield doc, execute_pres(manager, doc, plan)
+            yield doc, execute_pres(manager, doc, plan, probes=probes)
     metrics.counter("query.executed").inc()
 
 
@@ -591,7 +603,7 @@ def query(
     * ``False`` — always scan (the baseline for speedup benchmarks);
     * ``"auto"`` — cost-based: use the index only when its statistics
       predict fewer candidates than :data:`SCAN_THRESHOLD` of the
-      document (an unselective range is cheaper to scan).
+      store's nodes (an unselective range is cheaper to scan).
     """
     results: list[int] = []
     for doc, pres in _evaluate(manager, text, document, use_indexes):
@@ -616,7 +628,8 @@ def query_rows(
 
 
 class ExplainReport:
-    """One document's plan (tree + estimates, optionally actuals)."""
+    """The query's plan on one document (tree + estimates, optionally
+    that document's actuals)."""
 
     def __init__(self, document: str, plan: PlanNode,
                  actuals: dict[int, dict] | None = None):
@@ -694,9 +707,9 @@ def explain(
         docs = [manager.store.document(doc_name)]
     else:
         docs = list(manager.store.documents.values())
+    plan = build_plan(manager, None, parsed.path, "auto")
     reports = []
     for doc in docs:
-        plan = build_plan(manager, doc, parsed.path, "auto")
         actuals: dict[int, dict] | None = None
         if execute:
             actuals = {}

@@ -90,35 +90,26 @@ class DocColumns:
         found = self.nid_sorted[pos_clipped] == nids
         return np.where(found, self.nid_order[pos_clipped], -1)
 
-    def pres_of_nids(self, nids, assume_unique: bool = False) -> "np.ndarray":
-        """Sorted unique pres of the given nids that live in this
-        document (nids of other documents simply do not resolve —
-        the nid space is store-wide unique).
+    def pres_of_nids(self, nids: "np.ndarray") -> "np.ndarray":
+        """Sorted pres of this document's share of one index scan:
+        ``nids`` is an int64 array of distinct nids in any order, and
+        those of other documents simply do not resolve (the nid space
+        is store-wide unique).
 
-        ``assume_unique`` skips the dedup when the caller guarantees
-        distinct nids (index scans never repeat a nid) — distinct nids
-        map to distinct pres, so a plain sort restores the batch
-        invariant.
-
-        The indices span every document, so nids outside this
-        document's ``[min, max]`` are dropped with two comparisons
-        before the binary-search probe: each document probes its own
-        share of an index scan, not all of it.
+        A scan spans every document and one query hands the same scan
+        to each of them, so nids outside this document's ``[min,
+        max]`` are dropped with two comparisons before the
+        binary-search probe: each document probes its own share, not
+        all of it.  Distinct nids map to distinct pres, so a plain sort
+        restores the batch invariant.
         """
-        if not isinstance(nids, (list, np.ndarray)):
-            nids = list(nids)
-        arr = np.asarray(nids, dtype=np.int64)
-        if arr.size == 0 or self.n == 0:
+        if nids.size == 0 or self.n == 0:
             return EMPTY_PRES
-        arr = arr[(arr >= self.nid_sorted[0]) & (arr <= self.nid_sorted[-1])]
+        arr = nids[(nids >= self.nid_sorted[0]) & (nids <= self.nid_sorted[-1])]
         pres = self._map_nids(arr)
         pres = pres[pres >= 0]
-        if pres.size == 0:
-            return EMPTY_PRES
-        if assume_unique:
-            pres.sort()
-            return pres
-        return np.unique(pres)
+        pres.sort()
+        return pres
 
     # ------------------------------------------------------------------
     # Structural primitives

@@ -1,11 +1,16 @@
-"""Plan-cache behaviour: hits on repeats, invalidation on mutation.
+"""Plan-cache behaviour: hits on repeats and across text updates, one
+miss per structural change or base-run rebuild.
 
 Cached plans never embed results (execution always re-reads the
-indices), but a stale plan could still carry outdated cost decisions —
-and above all, a cached plan served after a mutation must return the
-*current* document state.  These tests drive every mutation kind
-through the public API and check both the counters and the results.
+indices), so a plan served after a text update must return the
+*current* answer, and one plan may serve readers at different epochs.
+What does invalidate a plan is a change of structure or of the index
+set, or a rebuilt base run (which refreshes the statistics it was
+priced from).  These tests drive every mutation kind through the
+public API and check both the counters and the results.
 """
+
+import pytest
 
 from repro.core import IndexManager
 from repro.query import query
@@ -75,15 +80,84 @@ class TestCacheHits:
             query(m, f"//p[.//age = {i}]")
         assert len(m._plan_cache) <= PLAN_CACHE_SIZE
 
-
-class TestCacheInvalidation:
-    def test_update_text_invalidates(self):
+    def test_text_update_is_a_hit_with_the_new_answer(self):
         m = _manager()
         assert _names_of(m, query(m, Q)) == ["Arthur"]
+        generation = m.plan_generation
         m.update_text(_text_nid(m, "7"), "42")
+        assert m.plan_generation == generation
         assert _names_of(m, query(m, Q)) == ["Arthur", "Ford"]
         counters = _counters(m)
-        assert counters["query.plan_cache.misses"] == 2
+        assert counters["query.plan_cache.misses"] == 1
+        assert counters["query.plan_cache.hits"] == 1
+
+    def test_one_entry_serves_every_document(self):
+        m = _manager()
+        m.load("more", "<people><p><age>42</age><name>Zaphod</name></p>"
+                       "</people>")
+        assert _names_of(m, query(m, Q)) == ["Arthur", "Zaphod"]
+        assert query(m, Q, document="more") == query(m, Q)[1:]
+        assert list(m._plan_cache) == [(Q, True)]
+        assert _counters(m)["query.plan_cache.misses"] == 1
+
+
+#: Every structural operation, each run on ``_manager()`` plus a second
+#: document "extra".
+STRUCTURAL_OPS = {
+    "load": lambda m: m.load("more", "<people><p><age>42</age></p></people>"),
+    "unload": lambda m: m.unload("extra"),
+    "insert_xml": lambda m: m.insert_xml(
+        _people_nid(m), "<p><age>42</age><name>Zaphod</name></p>"
+    ),
+    "delete_subtree": lambda m: m.delete_subtree(query(m, Q)[0]),
+    "insert_attribute": lambda m: m.insert_attribute(
+        query(m, Q)[0], "id", "x"
+    ),
+    "rename": lambda m: m.rename(_people_nid(m), "crowd"),
+    "add_typed_index": lambda m: m.add_typed_index("integer"),
+}
+
+
+def _people_nid(m):
+    doc = m.store.document("people")
+    return doc.nid[next(iter(doc.children(0)))]
+
+
+class TestCacheInvalidation:
+    @pytest.mark.parametrize("op", list(STRUCTURAL_OPS))
+    def test_structural_op_misses(self, op):
+        m = _manager()
+        m.load("extra", "<people><p><age>1</age></p></people>")
+        query(m, Q)
+        STRUCTURAL_OPS[op](m)
+        misses = _counters(m)["query.plan_cache.misses"]
+        query(m, Q)
+        query(m, Q)
+        assert _counters(m)["query.plan_cache.misses"] == misses + 1
+
+    def test_fold_costs_exactly_one_miss(self):
+        """Text updates one at a time, each followed by a query: the
+        query after a base-run rebuild (the drift rule's fold) is the
+        one miss; every other query hits, and all see the new ages."""
+        m = IndexManager(typed=("double",))
+        m.load("people", "<people>" + "".join(
+            f"<p><age>{i}</age></p>" for i in range(300)
+        ) + "</people>")
+        doc = m.store.document("people")
+        ages = [doc.nid[pre] for pre in range(len(doc))
+                if doc.kind[pre] == TEXT]
+        assert len(query(m, "//p[.//age >= 1000]")) == 0
+        folds = 0
+        for i, nid in enumerate(ages[:50]):
+            before = [index.folded_at for index in m.indexes]
+            m.update_text(nid, str(1000 + i))
+            folded = [index.folded_at for index in m.indexes] != before
+            folds += folded
+            misses = _counters(m)["query.plan_cache.misses"]
+            assert len(query(m, "//p[.//age >= 1000]")) == i + 1
+            assert _counters(m)["query.plan_cache.misses"] == misses + folded
+        # 5 entries move per update: the drift rule (> 100) folds twice.
+        assert folds == 2
 
     def test_insert_xml_invalidates(self):
         m = _manager()
@@ -120,11 +194,12 @@ class TestCacheInvalidation:
 class TestEpochKeyedEntries:
     """Snapshot readers and the plan cache (docs/concurrency.md).
 
-    Cached plans are keyed by the epoch they were built at.  A reader
-    pinned at an old epoch must never be served (or poison the cache
-    with) a plan built at a newer epoch — and vice versa.  Estimates
-    are not part of that contract: every reader prices from the
-    manager's one drift-refreshed statistics snapshot.
+    Answers are keyed by epoch: a reader pinned at an old epoch, live
+    or ``as_of``, answers at that epoch.  Plans are not: every reader
+    is served the one cached plan of the current plan generation, and
+    prices from the manager's one drift-refreshed statistics snapshot
+    — any plan is a correct plan
+    (test_vectorized_equivalence.TestEstimatesNeverChangeAnswers).
     """
 
     def _mutate_in_thread(self, m, nid, value):
@@ -135,34 +210,26 @@ class TestEpochKeyedEntries:
         t.join(timeout=60)
         assert not t.is_alive()
 
-    def test_pinned_view_never_sees_newer_epoch_plan(self):
+    def test_pinned_as_of_and_live_readers_share_one_plan(self):
         m = _manager()
         m.enable_concurrency()
+        m.concurrency.set_retention(4)
+        past = m.epoch
         with m.read_view() as view:
             assert _names_of(m, query(m, Q)) == ["Arthur"]
-            pinned = view.epoch
-            # A concurrent writer publishes a newer epoch.
+            plan = m._plan_cache[Q, True][1]
+            # A concurrent writer publishes a newer epoch...
             self._mutate_in_thread(m, _text_nid(m, "7"), "42")
-            assert m.epoch > pinned
-            # Unpinned clients re-plan at the new epoch and see Ford...
-            t = []
-            import threading
-
-            worker = threading.Thread(
-                target=lambda: t.append(query(m, Q))
-            )
-            worker.start()
-            worker.join(timeout=60)
-            assert _names_of(m, t[0]) == ["Arthur", "Ford"]
-            cached_epoch, _plan = m._plan_cache[(Q, "people", True)]
-            assert cached_epoch == m.epoch
-            # ...but this view still answers — and re-prices — at its
-            # pinned epoch: the newer entry is a miss, not a stale hit.
-            misses = _counters(m)["query.plan_cache.misses"]
+            assert m.epoch > view.epoch == past
+            # ...and the view still answers at the epoch it pinned.
             assert _names_of(m, query(m, Q)) == ["Arthur"]
-            assert _counters(m)["query.plan_cache.misses"] == misses + 1
-            cached_epoch, _plan = m._plan_cache[(Q, "people", True)]
-            assert cached_epoch == pinned
+        with m.concurrency.read_view_as_of(past):
+            assert _names_of(m, query(m, Q)) == ["Arthur"]
+        assert _names_of(m, query(m, Q)) == ["Arthur", "Ford"]
+        assert m._plan_cache[Q, True][1] is plan
+        counters = _counters(m)
+        assert counters["query.plan_cache.misses"] == 1
+        assert counters["query.plan_cache.hits"] == 3
 
     def test_view_answers_are_pinned_estimates_are_shared(self):
         m = _manager()
@@ -213,21 +280,17 @@ class TestEpochKeyedEntries:
         assert _counters(m)["statistics.refreshes"] == len(m.indexes) == 2
         assert len(scans) == 2
 
-    def test_view_epoch_plan_does_not_poison_live_cache(self):
+    def test_plan_built_in_a_view_serves_live_readers(self):
         m = _manager()
         m.enable_concurrency()
         self._mutate_in_thread(m, _text_nid(m, "99"), "42")
-        live = m.epoch
-        with m.read_view() as view:
-            assert view.epoch == live
-            query(m, Q)
-        # The entry priced inside the view is valid for live clients
-        # only because the epochs coincide; after one more mutation it
-        # must be re-priced, not served.
+        with m.read_view():
+            assert _names_of(m, query(m, Q)) == ["Arthur", "Marvin"]
+        # The entry priced inside the view serves live clients after
+        # further text updates, and they read the live answer.
         self._mutate_in_thread(m, _text_nid(m, "7"), "42")
-        misses = _counters(m)["query.plan_cache.misses"]
         assert _names_of(m, query(m, Q)) == ["Arthur", "Ford", "Marvin"]
-        assert _counters(m)["query.plan_cache.misses"] == misses + 1
+        assert _counters(m)["query.plan_cache.misses"] == 1
 
 
 class TestDatabaseFacade:

@@ -72,6 +72,20 @@ class TestBuildPlan:
         assert isinstance(plan, FullScan)
         assert plan.reason.startswith("cost")
 
+    def test_auto_prices_the_store_against_the_store(self):
+        """The index estimate counts every document's entries, so
+        ``"auto"`` weighs it against every document's nodes: a small
+        document without a single match is not scanned because a large
+        one has twenty."""
+        m = _manager()
+        small = m.load("small", "<people><p><age>1</age></p></people>")
+        path = parse_query("//p[.//weight < 20]").path
+        assert isinstance(build_plan(m, small, path, "auto"), StructuralVerify)
+        assert len(query(m, "//p[.//weight < 20]", use_indexes="auto")) == 20
+        counters = m.metrics.snapshot()["counters"]
+        assert counters["query.plans.index"] == 2
+        assert counters.get("query.plans.scan", 0) == 0
+
     def test_positional_predicate_scans(self):
         m = _manager()
         doc = m.store.document("people")

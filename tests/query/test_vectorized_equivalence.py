@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.btree.sorted_run import RunSnapshot
 from repro.core import IndexManager
 from repro.query import executor, kernels, parse_query, query
 from repro.query.ast import AnyTest
@@ -181,6 +182,123 @@ class TestOracleIsNotBlind:
 
         monkeypatch.setattr(executor, "ancestor_walk", buggy)
         assert _divergences(managers, oracle)
+
+
+#: Each multi-document corpus is the sweep's corpus at a third of its
+#: scale, loaded as three documents that share every index.
+COPIES = 3
+
+#: Per corpus, queries with two different probes of one index and hits
+#: for both; the workload queries have none (their one disjunction
+#: matches nothing), so without these a probe memo could confuse two
+#: scans unnoticed.
+TWO_PROBES = {
+    "XMark1": ["//item[price < 10 or price > 500]"],
+    "DBLP": [
+        "//article[year = 1999 or year = 2001]",
+        '//article[journal = "EDBT" or journal = "VLDB"]',
+    ],
+    "PSD": ["//protein[length = 60 or length > 80]"],
+    "Wiki": ["//doc[pageid < 50 or pageid > 200]"],
+    "EPAGeo": [
+        "//facility[latitude > 40 or latitude < 30]",
+        '//facility[@state = "AZ" or @state = "CA"]',
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def multi_document():
+    """Per corpus: a manager holding ``COPIES`` documents of it."""
+    loaded = {}
+    for name in CORPORA:
+        manager = IndexManager(string=True, typed=("double",))
+        xml = DATASETS[name].build(SCALE / COPIES)
+        for copy in range(COPIES):
+            manager.load(f"{name}-{copy}", xml)
+        loaded[name] = manager
+    return loaded
+
+
+def _multi_divergences(managers):
+    """``(dataset, text, mode)`` of every workload (or two-probe) query
+    some index mode answers differently from the scan over every
+    document."""
+    found = []
+    for dataset, manager in managers.items():
+        texts = [text for _name, text in QUERY_SETS[dataset]]
+        for text in texts + TWO_PROBES[dataset]:
+            naive = query(manager, text, use_indexes=False)
+            found.extend(
+                (dataset, text, mode)
+                for mode in (True, "auto")
+                if query(manager, text, use_indexes=mode) != naive
+            )
+    return found
+
+
+class TestMultiDocumentEquivalence:
+    """One plan and one index scan per query serve every document: the
+    workload queries over several documents of one corpus, with text
+    updates interleaved (plans stay cached across them, index scans
+    are made afresh by every query), against the naive scan of every
+    document."""
+
+    def test_matches_oracle_across_text_updates(self, multi_document):
+        rng = random.Random(11)
+        assert _multi_divergences(multi_document) == []
+        for copy in range(COPIES - 1):  # the last copy stays as loaded
+            for name, manager in multi_document.items():
+                doc = manager.store.document(f"{name}-{copy}")
+                manager.update_texts(random_text_updates(
+                    doc, len(doc) // 20, rng, numeric_share=0.5
+                ))
+            assert _multi_divergences(multi_document) == []
+
+    def test_probe_memo_keyed_without_its_bounds_is_caught(
+        self, multi_document, monkeypatch
+    ):
+        made = IndexLookup.__init__
+
+        def buggy(self, kind, *args, **kwargs):
+            made(self, kind, *args, **kwargs)
+            self.probe = kind
+
+        monkeypatch.setattr(IndexLookup, "__init__", buggy)
+        for manager in multi_document.values():
+            manager._plan_cache.clear()
+        try:
+            assert _multi_divergences(multi_document)
+        finally:
+            for manager in multi_document.values():
+                manager._plan_cache.clear()
+
+    def test_one_index_scan_per_lookup(self, monkeypatch):
+        m = IndexManager(typed=("double",))
+        for copy in range(4):
+            m.load(f"d{copy}", "<people>" + "".join(
+                f"<p><age>{i}</age><name>n{i % 7}</name></p>"
+                for i in range(40)
+            ) + "</people>")
+        scans = []
+        scan = RunSnapshot.nids_between
+        monkeypatch.setattr(
+            RunSnapshot, "nids_between",
+            lambda *args, **kwargs: scans.append(1) or scan(*args, **kwargs),
+        )
+        for text, probes, rows in (
+            ('//p[name = "n3"]', 1, 24),
+            ("//p[age = 7 or age = 9]", 2, 8),
+            ("//p[age >= 10 and age < 20]", 3, 40),  # window ∪ (¬h ∩ ¬l)
+            ("//p[age = 7 or .//age = 7]", 1, 4),  # two lookups, one probe
+        ):
+            for mode in (True, "auto"):
+                scans.clear()
+                assert len(query(m, text, use_indexes=mode)) == rows
+                assert len(scans) == probes, (text, mode)
+        scans.clear()
+        query(m, "//p[age = 7 or age = 9]", document="d2")
+        assert len(scans) == 2
 
 
 class TestPlanProvedPredicates:

@@ -106,3 +106,78 @@ def test_reads_the_repo_contract():
     bench = pairs.contract()
     assert bench["command"] and bench["run_seconds"]
     assert {"name", "better", "bound", "unit"} <= set(bench["end_to_end"][0])
+
+
+def _verdicts(parent_values, change_values):
+    """The ``range_p50_us`` (lower, bound 0.25) and ``query_per_s``
+    (higher, bound 0.1) verdicts of two sides given as value pairs."""
+    rows = pairs.summarise(
+        METRICS, results(parent_values), results(change_values)
+    )
+    return [row["verdict"] for row in rows]
+
+
+def test_verdict_claim_met_needs_nine_tenths_and_a_gap_past_the_iqr():
+    parent = [(1000 + i, 100 + i / 10) for i in range(10)]
+    change = [(700 + i, 130 + i / 10) for i in range(10)]
+    assert _verdicts(parent, change) == ["claim met", "claim met"]
+    # One pair lost on each metric: 9/10 still meets the claim ...
+    change[0] = (1050, 99.5)
+    assert _verdicts(parent, change) == ["claim met", "claim met"]
+    # ... two do not.
+    change[1] = (1060, 99.6)
+    assert _verdicts(parent, change) == ["within bound", "within bound"]
+
+
+def test_verdict_gap_inside_the_parents_spread_is_no_claim():
+    # 10/10 wins, but by less than the parent's inter-quartile distance.
+    parent = [(1000 + 40 * i, 100) for i in range(10)]
+    change = [(990 + 40 * i, 100) for i in range(10)]
+    assert _verdicts(parent, change)[0] == "within bound"
+
+
+def test_verdict_worse_beyond_bound_in_either_direction():
+    parent = [(1000, 100)] * 10
+    change = [(1300, 89)] * 10  # +30 % latency, -11 % throughput
+    assert _verdicts(parent, change) == [
+        "worse beyond bound", "worse beyond bound",
+    ]
+    change = [(1200, 95)] * 10  # inside both bounds
+    assert _verdicts(parent, change) == ["within bound", "within bound"]
+
+
+def test_verdict_unresolved_when_the_spread_exceeds_the_bound():
+    # Quartile distance ~45 % of the median, far wider than 25 %.
+    parent = [(600 + 100 * i, 100) for i in range(10)]
+    change = [(650 + 100 * i, 100) for i in range(10)]
+    assert _verdicts(parent, change)[0] == "unresolved"
+    # Unless every change run beats every parent run.
+    change = [(100 + 10 * i, 100) for i in range(10)]
+    assert _verdicts(parent, change)[0] == "claim met"
+    change = [(550 - 40 * i, 100) for i in range(5)] + [(590, 100)] * 5
+    assert _verdicts(parent, change)[0] == "within bound"
+
+
+def test_workload_all_runs_every_workload(monkeypatch, capsys):
+    bench = pairs.contract()
+    names = [w["name"] for w in bench["workloads"]]
+    assert pairs.workloads_of(bench, "all") == names
+    assert pairs.workloads_of(bench, names[0]) == [names[0]]
+    seen = []
+
+    def fake_run(command, cwd, workload, seed, seconds):
+        seen.append(workload)
+        failed = int(cwd == "change" and workload == names[-1])
+        return {"failed": failed, "attempted": 10, "metrics": {
+            m["name"]: {"value": 1.0, "unit": m["unit"]}
+            for m in bench["end_to_end"]}}
+
+    monkeypatch.setattr(pairs, "run_once", fake_run)
+    failed = pairs.compare(bench, "parent", "change", names, 2)
+    assert seen == [name for name in names for _ in range(4)]
+    assert failed == 2
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("== ")] == [
+        f"== {name}: 2 pairs" for name in names
+    ]
+    assert out.count("within bound") == len(names) * len(bench["end_to_end"])

@@ -1,19 +1,20 @@
-"""``python tools/pairs.py --parent REV --workload W [--pairs 10]``
+"""``python tools/pairs.py --parent REV --workload W|all [--pairs 10]``
 
 Alternating parent/change runs of the repo's benchmark, the evidence a
 PR that claims a gain has to show (ROADMAP "rules carried over").
 
-The parent commit is checked out with ``git worktree add`` under a
-temporary directory; the change is the working tree the script runs
-from.  Pair ``i`` runs the ``command`` of ``BENCHMARK.json`` on both
-sides with ``--workload W --seed i --seconds <run_seconds>``, the
-parent first in odd pairs and the change first in even ones, and reads
-the JSON line each run ends with.  Every run is printed as it finishes;
-the table at the end gives, per end-to-end metric: both medians, both
-pairs of quartiles, how many pairs the change won (ties count for
-neither side) and the metric's ``better``/``bound`` from
-``BENCHMARK.json``.  The exit code is non-zero if any run reported
-``failed > 0``.
+The parent commit is exported with ``git archive`` into a temporary
+directory; the change is the working tree the script runs from.  Pair
+``i`` runs the ``command`` of ``BENCHMARK.json`` on both sides with
+``--workload W --seed i --seconds <run_seconds>``, the parent first in
+odd pairs and the change first in even ones, and reads the JSON line
+each run ends with.  ``--workload all`` does this for every workload of
+``BENCHMARK.json`` in turn.  Every run is printed as it finishes; the
+table at the end of each workload gives, per end-to-end metric: both
+medians, both pairs of quartiles, how many pairs the change won (ties
+count for neither side), the metric's ``better``/``bound`` from
+``BENCHMARK.json`` and a verdict (:func:`verdict`).  The exit code is
+non-zero if any run reported ``failed > 0``.
 """
 
 from __future__ import annotations
@@ -54,6 +55,42 @@ def _quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def verdict(row: dict, ours: list[float], theirs: list[float]) -> str:
+    """What the pairs of one metric show (choosing-metrics §6 and §8):
+
+    * ``worse beyond bound`` — the change's median is worse than the
+      parent's by more than the metric's bound;
+    * ``claim met`` — the change won at least nine tenths of the pairs
+      and its median is better than the parent's by more than the
+      parent's inter-quartile distance;
+    * ``unresolved`` — the run-to-run spread (either side's quartile
+      distance over its median) is wider than the bound, and not every
+      run of the change reads better than every run of the parent;
+    * ``within bound`` — otherwise: no worse than the bound allows.
+    """
+    lower = row["better"] == "lower"
+    parent, change = row["parent_median"], row["change_median"]
+    gain = (parent - change) if lower else (change - parent)
+    if -gain > row["bound"] * abs(parent):
+        return "worse beyond bound"
+    q1, q3 = row["parent_quartiles"]
+    if 10 * row["won"] >= 9 * row["pairs"] and gain > q3 - q1:
+        return "claim met"
+    spread = max(
+        (high - low) / (abs(median) or 1.0)
+        for (low, high), median in (
+            (row["parent_quartiles"], parent),
+            (row["change_quartiles"], change),
+        )
+    )
+    all_better = (
+        max(ours) < min(theirs) if lower else min(ours) > max(theirs)
+    )
+    if spread > row["bound"] and not all_better:
+        return "unresolved"
+    return "within bound"
+
+
 def summarise(
     metrics: list[dict], parent: list[dict], change: list[dict]
 ) -> list[dict]:
@@ -69,7 +106,7 @@ def summarise(
             (mine < other) if lower else (mine > other)
             for mine, other in zip(ours, theirs)
         )
-        rows.append({
+        row = {
             "name": name,
             "unit": metric["unit"],
             "better": metric["better"],
@@ -80,14 +117,16 @@ def summarise(
             "change_quartiles": _quartiles(ours),
             "won": won,
             "pairs": len(ours),
-        })
+        }
+        row["verdict"] = verdict(row, ours, theirs)
+        rows.append(row)
     return rows
 
 
 def render(rows: list[dict]) -> str:
     lines = [
         f"{'metric':26s} {'parent median [q1, q3]':>34s} "
-        f"{'change median [q1, q3]':>34s} {'won':>6s}  better  bound"
+        f"{'change median [q1, q3]':>34s} {'won':>6s}  better  bound  verdict"
     ]
     for row in rows:
         sides = [
@@ -99,7 +138,7 @@ def render(rows: list[dict]) -> str:
         lines.append(
             f"{row['name']:26s} {sides[0]:>34s} {sides[1]:>34s} "
             f"{row['won']:3d}/{row['pairs']:<2d}  {row['better']:6s}  "
-            f"{row['bound']:g}"
+            f"{row['bound']:<5g}  {row['verdict']}"
         )
     return "\n".join(lines)
 
@@ -134,10 +173,40 @@ def run_pairs(bench: dict, parent_dir: str, change_dir: str, workload: str,
             result = run_once(bench["command"], dirs[side], workload, pair,
                               bench["run_seconds"])
             results[side].append(result)
-            print(f"pair {pair:2d} {side:6s} seed {pair} "
+            print(f"{workload} pair {pair:2d} {side:6s} seed {pair} "
                   f"failed {result['failed']}/{result['attempted']} "
                   + json.dumps(values_of(result)), flush=True)
     return results["parent"], results["change"]
+
+
+def workloads_of(bench: dict, choice: str) -> list[str]:
+    """The workloads ``--workload choice`` names: one, or ``all``."""
+    names = [w["name"] for w in bench["workloads"]]
+    return names if choice == "all" else [choice]
+
+
+def compare(bench: dict, parent_dir: str, change_dir: str,
+            workloads: list[str], pairs: int) -> int:
+    """Pairs for each workload, a summary table after each; returns the
+    number of runs that reported failed operations."""
+    failed = 0
+    for workload in workloads:
+        parent, change = run_pairs(bench, parent_dir, change_dir, workload,
+                                   pairs)
+        print(f"== {workload}: {pairs} pairs")
+        print(render(summarise(bench["end_to_end"], parent, change)),
+              flush=True)
+        failed += failed_runs(parent) + failed_runs(change)
+    return failed
+
+
+def export(rev: str, into: str) -> None:
+    """The committed files of ``rev``, extracted into ``into``."""
+    os.makedirs(into)
+    archive = subprocess.run(["git", "archive", "--format=tar", rev],
+                             cwd=ROOT, check=True, capture_output=True)
+    subprocess.run(["tar", "-x", "-C", into], input=archive.stdout,
+                   check=True)
 
 
 def main(argv=None) -> int:
@@ -147,21 +216,15 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True,
                         help="revision of the parent commit")
     parser.add_argument("--workload", required=True,
-                        choices=[w["name"] for w in bench["workloads"]])
+                        choices=[w["name"] for w in bench["workloads"]]
+                        + ["all"])
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="pairs-") as scratch:
         parent_dir = os.path.join(scratch, "parent")
-        subprocess.run(["git", "worktree", "add", "--detach", parent_dir,
-                        args.parent], cwd=ROOT, check=True)
-        try:
-            parent, change = run_pairs(bench, parent_dir, ROOT,
-                                       args.workload, args.pairs)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force",
-                            parent_dir], cwd=ROOT, check=True)
-    print(render(summarise(bench["end_to_end"], parent, change)))
-    failed = failed_runs(parent) + failed_runs(change)
+        export(args.parent, parent_dir)
+        failed = compare(bench, parent_dir, ROOT,
+                         workloads_of(bench, args.workload), args.pairs)
     if failed:
         print(f"{failed} run(s) reported failed operations")
     return 1 if failed else 0
