@@ -38,10 +38,11 @@
 #   make bench-elastic — read throughput under continuous migrations
 #                  vs quiesced + per-migration cost
 #                  (emits BENCH_elastic.json)
-#   make pairs PARENT=<rev> WORKLOAD=<w|all> [PAIRS=10] — alternating
-#                  parent/change runs of the BENCHMARK.json command
-#                  (tools/pairs.py) on one workload or all of them:
-#                  medians, quartiles, pairs won and a verdict per metric
+#   make pairs PARENT=<rev> WORKLOAD=<w|all> [PAIRS=10] [OUT=file.json]
+#                  — alternating parent/change runs of the BENCHMARK.json
+#                  command (tools/pairs.py) on one workload or all of
+#                  them: medians, quartiles, pairs won and a verdict per
+#                  metric; OUT also writes every run as JSON
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -114,4 +115,4 @@ bench-elastic:
 
 pairs:
 	$(PYTHON) tools/pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
-	    --pairs $(PAIRS)
+	    --pairs $(PAIRS) $(if $(OUT),--out $(OUT))

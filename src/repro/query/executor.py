@@ -6,10 +6,11 @@ arrays and evaluate the structural operators with the merge/interval
 kernels of :mod:`repro.query.kernels`:
 
 * ``IndexLookup`` takes a slice of the index's nid column and maps it
-  to owned pres with one ``searchsorted`` over the document's sorted
-  nid plane.  The slice spans every document; a caller running one
-  plan over several documents passes a probe memo, so each lookup
-  scans its index once and every document takes its share;
+  to owned pres by arithmetic over the document's nid runs
+  (:class:`~repro.xmldb.columns.DocColumns`).  The slice spans every
+  document; a caller running one plan over several documents passes a
+  probe memo, so each lookup scans its index once and every document
+  takes its share;
 * ``AncestorWalk`` / ``StructuralVerify`` become O(depth) batched
   column gathers plus interval stabbing (``anc < pre <= anc + size``);
 * ``Intersect`` / ``Union`` are single ``np.intersect1d`` /
@@ -65,7 +66,7 @@ def _string_equal_pres(
     hash bucket ``nids`` of ``value``.
 
     Batch counterpart of ``manager.lookup_string``: nid→pre mapping via
-    ``searchsorted`` (which also drops other documents' nids), then
+    ``pres_of_nids`` (which also drops other documents' nids), then
     collision verification per *kind* — leaf nodes compare their heap
     slot directly (no per-node resolution through the store),
     containers fall back to ``string_value``.  Under an active MVCC

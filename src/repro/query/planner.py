@@ -52,7 +52,7 @@ from .ast import (
     TextTest,
 )
 from .evaluator import typed_literal
-from .executor import execute_plan, execute_pres
+from .executor import execute_pres
 from .plan import (
     AncestorWalk,
     FullScan,
@@ -629,23 +629,26 @@ def query_rows(
 
 class ExplainReport:
     """The query's plan on one document (tree + estimates, optionally
-    that document's actuals)."""
+    that document's actuals), and the number of runs the document's
+    nid→pre map holds — 1 until structural churn fragments it."""
 
-    def __init__(self, document: str, plan: PlanNode,
+    def __init__(self, document: str, plan: PlanNode, nid_runs: int,
                  actuals: dict[int, dict] | None = None):
         self.document = document
         self.plan = plan
+        self.nid_runs = nid_runs
         self.actuals = actuals
 
     def render(self) -> str:
         return (
-            f"document {self.document!r}:\n"
+            f"document {self.document!r} (nid runs {self.nid_runs}):\n"
             + render_plan(self.plan, self.actuals)
         )
 
     def to_dict(self) -> dict:
         return {
             "document": self.document,
+            "nid_runs": self.nid_runs,
             "plan": self.plan.to_dict(self.actuals),
         }
 
@@ -690,7 +693,9 @@ def explain(
     Returns an :class:`Explanation` — comparable to the legacy compact
     strings (``"index(...)"``/``"scan"``) and carrying per-document
     plan trees with cost estimates.  With ``execute=True`` the plans
-    are run and each operator's actual row count and time is attached.
+    are run and each operator's actual row count and time is attached;
+    as in :func:`query`, one probe memo spans the documents, so each
+    index is scanned once and the actuals price the query as it runs.
     """
     parsed = _parse(text)
     final = parsed.path.steps[-1]
@@ -708,11 +713,14 @@ def explain(
     else:
         docs = list(manager.store.documents.values())
     plan = build_plan(manager, None, parsed.path, "auto")
+    probes: dict = {}
     reports = []
     for doc in docs:
         actuals: dict[int, dict] | None = None
         if execute:
             actuals = {}
-            execute_plan(manager, doc, plan, actuals)
-        reports.append(ExplainReport(doc.name, plan, actuals))
+            execute_pres(manager, doc, plan, actuals, probes)
+        reports.append(
+            ExplainReport(doc.name, plan, doc.columns().runs, actuals)
+        )
     return Explanation(summary, reports)

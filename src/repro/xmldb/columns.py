@@ -10,12 +10,17 @@ of one :class:`~repro.xmldb.document.Document` as contiguous numpy
 arrays, plus the derived arrays the kernels need:
 
 * ``parent_pre`` — the parent axis as a pre-plane pointer column
-  (computed vectorised from ``parent_nid`` via ``searchsorted``);
+  (``parent_nid`` mapped through the nid runs below);
 * ``end`` — inclusive subtree end per node (``pre + size``), the right
   edge of the containment interval ``anc_pre < pre <= anc_pre + size``;
-* ``nid_sorted``/``nid_order`` — the nid plane sorted, so batches of
-  index-supplied nids map to owned pres in one ``searchsorted`` instead
-  of one dict probe per node.
+* ``run_nid``/``run_pre``/``run_end`` — the nid→pre map as *runs*,
+  sorted by first nid.  A run is a maximal stretch of rows in which nid
+  and pre both advance by one: its first nid, its first pre and its
+  end nid (exclusive).  Nids are minted in pre order, so a loaded or
+  reopened document is one run, and each splice adds at most two.  A
+  batch of index-supplied nids maps to pres by one ``searchsorted``
+  over the runs and one subtraction per nid — no per-nid probe into an
+  n-long array, and O(runs) memory.
 
 A ``DocColumns`` snapshot is immutable; the owning document caches one
 per *structural* state and drops it on any splice/rename (text-value
@@ -46,8 +51,9 @@ class DocColumns:
         "nid",
         "parent_pre",
         "end",
-        "nid_sorted",
-        "nid_order",
+        "run_nid",
+        "run_pre",
+        "run_end",
         "n",
         "_text_pos",
     )
@@ -61,12 +67,29 @@ class DocColumns:
         self.nid = np.asarray(doc.nid, dtype=np.int64)
         self.n = len(doc.kind)
         self.end = np.arange(self.n, dtype=np.int64) + self.size
-        order = np.argsort(self.nid, kind="stable")
-        self.nid_sorted = self.nid[order]
-        self.nid_order = order
+        # Rows are in pre order, so a run ends wherever the next row's
+        # nid is not this row's plus one.
+        nid = self.nid
+        starts = np.flatnonzero(nid[1:] != nid[:-1] + 1) + 1
+        if self.n:
+            starts = np.concatenate(([0], starts))
+        lengths = np.diff(starts, append=self.n)
+        first = nid[starts]
+        order = np.argsort(first)
+        self.run_nid = first[order]
+        self.run_pre = starts[order]
+        self.run_end = self.run_nid + lengths[order]
         parent_nid = np.asarray(doc.parent_nid, dtype=np.int64)
-        self.parent_pre = self._map_nids(parent_nid)
+        inside = self._inside(parent_nid)
+        pres, held = self._map(parent_nid[inside])
+        self.parent_pre = np.full(self.n, -1, dtype=np.int64)
+        self.parent_pre[inside] = np.where(held, pres, -1)
         self._text_pos = None
+
+    @property
+    def runs(self) -> int:
+        """Number of nid runs: 1 for a document no splice has touched."""
+        return self.run_nid.size
 
     def text_positions(self) -> "np.ndarray":
         """Sorted pres of the document's TEXT nodes (lazy, cached).
@@ -81,14 +104,20 @@ class DocColumns:
             )  # 2 == document.TEXT (kept literal: no circular import)
         return self._text_pos
 
-    def _map_nids(self, nids: "np.ndarray") -> "np.ndarray":
-        """nid array -> pre array; unknown/negative nids map to -1."""
+    def _inside(self, nids: "np.ndarray") -> "np.ndarray":
+        """Mask of the nids in ``[first run's nid, last run's end)``."""
         if self.n == 0:
-            return np.full(len(nids), -1, dtype=np.int64)
-        pos = np.searchsorted(self.nid_sorted, nids)
-        pos_clipped = np.minimum(pos, self.n - 1)
-        found = self.nid_sorted[pos_clipped] == nids
-        return np.where(found, self.nid_order[pos_clipped], -1)
+            return np.zeros(nids.size, dtype=bool)
+        return (nids >= self.run_nid[0]) & (nids < self.run_end[-1])
+
+    def _map(self, nids: "np.ndarray") -> tuple["np.ndarray", "np.ndarray"]:
+        """``(pres, held)`` of ``nids``, all of them :meth:`_inside`:
+        each nid's pre counted from the last run starting at or below
+        it, and whether that run reaches it (False in a gap between
+        runs, where the pre means nothing)."""
+        run = np.searchsorted(self.run_nid, nids, side="right") - 1
+        pres = nids - self.run_nid[run] + self.run_pre[run]
+        return pres, nids < self.run_end[run]
 
     def pres_of_nids(self, nids: "np.ndarray") -> "np.ndarray":
         """Sorted pres of this document's share of one index scan:
@@ -97,17 +126,15 @@ class DocColumns:
         is store-wide unique).
 
         A scan spans every document and one query hands the same scan
-        to each of them, so nids outside this document's ``[min,
-        max]`` are dropped with two comparisons before the
-        binary-search probe: each document probes its own share, not
-        all of it.  Distinct nids map to distinct pres, so a plain sort
-        restores the batch invariant.
+        to each of them, so nids outside this document's nid span are
+        dropped with two comparisons first: each document maps its own
+        share, not all of it.  Distinct nids map to distinct pres, so a
+        plain sort restores the batch invariant.
         """
         if nids.size == 0 or self.n == 0:
             return EMPTY_PRES
-        arr = nids[(nids >= self.nid_sorted[0]) & (nids <= self.nid_sorted[-1])]
-        pres = self._map_nids(arr)
-        pres = pres[pres >= 0]
+        pres, held = self._map(nids[self._inside(nids)])
+        pres = pres[held]
         pres.sort()
         return pres
 

@@ -132,11 +132,10 @@ class Document:
 
     def columns(self) -> DocColumns:
         """Numpy snapshot of the structural columns (cached until the
-        next structural change)."""
+        next structural change).  It keeps its own nid→pre map, so a
+        stale ``pre_of`` dict stays stale until ``pre_of`` needs it."""
         columns = self._columns
         if columns is None:
-            if self._nid_map_dirty:
-                self._rebuild_nid_map_now()
             columns = DocColumns(self)
             self._columns = columns
         return columns

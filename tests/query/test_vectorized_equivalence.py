@@ -18,7 +18,7 @@ from repro.btree.sorted_run import RunSnapshot
 from repro.core import IndexManager
 from repro.query import executor, kernels, parse_query, query
 from repro.query.ast import AnyTest
-from repro.query.planner import build_plan
+from repro.query.planner import build_plan, explain
 from repro.query.plan import (
     AncestorWalk,
     IndexLookup,
@@ -26,6 +26,7 @@ from repro.query.plan import (
     StructuralVerify,
     Union as PlanUnion,
 )
+from repro.storage.persist import document_bytes, document_from_bytes
 from repro.workloads import DATASETS, QUERY_SETS, random_text_updates
 
 #: Small generator scale: a few thousand nodes per corpus keeps the
@@ -300,6 +301,38 @@ class TestMultiDocumentEquivalence:
         query(m, "//p[age = 7 or age = 9]", document="d2")
         assert len(scans) == 2
 
+    def test_explain_execute_scans_once_and_reports_nid_runs(
+        self, monkeypatch
+    ):
+        m = IndexManager(typed=("double",))
+        for copy in range(4):
+            m.load(f"d{copy}", "<people>" + "".join(
+                f"<p><age>{i}</age><name>n{i % 7}</name></p>"
+                for i in range(40)
+            ) + "</people>")
+        scans = []
+        scan = RunSnapshot.nids_between
+        monkeypatch.setattr(
+            RunSnapshot, "nids_between",
+            lambda *args, **kwargs: scans.append(1) or scan(*args, **kwargs),
+        )
+        for text, probes in (
+            ('//p[name = "n3"]', 1),
+            ("//p[age = 7 or age = 9]", 2),
+            ("//p[age = 7 or .//age = 7]", 1),
+        ):
+            scans.clear()
+            report = explain(m, text, execute=True)
+            assert len(scans) == probes, text
+            assert [r.nid_runs for r in report.reports] == [1] * 4
+            assert report.to_dict()["documents"][0]["nid_runs"] == 1
+            assert "(nid runs 1)" in report.tree()
+        doc = m.store.document("d1")
+        m.insert_xml(doc.nid[doc.root_element()], "<p><age>1</age></p>",
+                     before_nid=doc.nid[7])  # the second <p>: a mid splice
+        runs = {r.document: r.nid_runs for r in explain(m, "//p").reports}
+        assert runs == {"d0": 1, "d1": 3, "d2": 1, "d3": 1}
+
 
 class TestPlanProvedPredicates:
     """The residual re-check shrinks exactly as the plan proves parts
@@ -401,3 +434,27 @@ class TestLazyNidMap:
         assert doc.nid_map_rebuilds == rebuilds + 1
         doc.pre_of(doc.nid[2])
         assert doc.nid_map_rebuilds == rebuilds + 1
+
+    def test_columns_never_rebuild_the_dict(self):
+        """The column snapshot maps nids through its own runs, so
+        projecting it after a splice or a reopen (both leave the dict
+        dirty) rebuilds nothing; ``pre_of`` still pays its one rebuild
+        when asked."""
+        manager = IndexManager(string=True, typed=("double",))
+        manager.load("d", "<r><a>1</a><b>2</b><c>3</c></r>")
+        doc = manager.store.document("d")
+        doc.rebuild_nid_map()
+        rebuilds = doc.nid_map_rebuilds
+        doc.columns()
+        assert doc.nid_map_rebuilds == rebuilds
+        manager.insert_xml(doc.nid[1], "<d>4</d>", before_nid=doc.nid[2])
+        rebuilds = doc.nid_map_rebuilds
+        cols = doc.columns()
+        assert doc.nid_map_rebuilds == rebuilds
+        assert [doc.pre_of(nid) for nid in doc.nid] == list(range(len(doc)))
+        assert cols.pres_of_nids(cols.nid).tolist() == list(range(len(doc)))
+        reopened = document_from_bytes("d", document_bytes(doc))
+        reopened.columns()
+        assert reopened.nid_map_rebuilds == 0
+        assert reopened.pre_of(doc.nid[3]) == 3
+        assert reopened.nid_map_rebuilds == 1

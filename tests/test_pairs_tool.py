@@ -173,11 +173,57 @@ def test_workload_all_runs_every_workload(monkeypatch, capsys):
             for m in bench["end_to_end"]}}
 
     monkeypatch.setattr(pairs, "run_once", fake_run)
-    failed = pairs.compare(bench, "parent", "change", names, 2)
+    comparison = pairs.compare(bench, "parent", "change", names, 2)
     assert seen == [name for name in names for _ in range(4)]
-    assert failed == 2
+    assert pairs.failed_runs(comparison["runs"]) == 2
+    assert list(comparison["workloads"]) == names
     out = capsys.readouterr().out
     assert [line for line in out.splitlines() if line.startswith("== ")] == [
         f"== {name}: 2 pairs" for name in names
     ]
     assert out.count("within bound") == len(names) * len(bench["end_to_end"])
+
+
+def test_out_writes_every_run_and_every_verdict(monkeypatch, tmp_path, capsys):
+    """``--out`` holds each run, each workload's rows with verdicts and
+    both revisions; ``--tables`` renders it without running anything."""
+    bench = pairs.contract()
+    names = [w["name"] for w in bench["workloads"]]
+
+    def fake_run(command, cwd, workload, seed, seconds):
+        fast = cwd == pairs.ROOT
+        return {"failed": 0, "attempted": 10 + seed, "metrics": {
+            m["name"]: {"value": (500.0 if fast else 1000.0) + seed,
+                        "unit": m["unit"]}
+            for m in bench["end_to_end"]}}
+
+    answers = {("rev-parse", "abc"): "a" * 40, ("rev-parse", "HEAD"): "c" * 40,
+               ("status", "--porcelain"): " M src/x.py"}
+    monkeypatch.setattr(pairs, "git", lambda *args: answers[args])
+    monkeypatch.setattr(pairs, "export", lambda rev, into: None)
+    monkeypatch.setattr(pairs, "run_once", fake_run)
+    out = tmp_path / "pairs.json"
+    assert pairs.main(["--parent", "abc", "--workload", "all", "--pairs", "2",
+                       "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (report["parent"], report["change"], report["dirty"]) == (
+        "a" * 40, "c" * 40, True)
+    assert len(report["runs"]) == len(names) * 4
+    first = report["runs"][0]
+    assert {key: first[key] for key in
+            ("workload", "pair", "seed", "side", "failed", "attempted")} == {
+        "workload": names[0], "pair": 1, "seed": 1, "side": "parent",
+        "failed": 0, "attempted": 11}
+    assert set(first["metrics"]) == {m["name"] for m in bench["end_to_end"]}
+    assert list(report["workloads"]) == names
+    for rows in report["workloads"].values():
+        assert [row["name"] for row in rows] == [
+            m["name"] for m in bench["end_to_end"]]
+        assert {row["verdict"] for row in rows} == {"claim met"}
+    capsys.readouterr()
+    assert pairs.main(["--tables", str(out)]) == 0
+    tables = capsys.readouterr().out
+    assert "parent `aaaaaaa`, change `ccccccc` (uncommitted" in tables
+    assert f"`{names[0]}`: 4 runs, 0 of 46 operations failed" in tables
+    assert "| 2 | 1002 / 502 |" in tables
+    assert "| 0.50 | 2/2 | claim met |" in tables

@@ -1,4 +1,4 @@
-"""``python tools/pairs.py --parent REV --workload W|all [--pairs 10]``
+"""``python tools/pairs.py --parent REV --workload W|all [--pairs 10] [--out FILE]``
 
 Alternating parent/change runs of the repo's benchmark, the evidence a
 PR that claims a gain has to show (ROADMAP "rules carried over").
@@ -15,6 +15,13 @@ medians, both pairs of quartiles, how many pairs the change won (ties
 count for neither side), the metric's ``better``/``bound`` from
 ``BENCHMARK.json`` and a verdict (:func:`verdict`).  The exit code is
 non-zero if any run reported ``failed > 0``.
+
+``--out FILE`` also writes everything as one JSON document: every run
+and each workload's summary rows with their verdicts (:func:`compare`),
+the parent revision, the change's ``HEAD`` and whether its tree was
+dirty (:func:`revisions`).  ``python tools/pairs.py --tables FILE`` prints the
+Markdown tables of such a file (:func:`markdown`) and runs nothing, so
+a write-up quotes the file rather than a terminal.
 """
 
 from __future__ import annotations
@@ -185,19 +192,99 @@ def workloads_of(bench: dict, choice: str) -> list[str]:
     return names if choice == "all" else [choice]
 
 
+def run_records(workload: str, parent: list[dict],
+                change: list[dict]) -> list[dict]:
+    """One flat record per run of :func:`run_pairs`' results."""
+    records = []
+    for pair, results in enumerate(zip(parent, change), start=1):
+        for side, result in zip(("parent", "change"), results):
+            records.append({
+                "workload": workload, "pair": pair, "seed": pair,
+                "side": side, "failed": result["failed"],
+                "attempted": result["attempted"],
+                "metrics": values_of(result),
+            })
+    return records
+
+
 def compare(bench: dict, parent_dir: str, change_dir: str,
-            workloads: list[str], pairs: int) -> int:
-    """Pairs for each workload, a summary table after each; returns the
-    number of runs that reported failed operations."""
-    failed = 0
+            workloads: list[str], pairs: int) -> dict:
+    """Pairs for each workload, a summary table after each; returns
+    ``{"runs": [run records], "workloads": {workload: summary rows}}``."""
+    runs: list[dict] = []
+    summaries: dict[str, list[dict]] = {}
     for workload in workloads:
         parent, change = run_pairs(bench, parent_dir, change_dir, workload,
                                    pairs)
+        rows = summarise(bench["end_to_end"], parent, change)
         print(f"== {workload}: {pairs} pairs")
-        print(render(summarise(bench["end_to_end"], parent, change)),
-              flush=True)
-        failed += failed_runs(parent) + failed_runs(change)
-    return failed
+        print(render(rows), flush=True)
+        runs += run_records(workload, parent, change)
+        summaries[workload] = rows
+    return {"runs": runs, "workloads": summaries}
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def revisions(parent: str) -> dict:
+    """The two sides of a comparison: the parent commit, the change's
+    ``HEAD`` and whether the working tree (what actually runs as the
+    change) differs from it."""
+    return {
+        "parent": git("rev-parse", parent),
+        "change": git("rev-parse", "HEAD"),
+        "dirty": bool(git("status", "--porcelain")),
+    }
+
+
+def _cell(value: float) -> str:
+    return f"{value:.0f}" if abs(value) >= 1000 else f"{value:.4g}"
+
+
+def markdown(report: dict) -> str:
+    """The Markdown tables of a ``--out`` report: per workload, each
+    pair's parent / change values, then the summary rows."""
+    dirty = " (uncommitted changes on top)" if report["dirty"] else ""
+    lines = [f"parent `{report['parent'][:7]}`, change "
+             f"`{report['change'][:7]}`{dirty}"]
+    for workload, rows in report["workloads"].items():
+        names = [row["name"] for row in rows]
+        runs = [run for run in report["runs"] if run["workload"] == workload]
+        by_pair = {(run["pair"], run["side"]): run for run in runs}
+        failed = sum(run["failed"] for run in runs)
+        attempted = sum(run["attempted"] for run in runs)
+        lines += [
+            "", f"`{workload}`: {len(runs)} runs, {failed} of {attempted} "
+            "operations failed; parent / change:", "",
+            "| pair | " + " | ".join(f"`{name}`" for name in names) + " |",
+            "|---:|" + "---:|" * len(names),
+        ]
+        for pair in sorted({run["pair"] for run in runs}):
+            sides = by_pair[pair, "parent"], by_pair[pair, "change"]
+            lines.append(f"| {pair} | " + " | ".join(
+                " / ".join(_cell(run["metrics"][name]) for run in sides)
+                for name in names) + " |")
+        lines += [
+            "",
+            "| metric | parent median [q1–q3] | change median [q1–q3] "
+            "| change/parent | pairs won | verdict |",
+            "|---|---:|---:|---:|---:|---|",
+        ]
+        for row in rows:
+            sides = [
+                f"{_cell(row[f'{side}_median'])} "
+                f"[{_cell(row[f'{side}_quartiles'][0])}–"
+                f"{_cell(row[f'{side}_quartiles'][1])}]"
+                for side in ("parent", "change")
+            ]
+            ratio = row["change_median"] / (row["parent_median"] or 1.0)
+            lines.append(
+                f"| `{row['name']}` | {sides[0]} | {sides[1]} | {ratio:.2f} "
+                f"| {row['won']}/{row['pairs']} | {row['verdict']} |")
+    return "\n".join(lines)
 
 
 def export(rev: str, into: str) -> None:
@@ -213,18 +300,34 @@ def main(argv=None) -> int:
     bench = contract()
     parser = argparse.ArgumentParser(prog="python tools/pairs.py",
                                      description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True,
-                        help="revision of the parent commit")
-    parser.add_argument("--workload", required=True,
+    parser.add_argument("--parent", help="revision of the parent commit")
+    parser.add_argument("--workload",
                         choices=[w["name"] for w in bench["workloads"]]
                         + ["all"])
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--out", metavar="FILE",
+                        help="also write every run and summary as JSON")
+    parser.add_argument("--tables", metavar="FILE",
+                        help="print the Markdown tables of an --out file "
+                             "and run nothing")
     args = parser.parse_args(argv)
+    if args.tables:
+        with open(args.tables, encoding="utf-8") as fh:
+            print(markdown(json.load(fh)))
+        return 0
+    if not (args.parent and args.workload):
+        parser.error("--parent and --workload are required")
+    sides = revisions(args.parent)
     with tempfile.TemporaryDirectory(prefix="pairs-") as scratch:
         parent_dir = os.path.join(scratch, "parent")
         export(args.parent, parent_dir)
-        failed = compare(bench, parent_dir, ROOT,
-                         workloads_of(bench, args.workload), args.pairs)
+        comparison = compare(bench, parent_dir, ROOT,
+                             workloads_of(bench, args.workload), args.pairs)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump({**sides, **comparison}, fh, indent=1)
+            fh.write("\n")
+    failed = failed_runs(comparison["runs"])
     if failed:
         print(f"{failed} run(s) reported failed operations")
     return 1 if failed else 0
