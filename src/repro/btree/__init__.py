@@ -1,5 +1,5 @@
-"""Sorted-set substrate shared by the string and typed value indices:
-the :class:`SortedRun` they sit on and the copy-on-write
+"""Sorted-set substrate shared by every value index (string, typed,
+substring): the :class:`SortedRun` they sit on and the copy-on-write
 :class:`BPlusTree` that is its delta."""
 
 from .bplus import BPlusTree

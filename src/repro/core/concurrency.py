@@ -21,7 +21,7 @@ This module gives the reproduction its concurrent serving path
   versioned cheaply — they take the latch *exclusively*, draining
   active views first.  This stop-the-world path is the documented
   trade-off; the serving workload (queries + text updates) never
-  takes it.
+  takes it, whatever indices are configured.
 
 The latch is shared/exclusive with thread-local reentrancy; readers
 and text writers both hold it shared, so readers never block behind a
@@ -305,13 +305,7 @@ class ConcurrencyController:
 
     def _capture(self) -> ManagerSnapshot:
         manager = self.manager
-        # An index without a snapshottable tree is read live; text
-        # updates take the exclusive latch while one exists.
-        trees = {
-            index: index.tree.snapshot()
-            for index in manager.indexes
-            if index.snapshottable
-        }
+        trees = {index: index.tree.snapshot() for index in manager.indexes}
         return ManagerSnapshot(manager.epoch, trees)
 
     def publish(self) -> None:

@@ -76,7 +76,7 @@ class IndexManager:
             name: TypedIndex(name, order=order) for name in typed
         }
         self.substring_index: SubstringIndex | None = (
-            SubstringIndex() if substring else None
+            SubstringIndex(order=order) if substring else None
         )
         self._order = order
         self.parallel = parallel
@@ -337,22 +337,16 @@ class IndexManager:
         (Figure 8) over the distinct updated nodes, so shared ancestors
         recompute once.  Returns the number of recomputed entries.
 
-        Under a concurrency controller this is the MVCC path: the
-        writer holds the latch *shared* (readers keep running),
-        records every overwritten text slot's before-value in the
-        document overlay, and publishes a new index snapshot at the
-        end.  An index that is not snapshottable (the substring index
-        mutates its gram postings in place) forces the exclusive latch
-        instead.
+        Under a concurrency controller this is the MVCC path, whatever
+        the configured indices: the writer holds the latch *shared*
+        (readers keep running), records every overwritten text slot's
+        before-value in the document overlay, and publishes a new
+        snapshot of every index's run at the end.
         """
         controller = self.concurrency
         indexes = self.indexes
-        if controller is None:
-            scope = nullcontext(None)
-        elif all(index.snapshottable for index in indexes):
-            scope = controller.text_update()
-        else:
-            scope = controller.exclusive()
+        scope = (nullcontext(None) if controller is None
+                 else controller.text_update())
         with scope as write_epoch:
             nids: list[int] = []
             seen: set[int] = set()
@@ -573,7 +567,7 @@ class IndexManager:
         if self.substring_index is not None:
             pruned = self.substring_index.candidates(needle)
             if pruned is not None:
-                candidates = sorted(pruned)
+                candidates = pruned.tolist()
         if candidates is None:
             result = []
             for doc in self.store.documents.values():
@@ -603,7 +597,7 @@ class IndexManager:
         if self.substring_index is not None:
             pruned = self.substring_index.candidates_for_regex(pattern)
             if pruned is not None:
-                candidates = sorted(pruned)
+                candidates = pruned.tolist()
         if candidates is None:
             candidates = self._all_leaf_nids()
         result = []

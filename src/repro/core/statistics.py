@@ -8,8 +8,7 @@ provides the estimates the planner's ``auto`` mode uses:
 
 * an equi-depth histogram over a typed index's values (range and
   equality selectivity);
-* hash-bucket statistics for the string index (equality selectivity);
-* leaf-count statistics for the substring index via gram posting lists.
+* hash-bucket statistics for the string index (equality selectivity).
 
 Statistics are snapshots: they record the index's mutation counter at
 build time and are recomputed by the manager once the index has folded

@@ -9,10 +9,11 @@ every document), self-tuning, compact, and updatable.
 Design: a positional *q-gram* inverted index over the value leaves
 (text and attribute nodes).  Every window of ``q`` characters of a
 leaf value is hashed (with the paper's own hash function ``H`` — it is
-a fine string hash) and mapped to the set of leaves containing it.
+a fine string hash); the inverted lists are one sorted run of
+``(gram hash, nid)`` entries, the same structure as the other indices.
 
 * ``contains(s)`` with ``len(s) >= q``: candidates = intersection of
-  the posting sets of ``s``'s grams, then exact verification — no
+  the posting lists of ``s``'s grams, then exact verification — no
   false negatives, collisions/verification remove false positives.
 * shorter needles fall back to scanning (reported by the planner).
 * regular expressions: mandatory literal factors of the pattern are
@@ -28,9 +29,11 @@ documented in DESIGN.md.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable, Iterator
+from array import array
 
+import numpy as np
+
+from ..btree import SortedRun
 from .hashing import hash_string
 from .value_index import ValueIndex
 
@@ -39,10 +42,9 @@ __all__ = ["SubstringIndex", "literal_factors"]
 #: Default gram width: 3 balances posting-list size and selectivity.
 DEFAULT_Q = 3
 
-
 #: The field of a node that carries no gram: every container, and any
 #: leaf shorter than ``q``.  Never stored.
-NO_GRAMS: frozenset[int] = frozenset()
+NO_GRAMS = b""
 
 
 def _grams(text: str, q: int) -> frozenset[int]:
@@ -125,153 +127,124 @@ def literal_factors(pattern: str) -> list[str]:
 class SubstringIndex(ValueIndex):
     """Positional q-gram index over value leaves.
 
-    Under the index protocol a leaf's field is its gram set, and both
-    ``identity`` and ``combine`` yield the empty set: containers store
-    nothing (the typed index's "absence signifies reject" rule), so the
-    one creation/update pass maintains this index like any other.  Its
-    keys are the grams themselves, kept in posting sets rather than a
-    ``(key, nid)`` tree — which is why it cannot be snapshotted.
+    Under the index protocol a leaf's field is its gram set, packed:
+    the distinct gram hashes in ascending order as 4-byte integers (a
+    ``frozenset`` of Python ints would cost some 100 bytes a gram).
+    Both ``identity`` and ``combine`` yield the empty set: containers
+    store nothing (the typed index's "absence signifies reject" rule),
+    so the one creation/update pass maintains this index like any
+    other.  Its keys are the grams themselves: the run over ``(gram
+    hash, nid)`` is the inverted list, one ``nids_between(g, g)`` per
+    posting list, and read views pin it like every other index's run.
 
     Args:
         q: Gram width (>= 2).
+        order: Node order of the run's delta tree.
     """
 
     identity = NO_GRAMS
     absent = NO_GRAMS
 
-    def __init__(self, q: int = DEFAULT_Q):
+    def __init__(self, q: int = DEFAULT_Q, order: int = 64):
         if q < 2:
             raise ValueError("q must be at least 2")
-        super().__init__("substring", None)
+        super().__init__("substring", SortedRun("<u4", order=order))
         self.q = q
-        # gram hash -> set of leaf nids containing the gram.
-        self._postings: dict[int, set[int]] = {}
 
-    def field_of_text(self, text: str) -> frozenset[int]:
-        return _grams(text, self.q)
+    def field_of_text(self, text: str) -> bytes:
+        return array("I", sorted(_grams(text, self.q))).tobytes()
 
-    def combine(self, left, right) -> frozenset[int]:
+    def combine(self, left, right) -> bytes:
         return NO_GRAMS
 
-    def stores(self, field: frozenset[int]) -> bool:
+    def stores(self, field: bytes) -> bool:
         return bool(field)
+
+    def keys_of(self, field: bytes) -> frozenset[int]:
+        return frozenset(array("I", field))
 
     def spec(self) -> tuple:
         return (type(self), (self.q,))
 
     # ------------------------------------------------------------------
-    # Maintenance: posting sets in place of the tree
-    # ------------------------------------------------------------------
-
-    def stage_entry(self, nid: int, field: frozenset[int]) -> None:
-        # Nothing to sort or bulk-load: postings take entries directly.
-        self.set_entry(nid, field)
-
-    def finish_bulk(self) -> None:
-        self._staged = None
-
-    def _rekey(self, nid, old, new) -> None:
-        """Delta-update the postings from gram set ``old`` to ``new``."""
-        old = old or NO_GRAMS
-        new = new or NO_GRAMS
-        self._drop_postings(old - new, {nid})
-        for gram in new - old:
-            self._postings.setdefault(gram, set()).add(nid)
-
-    def _drop_postings(self, grams: Iterable[int], nids: set[int]) -> None:
-        for gram in grams:
-            postings = self._postings.get(gram)
-            if postings is not None:
-                postings -= nids
-                if not postings:
-                    del self._postings[gram]
-
-    def remove_entries(self, nids) -> int:
-        """Bulk form of :meth:`remove_entry` (document unload).
-
-        Collects the union of dropped grams first and prunes each
-        posting list once, instead of per-nid discards.
-        """
-        fields = self.fields
-        dropped = {nid for nid in nids if nid in fields}
-        touched: set[int] = set()
-        for nid in dropped:
-            touched |= fields.pop(nid)
-        self._drop_postings(touched, dropped)
-        self.mutations += len(dropped)
-        return len(dropped)
-
-    def entries(self) -> Iterator[tuple[int, int]]:
-        postings = self._postings
-        return ((gram, nid) for gram in sorted(postings)
-                for nid in sorted(postings[gram]))
-
-    # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
 
+    def probe_literal(self, function: str, literal: str) -> str | None:
+        """The needle the index probes for ``contains(…, literal)``
+        (``function == "contains"``: the literal itself) or
+        ``matches(…, literal)`` (the pattern's longest mandatory literal
+        factor); ``None`` when it is shorter than q and the caller must
+        scan.  Pure string work: deciding costs no index probe."""
+        if function == "matches":
+            factors = literal_factors(literal)
+            literal = max(factors, key=len) if factors else ""
+        return literal if len(literal) >= self.q else None
+
     def supports(self, needle: str) -> bool:
         """True iff the index can prune candidates for this needle."""
-        return len(needle) >= self.q
+        return self.probe_literal("contains", needle) is not None
 
-    def candidates(self, needle: str) -> set[int] | None:
-        """Leaf nids that *may* contain ``needle``.
+    def candidates(self, needle: str) -> "np.ndarray | None":
+        """Leaf nids that *may* contain ``needle``, ascending.
 
         ``None`` means the index cannot answer (needle shorter than q)
         and the caller must scan.  The result can contain false
         positives (hash collisions) but never misses a leaf whose own
-        text contains the needle.
+        text contains the needle.  Posting lists come from the reader's
+        pinned run and are intersected shortest first.
         """
         if not self.supports(needle):
             return None
-        result: set[int] | None = None
-        # Intersect rarest-first for cheap early exits.
-        grams = sorted(
-            _grams(needle, self.q),
-            key=lambda g: len(self._postings.get(g, ())),
+        tree = self._lookup_tree()
+        postings = sorted(
+            (tree.nids_between(gram, gram) for gram in _grams(needle, self.q)),
+            key=len,
         )
-        for gram in grams:
-            postings = self._postings.get(gram)
-            if not postings:
-                return set()
-            result = set(postings) if result is None else result & postings
-            if not result:
-                return set()
-        return result if result is not None else set()
+        result = np.sort(postings[0])
+        for nids in postings[1:]:
+            if not len(result):
+                break
+            result = np.intersect1d(result, nids, assume_unique=True)
+        return result
 
     def estimate_candidates(self, needle: str) -> int | None:
-        """Cheap upper bound on ``candidates(needle)`` without set work:
-        the smallest posting list among the needle's grams.  ``None``
-        when the needle is too short for the index."""
+        """Cheap upper bound on ``candidates(needle)``: the shortest
+        posting list among the needle's grams, counted in the base run
+        (two ``searchsorted`` per gram; at most a small delta behind).
+        ``None`` when the needle is too short for the index."""
         if not self.supports(needle):
             return None
-        sizes = [
-            len(self._postings.get(gram, ()))
-            for gram in _grams(needle, self.q)
-        ]
-        return min(sizes) if sizes else 0
+        keys = self.tree.snapshot().base_keys
+        grams = np.fromiter(_grams(needle, self.q), dtype=keys.dtype)
+        sizes = keys.searchsorted(grams, "right") - keys.searchsorted(grams)
+        return int(sizes.min())
 
-    def candidates_for_regex(self, pattern: str) -> set[int] | None:
-        """Leaf nids that may match ``pattern`` (prefiltered by the
-        longest mandatory literal factor); ``None`` if no factor of
+    def candidates_for_regex(self, pattern: str) -> "np.ndarray | None":
+        """Leaf nids that may match ``pattern`` (prefiltered by
+        :meth:`probe_literal`'s factor); ``None`` if no factor of
         length >= q exists."""
-        factors = [f for f in literal_factors(pattern) if len(f) >= self.q]
-        if not factors:
-            return None
-        return self.candidates(max(factors, key=len))
+        needle = self.probe_literal("matches", pattern)
+        return None if needle is None else self.candidates(needle)
 
     # ------------------------------------------------------------------
     # Statistics / storage model
     # ------------------------------------------------------------------
 
+    def _posting_lengths(self) -> "np.ndarray":
+        """Posting-list length of every distinct gram."""
+        keys, _nids = self.tree.columns()
+        return np.unique(keys, return_counts=True)[1]
+
     def posting_count(self) -> int:
-        return sum(len(p) for p in self._postings.values())
+        return len(self.tree)
 
     def byte_size(self) -> int:
         """Modelled storage: 4-byte gram hash per distinct gram plus a
         4-byte nid per posting."""
-        return 4 * len(self._postings) + 4 * self.posting_count()
+        return 4 * len(self._posting_lengths()) + 4 * self.posting_count()
 
     def gram_distribution(self) -> dict[int, int]:
         """posting-list length -> number of grams (selectivity probe)."""
-        return dict(Counter(len(p) for p in self._postings.values()))
+        lengths, grams = np.unique(self._posting_lengths(), return_counts=True)
+        return dict(zip(lengths.tolist(), grams.tolist()))

@@ -89,7 +89,7 @@ class TypedIndex(ValueIndex):
     """Range index over one XML type's castable values.
 
     A field (FSM fragment) is stored iff its state is not the reject
-    state; its tree key is the typed value it casts to, if any.
+    state; its one tree key is the typed value it casts to, if any.
     """
 
     absent = REJECT_FRAGMENT
@@ -135,8 +135,13 @@ class TypedIndex(ValueIndex):
     def stores(self, field: Fragment) -> bool:
         return field.state != 0
 
-    def key_of(self, field: Fragment) -> Any:
-        return self.plugin.cast(field)
+    def keys_of(self, field: Fragment) -> tuple:
+        value = self.plugin.cast(field)
+        return () if value is None else (value,)
+
+    def value_of(self, nid: int) -> Any:
+        """Typed value of a node, or ``None`` if it has none."""
+        return self.plugin.cast(self.field_of(nid))
 
     def spec(self) -> tuple:
         return (type(self), (self.kind,))

@@ -1,7 +1,8 @@
 """The index protocol: what every value index is, and how it is kept.
 
 An index assigns each node a *field* (a hash, an FSM fragment, a gram
-set).  The creation pass (Figure 7, :mod:`repro.core.builder`) and the
+set) and keeps a sorted ``(key, nid)`` run over the fields' keys.  The
+creation pass (Figure 7, :mod:`repro.core.builder`) and the
 maintenance pass (Figure 8, :mod:`repro.core.updater`) compute fields
 for all indices at once and hand them over through the methods below;
 indices differ only in their algebra and their key function:
@@ -14,8 +15,9 @@ a subclass supplies    meaning
 ``combine``            fold a child's field into its parent's (``C``,
                        the SCT); must be associative
 ``stores``             whether a field is kept at all (default: yes)
-``key_of``             the field's tree key, ``None`` for none
-                       (default: the field itself)
+``keys_of``            the field's tree keys: the field itself for
+                       ``H`` (the default), the typed value if any,
+                       the gram set for substring
 ``absent``             what ``field_of`` reports for unstored nodes
 ``pack_fields`` /      the field column's on-disk bytes, with
 ``unpack_fields``      ``column`` naming its file suffix and section
@@ -24,12 +26,13 @@ a subclass supplies    meaning
 Everything else — the stored-field map, the sorted ``(key, nid)`` run,
 bulk staging, entry maintenance, the snapshot-aware lookup tree and the
 ``mutations`` drift counter with the one rule that reads it — lives
-here once.
+here once.  Every index is a run, so a read view pins every index and
+no index makes a text update drain readers.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import Any, Collection, Iterable, Iterator
 
 from ..btree import SortedRun
 from .concurrency import active_view
@@ -39,7 +42,8 @@ __all__ = ["ValueIndex", "STATS_DRIFT_MIN", "STATS_DRIFT_DENOMINATOR"]
 #: An index folds its delta into a new base run — and its planner
 #: statistics go stale — after this many absolute mutations ...
 STATS_DRIFT_MIN = 100
-#: ... or once the drift exceeds this fraction of the index size.
+#: ... or once the drift exceeds this fraction of the index size
+#: (both in stored fields).
 STATS_DRIFT_DENOMINATOR = 10
 
 
@@ -49,9 +53,7 @@ class ValueIndex:
     Args:
         kind: The index's name under its manager (``"string"``, an XML
             type name, ``"substring"``).
-        tree: The sorted ``(key, nid)`` run, or ``None`` for an index
-            that keeps its keys elsewhere and therefore cannot be
-            snapshotted (see :attr:`snapshottable`).
+        tree: The sorted ``(key, nid)`` run over :meth:`keys_of`.
     """
 
     #: Field contributed by absent content.
@@ -64,25 +66,19 @@ class ValueIndex:
     #: Planner statistics class built over the tree (``from_tree``).
     statistics_type: Any = None
 
-    def __init__(self, kind: str, tree: SortedRun | None):
+    def __init__(self, kind: str, tree: SortedRun):
         self.kind = kind
         #: nid -> stored field; the per-node "field" of paper Figure 7.
         self.fields: dict[int, Any] = {}
         self.tree = tree
-        self._staged: tuple[list, list[int]] | None = None
+        #: (keys, their nids, ``len(fields)`` at ``begin_bulk``).
+        self._staged: tuple[list, list[int], int] | None = None
         #: Counts stored-field changes.
         self.mutations = 0
         #: ``mutations`` when the tree's base run was last rebuilt.
         #: Once the counter has drifted far enough from it the delta is
         #: folded; statistics taken before it are stale.
         self.folded_at = 0
-
-    @property
-    def snapshottable(self) -> bool:
-        """True iff read views can pin this index (immutable versions).
-        Text updates run under the shared latch only when every index
-        is snapshottable; otherwise they drain readers first."""
-        return self.tree is not None
 
     # ------------------------------------------------------------------
     # Algebra and key function (subclass)
@@ -104,9 +100,9 @@ class ValueIndex:
         signifies the reject state")."""
         return True
 
-    def key_of(self, field: Any) -> Any:
-        """Tree key of a stored field; ``None`` keeps it out of the tree."""
-        return field
+    def keys_of(self, field: Any) -> Collection:
+        """Tree keys of a stored field (empty keeps it out of the tree)."""
+        return (field,)
 
     def spec(self) -> tuple:
         """Picklable ``(class, args)`` recipe for an empty copy of this
@@ -126,17 +122,16 @@ class ValueIndex:
     def begin_bulk(self) -> None:
         """Enter bulk mode: entries staged as a key and a nid column,
         merged into the tree at the end."""
-        self._staged = ([], [])
+        self._staged = ([], [], len(self.fields))
 
     def stage_entry(self, nid: int, field: Any) -> None:
         """Record a node's field during creation (bulk mode)."""
         if self.stores(field):
             self.fields[nid] = field
-            key = self.key_of(field)
-            if key is not None:
-                keys, nids = self._staged
-                keys.append(key)
-                nids.append(nid)
+            keys = self.keys_of(field)
+            staged_keys, nids, _ = self._staged
+            staged_keys += keys
+            nids += [nid] * len(keys)
 
     def stage_entries(self, pairs: Iterable[tuple[int, Any]]) -> None:
         """:meth:`stage_entry` over a run of ``(nid, field)`` pairs."""
@@ -147,11 +142,11 @@ class ValueIndex:
     def finish_bulk(self) -> None:
         """Merge the staged columns into the tree's base run (earlier
         documents keep their coverage)."""
-        keys, nids = self._staged
+        keys, nids, before = self._staged
         self._staged = None
-        if keys:
+        if nids:
             self.tree.merge(keys, nids)
-            self.mutations += len(keys)
+            self.mutations += len(self.fields) - before
             self.folded_at = self.mutations
 
     # ------------------------------------------------------------------
@@ -162,24 +157,27 @@ class ValueIndex:
         """Count one stored-field change.  The one drift rule: more
         than ``max(STATS_DRIFT_MIN, size / STATS_DRIFT_DENOMINATOR)``
         mutations after the tree's base run was built, the delta is
-        folded into a new one."""
+        folded into a new one.  Size and drift are both counted in
+        stored fields, whatever number of keys each field holds."""
         self.mutations += 1
         drift = self.mutations - self.folded_at
-        if drift > STATS_DRIFT_MIN and self.tree is not None:
-            if drift > len(self.tree) // STATS_DRIFT_DENOMINATOR:
+        if drift > STATS_DRIFT_MIN:
+            if drift > len(self) // STATS_DRIFT_DENOMINATOR:
                 self.tree.fold()
                 self.folded_at = self.mutations
 
     def _rekey(self, nid: int, old: Any, new: Any) -> None:
-        """Move ``nid``'s key from ``old``'s to ``new``'s (``None`` =
-        no stored field)."""
-        old_key = None if old is None else self.key_of(old)
-        new_key = None if new is None else self.key_of(new)
-        if old_key != new_key:
-            if old_key is not None:
-                self.tree.delete((old_key, nid))
-            if new_key is not None:
-                self.tree.insert((new_key, nid))
+        """Move ``nid``'s entries from ``old``'s keys to ``new``'s
+        (``None`` = no stored field): only the keys that differ."""
+        old_keys = () if old is None else self.keys_of(old)
+        new_keys = () if new is None else self.keys_of(new)
+        tree = self.tree
+        for key in old_keys:
+            if key not in new_keys:
+                tree.delete((key, nid))
+        for key in new_keys:
+            if key not in old_keys:
+                tree.insert((key, nid))
 
     def set_entry(self, nid: int, field: Any) -> None:
         """Insert or refresh one node's entry; a no-op (and no
@@ -221,11 +219,6 @@ class ValueIndex:
     def field_of(self, nid: int) -> Any:
         """Stored field of a node (:attr:`absent` if none)."""
         return self.fields.get(nid, self.absent)
-
-    def value_of(self, nid: int) -> Any:
-        """Tree key of a node, or ``None`` if it has none."""
-        field = self.fields.get(nid)
-        return None if field is None else self.key_of(field)
 
     def entries(self) -> Iterator[tuple[Any, int]]:
         """Every ``(key, nid)`` entry of the live index, in key order."""

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..xmldb.document import ATTR, COMMENT, PI, TEXT
 from .hashing import hash_string
 from .manager import IndexManager
@@ -105,41 +107,47 @@ def _verify_document(manager, doc, report) -> None:
                     f"{index.value_of(nid)!r} != {expected_value!r}"
                 )
         if substring is not None and kind in (TEXT, ATTR):
-            text = doc.text_of(pre)
-            if len(text) >= substring.q:
-                candidates = substring.candidates(text[: substring.q])
-                report.entries_checked += 1
-                if candidates is not None and nid not in candidates:
-                    report._problem(
-                        f"{doc.name}#{nid}: missing from q-gram postings"
-                    )
+            report.entries_checked += 1
+            if substring.field_of(nid) != substring.field_of_text(
+                doc.text_of(pre)
+            ):
+                report._problem(f"{doc.name}#{nid}: stale q-gram set")
 
 
 def _verify_trees(manager, report) -> None:
-    """Each tree is well-formed and holds exactly the keys of the
+    """Each run is well-formed and holds exactly the keys of the
     stored fields (which :func:`_verify_document` checked against the
-    text)."""
+    text): every entry matches its node's field, and every key of
+    every field has its entry.  The run's entries are grouped by nid,
+    so each field's keys are derived once."""
     for index in manager.indexes:
-        if not index.snapshottable:
-            continue
         kind = index.kind
         try:
             index.tree.check_invariants()
         except AssertionError as exc:
             report._problem(f"{kind} index run: {exc}")
-        tree_nids = set()
-        orphans = []
-        for key, nid in index.tree.keys():
-            if index.value_of(nid) == key:
-                tree_nids.add(nid)
-            else:
+        fields, keys_of = index.fields, index.keys_of
+        keys, nids = index.tree.columns()
+        by_nid = np.argsort(nids, kind="stable")
+        keys, nids = keys[by_nid], nids[by_nid]
+        bounds = np.flatnonzero(np.diff(nids, prepend=-1, append=-1))
+        orphans, missing, held = [], [], set()
+        for start, end in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            nid = int(nids[start])
+            held.add(nid)
+            stored = fields.get(nid)
+            expected = () if stored is None else keys_of(stored)
+            found = sum(key in expected for key in keys[start:end].tolist())
+            if found < end - start:
                 orphans.append(nid)
-        missing = [
+            if found < len(expected):
+                missing.append(nid)
+        missing += [
             nid
-            for nid in index.fields
-            if nid not in tree_nids and index.value_of(nid) is not None
+            for nid, stored in fields.items()
+            if nid not in held and keys_of(stored)
         ]
         for extra in sorted(orphans)[:10]:
             report._problem(f"{kind} tree has orphan nid {extra}")
         for nid in sorted(missing)[:10]:
-            report._problem(f"{kind} tree lacks nid {nid}")
+            report._problem(f"{kind} tree lacks an entry of nid {nid}")

@@ -40,7 +40,6 @@ from typing import Iterator
 import numpy as np
 
 from ..core.manager import IndexManager
-from ..core.substring_index import literal_factors
 from ..xmldb.document import Document
 from .ast import (
     AttributeTest,
@@ -130,11 +129,8 @@ def _driver_kind(manager: IndexManager, driver) -> str | None:
         last_test = driver.operand.steps[-1].test
         if not isinstance(last_test, (TextTest, AttributeTest)):
             return None
-        if driver.function == "contains":
-            usable = index.supports(driver.literal)
-        else:
-            usable = index.candidates_for_regex(driver.literal) is not None
-        return "substring" if usable else None
+        literal = index.probe_literal(driver.function, driver.literal)
+        return None if literal is None else "substring"
     if isinstance(driver.literal, str) and driver.op in ("=", "!="):
         if driver.op == "=" and manager.string_index is not None:
             return "string"
@@ -179,24 +175,11 @@ def _plan_drivers(manager: IndexManager, predicate) -> list | None:
 def _estimate_driver(manager: IndexManager, driver) -> float:
     """Expected number of index candidates for one atomic predicate."""
     if isinstance(driver, FunctionPredicate):
-        if driver.function == "contains":
-            estimate = manager.substring_index.estimate_candidates(
-                driver.literal
-            )
-        else:
-            factors = [
-                factor
-                for factor in literal_factors(driver.literal)
-                if len(factor) >= manager.substring_index.q
-            ]
-            estimate = (
-                manager.substring_index.estimate_candidates(
-                    max(factors, key=len)
-                )
-                if factors
-                else None
-            )
-        return float("inf") if estimate is None else float(estimate)
+        index = manager.substring_index
+        literal = index.probe_literal(driver.function, driver.literal)
+        if literal is None:
+            return float("inf")
+        return float(index.estimate_candidates(literal))
     if isinstance(driver.literal, str) and driver.op in ("=", "!="):
         return manager.statistics("string").estimate_equal()
     route = _typed_route(manager, driver)

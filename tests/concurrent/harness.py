@@ -25,12 +25,14 @@ from repro.xmldb import ELEM, TEXT
 AGES = 25
 NAMES = 12
 
-#: Query templates the readers draw from (equality + range, routed to
-#: the string and typed indices respectively).
+#: Query templates the readers draw from (equality, range and a
+#: three-character ``contains``, routed to the string, typed and —
+#: when configured — substring indices; otherwise the scan answers).
 QUERY_MAKERS = [
     lambda rng: f"//p[.//age = {rng.randrange(AGES)}]",
     lambda rng: f'//p[.//name = "n{rng.randrange(NAMES)}"]',
     lambda rng: f"//p[.//age >= {rng.randrange(AGES)}]",
+    lambda rng: f'//p[contains(name/text(), "n1{rng.randrange(3)}")]',
 ]
 
 

@@ -46,6 +46,20 @@ class TestDifferentialServing:
         )
         assert counts["updates"] == 120
 
+    def test_substring_answers_hold_at_the_pinned_epoch(self, tmp_path):
+        # With the q-gram index configured, text writers stay on the
+        # MVCC path, so readers cross-check its contains() answers at
+        # their pinned epoch while text and structural writers run.
+        counts = run_stress(
+            str(tmp_path / "db"),
+            seed=SEED + 2,
+            readers=2,
+            writers=2,
+            ops=60,
+            substring=True,
+        )
+        assert counts["updates"] == 120
+
 
 class TestSnapshotStability:
     def test_pinned_view_is_immutable_under_writes(self, tmp_path):

@@ -30,6 +30,7 @@ from hypothesis.stateful import (
 )
 
 import repro
+from repro.btree import SortedRun
 from repro.core import (
     IndexManager,
     StringIndex,
@@ -77,7 +78,11 @@ class TestProtocolConformance:
         index = make_index()
         assert isinstance(index, ValueIndex)
         assert index.kind in INDEX_FACTORIES
-        assert index.snapshottable == (index.tree is not None)
+        assert isinstance(index.tree, SortedRun)
+
+    def test_manager_order_reaches_every_run(self):
+        manager = IndexManager(typed=("double",), substring=True, order=8)
+        assert [index.tree._order for index in manager.indexes] == [8, 8, 8]
 
     def test_batch_field_hook_matches_scalar(self, make_index):
         index = make_index()
@@ -162,9 +167,10 @@ class TestProtocolConformance:
 class TestNoSidePaths:
     """Nothing in ``src/repro`` maintains or persists an index behind
     the protocol's back: no duck-typed hook probes, no switch on the
-    index class, no reach into another module's field map — and no
-    index builds per-entry tuples on its scan path (``range_keys``
-    stays in ``bplus.py`` only for the layer benchmark that times it)."""
+    index class, no reach into another module's field map, no index
+    that keeps its keys outside its run — and no index builds
+    per-entry tuples on its scan path (``range_keys`` stays in
+    ``bplus.py`` only for the layer benchmark that times it)."""
 
     SOURCES = sorted(pathlib.Path(repro.__file__).parent.rglob("*.py"))
     #: pattern -> the one module (if any) allowed to match it.
@@ -176,6 +182,9 @@ class TestNoSidePaths:
         r"\bfragment_of_node\b": "typed_index.py",
         r"\b_value_of\b": "typed_index.py",
         r"\.range_keys\(": "bplus.py",
+        r"\bsnapshottable\b": None,
+        r"\b_postings\b": None,
+        r"\b_drop_postings\b": None,
     }
 
     @pytest.mark.parametrize("pattern", list(FORBIDDEN))

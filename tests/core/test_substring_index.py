@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.btree.sorted_run import RunSnapshot
 from repro.core import IndexManager
 from repro.core.substring_index import SubstringIndex, literal_factors
 from repro.query import explain, query
@@ -38,9 +39,9 @@ class TestStandalone:
         index = SubstringIndex(q=3)
         index.set_entry(1, index.field_of_text("hello world"))
         index.set_entry(2, index.field_of_text("hello there"))
-        assert index.candidates("hello") == {1, 2}
-        assert index.candidates("world") == {1}
-        assert index.candidates("nothing") == set()
+        assert index.candidates("hello").tolist() == [1, 2]
+        assert index.candidates("world").tolist() == [1]
+        assert index.candidates("nothing").tolist() == []
 
     def test_short_needle_unsupported(self):
         index = SubstringIndex(q=3)
@@ -48,18 +49,25 @@ class TestStandalone:
         assert index.candidates("he") is None
         assert not index.supports("he")
 
+    def test_probe_literal(self):
+        index = SubstringIndex(q=3)
+        assert index.probe_literal("contains", "abc") == "abc"
+        assert index.probe_literal("contains", "ab") is None
+        assert index.probe_literal("matches", "the .niverse") == "niverse"
+        assert index.probe_literal("matches", "ab.cd") is None
+
     def test_delta_update(self):
         index = SubstringIndex(q=3)
         index.set_entry(1, index.field_of_text("hello"))
         index.set_entry(1, index.field_of_text("goodbye"))
-        assert index.candidates("hello") == set()
-        assert index.candidates("goodbye") == {1}
+        assert index.candidates("hello").tolist() == []
+        assert index.candidates("goodbye").tolist() == [1]
 
     def test_remove_entry(self):
         index = SubstringIndex(q=3)
         index.set_entry(1, index.field_of_text("hello"))
         index.remove_entry(1)
-        assert index.candidates("hello") == set()
+        assert index.candidates("hello").tolist() == []
         assert len(index) == 0
         assert index.byte_size() == 0
 
@@ -77,7 +85,7 @@ class TestStandalone:
             index.set_entry(nid, index.field_of_text(text))
         needle = "number 4"
         expected = {nid for nid, text in texts.items() if needle in text}
-        assert expected <= index.candidates(needle)
+        assert expected <= set(index.candidates(needle).tolist())
 
     def test_byte_size_grows(self):
         index = SubstringIndex(q=3)
@@ -85,6 +93,17 @@ class TestStandalone:
         small = index.byte_size()
         index.set_entry(2, index.field_of_text("ghijklmnop"))
         assert index.byte_size() > small
+
+    def test_delta_folds_in_step_with_the_stored_fields(self):
+        """The drift rule counts fields on both sides: each leaf here
+        holds a dozen entries, so sizing the drift by entries would
+        never fold."""
+        index = SubstringIndex(q=3)
+        for nid in range(1000):
+            index.set_entry(nid, index.field_of_text(f"leaf number {nid}"))
+        assert index.folded_at > 0
+        assert len(index.tree.snapshot().delta) <= len(index.tree) // 5
+        index.tree.check_invariants()
 
     def test_gram_distribution(self):
         index = SubstringIndex(q=3)
@@ -223,6 +242,32 @@ class TestQueryIntegration:
         assert indexed == query(manager, q, use_indexes=False)
         assert len(indexed) == 2
         assert explain(manager, q) == "index(substring)"
+
+    def test_planning_a_matches_query_probes_no_index(
+        self, manager, monkeypatch
+    ):
+        """Which literal the index would probe is string work; the plan
+        is chosen without building a candidate set."""
+        probes = []
+
+        def counting(method):
+            def probe(self, *args, **kwargs):
+                probes.append(method.__qualname__)
+                return method(self, *args, **kwargs)
+            return probe
+
+        for owner, name in (
+            (SubstringIndex, "candidates"),
+            (RunSnapshot, "nids_between"),
+        ):
+            monkeypatch.setattr(
+                owner, name, counting(getattr(owner, name))
+            )
+        q = '//book[matches(title/text(), "the .niverse")]'
+        assert explain(manager, q) == "index(substring)"
+        assert probes == []
+        assert len(query(manager, q)) == 2
+        assert "SubstringIndex.candidates" in probes
 
     def test_element_operand_scans(self, manager):
         q = '//book[contains(title, "Universe")]'

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import IndexManager
+from repro.core.hashing import hash_string
 from repro.core.verify import verify_database
 from repro.workloads import generate_xmark
 from repro.xmldb import TEXT
@@ -80,3 +81,23 @@ class TestCorruptionDetection:
         doc.texts[doc.text_id[text_pre]] = "zzzzzzzz"
         report = verify_database(manager)
         assert not report.ok
+        assert any("q-gram" in p for p in report.problems)
+
+    def test_detects_a_missing_non_first_gram_entry(self, manager):
+        index = manager.substring_index
+        doc = manager.store.document("xmark")
+        pre = next(
+            p
+            for p in range(len(doc))
+            if doc.kind[p] == TEXT and len(set(doc.text_of(p))) > 3
+        )
+        nid, text = doc.nid[pre], doc.text_of(pre)
+        first = hash_string(text[: index.q])
+        grams = index.keys_of(index.field_of(nid))
+        gram = next(g for g in sorted(grams) if g != first)
+        # Injected bug: a posting other than the leaf's first gram's
+        # is lost (a check of the first gram alone cannot see it).
+        assert index.tree.delete((gram, nid))
+        report = verify_database(manager)
+        assert not report.ok
+        assert report.problems == [f"substring tree lacks an entry of nid {nid}"]
