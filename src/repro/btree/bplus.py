@@ -4,8 +4,7 @@ Both paper indices sit on B-tree structures: "a (B-tree) index,
 constructed on the hash values" (Section 3) and "a clustered (b-tree)
 index is built on top of the typed values" (Section 4).  This module
 provides the shared substrate: an order-configurable B+tree with
-point/range lookups, bulk loading for index creation, and a modelled
-on-disk byte size for the storage experiments.
+point/range lookups and bulk loading for index creation.
 
 **Concurrency model.**  Every mutation (``insert``/``delete``) is
 *path-copying*: the nodes along the root-to-leaf descent are cloned,
@@ -27,7 +26,7 @@ node id to the key tuple, which is also how the paper lays out its
 from __future__ import annotations
 
 import bisect
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 __all__ = ["BPlusTree", "TreeSnapshot"]
 
@@ -241,10 +240,6 @@ class TreeSnapshot:
     def items(self) -> Iterator[tuple[Any, Any]]:
         return _iter_items(self._root)
 
-    def keys(self) -> Iterator[Any]:
-        for key, _value in _iter_items(self._root):
-            yield key
-
     def items_reversed(self) -> Iterator[tuple[Any, Any]]:
         return _iter_items_reversed(self._root)
 
@@ -257,18 +252,6 @@ class TreeSnapshot:
     ) -> Iterator[tuple[Any, Any]]:
         return _iter_range(self._root, low, high, include_low, include_high)
 
-    def range_keys(
-        self,
-        low: Any = None,
-        high: Any = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> list[Any]:
-        """Batched :meth:`range` over keys only (leaf-slice collection;
-        see :func:`_collect_range_keys`)."""
-        return _collect_range_keys(
-            self._root, low, high, include_low, include_high
-        )
 
 
 class BPlusTree:
@@ -276,23 +259,12 @@ class BPlusTree:
 
     Args:
         order: Maximum number of keys per node (≥ 3).
-        key_bytes: Modelled stored size of one key, for
-            :meth:`byte_size`.
-        value_bytes: Modelled stored size of one value; may also be a
-            callable ``value -> bytes`` for variable-size payloads.
     """
 
-    def __init__(
-        self,
-        order: int = 64,
-        key_bytes: int = 8,
-        value_bytes: int | Callable[[Any], int] = 0,
-    ):
+    def __init__(self, order: int = 64):
         if order < 3:
             raise ValueError("order must be at least 3")
         self._order = order
-        self._key_bytes = key_bytes
-        self._value_bytes = value_bytes
         self._root: _Leaf | _Inner = _Leaf()
         self._size = 0
         self._height = 1
@@ -415,8 +387,7 @@ class BPlusTree:
 
         Uses lazy deletion for structure (nodes may underflow; empty
         leaves are unlinked) — standard for in-memory B+trees where
-        rebalance cost is not repaid, and irrelevant to the modelled
-        storage size which counts entries.
+        rebalance cost is not repaid.
         """
         new_root: _Leaf | _Inner = _clone(self._root)
         path: list[tuple[_Inner, int]] = []
@@ -459,29 +430,6 @@ class BPlusTree:
             self._height = 1
         return root
 
-    def remove_many(self, keys: Iterable[Any]) -> int:
-        """Remove many keys at once; returns the number removed.
-
-        For small batches this loops :meth:`delete`; past ~1/4 of the
-        tree it filters a full scan once and rebuilds by bulk load —
-        O(n) instead of O(m log n), the difference between unloading a
-        document per-entry and in one pass.
-        """
-        drop = keys if isinstance(keys, set) else set(keys)
-        if not drop or self._size == 0:
-            return 0
-        if len(drop) * 4 < self._size:
-            removed = 0
-            for key in drop:
-                if self.delete(key):
-                    removed += 1
-            return removed
-        survivors = [item for item in self.items() if item[0] not in drop]
-        removed = self._size - len(survivors)
-        if removed:
-            self.bulk_load(survivors)
-        return removed
-
     # ------------------------------------------------------------------
     # Range scans
     # ------------------------------------------------------------------
@@ -489,10 +437,6 @@ class BPlusTree:
     def items(self) -> Iterator[tuple[Any, Any]]:
         """All entries in key order, as of the call."""
         return _iter_items(self._root)
-
-    def keys(self) -> Iterator[Any]:
-        for key, _value in _iter_items(self._root):
-            yield key
 
     def items_reversed(self) -> Iterator[tuple[Any, Any]]:
         """All entries in descending key order, as of the call."""
@@ -586,51 +530,6 @@ class BPlusTree:
         self._size = count
         self._height = height
         self._publish(level[0])  # publication point
-
-    # ------------------------------------------------------------------
-    # Storage model
-    # ------------------------------------------------------------------
-
-    def byte_size(self) -> int:
-        """Modelled on-disk size in bytes.
-
-        Leaf entries cost key + value bytes; inner entries cost key +
-        4-byte child pointers.  This mirrors how the paper accounts
-        index storage (it reports index size relative to database size,
-        both from the same storage manager).
-        """
-        total = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _Inner):
-                total += len(node.keys) * self._key_bytes
-                total += len(node.children) * 4
-                stack.extend(node.children)
-            else:
-                total += len(node.keys) * self._key_bytes
-                if callable(self._value_bytes):
-                    total += sum(self._value_bytes(v) for v in node.values)
-                else:
-                    total += len(node.keys) * self._value_bytes
-        return total
-
-    def inner_byte_size(self) -> int:
-        """Modelled bytes of the inner (non-leaf) levels only.
-
-        Used where leaf entries are accounted separately (e.g. the
-        string index counts its hash column once; the tree adds only
-        navigation overhead on top).
-        """
-        total = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _Inner):
-                total += len(node.keys) * self._key_bytes
-                total += len(node.children) * 4
-                stack.extend(node.children)
-        return total
 
     def check_invariants(self) -> None:
         """Validate structural invariants (test support).

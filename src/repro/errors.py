@@ -22,8 +22,9 @@ class ReproError(Exception):
 class XmlSyntaxError(ReproError):
     """Raised by the XML parser on malformed input.
 
-    Carries the byte/character ``position`` and 1-based ``line`` of the
-    offending input when known.
+    Carries the character ``position`` and 1-based ``line`` of the
+    offending input when known.  Both count from the start of the whole
+    document, however it was fed to the parser.
     """
 
     def __init__(self, message: str, position: int = -1, line: int = -1):
@@ -33,6 +34,7 @@ class XmlSyntaxError(ReproError):
         elif position >= 0:
             detail = f"{message} (offset {position})"
         super().__init__(detail)
+        self.message = message
         self.position = position
         self.line = line
 

@@ -8,16 +8,30 @@ five predefined entities and numeric character references.
 
 The subset is deliberate: it covers everything the paper's document
 corpora contain while keeping the hot path (text and tags) simple.
+
+There is one scanner, :class:`StreamingParser`.  It resumes wherever a
+chunk ends mid-token; :func:`parse_events` runs it once over a whole
+string and :func:`parse_stream` feeds it from a file handle.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterator
+from typing import IO, Iterator
 
 from ..errors import XmlSyntaxError
 
-__all__ = ["parse_events", "unescape", "escape_text", "escape_attribute"]
+__all__ = [
+    "StreamingParser",
+    "parse_events",
+    "parse_stream",
+    "unescape",
+    "escape_text",
+    "escape_attribute",
+]
+
+#: Read size for :func:`parse_stream`.
+CHUNK_SIZE = 64 * 1024
 
 _PREDEFINED = {
     "amp": "&",
@@ -161,8 +175,218 @@ def _parse_attributes(
     return attributes
 
 
+class StreamingParser:
+    """The XML scanner: ``feed`` chunks, receive events.
+
+    Input held back for an incomplete construct is bounded by the
+    largest single token (tag, comment, CDATA section, DOCTYPE or text
+    run between tags).  The events, and the message, position and line
+    of any :class:`~repro.errors.XmlSyntaxError`, do not depend on how
+    the input is chunked.
+    """
+
+    def __init__(self) -> None:
+        self._buffer = ""
+        self._cursor = 0  # first unconsumed character of _buffer
+        self._offset = 0  # characters dropped before _buffer[0]
+        self._lines = 0  # newlines dropped before _buffer[0]
+        self._stack: list[str] = []
+        self._seen_root = False
+        self._entities: dict[str, str] | None = None
+        self._closed = False
+
+    def feed(self, chunk: str) -> list[tuple]:
+        """Consume a chunk; return the events it completed."""
+        if self._closed:
+            raise XmlSyntaxError("feed() after close()")
+        # Drop the consumed prefix once per call, not once per token:
+        # re-slicing per token makes a large chunk quadratic.
+        cursor = self._cursor
+        self._offset += cursor
+        self._lines += self._buffer.count("\n", 0, cursor)
+        self._buffer = self._buffer[cursor:] + chunk
+        self._cursor = 0
+        return list(self._scan(final=False))
+
+    def close(self) -> list[tuple]:
+        """Signal end of input; return trailing events.
+
+        Raises :class:`XmlSyntaxError` on truncated documents.
+        """
+        if self._closed:
+            return []
+        self._closed = True
+        return list(self._scan(final=True))
+
+    def _scan(self, final: bool) -> Iterator[tuple]:
+        """Yield the events of every complete token from the cursor on.
+
+        Without ``final``, an incomplete token stops the scan at its
+        first character; the next :meth:`feed` resumes there.
+        """
+        xml = self._buffer
+        i = self._cursor
+        n = len(xml)
+        stack = self._stack
+        seen_root = self._seen_root
+        entities = self._entities
+        try:
+            while i < n:
+                lt = xml.find("<", i)
+                if lt == -1:
+                    if final and xml[i:].strip():
+                        if stack:
+                            raise _error(xml, i, f"unclosed element <{stack[-1]}>")
+                        raise _error(xml, i, "character data outside the root element")
+                    break
+                if lt > i:
+                    text = xml[i:lt]
+                    if stack:
+                        yield ("text", unescape(xml, text, i, entities))
+                    elif text.strip():
+                        raise _error(xml, i, "character data outside the root element")
+                    i = lt
+                if lt + 1 >= n:
+                    if final:
+                        raise _error(xml, lt, "truncated markup")
+                    break
+                marker = xml[lt + 1]
+                if marker == "/":
+                    gt = xml.find(">", lt + 2)
+                    if gt == -1:
+                        if final:
+                            raise _error(xml, lt, "unterminated end tag")
+                        break
+                    name = xml[lt + 2 : gt].strip()
+                    if not stack:
+                        raise _error(xml, lt, f"unexpected end tag </{name}>")
+                    if name != stack[-1]:
+                        raise _error(
+                            xml, lt, f"mismatched end tag </{name}>, open <{stack[-1]}>"
+                        )
+                    stack.pop()
+                    yield ("end", name)
+                    i = gt + 1
+                elif marker == "?":
+                    close = xml.find("?>", lt + 2)
+                    if close == -1:
+                        if final:
+                            raise _error(xml, lt, "unterminated processing instruction")
+                        break
+                    body = xml[lt + 2 : close]
+                    target, _, data = body.partition(" ")
+                    if not _is_name(target):
+                        raise _error(xml, lt, f"bad PI target {target!r}")
+                    if target.lower() != "xml":  # the XML declaration is dropped
+                        if stack:
+                            yield ("pi", target, data.strip())
+                        # PIs outside the root are legal; we skip them.
+                    i = close + 2
+                elif marker == "!":
+                    if xml.startswith("<!--", lt):
+                        close = xml.find("-->", lt + 4)
+                        if close == -1:
+                            if final:
+                                raise _error(xml, lt, "unterminated comment")
+                            break
+                        if stack:
+                            yield ("comment", xml[lt + 4 : close])
+                        i = close + 3
+                    elif xml.startswith("<![CDATA[", lt):
+                        close = xml.find("]]>", lt + 9)
+                        if close == -1:
+                            if final:
+                                raise _error(xml, lt, "unterminated CDATA section")
+                            break
+                        if not stack:
+                            raise _error(xml, lt, "CDATA outside the root element")
+                        yield ("text", xml[lt + 9 : close])
+                        i = close + 3
+                    elif xml.startswith("<!DOCTYPE", lt):
+                        # Skip the doctype, collecting internal-subset entities.
+                        depth = 0
+                        subset_start = -1
+                        j = lt + 9
+                        while j < n:
+                            ch = xml[j]
+                            if ch == "[":
+                                if depth == 0:
+                                    subset_start = j + 1
+                                depth += 1
+                            elif ch == "]":
+                                depth -= 1
+                                if depth == 0 and subset_start >= 0:
+                                    entities = _parse_internal_subset(
+                                        xml, subset_start, j
+                                    )
+                            elif ch == ">" and depth <= 0:
+                                break
+                            j += 1
+                        if j >= n:
+                            if final:
+                                raise _error(xml, lt, "unterminated DOCTYPE")
+                            break
+                        i = j + 1
+                    elif not final and n - lt < 9:
+                        break  # may still become one of the above
+                    else:
+                        raise _error(xml, lt, "unrecognised markup declaration")
+                else:
+                    gt = lt + 1
+                    depth_quote = ""
+                    while gt < n:
+                        ch = xml[gt]
+                        if depth_quote:
+                            if ch == depth_quote:
+                                depth_quote = ""
+                        elif ch in "\"'":
+                            depth_quote = ch
+                        elif ch == ">":
+                            break
+                        gt += 1
+                    if gt >= n:
+                        if final:
+                            raise _error(xml, lt, "unterminated start tag")
+                        break
+                    self_closing = xml[gt - 1] == "/"
+                    body_end = gt - 1 if self_closing else gt
+                    body = xml[lt + 1 : body_end]
+                    name_end = 0
+                    while name_end < len(body) and body[name_end] not in " \t\n\r":
+                        name_end += 1
+                    name = body[:name_end]
+                    if not _is_name(name):
+                        raise _error(xml, lt, f"bad element name {name!r}")
+                    if not stack:
+                        if seen_root:
+                            raise _error(xml, lt, "multiple root elements")
+                        seen_root = True
+                    attributes = _parse_attributes(
+                        xml, lt + 1 + name_end, lt + 1 + len(body), entities
+                    )
+                    yield ("start", name, attributes)
+                    if self_closing:
+                        yield ("end", name)
+                    else:
+                        stack.append(name)
+                    i = gt + 1
+            if final and stack:
+                raise _error(xml, n - 1, f"unclosed element <{stack[-1]}>")
+        except XmlSyntaxError as exc:
+            # Positions above are relative to the buffer; report them
+            # in the whole input.
+            raise XmlSyntaxError(
+                exc.message, exc.position + self._offset, exc.line + self._lines
+            ) from None
+        self._cursor = i
+        self._seen_root = seen_root
+        self._entities = entities
+        if final and not seen_root:
+            raise XmlSyntaxError("no root element", position=0, line=1)
+
+
 def parse_events(xml: str) -> Iterator[tuple]:
-    """Parse ``xml`` into events.
+    """Parse ``xml`` into events, lazily.
 
     Yields tuples:
 
@@ -176,135 +400,16 @@ def parse_events(xml: str) -> Iterator[tuple]:
     Raises :class:`~repro.errors.XmlSyntaxError` on malformed input,
     including multiple or missing root elements.
     """
-    i = 0
-    n = len(xml)
-    stack: list[str] = []
-    seen_root = False
-    entities: dict[str, str] | None = None
-    while i < n:
-        lt = xml.find("<", i)
-        if lt == -1:
-            trailing = xml[i:]
-            if trailing.strip():
-                if stack:
-                    raise _error(xml, i, f"unclosed element <{stack[-1]}>")
-                raise _error(xml, i, "character data outside the root element")
-            break
-        if lt > i:
-            text = xml[i:lt]
-            if stack:
-                yield ("text", unescape(xml, text, i, entities))
-            elif text.strip():
-                raise _error(xml, i, "character data outside the root element")
-        if lt + 1 >= n:
-            raise _error(xml, lt, "truncated markup")
-        marker = xml[lt + 1]
-        if marker == "/":
-            gt = xml.find(">", lt + 2)
-            if gt == -1:
-                raise _error(xml, lt, "unterminated end tag")
-            name = xml[lt + 2 : gt].strip()
-            if not stack:
-                raise _error(xml, lt, f"unexpected end tag </{name}>")
-            if name != stack[-1]:
-                raise _error(
-                    xml, lt, f"mismatched end tag </{name}>, open <{stack[-1]}>"
-                )
-            stack.pop()
-            yield ("end", name)
-            i = gt + 1
-        elif marker == "?":
-            close = xml.find("?>", lt + 2)
-            if close == -1:
-                raise _error(xml, lt, "unterminated processing instruction")
-            body = xml[lt + 2 : close]
-            target, _, data = body.partition(" ")
-            if not _is_name(target):
-                raise _error(xml, lt, f"bad PI target {target!r}")
-            if target.lower() != "xml":  # the XML declaration is dropped
-                if stack:
-                    yield ("pi", target, data.strip())
-                # PIs outside the root are legal; we skip them.
-            i = close + 2
-        elif marker == "!":
-            if xml.startswith("<!--", lt):
-                close = xml.find("-->", lt + 4)
-                if close == -1:
-                    raise _error(xml, lt, "unterminated comment")
-                if stack:
-                    yield ("comment", xml[lt + 4 : close])
-                i = close + 3
-            elif xml.startswith("<![CDATA[", lt):
-                close = xml.find("]]>", lt + 9)
-                if close == -1:
-                    raise _error(xml, lt, "unterminated CDATA section")
-                if not stack:
-                    raise _error(xml, lt, "CDATA outside the root element")
-                yield ("text", xml[lt + 9 : close])
-                i = close + 3
-            elif xml.startswith("<!DOCTYPE", lt):
-                # Skip the doctype, collecting internal-subset entities.
-                depth = 0
-                subset_start = -1
-                j = lt + 9
-                while j < n:
-                    ch = xml[j]
-                    if ch == "[":
-                        if depth == 0:
-                            subset_start = j + 1
-                        depth += 1
-                    elif ch == "]":
-                        depth -= 1
-                        if depth == 0 and subset_start >= 0:
-                            entities = _parse_internal_subset(
-                                xml, subset_start, j
-                            )
-                    elif ch == ">" and depth <= 0:
-                        break
-                    j += 1
-                if j >= n:
-                    raise _error(xml, lt, "unterminated DOCTYPE")
-                i = j + 1
-            else:
-                raise _error(xml, lt, "unrecognised markup declaration")
-        else:
-            gt = lt + 1
-            depth_quote = ""
-            while gt < n:
-                ch = xml[gt]
-                if depth_quote:
-                    if ch == depth_quote:
-                        depth_quote = ""
-                elif ch in "\"'":
-                    depth_quote = ch
-                elif ch == ">":
-                    break
-                gt += 1
-            if gt >= n:
-                raise _error(xml, lt, "unterminated start tag")
-            self_closing = xml[gt - 1] == "/"
-            body_end = gt - 1 if self_closing else gt
-            body = xml[lt + 1 : body_end]
-            name_end = 0
-            while name_end < len(body) and body[name_end] not in " \t\n\r":
-                name_end += 1
-            name = body[:name_end]
-            if not _is_name(name):
-                raise _error(xml, lt, f"bad element name {name!r}")
-            if not stack:
-                if seen_root:
-                    raise _error(xml, lt, "multiple root elements")
-                seen_root = True
-            attributes = _parse_attributes(
-                xml, lt + 1 + name_end, lt + 1 + len(body), entities
-            )
-            yield ("start", name, attributes)
-            if self_closing:
-                yield ("end", name)
-            else:
-                stack.append(name)
-            i = gt + 1
-    if stack:
-        raise _error(xml, n - 1, f"unclosed element <{stack[-1]}>")
-    if not seen_root:
-        raise _error(xml, 0, "no root element")
+    parser = StreamingParser()
+    parser._buffer = xml
+    return parser._scan(final=True)
+
+
+def parse_stream(
+    stream: IO[str], chunk_size: int = CHUNK_SIZE
+) -> Iterator[tuple]:
+    """Parse a text stream incrementally into events."""
+    parser = StreamingParser()
+    while chunk := stream.read(chunk_size):
+        yield from parser.feed(chunk)
+    yield from parser.close()

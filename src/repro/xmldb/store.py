@@ -15,11 +15,12 @@ pre/post-plane updates of MonetDB/XQuery.
 
 from __future__ import annotations
 
+import os
 from typing import Iterator
 
 from ..errors import DocumentError
 from .document import ATTR, COMMENT, DOC, ELEM, PI, TEXT, Document
-from .parser import parse_events
+from .parser import parse_events, parse_stream
 from .shredder import shred, shred_events
 
 __all__ = ["Store", "StructuralChange"]
@@ -104,11 +105,12 @@ class Store:
         return doc
 
     def add_document_file(self, name: str, path: str) -> Document:
-        """Shred an XML file via the streaming parser (constant parse
-        memory; the column store itself is in memory)."""
-        from .streaming import add_document_file
-
-        return add_document_file(self, name, path)
+        """Shred an XML file read in chunks (constant parse memory; the
+        column store itself is in memory)."""
+        with open(path, encoding="utf-8") as fh:
+            doc = self.add_document_events(name, parse_stream(fh))
+        doc.source_bytes = os.path.getsize(path)
+        return doc
 
     def add_document_events(self, name: str, events) -> Document:
         """Shred a pre-parsed event stream (generator workloads)."""

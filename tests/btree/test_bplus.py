@@ -181,27 +181,6 @@ class TestBulkLoad:
         tree.check_invariants()
 
 
-class TestByteSize:
-    def test_empty_is_zero(self):
-        assert BPlusTree(order=4).byte_size() == 0
-
-    def test_grows_with_entries(self):
-        tree = BPlusTree(order=16, key_bytes=8, value_bytes=4)
-        tree.insert(1, None)
-        one = tree.byte_size()
-        for key in range(2, 100):
-            tree.insert(key, None)
-        assert tree.byte_size() > one
-        # 99 leaf entries at 12 bytes each, plus inner overhead.
-        assert tree.byte_size() >= 99 * 12
-
-    def test_callable_value_bytes(self):
-        tree = BPlusTree(order=4, key_bytes=4, value_bytes=len)
-        tree.insert(1, "abc")
-        tree.insert(2, "")
-        assert tree.byte_size() >= 4 + 3 + 4
-
-
 @given(
     st.lists(
         st.tuples(st.integers(-1000, 1000), st.booleans()), max_size=300
