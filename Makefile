@@ -23,9 +23,7 @@
 #   make stress  — bounded, seeded reader/writer soak (default 30s;
 #                  tune with STRESS_SECONDS / STRESS_SEED)
 #   make bench   — tier-2: paper experiments + ablations at the default
-#                  bench scale, including the parallel-creation curve
-#                  (emits BENCH_parallel_build.json)
-#   make bench-parallel — just the parallel-creation experiment
+#                  bench scale
 #   make bench-concurrent — concurrent serving sweep
 #                  (emits BENCH_concurrent_serve.json)
 #   make bench-serve — network serving bench: N client connections
@@ -52,7 +50,7 @@ STRESS_SEED ?= 777
 PAIRS ?= 10
 
 .PHONY: test lint faults concurrent serve-test shard-test repl-test \
-	elastic-test stress bench bench-parallel bench-concurrent \
+	elastic-test stress bench bench-concurrent \
 	bench-serve bench-shard bench-repl bench-elastic pairs
 
 lint:
@@ -92,11 +90,6 @@ test: lint
 bench:
 	REPRO_BENCH_SCALE=$(REPRO_BENCH_SCALE) \
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-parallel:
-	REPRO_BENCH_SCALE=$(REPRO_BENCH_SCALE) \
-	$(PYTHON) -m pytest benchmarks/test_parallel_creation.py \
-	    --benchmark-only
 
 bench-concurrent:
 	$(PYTHON) -m repro.bench.concurrent

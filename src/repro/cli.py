@@ -42,22 +42,7 @@ def _describe(manager, nid: int) -> str:
     return f"  nid {nid} [{doc.name}] {label}"
 
 
-def _parse_parallel(value: str | None) -> int | str | None:
-    """CLI form of the parallel knob: None, "auto" or a worker count."""
-    if value is None or value == "none":
-        return None
-    if value == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except ValueError:
-        raise ReproError(
-            f"--parallel expects a worker count or 'auto', got {value!r}"
-        ) from None
-
-
-def _open(path: str, parallel: int | str | None = None,
-          parallel_backend: str = "process",
+def _open(path: str,
           concurrent: bool = False,
           group_commit: bool = False,
           group_batch_max: int = 32,
@@ -68,8 +53,7 @@ def _open(path: str, parallel: int | str | None = None,
 
     if not os.path.exists(os.path.join(path, "MANIFEST.json")):
         raise ReproError(f"no database at {path!r}; run 'init' first")
-    db = Database(path, parallel=parallel, parallel_backend=parallel_backend,
-                  concurrent=concurrent, group_commit=group_commit,
+    db = Database(path, concurrent=concurrent, group_commit=group_commit,
                   group_batch_max=group_batch_max,
                   group_batch_wait_ms=group_batch_wait_ms,
                   retain_epochs=retain_epochs)
@@ -121,8 +105,7 @@ def cmd_load(args) -> int:
             shard = cluster.load(args.name, xml)
         print(f"loaded {args.name!r} onto shard {shard}")
         return 0
-    with _open(args.db, _parse_parallel(args.parallel),
-               args.parallel_backend) as db:
+    with _open(args.db) as db:
         doc = db.load(args.name, xml)
     print(f"loaded {args.name!r}: {len(doc):,} nodes")
     return 0
@@ -139,8 +122,7 @@ def cmd_generate(args) -> int:
             shard = cluster.load(args.dataset, spec.build(args.scale))
         print(f"generated {args.dataset} onto shard {shard}")
         return 0
-    with _open(args.db, _parse_parallel(args.parallel),
-               args.parallel_backend) as db:
+    with _open(args.db) as db:
         doc = db.load(args.dataset, spec.build(args.scale))
     print(f"generated {args.dataset}: {len(doc):,} nodes")
     return 0
@@ -420,14 +402,13 @@ def cmd_resize(args) -> int:
 
 def cmd_bench(args) -> int:
     from .bench import concurrent, elastic, figure9, figure10, figure11, \
-        parallel, repl, serve, shard, table1
+        repl, serve, shard, table1
 
     module = {
         "table1": table1,
         "figure9": figure9,
         "figure10": figure10,
         "figure11": figure11,
-        "parallel": parallel,
         "concurrent": concurrent,
         "serve": serve,
         "shard": shard,
@@ -459,14 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("db")
     p.add_argument("name")
     p.add_argument("file")
-    _add_parallel_options(p)
     p.set_defaults(fn=cmd_load)
 
     p = sub.add_parser("generate", help="generate a catalog dataset")
     p.add_argument("db")
     p.add_argument("dataset")
     p.add_argument("--scale", type=float, default=0.1)
-    _add_parallel_options(p)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("stats", help="Table 1 statistics per document")
@@ -601,8 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a paper experiment")
     p.add_argument("experiment",
                    choices=["table1", "figure9", "figure10", "figure11",
-                            "parallel", "concurrent", "serve", "shard",
-                            "repl", "elastic"])
+                            "concurrent", "serve", "shard", "repl",
+                            "elastic"])
     p.set_defaults(fn=cmd_bench)
     return parser
 
@@ -616,14 +595,6 @@ def _add_serving_options(p: argparse.ArgumentParser) -> None:
                    help="most records per group-commit batch")
     p.add_argument("--group-batch-wait-ms", type=float, default=0.0,
                    help="leader linger before committing a non-full batch")
-
-
-def _add_parallel_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--parallel", default=None, metavar="N|auto",
-                   help="parallel index creation: worker count or 'auto'")
-    p.add_argument("--parallel-backend", default="process",
-                   choices=["process", "thread"],
-                   help="worker pool backend for --parallel")
 
 
 def main(argv: list[str] | None = None) -> int:

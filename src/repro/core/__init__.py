@@ -3,13 +3,6 @@
 from .builder import build_document, compute_fields
 from .hashing import EMPTY_HASH, HashAccumulator, combine, combine_all, hash_string
 from .manager import IndexManager
-from .parallel import (
-    build_document_parallel,
-    compute_fields_parallel,
-    resolve_workers,
-    shutdown_pools,
-    split_document,
-)
 from .string_index import StringIndex
 from .substring_index import SubstringIndex
 from .typed_index import TypedIndex
@@ -27,13 +20,8 @@ __all__ = [
     "apply_structural_change",
     "apply_text_updates",
     "build_document",
-    "build_document_parallel",
     "combine",
     "combine_all",
     "compute_fields",
-    "compute_fields_parallel",
     "hash_string",
-    "resolve_workers",
-    "shutdown_pools",
-    "split_document",
 ]

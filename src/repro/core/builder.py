@@ -32,20 +32,13 @@ def compute_fields(
     end: int,
     indexes: Sequence[ValueIndex],
     bulk: bool,
-) -> list[object]:
+) -> None:
     """Compute and store fields for all rows in ``[start, end]``.
 
     The range must cover complete subtrees (as pre ranges of siblings
     do).  With ``bulk`` the entries are staged for bulk-loading
     (creation); otherwise they go through ``set_entry`` (structural
     updates over freshly inserted subtrees).
-
-    Returns, per index, the *contribution* of the whole range: the
-    fold under ``C``/the SCT of the fields of the range's top-level
-    element and text subtrees, in document order.  Because the
-    combination functions are associative, a parent whose children were
-    computed over several ranges recovers its exact field by folding
-    the per-range contributions (see :mod:`repro.core.parallel`).
     """
     kinds = doc.kind
     sizes = doc.size
@@ -65,8 +58,8 @@ def compute_fields(
         for index in indexes
     ]
     # Stack frames: (subtree_end_pre, nid, [accumulator per index]).
-    # The bottom frame is a sentinel (nid None) accumulating the
-    # contribution of the range's top-level subtrees.
+    # The bottom frame is a sentinel (nid None) that absorbs the
+    # folds of the range's top-level subtrees.
     stack: list[tuple[int, int | None, list]] = [
         (end, None, [index.identity for index in indexes])
     ]
@@ -101,7 +94,6 @@ def compute_fields(
                 enter[i](nids[pre], leaf_fields[i][pre])
         # COMMENT/PI: not indexed, nothing contributed.
         pre += 1
-    return stack[0][2]
 
 
 def build_document(doc: Document, indexes: Sequence[ValueIndex]) -> None:

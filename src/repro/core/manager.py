@@ -28,7 +28,6 @@ from ..xmldb.mvcc import read_epoch
 from ..xmldb.store import Store, StructuralChange
 from .builder import compute_fields
 from .concurrency import ConcurrencyController, ReadView, active_view
-from .parallel import AUTO_MIN_ROWS, compute_fields_parallel, resolve_workers
 from .string_index import StringIndex
 from .substring_index import SubstringIndex
 from .typed_index import TypedIndex
@@ -36,9 +35,6 @@ from .updater import apply_structural_change, apply_text_updates
 from .value_index import ValueIndex
 
 __all__ = ["IndexManager"]
-
-#: Per-call default: "use the manager's configured ``parallel`` knob".
-_DEFAULT = object()
 
 
 class IndexManager:
@@ -49,13 +45,6 @@ class IndexManager:
         string: Build the string equality index.
         typed: XML type names to build range indices for.
         substring: Build the q-gram substring index.
-        order: Node order of every index's delta tree.
-        parallel: Default creation-pass parallelism — ``None`` (serial),
-            ``"auto"`` (available CPUs, skipping small documents) or a
-            worker count.  Per-call overrides exist on the build
-            methods; updates are always serial (they touch few nodes).
-        parallel_backend: ``"process"`` (default) or ``"thread"``; see
-            :mod:`repro.core.parallel`.
     """
 
     def __init__(
@@ -64,23 +53,15 @@ class IndexManager:
         string: bool = True,
         typed: Iterable[str] = ("double",),
         substring: bool = False,
-        order: int = 64,
-        parallel: int | str | None = None,
-        parallel_backend: str = "process",
     ):
         self.store = store if store is not None else Store()
-        self.string_index: StringIndex | None = (
-            StringIndex(order=order) if string else None
-        )
+        self.string_index: StringIndex | None = StringIndex() if string else None
         self.typed_indexes: dict[str, TypedIndex] = {
-            name: TypedIndex(name, order=order) for name in typed
+            name: TypedIndex(name) for name in typed
         }
         self.substring_index: SubstringIndex | None = (
-            SubstringIndex(order=order) if substring else None
+            SubstringIndex() if substring else None
         )
-        self._order = order
-        self.parallel = parallel
-        self.parallel_backend = parallel_backend
         self._statistics_cache: dict[str, object] = {}
         # name -> value-leaf nids, pre order (scan fallback for
         # substring/regex lookups; invalidated on structural changes).
@@ -198,47 +179,22 @@ class IndexManager:
             )
         return index
 
-    def add_typed_index(
-        self, type_name: str, parallel: int | str | None = _DEFAULT
-    ) -> TypedIndex:
+    def add_typed_index(self, type_name: str) -> TypedIndex:
         """Create (and build) an additional typed index."""
         if type_name in self.typed_indexes:
             raise IndexError_(f"typed index {type_name!r} already exists")
         with self._exclusive():
-            index = TypedIndex(type_name, order=self._order)
+            index = TypedIndex(type_name)
             self.typed_indexes[type_name] = index
-            self._bulk_build(self.store.documents.values(), [index], parallel)
+            self._bulk_build(self.store.documents.values(), [index])
         return index
 
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
 
-    def _build_workers(self, doc: Document, parallel) -> int:
-        """Resolve a per-call/configured knob to a worker count for
-        ``doc`` (0 = serial).  ``"auto"`` skips small documents, where
-        pool dispatch costs more than the pass itself."""
-        knob = self.parallel if parallel is _DEFAULT else parallel
-        if knob == "auto" and len(doc) < AUTO_MIN_ROWS:
-            return 0
-        return resolve_workers(knob)
-
-    def _compute_document(
-        self, doc: Document, indexes: list[ValueIndex], parallel
-    ) -> None:
-        """One Figure 7 pass over ``doc`` (serial or chunked/pooled)."""
-        if not indexes:
-            return
-        workers = self._build_workers(doc, parallel)
-        if workers <= 0:
-            compute_fields(doc, 0, len(doc) - 1, indexes, bulk=True)
-        else:
-            compute_fields_parallel(
-                doc, indexes, workers, backend=self.parallel_backend
-            )
-
     def _bulk_build(
-        self, docs: Iterable[Document], indexes: list[ValueIndex], parallel
+        self, docs: Iterable[Document], indexes: list[ValueIndex]
     ) -> None:
         """Create ``indexes`` over ``docs``: stage every document's
         fields, then merge each index's staged columns once.  Callers hold the
@@ -246,38 +202,32 @@ class IndexManager:
         with self.metrics.timer("index.build").time():
             for index in indexes:
                 index.begin_bulk()
-            for doc in docs:
-                self._compute_document(doc, indexes, parallel)
+            if indexes:
+                for doc in docs:
+                    compute_fields(doc, 0, len(doc) - 1, indexes, bulk=True)
             for index in indexes:
                 index.finish_bulk()
         self.metrics.counter("index.builds").inc()
         self.bump_epoch(structural=True)
 
-    def _build_document(self, doc: Document, parallel,
-                        structural: bool = True) -> None:
+    def _build_document(self, doc: Document, structural: bool = True) -> None:
         with self._exclusive(structural=structural):
-            self._bulk_build([doc], self.indexes, parallel)
+            self._bulk_build([doc], self.indexes)
             self._leaf_nids_cache.pop(doc.name, None)
 
-    def load(
-        self, name: str, xml: str, parallel: int | str | None = _DEFAULT
-    ) -> Document:
+    def load(self, name: str, xml: str) -> Document:
         """Shred a document and index it (shred + Figure 7 pass)."""
         doc = self.store.add_document(name, xml)
-        self._build_document(doc, parallel)
+        self._build_document(doc)
         return doc
 
-    def load_events(
-        self, name: str, events, parallel: int | str | None = _DEFAULT
-    ) -> Document:
+    def load_events(self, name: str, events) -> Document:
         """Shred a pre-parsed event stream and index it."""
         doc = self.store.add_document_events(name, events)
-        self._build_document(doc, parallel)
+        self._build_document(doc)
         return doc
 
-    def adopt_document(
-        self, doc: Document, parallel: int | str | None = _DEFAULT
-    ) -> Document:
+    def adopt_document(self, doc: Document) -> Document:
         """Index a document decoded from another engine's snapshot
         (shard migration import).
 
@@ -296,10 +246,10 @@ class IndexManager:
         cluster views on the destination shard.
         """
         doc = self.store.adopt_document(doc)
-        self._build_document(doc, parallel, structural=False)
+        self._build_document(doc, structural=False)
         return doc
 
-    def build_all(self, parallel: int | str | None = _DEFAULT) -> None:
+    def build_all(self) -> None:
         """(Re)build all indices over all documents already in the
         store; entries the documents already have are dropped first."""
         with self._exclusive():
@@ -308,7 +258,7 @@ class IndexManager:
             for doc in docs:
                 for index in indexes:
                     index.remove_entries(doc.nid)
-            self._bulk_build(docs, indexes, parallel)
+            self._bulk_build(docs, indexes)
 
     def unload(self, name: str) -> None:
         """Drop a document and all its index entries (one bulk pass per
@@ -659,7 +609,6 @@ class IndexManager:
             string=self.string_index is not None,
             typed=tuple(self.typed_indexes),
             substring=self.substring_index is not None,
-            order=self._order,
         )
         rebuilt.build_all()
         for index, fresh in zip(self.indexes, rebuilt.indexes):

@@ -38,8 +38,8 @@ class StringIndex(ValueIndex):
     column = (".sidx", "HASH")
     statistics_type = StringIndexStatistics
 
-    def __init__(self, order: int = 64):
-        super().__init__("string", SortedRun("<u4", order=order))
+    def __init__(self):
+        super().__init__("string", SortedRun("<u4"))
         #: nid -> stored hash (this index's name for its field map).
         self.hash_of = self.fields
 

@@ -139,16 +139,15 @@ class SubstringIndex(ValueIndex):
 
     Args:
         q: Gram width (>= 2).
-        order: Node order of the run's delta tree.
     """
 
     identity = NO_GRAMS
     absent = NO_GRAMS
 
-    def __init__(self, q: int = DEFAULT_Q, order: int = 64):
+    def __init__(self, q: int = DEFAULT_Q):
         if q < 2:
             raise ValueError("q must be at least 2")
-        super().__init__("substring", SortedRun("<u4", order=order))
+        super().__init__("substring", SortedRun("<u4"))
         self.q = q
 
     def field_of_text(self, text: str) -> bytes:
@@ -162,9 +161,6 @@ class SubstringIndex(ValueIndex):
 
     def keys_of(self, field: bytes) -> frozenset[int]:
         return frozenset(array("I", field))
-
-    def spec(self) -> tuple:
-        return (type(self), (self.q,))
 
     # ------------------------------------------------------------------
     # Lookup

@@ -95,11 +95,11 @@ class TypedIndex(ValueIndex):
     absent = REJECT_FRAGMENT
     statistics_type = TypedIndexStatistics
 
-    def __init__(self, type_name: str, order: int = 64):
+    def __init__(self, type_name: str):
         # Only xs:double casts to what an f8 column holds exactly;
         # Decimal, unbounded int and bool keys stay Python objects.
         dtype = np.float64 if type_name == "double" else object
-        super().__init__(type_name, SortedRun(dtype, order=order))
+        super().__init__(type_name, SortedRun(dtype))
         self.plugin = get_plugin(type_name)
         self.identity = self.plugin.empty_fragment
         self.column = (f".{type_name}.tidx", "FRAG")
@@ -142,9 +142,6 @@ class TypedIndex(ValueIndex):
     def value_of(self, nid: int) -> Any:
         """Typed value of a node, or ``None`` if it has none."""
         return self.plugin.cast(self.field_of(nid))
-
-    def spec(self) -> tuple:
-        return (type(self), (self.kind,))
 
     def pack_fields(self, fields: list[Fragment]) -> bytes:
         plugin = self.plugin

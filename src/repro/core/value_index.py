@@ -104,11 +104,6 @@ class ValueIndex:
         """Tree keys of a stored field (empty keeps it out of the tree)."""
         return (field,)
 
-    def spec(self) -> tuple:
-        """Picklable ``(class, args)`` recipe for an empty copy of this
-        index (parallel chunk workers rebuild the algebra from it)."""
-        return (type(self), ())
-
     def pack_fields(self, fields: list) -> bytes:
         raise NotImplementedError
 

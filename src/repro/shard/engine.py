@@ -102,10 +102,6 @@ class ShardEngine:
         checkpoint_every: Auto-checkpoint after this many logged
             updates (0 disables; explicit :meth:`checkpoint` always
             works).
-        parallel: Creation-pass parallelism for :meth:`load` — ``None``
-            (serial), ``"auto"`` or a worker count (see
-            :mod:`repro.core.parallel`).
-        parallel_backend: ``"process"`` (default) or ``"thread"``.
         concurrent: Enable the concurrent serving path: queries pin
             snapshot-isolated read views, text updates run under MVCC,
             structural updates stop the world (docs/concurrency.md).
@@ -132,8 +128,6 @@ class ShardEngine:
         substring: bool = False,
         sync: str = "flush",
         checkpoint_every: int = 10_000,
-        parallel: int | str | None = None,
-        parallel_backend: str = "process",
         concurrent: bool = False,
         group_commit: bool = False,
         group_batch_max: int = 32,
@@ -192,8 +186,6 @@ class ShardEngine:
             self.checkpoint_epoch = save_manager(self.manager, path)
             self.recovered_records = 0
             self.recovery = RecoveryReport()
-        self.manager.parallel = parallel
-        self.manager.parallel_backend = parallel_backend
         self._record_recovery_metrics()
         self._wal = WriteAheadLog(
             wal_path, sync=sync, metrics=self.manager.metrics,

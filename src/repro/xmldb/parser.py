@@ -8,6 +8,11 @@ five predefined entities and numeric character references.
 
 The subset is deliberate: it covers everything the paper's document
 corpora contain while keeping the hot path (text and tags) simple.
+Line ends are normalised as XML 1.0 §2.11 prescribes (``\r\n`` and a
+lone ``\r`` read as ``\n``) and attribute values as §3.3.3 does for
+CDATA attributes (each literal tab or line end reads as a space;
+character references are kept), so a document yields the same values
+whether it arrives as a string or through a text-mode file.
 
 There is one scanner, :class:`StreamingParser`.  It resumes wherever a
 chunk ends mid-token; :func:`parse_events` runs it once over a whole
@@ -42,6 +47,15 @@ _PREDEFINED = {
 }
 
 _NAME_FORBIDDEN = set(' \t\n\r<>&"\'=/?!')
+
+#: Attribute-value normalisation of literal white space (§3.3.3).
+_ATTRIBUTE_SPACE = str.maketrans("\t\n\r", "   ")
+
+
+def _normalise_line_ends(text: str) -> str:
+    if "\r" not in text:
+        return text
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _is_name(token: str) -> bool:
@@ -170,7 +184,17 @@ def _parse_attributes(
         raw = xml[j + 1 : close]
         if "<" in raw:
             raise _error(xml, j, "'<' not allowed in attribute value")
-        attributes.append((name, unescape(xml, raw, j + 1, entities)))
+        if "\t" in raw or "\n" in raw:
+            raw = raw.translate(_ATTRIBUTE_SPACE)
+        value_entities = entities
+        if entities and "&" in raw:
+            # White space in an entity's replacement text reads as a
+            # space too, character references in it included.
+            value_entities = {
+                key: text.translate(_ATTRIBUTE_SPACE)
+                for key, text in entities.items()
+            }
+        attributes.append((name, unescape(xml, raw, j + 1, value_entities)))
         i = close + 1
     return attributes
 
@@ -182,7 +206,8 @@ class StreamingParser:
     largest single token (tag, comment, CDATA section, DOCTYPE or text
     run between tags).  The events, and the message, position and line
     of any :class:`~repro.errors.XmlSyntaxError`, do not depend on how
-    the input is chunked.
+    the input is chunked; positions count characters after line-end
+    normalisation.
     """
 
     def __init__(self) -> None:
@@ -194,11 +219,18 @@ class StreamingParser:
         self._seen_root = False
         self._entities: dict[str, str] | None = None
         self._closed = False
+        self._held_cr = False  # a "\r" ending the last chunk
 
     def feed(self, chunk: str) -> list[tuple]:
         """Consume a chunk; return the events it completed."""
         if self._closed:
             raise XmlSyntaxError("feed() after close()")
+        # A "\r" at the end of a chunk may pair with a "\n" opening the
+        # next one, so it waits for that chunk (or close()).
+        if self._held_cr:
+            chunk = "\r" + chunk
+        self._held_cr = chunk.endswith("\r")
+        chunk = _normalise_line_ends(chunk[:-1] if self._held_cr else chunk)
         # Drop the consumed prefix once per call, not once per token:
         # re-slicing per token makes a large chunk quadratic.
         cursor = self._cursor
@@ -216,6 +248,8 @@ class StreamingParser:
         if self._closed:
             return []
         self._closed = True
+        if self._held_cr:
+            self._buffer += "\n"
         return list(self._scan(final=True))
 
     def _scan(self, final: bool) -> Iterator[tuple]:
@@ -401,7 +435,7 @@ def parse_events(xml: str) -> Iterator[tuple]:
     including multiple or missing root elements.
     """
     parser = StreamingParser()
-    parser._buffer = xml
+    parser._buffer = _normalise_line_ends(xml)
     return parser._scan(final=True)
 
 

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.bench import concurrent, figure9, figure10, figure11, parallel, \
-    table1
+from repro.bench import concurrent, figure9, figure10, figure11, table1
 from repro.bench.harness import format_bytes, measure_seconds, render_table
 
 SCALE = 0.02
@@ -115,32 +114,6 @@ class TestFigure11Driver:
     def test_wiki_has_tail(self):
         results = {r.name: r for r in figure11.run(scale=0.1)}
         assert results["Wiki"].max_group >= 2
-
-
-class TestParallelDriver:
-    def test_run_and_report(self, tmp_path):
-        results = parallel.run(
-            scale=SCALE, workers=(2,), backend="thread", repeats=1
-        )
-        assert {r.name for r in results} == {
-            "XMark1", "XMark2", "XMark4", "XMark8",
-            "EPAGeo", "DBLP", "PSD", "Wiki",
-        }
-        for result in results:
-            assert result.serial_seconds > 0
-            assert result.parallel_seconds[2] > 0
-            assert result.speedup(2) > 0
-        report = parallel.format_report(results)
-        assert "2w ms (x)" in report and "Wiki" in report
-        path = tmp_path / "parallel.json"
-        payload = parallel.write_json(
-            results, path=str(path), backend="thread", scale=SCALE
-        )
-        assert path.exists()
-        assert payload["bench"] == "parallel_build"
-        assert payload["cores_available"] >= 1
-        assert payload["workers"] == [2]
-        assert payload["aggregate"]["speedup"]["2"] > 0
 
 
 class TestConcurrentDriver:

@@ -80,10 +80,6 @@ class TestProtocolConformance:
         assert index.kind in INDEX_FACTORIES
         assert isinstance(index.tree, SortedRun)
 
-    def test_manager_order_reaches_every_run(self):
-        manager = IndexManager(typed=("double",), substring=True, order=8)
-        assert [index.tree._order for index in manager.indexes] == [8, 8, 8]
-
     def test_batch_field_hook_matches_scalar(self, make_index):
         index = make_index()
         texts = ["", "42", " 7.5 ", "many words", "E+", "ab"]
@@ -96,18 +92,6 @@ class TestProtocolConformance:
         assert index.field_of(12345) == index.absent
         if index.absent is not None:
             assert not index.stores(index.absent)
-
-    def test_spec_rebuilds_an_empty_index_with_the_same_algebra(
-        self, make_index
-    ):
-        index = make_index()
-        cls, args = index.spec()
-        clone = cls(*args)
-        assert type(clone) is type(index) and len(clone) == 0
-        assert clone.identity == index.identity
-        assert clone.field_of_text("4.2 towels") == index.field_of_text(
-            "4.2 towels"
-        )
 
     def test_incremental_entries_equal_bulk_build(self, make_index, doc):
         bulk, incremental = make_index(), make_index()
@@ -185,6 +169,10 @@ class TestNoSidePaths:
         r"\bsnapshottable\b": None,
         r"\b_postings\b": None,
         r"\b_drop_postings\b": None,
+        r"\bparallel_backend\b": None,
+        r"\bcompute_fields_parallel\b": None,
+        r"\bProcessPoolExecutor\b": None,
+        r"\bdef spec\b": None,
     }
 
     @pytest.mark.parametrize("pattern", list(FORBIDDEN))

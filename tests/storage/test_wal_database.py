@@ -194,6 +194,24 @@ class TestDatabase:
             assert db.query("//person[age = 42]")
             assert db.explain("//person[age = 42]") == "index(double)"
 
+    def test_line_ends_read_alike_from_string_and_file(self, tmp_path):
+        xml = '<r><a k="1\r\n2">x\r\ny</a></r>'
+        path = tmp_path / "crlf.xml"
+        path.write_bytes(xml.encode("utf-8"))
+        with Database(str(tmp_path / "db")) as db:
+            db.load("inline", xml)
+            with open(path, encoding="utf-8") as fh:
+                db.load("file", fh.read())
+            for query in ('//a[. = "x\ny"]', '//a[@k = "1 2"]'):
+                for use_indexes in (True, False):
+                    pres = [
+                        [pre for _, pre, _ in db.query_rows(
+                            query, document=name, use_indexes=use_indexes
+                        )]
+                        for name in ("inline", "file")
+                    ]
+                    assert pres[0] == pres[1] and len(pres[0]) == 1, query
+
     def test_reopen_without_crash(self, tmp_path):
         path = str(tmp_path / "db")
         with Database(path) as db:

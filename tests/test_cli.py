@@ -47,22 +47,17 @@ class TestInitLoad:
         main(["init", path])
         assert main(["generate", path, "Nope"]) == 2
 
-    def test_generate_parallel(self, tmp_path, capsys):
+    def test_generate_then_verify(self, tmp_path, capsys):
         path = str(tmp_path / "db")
         main(["init", path])
-        assert main([
-            "generate", path, "XMark1", "--scale", "0.02",
-            "--parallel", "2", "--parallel-backend", "thread",
-        ]) == 0
+        assert main(["generate", path, "XMark1", "--scale", "0.02"]) == 0
         assert "generated XMark1" in capsys.readouterr().out
         assert main(["verify", path]) == 0
 
-    def test_load_parallel_auto(self, db, tmp_path, capsys):
+    def test_load_second_document(self, db, tmp_path, capsys):
         xml_file = tmp_path / "p2.xml"
         xml_file.write_text(PERSON)
-        assert main([
-            "load", db, "person2", str(xml_file), "--parallel", "auto",
-        ]) == 0
+        assert main(["load", db, "person2", str(xml_file)]) == 0
         assert "loaded 'person2'" in capsys.readouterr().out
 
 

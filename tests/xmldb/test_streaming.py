@@ -33,6 +33,7 @@ SAMPLES = [
     '<a x="1" y="&amp;"><b>one</b>two<c/>three</a>',
     "<a><!-- comment --><?pi data?><![CDATA[<raw>&]]></a>",
     '<?xml version="1.0"?><!DOCTYPE a [<!ENTITY w "hi">]><a>&w;</a>',
+    '<!DOCTYPE a [<!ENTITY w "x&#10;y\tz">]><a k="&w;&#10;">&w;</a>',
     "  <a>\n  mixed <b>deep<c>er</c></b> tail\n</a>  ",
 ]
 
@@ -116,7 +117,9 @@ NAMES = st.builds(
     st.text("abcdefgh0123456789_.-", max_size=4),
 )
 CHARS = st.characters(blacklist_categories=("Cs", "Cc"), max_codepoint=0x7FF)
-TEXT = st.text(CHARS | st.sampled_from("\n\t"), max_size=12)
+TEXT = st.lists(
+    CHARS | st.sampled_from(["\n", "\t", "\r", "\r\n"]), max_size=12
+).map("".join)
 WORDS = st.lists(
     st.text("abcdefgh0123456789", min_size=1, max_size=6), min_size=1, max_size=3
 ).map(" ".join)
@@ -130,9 +133,8 @@ def render(name, attributes, children):
 
 @st.composite
 def documents(draw):
-    """Well-formed documents that expat and this parser read alike:
-    ASCII names, no carriage returns, and no tabs or newlines in
-    attribute values (expat normalises those)."""
+    """Well-formed documents that expat and this parser read alike,
+    with ASCII names."""
     entities = draw(st.dictionaries(st.sampled_from(["e1", "e2"]), WORDS))
     references = ["&amp;", "&lt;", "&#65;", "&#x3b1;"]
     references += [f"&{name};" for name in entities]
@@ -145,7 +147,9 @@ def documents(draw):
         ),
         st.builds("<?{} {}?>".format, NAMES, WORDS),
     )
-    value = st.text(CHARS, max_size=8).map(escape_attribute)
+    value = st.text(CHARS | st.sampled_from("\t\n\r"), max_size=8).map(
+        escape_attribute
+    )
 
     def element(children):
         return st.builds(
@@ -229,6 +233,14 @@ class TestErrorFidelity:
         whole = error_of(lambda: list(parse_events(xml)))
         for size in (1, 3, 64 * 1024):
             assert error_of(lambda: chunked(xml, size)) == whole, size
+
+    def test_line_ends_count_as_one_newline(self):
+        xml = "<r>\r\n<a>\r\r\n<b x=1/></a></r>"
+        lf = "<r>\n<a>\n\n<b x=1/></a></r>"
+        expected = error_of(lambda: list(parse_events(lf)))
+        assert error_of(lambda: list(parse_events(xml))) == expected
+        for size in (1, 3, 4, 64 * 1024):
+            assert error_of(lambda: chunked(xml, size)) == expected, size
 
 
 class TestEquivalence:
