@@ -22,10 +22,12 @@
 #                  (docs/sharding.md, elastic shards)
 #   make stress  — bounded, seeded reader/writer soak (default 30s;
 #                  tune with STRESS_SECONDS / STRESS_SEED)
-#   make bench   — tier-2: paper experiments + ablations at the default
-#                  bench scale
+#   make paper   — tier-2: every paper experiment + ablation at
+#                  REPRO_BENCH_SCALE; prints the tables and claims, writes
+#                  PAPER_RESULTS.json, fails when a claim does not hold
 #   make bench-concurrent — concurrent serving sweep
-#                  (emits BENCH_concurrent_serve.json)
+#                  (emits BENCH_concurrent_serve.json; fails when a
+#                  group-commit claim does not hold)
 #   make bench-serve — network serving bench: N client connections
 #                  against one server (emits BENCH_serve_network.json)
 #   make bench-shard — scatter-gather scale-out sweep over shard
@@ -50,12 +52,12 @@ STRESS_SEED ?= 777
 PAIRS ?= 10
 
 .PHONY: test lint faults concurrent serve-test shard-test repl-test \
-	elastic-test stress bench bench-concurrent \
+	elastic-test stress paper bench-concurrent \
 	bench-serve bench-shard bench-repl bench-elastic pairs
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests benchmarks; \
+		ruff check src tests; \
 	else \
 		echo "lint: ruff not installed, skipping (pip install ruff)"; \
 	fi
@@ -87,9 +89,8 @@ stress:
 test: lint
 	$(PYTHON) -m pytest -x -q
 
-bench:
-	REPRO_BENCH_SCALE=$(REPRO_BENCH_SCALE) \
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+paper:
+	REPRO_BENCH_SCALE=$(REPRO_BENCH_SCALE) $(PYTHON) -m repro.bench.paper
 
 bench-concurrent:
 	$(PYTHON) -m repro.bench.concurrent

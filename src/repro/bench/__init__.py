@@ -1,14 +1,16 @@
-"""Benchmark drivers: one module per paper table/figure.
+"""Benchmark drivers: one module per paper table/figure, plus ablations.
 
-Run any of them directly::
+Each driver owns its experiment (``run(scale)``), the tables it prints
+(``format_*``, ``report``) and its shape claims (``claims(result)``).
+``make paper`` (``python -m repro.bench.paper``) runs them all at
+``REPRO_BENCH_SCALE``, writes ``PAPER_RESULTS.json`` and fails when a
+claim does not hold.  Any one of them runs alone too::
 
     python -m repro.bench.table1
     python -m repro.bench.figure9
     python -m repro.bench.figure10
     python -m repro.bench.figure11
-
-or through ``pytest benchmarks/ --benchmark-only``, which times the
-kernels with pytest-benchmark and prints the same reports.
+    python -m repro.bench.ablations
 """
 
 from .harness import format_bytes, measure_seconds, render_table

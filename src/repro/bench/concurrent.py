@@ -16,6 +16,10 @@ Measures the two claims of the concurrent serving path
 Emits ``BENCH_concurrent_serve.json`` with per-configuration
 throughput, latency percentiles, commit-batch occupancy and
 fsyncs-per-commit (from the ``wal.*``/``concurrency.*`` counters).
+:func:`claims` checks the headline (4 group-committed writers commit at
+>= 2x the 1-writer fsync-per-commit baseline) and the batching that
+explains it; :func:`main` prints them next to this host's cost of one
+fsync, and exits 1 when one fails.
 """
 
 from __future__ import annotations
@@ -30,10 +34,12 @@ from dataclasses import dataclass, field
 
 from ..database import Database
 from ..xmldb.document import ELEM, TEXT
-from .harness import render_table
+from .harness import claim, print_claims, render_table
 from .report import emit
 
-__all__ = ["ServeResult", "run", "write_json", "format_report", "main"]
+__all__ = [
+    "ServeResult", "run", "write_json", "format_report", "claims", "main",
+]
 
 #: Writer thread counts of the reported sweep.
 WRITER_COUNTS = (1, 2, 4)
@@ -227,8 +233,9 @@ def run(
     return results
 
 
-def write_json(results: list[ServeResult], path: str = JSON_PATH) -> dict:
-    """Serialise the sweep (returns the written payload)."""
+def _baseline_and_best(results: list[ServeResult]):
+    """The 1-writer fsync-per-commit run and the fastest group-commit
+    run (either None when the sweep lacks it)."""
     baseline = next(
         (r for r in results if not r.group_commit and r.writers == 1), None
     )
@@ -237,6 +244,12 @@ def write_json(results: list[ServeResult], path: str = JSON_PATH) -> dict:
         key=lambda r: r.commits_per_second,
         default=None,
     )
+    return baseline, best
+
+
+def write_json(results: list[ServeResult], path: str = JSON_PATH) -> dict:
+    """Serialise the sweep (returns the written payload)."""
+    baseline, best = _baseline_and_best(results)
     payload = {
         "reader_threads": READER_COUNT,
         "configurations": [
@@ -279,7 +292,9 @@ def write_json(results: list[ServeResult], path: str = JSON_PATH) -> dict:
                  f"reader(s), query {_QUERY!r}",
         config={
             "writer_counts": sorted({r.writers for r in results}),
-            "updates_per_writer": UPDATES_PER_WRITER,
+            "updates_per_writer": (
+                results[0].commits // results[0].writers if results else 0
+            ),
             "reader_threads": READER_COUNT,
         },
     )
@@ -311,18 +326,56 @@ def format_report(results: list[ServeResult]) -> str:
     return render_table(headers, rows)
 
 
-def main() -> None:
+def claims(results: list[ServeResult]) -> list[dict]:
+    """Group commit batches (occupancy >= 1, under one fsync per commit
+    at 4 writers) and so beats the fsync-per-commit baseline >= 2x;
+    without it every commit pays its own fsync."""
+    baseline, best = _baseline_and_best(results)
+    four = next(r for r in results if r.group_commit and r.writers == 4)
+    return [
+        claim("concurrent.group_commit_speedup",
+              best.commits_per_second / baseline.commits_per_second,
+              ">=", 2.0, timing=True),
+        claim("concurrent.fsyncs_per_commit.4w", four.fsyncs_per_commit,
+              "<", 1.0, timing=True),
+    ] + [
+        claim(f"concurrent.batch_occupancy.{r.writers}w", r.batch_occupancy,
+              ">=", 1.0)
+        for r in results if r.group_commit
+    ] + [
+        claim(f"concurrent.fsync_per_commit_off.{r.writers}w",
+              r.fsyncs / r.commits, ">=", 1.0)
+        for r in results if not r.group_commit
+    ]
+
+
+def fsync_seconds() -> float:
+    """Median cost of one small append plus ``fsync`` (of 50) in the
+    temporary directory the sweep's databases live in."""
+    fd, path = tempfile.mkstemp(prefix="bench-fsync-")
+    timings = []
+    try:
+        for _ in range(50):
+            begin = time.perf_counter()
+            os.write(fd, b"x" * 64)
+            os.fsync(fd)
+            timings.append(time.perf_counter() - begin)
+    finally:
+        os.close(fd)
+        os.unlink(path)
+    return _percentile(sorted(timings), 0.50)
+
+
+def main() -> int:
     results = run()
     print(f"Concurrent serving sweep ({READER_COUNT} reader thread(s), "
           f"fsync durability)")
     print(format_report(results))
-    payload = write_json(results)
-    speedup = payload["aggregate"]["speedup_vs_baseline"]
-    if speedup is not None:
-        print(f"best group-commit throughput vs 1-writer fsync-per-commit "
-              f"baseline: {speedup:.2f}x")
-    print(f"wrote {JSON_PATH}")
+    write_json(results)
+    print(f"wrote {JSON_PATH}; one fsync here costs "
+          f"{fsync_seconds() * 1e6:,.0f} µs")
+    return print_claims(claims(results))
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

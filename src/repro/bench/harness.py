@@ -1,11 +1,28 @@
-"""Shared benchmark utilities: timing and table rendering."""
+"""Shared benchmark utilities: timing, table rendering and claims.
+
+A *claim* is one shape statement of the paper's evaluation checked
+against a measurement: a record ``{"id", "held", "measured", "bound",
+"timing"}``.  ``timing`` marks claims that compare wall-clock times;
+the others (byte model, node mix, hash histogram, answer equality) are
+deterministic, so the test suite asserts them too.
+"""
 
 from __future__ import annotations
 
+import operator
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
-__all__ = ["measure_seconds", "render_table", "format_bytes"]
+__all__ = [
+    "measure_seconds", "render_table", "format_bytes", "claim",
+    "print_claims",
+]
+
+_OPS: dict[str, Callable[[Any, Any], bool]] = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt,
+    ">=": operator.ge, "==": operator.eq,
+    "in": lambda value, bounds: bounds[0] < value < bounds[1],
+}
 
 
 def measure_seconds(
@@ -52,3 +69,28 @@ def format_bytes(count: int) -> str:
             return f"{value:,.1f} {unit}"
         value /= 1024
     return f"{value:,.1f} GB"  # pragma: no cover
+
+
+def claim(claim_id: str, measured: Any, op: str, bound: Any,
+          timing: bool = False) -> dict[str, Any]:
+    """One claim record: ``measured op bound`` (``in`` is the open
+    interval ``bound[0] < measured < bound[1]``)."""
+    return {
+        "id": claim_id,
+        "held": bool(_OPS[op](measured, bound)),
+        "measured": measured,
+        "bound": f"{op} {bound}",
+        "timing": timing,
+    }
+
+
+def print_claims(claims: Sequence[dict[str, Any]]) -> int:
+    """Print one line per claim; return the exit status: 1 if any
+    claim failed, else 0."""
+    for record in claims:
+        measured = record["measured"]
+        if isinstance(measured, float):
+            measured = f"{measured:.4g}"
+        verdict = "ok  " if record["held"] else "FAIL"
+        print(f"{verdict} {record['id']}: {measured} {record['bound']}")
+    return int(not all(record["held"] for record in claims))

@@ -415,8 +415,7 @@ def cmd_bench(args) -> int:
         "repl": repl,
         "elastic": elastic,
     }[args.experiment]
-    module.main()
-    return 0
+    return module.main() or 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -59,6 +59,7 @@ __all__ = [
     "manifest_epoch",
     "document_bytes",
     "document_from_bytes",
+    "index_bytes",
 ]
 
 _MANIFEST = "MANIFEST.json"
@@ -344,7 +345,7 @@ def load_store(path: str) -> Store:
 # ---------------------------------------------------------------------------
 
 
-def _index_bytes(index: ValueIndex, doc: Document) -> bytes:
+def index_bytes(index: ValueIndex, doc: Document) -> bytes:
     """One index's field column for ``doc``: the nids that store a
     field, then the fields as packed by the index."""
     stored = index.fields
@@ -391,7 +392,7 @@ def save_manager(manager: IndexManager, path: str,
         files[f"{stem}.doc"] = _document_bytes(doc)
         for index in manager.indexes:
             if index.column is not None:
-                files[stem + index.column[0]] = _index_bytes(index, doc)
+                files[stem + index.column[0]] = index_bytes(index, doc)
     manifest = _store_manifest(manager.store, stems, epoch)
     manifest["indexes"] = {
         "string": manager.string_index is not None,

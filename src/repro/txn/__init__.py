@@ -1,17 +1,11 @@
 """Transactions over the value indices (paper Section 5.1).
 
 :class:`TransactionManager` is the paper's design — optimistic,
-ancestor-lock-free, relying on the commutativity of ``C``.
-:class:`LockingTransactionManager` is the naive ancestor-locking
-baseline the paper argues against, kept for the ablation benchmarks.
+ancestor-lock-free, relying on the commutativity of ``C``.  The naive
+ancestor-locking baseline it beats lives with the other ablation
+baselines in :mod:`repro.bench.ablations`.
 """
 
-from .locking import LockingTransaction, LockingTransactionManager
 from .manager import Transaction, TransactionManager
 
-__all__ = [
-    "LockingTransaction",
-    "LockingTransactionManager",
-    "Transaction",
-    "TransactionManager",
-]
+__all__ = ["Transaction", "TransactionManager"]

@@ -1,5 +1,7 @@
 """Unit tests for the benchmark drivers (tiny scales)."""
 
+import json
+
 import pytest
 
 from repro.bench import concurrent, figure9, figure10, figure11, table1
@@ -135,10 +137,30 @@ class TestConcurrentDriver:
         path = tmp_path / "serve.json"
         payload = concurrent.write_json(results, path=str(path))
         assert path.exists()
+        assert json.loads(path.read_text()) == payload
         assert payload["bench"] == "concurrent_serve"
+        assert payload["config"]["updates_per_writer"] == 15
         assert payload["aggregate"]["speedup_vs_baseline"] > 0
         baseline = payload["aggregate"]["baseline_1_writer_fsync_per_commit"]
         assert baseline > 0
+
+    def test_claims(self):
+        results = concurrent.run(
+            writer_counts=(1, 4), updates_per_writer=5
+        )
+        records = concurrent.claims(results)
+        assert {r["id"] for r in records} == {
+            "concurrent.group_commit_speedup",
+            "concurrent.fsyncs_per_commit.4w",
+            "concurrent.batch_occupancy.1w",
+            "concurrent.batch_occupancy.4w",
+            "concurrent.fsync_per_commit_off.1w",
+            "concurrent.fsync_per_commit_off.4w",
+        }
+        # Batching arithmetic holds at any size; the speedup and the
+        # fsync saving are timed claims, judged by bench-concurrent.
+        assert all(r["held"] for r in records if not r["timing"])
+        assert concurrent.fsync_seconds() > 0
 
 
 class TestAblationBaselines:

@@ -7,7 +7,8 @@ import pytest
 
 from repro.core import IndexManager
 from repro.errors import TransactionStateError
-from repro.txn import LockingTransactionManager, TransactionManager
+from repro.bench.ablations import LockingTransactionManager
+from repro.txn import TransactionManager
 from repro.xmldb import TEXT
 
 PERSON = (
