@@ -12,8 +12,9 @@ Catch-up protocol (docs/replication.md):
   the data files to fetch, and the WAL cursor the snapshot pairs with
   (the *basis*).  Initial sync and full resync both start here.
 * ``fetch_chunk`` — ranged reads of one snapshot file, base64-framed.
-  Checkpoints GC files of superseded epochs, so a fetcher re-validates
-  the manifest epoch when a file disappears mid-transfer and retries.
+  Checkpoints GC files the new manifest no longer names, so a fetcher
+  re-validates the manifest epoch when a file disappears mid-transfer
+  and retries.
 * ``wal_chunk`` — the tail path.  A cursor at the live WAL's epoch
   gets complete frames from its offset.  A cursor equal to the log's
   recorded ``last_truncate`` mark had consumed *everything* the last
@@ -54,8 +55,8 @@ DEFAULT_CHUNK = 4 << 20
 
 def snapshot_files(path: str) -> list[str]:
     """Files of the *committed* snapshot: the manifest plus every data
-    file its stems reference (stale epochs' files are GC'd and never
-    listed)."""
+    file its stems reference, whatever epoch wrote them (unreferenced
+    files are GC'd and never listed)."""
     manifest = read_manifest(path)
     if manifest is None:
         raise FileNotFoundError(f"no committed snapshot in {path!r}")

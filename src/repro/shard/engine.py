@@ -35,6 +35,7 @@ from ..storage.groupcommit import GroupCommitLog
 from ..storage.persist import (
     document_bytes,
     document_from_bytes,
+    index_config,
     load_manager,
     manifest_epoch,
     read_manifest,
@@ -56,7 +57,6 @@ from ..storage.wal import (
 __all__ = ["ShardEngine", "RecoveryReport"]
 
 _WAL_FILE = "wal.log"
-_MANIFEST = "MANIFEST.json"
 
 #: Width of each shard's private nid range (shard ``k`` allocates from
 #: ``k << NID_RANGE_BITS``): no two shards ever mint the same node id,
@@ -146,10 +146,12 @@ class ShardEngine:
         self._pending = 0
         self._pending_lock = threading.Lock()
         wal_path = os.path.join(path, _WAL_FILE)
-        if os.path.exists(os.path.join(path, _MANIFEST)):
-            manifest = read_manifest(path)
-            self.checkpoint_epoch = manifest_epoch(manifest)
-            self.manager = load_manager(path)
+        manifest = read_manifest(path)
+        self.checkpoint_epoch = manifest_epoch(manifest)
+        self._committed = None
+        if manifest is not None:
+            self.manager = load_manager(path, manifest)
+            self._remember(manifest)
             self._reserve_shard_nids()
             stats = ReplayStats()
             replayed = skipped = 0
@@ -171,11 +173,10 @@ class ShardEngine:
                 wal_format=stats.format_version,
             )
             if replayed:
-                # Fold the replayed tail into a fresh checkpoint.
+                # Fold the replayed tail into a fresh checkpoint (which
+                # writes only the documents the tail touched).
                 faults.crashpoint("recovery.before_refold")
-                self.checkpoint_epoch = save_manager(
-                    self.manager, path, epoch=self.checkpoint_epoch + 1
-                )
+                self._write_snapshot()
                 faults.crashpoint("recovery.refolded")
         else:
             os.makedirs(path, exist_ok=True)
@@ -183,7 +184,7 @@ class ShardEngine:
                 string=string, typed=tuple(typed), substring=substring
             )
             self._reserve_shard_nids()
-            self.checkpoint_epoch = save_manager(self.manager, path)
+            self._write_snapshot()
             self.recovered_records = 0
             self.recovery = RecoveryReport()
         self._record_recovery_metrics()
@@ -220,8 +221,47 @@ class ShardEngine:
             self.manager.store.reserve_nids(
                 self.shard_id << NID_RANGE_BITS)
 
+    def _remember(self, manifest: dict) -> None:
+        """Record the committed snapshot the next checkpoint may reuse
+        files of: each document's stem and the change stamp its files
+        hold, plus the index configuration they were written under.
+        Version-1 manifests (epoch 0, unsuffixed stems) are never
+        reused."""
+        documents = self.manager.store.documents
+        self._committed = None if manifest_epoch(manifest) == 0 else (
+            manifest["indexes"],
+            {name: (stem, documents[name].stamp)
+             for name, stem in manifest["documents"].items()},
+        )
+
+    def _write_snapshot(self) -> None:
+        """Commit the next checkpoint epoch, serialising only the
+        documents whose change stamp moved since the last commit (all of
+        them when the index configuration changed)."""
+        manager = self.manager
+        committed, self._committed = self._committed, None
+        reuse = {}
+        if committed is not None and committed[0] == index_config(manager):
+            documents = manager.store.documents
+            reuse = {
+                name: stem for name, (stem, stamp) in committed[1].items()
+                if name in documents and documents[name].stamp == stamp
+            }
+        manifest = save_manager(
+            manager, self.path, epoch=self.checkpoint_epoch + 1, reuse=reuse
+        )
+        self.checkpoint_epoch = manifest["epoch"]
+        self._remember(manifest)
+        metrics = manager.metrics
+        metrics.counter("persist.documents_reused").inc(len(reuse))
+        metrics.counter("persist.documents_written").inc(
+            len(manifest["documents"]) - len(reuse))
+
     def _record_recovery_metrics(self) -> None:
         metrics = self.manager.metrics
+        # Listed from the open on, so a clean open reports writing 0.
+        metrics.counter("persist.documents_written")
+        metrics.counter("persist.documents_reused")
         report = self.recovery
         if report.replayed:
             metrics.counter("wal.recovery.replayed").inc(report.replayed)
@@ -318,7 +358,9 @@ class ShardEngine:
 
     def load(self, name: str, xml: str):
         """Shred + index a document; forces a checkpoint (bulk loads
-        are snapshot-sized events, not log records)."""
+        are snapshot-sized events, not log records).  The checkpoint
+        serialises only the new document and any other changed since
+        the last one, so loading *n* documents writes each once."""
         doc = self.manager.load(name, xml)
         self.bulk_stamp += 1
         self.checkpoint()
@@ -538,6 +580,9 @@ class ShardEngine:
         (manifest written last); only then is the WAL truncated and
         moved to the new epoch.  A crash in between is safe: recovery
         skips WAL records whose epoch predates the committed snapshot.
+        A checkpoint costs O(changed documents): a document unchanged
+        since the last commit keeps its files (and their older stem),
+        so only the manifest names it again.
 
         Under the concurrent serving path this is a stop-the-world
         operation: the exclusive latch drains readers and writers, and
@@ -555,9 +600,7 @@ class ShardEngine:
         with scope:
             if self._group is not None:
                 self._group.drain()
-            self.checkpoint_epoch = save_manager(
-                self.manager, self.path, epoch=self.checkpoint_epoch + 1
-            )
+            self._write_snapshot()
             faults.crashpoint("checkpoint.after_snapshot")
             self._wal.truncate(epoch=self.checkpoint_epoch)
             with self._pending_lock:

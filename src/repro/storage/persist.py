@@ -22,9 +22,16 @@ epoch-suffixed stem (``<name>@<epoch>``), and the manifest — which
 names exactly the files belonging to the snapshot and carries the
 monotonically increasing checkpoint epoch — is replaced *last*.  A
 crash at any intermediate point leaves the previous manifest pointing
-at the previous epoch's untouched files; stale epochs are garbage
-collected after the next successful commit.  Version-1 directories
-(no epoch in the manifest, unsuffixed stems) still load.
+at the previous snapshot's untouched files.
+
+A stem's epoch is the checkpoint that last *wrote* that document, not
+necessarily the manifest's own epoch: :func:`save_manager` takes a
+``reuse`` map of documents unchanged since the committed snapshot and
+keeps their stems instead of serialising them again, so a checkpoint
+costs O(changed documents).  Garbage collection works by manifest
+reference — after a commit, every data file whose stem the new
+manifest does not name is deleted, whatever its epoch.  Version-1
+directories (no epoch in the manifest, unsuffixed stems) still load.
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ __all__ = [
     "load_manager",
     "read_manifest",
     "manifest_epoch",
+    "index_config",
     "document_bytes",
     "document_from_bytes",
     "index_bytes",
@@ -149,11 +157,12 @@ def _stem_of_data_file(entry: str) -> str | None:
 
 
 def _gc_stale_files(path: str, manifest: dict) -> None:
-    """Delete data files no committed manifest references.
+    """Delete data files the committed manifest does not reference.
 
     Runs only after a successful manifest commit, so everything it
-    removes belongs to superseded epochs or crashed partial commits
-    (leftover ``.tmp`` files).
+    removes belongs to superseded snapshots or crashed partial commits
+    (leftover ``.tmp`` files); a reused stem of an older epoch is
+    referenced and survives.
     """
     referenced = set(manifest.get("documents", {}).values())
     for entry in os.listdir(path):
@@ -329,9 +338,14 @@ def _read_manifest(path: str) -> dict:
     return manifest
 
 
-def load_store(path: str) -> Store:
-    """Open a directory written by :func:`save_store`."""
-    manifest = _read_manifest(path)
+def load_store(path: str, manifest: dict | None = None) -> Store:
+    """Open a directory written by :func:`save_store`.
+
+    ``manifest`` is the directory's committed manifest when the caller
+    has already read it; by default it is read here.
+    """
+    if manifest is None:
+        manifest = _read_manifest(path)
     store = Store()
     for name, stem in manifest["documents"].items():
         doc = _read_document(name, os.path.join(path, f"{stem}.doc"))
@@ -374,27 +388,10 @@ def _stage_index_file(index: ValueIndex, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def save_manager(manager: IndexManager, path: str,
-                 epoch: int | None = None) -> int:
-    """Atomically snapshot the store and all index fields to directory
-    ``path``; returns the committed checkpoint epoch.
-
-    All data files (documents and index columns) are committed before
-    the manifest; the manifest rename is the commit point.
-    """
-    os.makedirs(path, exist_ok=True)
-    if epoch is None:
-        epoch = _next_epoch(path)
-    stems = _assign_stems(manager.store.documents, epoch)
-    files: dict[str, bytes] = {}
-    for name, doc in manager.store.documents.items():
-        stem = stems[name]
-        files[f"{stem}.doc"] = _document_bytes(doc)
-        for index in manager.indexes:
-            if index.column is not None:
-                files[stem + index.column[0]] = index_bytes(index, doc)
-    manifest = _store_manifest(manager.store, stems, epoch)
-    manifest["indexes"] = {
+def index_config(manager: IndexManager) -> dict:
+    """The manifest's ``"indexes"`` entry for ``manager``: which index
+    files each document has, and how the substring index is derived."""
+    return {
         "string": manager.string_index is not None,
         "typed": sorted(manager.typed_indexes),
         "substring": (
@@ -403,27 +400,62 @@ def save_manager(manager: IndexManager, path: str,
             else None
         ),
     }
+
+
+def save_manager(manager: IndexManager, path: str,
+                 epoch: int | None = None,
+                 reuse: dict[str, str] | None = None) -> dict:
+    """Atomically snapshot the store and all index fields to directory
+    ``path``; returns the committed manifest (its ``"epoch"`` is the
+    checkpoint epoch).
+
+    All data files (documents and index columns) are committed before
+    the manifest; the manifest rename is the commit point.  ``reuse``
+    maps document names to stems of the snapshot committed in ``path``
+    whose files already hold those documents' current bytes under the
+    current :func:`index_config`; those documents keep their stems and
+    are not serialised again.  Without it every document is written.
+    """
+    os.makedirs(path, exist_ok=True)
+    if epoch is None:
+        epoch = _next_epoch(path)
+    reuse = reuse or {}
+    documents = manager.store.documents
+    written = _assign_stems(
+        (name for name in documents if name not in reuse), epoch)
+    files: dict[str, bytes] = {}
+    for name, stem in written.items():
+        doc = documents[name]
+        files[f"{stem}.doc"] = _document_bytes(doc)
+        for index in manager.indexes:
+            if index.column is not None:
+                files[stem + index.column[0]] = index_bytes(index, doc)
+    stems = {name: reuse.get(name) or written[name] for name in documents}
+    manifest = _store_manifest(manager.store, stems, epoch)
+    manifest["indexes"] = index_config(manager)
     _commit_files(path, files)
     _commit_manifest(path, manifest)
     _gc_stale_files(path, manifest)
-    return epoch
+    return manifest
 
 
-def load_manager(path: str) -> IndexManager:
+def load_manager(path: str, manifest: dict | None = None) -> IndexManager:
     """Open a directory written by :func:`save_manager`.
 
     Per-node fields are read back from the index files (no re-hashing,
     no FSM runs) and staged through the index protocol, which rebuilds
     the sorted runs by one column merge; an index without a persisted
-    column (substring) is re-derived by the creation pass.
+    column (substring) is re-derived by the creation pass.  As with
+    :func:`load_store`, ``manifest`` saves re-reading the manifest.
     """
-    manifest = _read_manifest(path)
+    if manifest is None:
+        manifest = _read_manifest(path)
     config = manifest.get("indexes")
     if config is None:
         raise ReproError(
             f"{path!r} was saved with save_store; use load_store instead"
         )
-    store = load_store(path)
+    store = load_store(path, manifest)
     manager = IndexManager(
         store=store,
         string=config["string"],

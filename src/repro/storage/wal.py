@@ -1,7 +1,8 @@
 """Write-ahead log for the persistent database facade.
 
-Checkpoints (full :func:`~repro.storage.persist.save_manager` snapshots)
-are expensive; the WAL makes individual updates durable between them.
+Checkpoints (:func:`~repro.storage.persist.save_manager` snapshots of
+every changed document) are expensive; the WAL makes individual updates
+durable between them.
 Each record describes one logical update; recovery replays the log over
 the last snapshot through the ordinary maintenance path, which is
 deterministic (node-id allocation is a plain counter restored by the

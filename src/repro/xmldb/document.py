@@ -78,6 +78,11 @@ class Document:
         #: Serialized size of the source XML in bytes (set by the
         #: shredder); used for the paper's Table 1 "Size MB" column.
         self.source_bytes = 0
+        #: Change stamp: set by the owning :class:`~repro.xmldb.store.Store`
+        #: from its monotonic counter on registration and on every
+        #: mutation, so equal stamps mean unchanged bytes (a checkpoint
+        #: reuses the files of a document whose stamp it last wrote).
+        self.stamp = 0
 
     # ------------------------------------------------------------------
     # Row building (shredder/update support)

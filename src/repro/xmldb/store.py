@@ -15,6 +15,7 @@ pre/post-plane updates of MonetDB/XQuery.
 
 from __future__ import annotations
 
+import itertools
 import os
 from typing import Iterator
 
@@ -57,6 +58,15 @@ class Store:
         self.documents: dict[str, Document] = {}
         self._next_nid = 0
         self._doc_of_nid: dict[int, Document] = {}
+        # Source of every document's change stamp (``Document.stamp``):
+        # strictly increasing across the store, so a document reloaded
+        # under a reused name never repeats an earlier stamp.
+        self._stamps = itertools.count(1)
+
+    def _touch(self, doc: Document) -> None:
+        """Give ``doc`` a fresh change stamp (it was registered or
+        mutated)."""
+        doc.stamp = next(self._stamps)
 
     # ------------------------------------------------------------------
     # Node-id plumbing
@@ -146,6 +156,7 @@ class Store:
         return doc
 
     def _register(self, doc: Document) -> None:
+        self._touch(doc)
         self.documents[doc.name] = doc
         for nid in doc.nid:
             self._doc_of_nid[nid] = doc
@@ -175,6 +186,7 @@ class Store:
                 f"node {nid} is a {doc.kind[pre]}-kind node, not text-valued"
             )
         doc.texts[doc.text_id[pre]] = new_text
+        self._touch(doc)
 
     def rename(self, nid: int, new_name: str) -> None:
         """Rename an element, attribute or PI target.
@@ -187,6 +199,7 @@ class Store:
             raise DocumentError(f"node {nid} has no name to change")
         doc.name_id[pre] = doc.vocabulary.intern(new_name)
         doc.invalidate_columns()
+        self._touch(doc)
 
     # ------------------------------------------------------------------
     # Structural updates
@@ -221,6 +234,7 @@ class Store:
         for ancestor in doc.ancestors(doc.pre_of(owner_nid)):
             doc.size[ancestor] += 1
         self._doc_of_nid[nid] = doc
+        self._touch(doc)
         return StructuralChange(doc, owner_nid, [], [nid])
 
     def delete_subtree(self, nid: int) -> StructuralChange:
@@ -246,6 +260,7 @@ class Store:
         doc.rebuild_nid_map()
         for gone in removed:
             self._doc_of_nid.pop(gone, None)
+        self._touch(doc)
         return StructuralChange(doc, parent_nid, list(removed), [])
 
     def insert_xml(
@@ -313,6 +328,7 @@ class Store:
             doc.size[ancestor] += insert_rows
         for nid in added:
             self._doc_of_nid[nid] = doc
+        self._touch(doc)
         return StructuralChange(doc, parent_nid, [], list(added))
 
     # ------------------------------------------------------------------

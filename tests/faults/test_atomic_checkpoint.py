@@ -118,6 +118,9 @@ class TestAtomicSnapshot:
         db = Database(path, checkpoint_every=0)
         db.load("person", PERSON)
         epoch_before = db.checkpoint_epoch
+        # A checkpoint writes only changed documents: dirty one, so the
+        # crashed commit really writes (and tears) a data file.
+        db.update_text(_text_nid(db, "Dent"), "Prefect")
         with injected(FaultInjector(
             CrashPlan("persist.file.write", keep_bytes=7)
         )):
@@ -138,11 +141,16 @@ class TestAtomicSnapshot:
         db.checkpoint()
         db.checkpoint()
         db.close()  # checkpoints once more
-        epoch = db.checkpoint_epoch
+        # GC works by manifest reference: every data file on disk is
+        # named by the committed manifest (whatever its stem's epoch),
+        # and no unreferenced one survives.
+        referenced = set(read_manifest(path)["documents"].values())
         data = [f for f in os.listdir(path)
                 if f.endswith((".doc", ".sidx", ".tidx"))]
-        assert data
-        assert all(f"@{epoch}." in f for f in data)
+        assert sorted(data) == sorted(
+            f"{stem}{suffix}" for stem in referenced
+            for suffix in (".doc", ".sidx", ".double.tidx")
+        )
         assert not any(f.endswith(".tmp") for f in os.listdir(path))
 
     def test_checkpoint_epochs_increase_monotonically(self, tmp_path):

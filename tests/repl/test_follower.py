@@ -6,6 +6,7 @@ import pytest
 from repro.client import Client
 from repro.repl import FollowerServer
 from repro.repl.follower import ReplicationError
+from repro.storage import read_manifest
 
 from ..concurrent.harness import QUERY_MAKERS, oracle
 from .conftest import wait_until
@@ -43,6 +44,22 @@ class TestSync:
         assert follower.engine.query("//p[.//age = 4242]") == []
         assert follower.poll_once() >= 1
         assert len(follower.engine.query("//p[.//age = 4242]")) == 1
+
+    def test_sync_from_stems_of_several_epochs(self, primary, make_follower):
+        """A checkpoint rewrites only changed documents, so the
+        committed manifest names files written by different epochs."""
+        primary.db.load("extra", "<extra><v>123321</v></extra>")
+        primary.db.update_text(primary.age_nids[0], "4242")
+        primary.db.checkpoint()  # rewrites "people", keeps "extra"
+        stems = read_manifest(primary.db.path)["documents"]
+        epochs = {stem.rpartition("@")[2] for stem in stems.values()}
+        assert len(epochs) == 2
+        follower = make_follower()
+        for probe in PROBES + ["//p[.//age = 4242]", "//v[. = 123321]"]:
+            assert sorted(follower.engine.query_rows(probe)) \
+                == sorted(primary.db.query_rows(probe))
+        assert len(follower.engine.query("//p[.//age = 4242]")) == 1
+        assert follower.engine.verify().ok
 
     def test_sync_requires_running_server(self, tmp_path, primary):
         from repro.repl import Follower

@@ -93,6 +93,19 @@ class TestQueryLookup:
         out = capsys.readouterr().out
         assert "person" in out and "index sizes" in out
 
+    def test_stats_reports_documents_written(self, db, capsys):
+        """The open's recovery refold writes the one updated document."""
+        from repro.database import Database
+
+        crashed = Database(db)
+        doc = crashed.store.document("person")
+        crashed.update_text(doc.nid[doc.text_id.index(1)], "Prefect")
+        crashed.close(checkpoint=False)
+        assert main(["stats", db]) == 0
+        out = capsys.readouterr().out
+        assert "persist.documents_written: 1" in out
+        assert "persist.documents_reused: 0" in out
+
 
 class TestUpdate:
     def test_update_persists(self, db, capsys):
