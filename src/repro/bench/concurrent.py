@@ -3,23 +3,23 @@
 Measures the two claims of the concurrent serving path
 (``docs/concurrency.md``):
 
-* **Write scaling** — aggregate committed-updates/sec over writer
-  thread sweeps, with group commit on and off, against the 1-writer
-  fsync-per-commit baseline.  Group commit amortizes the durable-media
-  round trip across a batch, so throughput should scale well past the
-  baseline even on one core.
+* **Write scaling** — aggregate committed-updates/sec over a writer
+  thread sweep, against the 1-writer baseline, where every commit is a
+  batch of one and pays its own fsync.  Group commit amortizes the
+  durable-media round trip across a batch, so throughput should scale
+  well past the baseline even on one core.
 * **Read isolation cost** — query latency percentiles (p50/p99) for
   snapshot-pinned readers running *during* the write load; readers
   never block behind text writers, so latency should stay flat as
   writers are added.
 
-Emits ``BENCH_concurrent_serve.json`` with per-configuration
+Emits ``BENCH_concurrent_serve.json`` with per-writer-count
 throughput, latency percentiles, commit-batch occupancy and
 fsyncs-per-commit (from the ``wal.*``/``concurrency.*`` counters).
-:func:`claims` checks the headline (4 group-committed writers commit at
->= 2x the 1-writer fsync-per-commit baseline) and the batching that
-explains it; :func:`main` prints them next to this host's cost of one
-fsync, and exits 1 when one fails.
+:func:`claims` checks the headline (4 writers commit at >= 2x the
+1-writer baseline), the batching that explains it and that the
+baseline pays one fsync per commit; :func:`main` prints them next to
+this host's cost of one fsync, and exits 1 when one fails.
 """
 
 from __future__ import annotations
@@ -58,10 +58,9 @@ _QUERY = "//p[.//age = 7]"
 
 @dataclass
 class ServeResult:
-    """One (writers, group-commit) configuration's measurements."""
+    """One writer count's measurements."""
 
     writers: int
-    group_commit: bool
     commits: int
     elapsed_seconds: float
     commit_p50_us: float
@@ -113,14 +112,9 @@ def _percentile(sorted_values: list[float], fraction: float) -> float:
     return sorted_values[index]
 
 
-def _measure(
-    writers: int,
-    group_commit: bool,
-    updates_per_writer: int,
-    batch_max: int,
-    seed: int,
-) -> ServeResult:
-    """Run one configuration in a fresh fsync-durability database."""
+def _measure(writers: int, updates_per_writer: int,
+             seed: int) -> ServeResult:
+    """Run one writer count in a fresh fsync-durability database."""
     base = tempfile.mkdtemp(prefix="bench-concurrent-")
     try:
         db = Database(
@@ -128,9 +122,6 @@ def _measure(
             typed=(),  # keep per-update maintenance minimal: string index
             sync="fsync",
             checkpoint_every=0,
-            concurrent=True,
-            group_commit=group_commit,
-            group_batch_max=batch_max,
         )
         doc = db.load("bench", _fixture_xml())
         nids = _age_nids(doc)
@@ -187,7 +178,6 @@ def _measure(
         all_query = sorted(query_lat)
         result = ServeResult(
             writers=writers,
-            group_commit=group_commit,
             commits=commits,
             elapsed_seconds=elapsed,
             commit_p50_us=_percentile(all_commit, 0.50) * 1e6,
@@ -214,36 +204,18 @@ def _measure(
 def run(
     writer_counts: tuple[int, ...] = WRITER_COUNTS,
     updates_per_writer: int = UPDATES_PER_WRITER,
-    batch_max: int = 32,
     seed: int = 1234,
 ) -> list[ServeResult]:
-    """Sweep writer counts with group commit off and on."""
-    results = []
-    for group_commit in (False, True):
-        for writers in writer_counts:
-            results.append(
-                _measure(
-                    writers,
-                    group_commit,
-                    updates_per_writer,
-                    batch_max,
-                    seed,
-                )
-            )
-    return results
+    """Sweep writer counts."""
+    return [_measure(writers, updates_per_writer, seed)
+            for writers in writer_counts]
 
 
 def _baseline_and_best(results: list[ServeResult]):
-    """The 1-writer fsync-per-commit run and the fastest group-commit
-    run (either None when the sweep lacks it)."""
-    baseline = next(
-        (r for r in results if not r.group_commit and r.writers == 1), None
-    )
-    best = max(
-        (r for r in results if r.group_commit),
-        key=lambda r: r.commits_per_second,
-        default=None,
-    )
+    """The 1-writer run and the fastest run (either None when the
+    sweep lacks it)."""
+    baseline = next((r for r in results if r.writers == 1), None)
+    best = max(results, key=lambda r: r.commits_per_second, default=None)
     return baseline, best
 
 
@@ -255,7 +227,6 @@ def write_json(results: list[ServeResult], path: str = JSON_PATH) -> dict:
         "configurations": [
             {
                 "writers": r.writers,
-                "group_commit": r.group_commit,
                 "commits": r.commits,
                 "elapsed_seconds": r.elapsed_seconds,
                 "commits_per_second": r.commits_per_second,
@@ -273,12 +244,10 @@ def write_json(results: list[ServeResult], path: str = JSON_PATH) -> dict:
             for r in results
         ],
         "aggregate": {
-            "baseline_1_writer_fsync_per_commit": (
+            "baseline_1_writer": (
                 baseline.commits_per_second if baseline else None
             ),
-            "best_group_commit": (
-                best.commits_per_second if best else None
-            ),
+            "best": best.commits_per_second if best else None,
             "speedup_vs_baseline": (
                 best.commits_per_second / baseline.commits_per_second
                 if baseline and best
@@ -303,7 +272,6 @@ def write_json(results: list[ServeResult], path: str = JSON_PATH) -> dict:
 def format_report(results: list[ServeResult]) -> str:
     headers = [
         "writers",
-        "group",
         "commits/s",
         "commit p50/p99 µs",
         "query p50/p99 µs",
@@ -315,7 +283,6 @@ def format_report(results: list[ServeResult]) -> str:
         rows.append(
             [
                 str(r.writers),
-                "on" if r.group_commit else "off",
                 f"{r.commits_per_second:,.0f}",
                 f"{r.commit_p50_us:.0f}/{r.commit_p99_us:.0f}",
                 f"{r.query_p50_us:.0f}/{r.query_p99_us:.0f}",
@@ -328,24 +295,22 @@ def format_report(results: list[ServeResult]) -> str:
 
 def claims(results: list[ServeResult]) -> list[dict]:
     """Group commit batches (occupancy >= 1, under one fsync per commit
-    at 4 writers) and so beats the fsync-per-commit baseline >= 2x;
-    without it every commit pays its own fsync."""
-    baseline, best = _baseline_and_best(results)
-    four = next(r for r in results if r.group_commit and r.writers == 4)
+    at 4 writers) and so commits >= 2x faster at 4 writers than at 1,
+    where every commit is its own batch and pays one fsync."""
+    by_writers = {r.writers: r for r in results}
+    one, four = by_writers[1], by_writers[4]
     return [
         claim("concurrent.group_commit_speedup",
-              best.commits_per_second / baseline.commits_per_second,
+              four.commits_per_second / one.commits_per_second,
               ">=", 2.0, timing=True),
+        claim("concurrent.fsyncs_per_commit.1w", one.fsyncs_per_commit,
+              "==", 1),
         claim("concurrent.fsyncs_per_commit.4w", four.fsyncs_per_commit,
               "<", 1.0, timing=True),
     ] + [
         claim(f"concurrent.batch_occupancy.{r.writers}w", r.batch_occupancy,
               ">=", 1.0)
-        for r in results if r.group_commit
-    ] + [
-        claim(f"concurrent.fsync_per_commit_off.{r.writers}w",
-              r.fsyncs / r.commits, ">=", 1.0)
-        for r in results if not r.group_commit
+        for r in results
     ]
 
 

@@ -68,7 +68,7 @@ class _Deployment:
 
     def __init__(self, base: str, followers: int):
         self.db = Database(os.path.join(base, "primary"),
-                           concurrent=True, checkpoint_every=0)
+                           checkpoint_every=0)
         self.db.load("people", _fixture_xml())
         self.thread = ServerThread(self.db)
         self.addr = self.thread.start()
@@ -129,8 +129,7 @@ def _measure_reads(deployment: _Deployment, readers: int,
 
 
 def _measure_lag(base: str, seconds: float) -> dict:
-    db = Database(os.path.join(base, "lag-primary"),
-                  concurrent=True, checkpoint_every=0)
+    db = Database(os.path.join(base, "lag-primary"), checkpoint_every=0)
     db.load("people", _fixture_xml())
     ages = _age_nids(db)
     thread = ServerThread(db)

@@ -2,10 +2,10 @@
 
 Drives N simulated client connections (default 120 — well past the
 acceptance floor of 100) from one asyncio event loop against a
-:class:`~repro.server.DatabaseServer` running the concurrent engine
-with group commit and fsync durability.  Most clients issue queries,
-the rest stream text updates; every update acknowledged over the wire
-is durable per the group-commit contract (``docs/serving.md``).
+:class:`~repro.server.DatabaseServer` with fsync durability.  Most
+clients issue queries, the rest stream text updates; every update
+acknowledged over the wire is durable per the group-commit contract
+(``docs/serving.md``).
 
 Emits ``BENCH_serve_network.json``:
 
@@ -162,9 +162,6 @@ def run(
             typed=(),
             sync="fsync",
             checkpoint_every=0,
-            concurrent=True,
-            group_commit=True,
-            group_batch_max=32,
         )
         doc = db.load("bench", _fixture_xml())
         nids = _age_nids(doc)

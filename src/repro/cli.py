@@ -42,21 +42,13 @@ def _describe(manager, nid: int) -> str:
     return f"  nid {nid} [{doc.name}] {label}"
 
 
-def _open(path: str,
-          concurrent: bool = False,
-          group_commit: bool = False,
-          group_batch_max: int = 32,
-          group_batch_wait_ms: float = 0.0,
-          retain_epochs: int = 0) -> Database:
+def _open(path: str, retain_epochs: int = 0) -> Database:
     """Open an existing database (WAL recovery included)."""
     import os
 
     if not os.path.exists(os.path.join(path, "MANIFEST.json")):
         raise ReproError(f"no database at {path!r}; run 'init' first")
-    db = Database(path, concurrent=concurrent, group_commit=group_commit,
-                  group_batch_max=group_batch_max,
-                  group_batch_wait_ms=group_batch_wait_ms,
-                  retain_epochs=retain_epochs)
+    db = Database(path, retain_epochs=retain_epochs)
     if db.recovered_records:
         print(f"(recovered {db.recovered_records} update(s) from the WAL)")
     report = db.recovery
@@ -204,7 +196,7 @@ def cmd_query(args) -> int:
         if len(rows) > args.limit:
             print(f"  ... and {len(rows) - args.limit} more")
         return 0
-    manager = _open(args.db, concurrent=args.as_of is not None)
+    manager = _open(args.db)
     if args.explain:
         explanation = manager.explain(args.xpath)
         print(f"plan: {explanation}")
@@ -253,10 +245,7 @@ def cmd_lookup(args) -> int:
 
 
 def cmd_update(args) -> int:
-    db = _open(args.db, concurrent=args.concurrent,
-               group_commit=args.group_commit,
-               group_batch_max=args.group_batch_max,
-               group_batch_wait_ms=args.group_batch_wait_ms)
+    db = _open(args.db)
     recomputed = db.update_text(args.nid, args.text)
     db.close(checkpoint=False)  # the WAL carries the update
     print(f"updated node {args.nid}; {recomputed} index entries recomputed")
@@ -284,11 +273,7 @@ def cmd_serve(args) -> int:
 
     if args.shards is not None or _is_cluster(args.db):
         return _serve_cluster(args)
-    db = _open(args.db, concurrent=True,
-               group_commit=not args.no_group_commit,
-               group_batch_max=args.group_batch_max,
-               group_batch_wait_ms=args.group_batch_wait_ms,
-               retain_epochs=args.retain_epochs)
+    db = _open(args.db, retain_epochs=args.retain_epochs)
     try:
         asyncio.run(serve(
             db, args.host, args.port,
@@ -311,10 +296,7 @@ def _serve_cluster(args) -> int:
 
     from .shard import ShardCluster
 
-    cluster = ShardCluster(
-        args.db, shards=args.shards,
-        group_commit=not args.no_group_commit,
-    )
+    cluster = ShardCluster(args.db, shards=args.shards)
     cluster.start()
     for shard, (host, port) in cluster.addresses().items():
         print(f"shard {shard}: {host}:{port}")
@@ -481,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("db")
     p.add_argument("nid", type=int)
     p.add_argument("text")
-    _add_serving_options(p)
     p.set_defaults(fn=cmd_update)
 
     p = sub.add_parser(
@@ -502,13 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("db")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7307)
-    p.add_argument("--no-group-commit", action="store_true",
-                   help="disable group-commit WAL batching (on by default "
-                        "for serving)")
-    p.add_argument("--group-batch-max", type=int, default=32,
-                   help="most records per group-commit batch")
-    p.add_argument("--group-batch-wait-ms", type=float, default=0.0,
-                   help="leader linger before committing a non-full batch")
     p.add_argument("--max-pending-updates", type=int, default=64,
                    help="admission bound on in-flight updates "
                         "(beyond it: busy + retry_after_ms)")
@@ -583,17 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "elastic"])
     p.set_defaults(fn=cmd_bench)
     return parser
-
-
-def _add_serving_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--concurrent", action="store_true",
-                   help="enable snapshot-isolated concurrent serving")
-    p.add_argument("--group-commit", action="store_true",
-                   help="batch WAL fsyncs across concurrent writers")
-    p.add_argument("--group-batch-max", type=int, default=32,
-                   help="most records per group-commit batch")
-    p.add_argument("--group-batch-wait-ms", type=float, default=0.0,
-                   help="leader linger before committing a non-full batch")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -25,8 +25,9 @@ This module gives the reproduction its concurrent serving path
 
 The latch is shared/exclusive with thread-local reentrancy; readers
 and text writers both hold it shared, so readers never block behind a
-text update.  Single-threaded use pays one ``is None`` check per
-operation: a manager without a controller behaves exactly as before.
+text update.  Every manager owns a controller from construction on:
+there is one engine mode, and single-threaded use runs the same
+scopes as a served database.
 """
 
 from __future__ import annotations
@@ -273,9 +274,11 @@ class SessionPin:
 class ConcurrencyController:
     """Coordinates readers, text writers and structural writers.
 
-    Owned by an :class:`~repro.core.manager.IndexManager` once
-    concurrency is enabled; the manager's read and write paths consult
-    it (``manager.concurrency``) and otherwise run untouched.
+    Every :class:`~repro.core.manager.IndexManager` owns one
+    (``manager.concurrency``); the manager's read and write paths run
+    through its scopes.  Code that installs index state outside a
+    writer scope (:func:`repro.storage.persist.load_manager`) calls
+    :meth:`publish` itself.
     """
 
     def __init__(self, manager: "IndexManager"):

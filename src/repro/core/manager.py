@@ -14,7 +14,6 @@ configure — every node of every document is covered.
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
 from typing import Any, Iterable, Iterator
 
 import re
@@ -94,10 +93,10 @@ class IndexManager:
         self._plan_cache: dict[tuple, tuple[int, object]] = {}
         #: Guards plan-cache mutations (lookups stay lock-free).
         self._plan_lock = threading.Lock()
-        #: Concurrent serving support; None until enabled (see
-        #: :mod:`repro.core.concurrency`).  Every hot path pays one
-        #: ``is None`` check when disabled.
-        self.concurrency: ConcurrencyController | None = None
+        #: Snapshot-isolated readers and serialized writers (see
+        #: :mod:`repro.core.concurrency`); created last, so its first
+        #: published snapshot covers the indices built above.
+        self.concurrency = ConcurrencyController(self)
 
     def bump_epoch(self, structural: bool = False) -> None:
         """Advance the epoch after a change to what queries return.
@@ -118,34 +117,18 @@ class IndexManager:
     # Concurrent serving
     # ------------------------------------------------------------------
 
-    def enable_concurrency(self) -> ConcurrencyController:
-        """Activate snapshot-isolated serving (idempotent).
-
-        After this, writers publish epoch snapshots and readers may pin
-        them via :meth:`read_view`; single-threaded call patterns keep
-        working unchanged.
-        """
-        if self.concurrency is None:
-            self.concurrency = ConcurrencyController(self)
-        return self.concurrency
-
     def read_view(self) -> ReadView:
-        """A pinned snapshot view (context manager); requires
-        :meth:`enable_concurrency`."""
-        if self.concurrency is None:
-            raise IndexError_("concurrency not enabled on this manager")
+        """A pinned snapshot view (context manager)."""
         return self.concurrency.read_view()
 
     def _exclusive(self, structural: bool = True):
-        """Latch scope for structural changes (no-op when disabled).
+        """Latch scope for structural changes.
 
         ``structural=False`` marks exclusive scopes that only *add*
         state (e.g. adopting a migrated document): existing documents'
         columns are untouched and every index publishes a new version
         beside the pinned ones, so session pins stay valid.
         """
-        if self.concurrency is None:
-            return nullcontext()
         return self.concurrency.exclusive(structural=structural)
 
     @property
@@ -287,23 +270,19 @@ class IndexManager:
         (Figure 8) over the distinct updated nodes, so shared ancestors
         recompute once.  Returns the number of recomputed entries.
 
-        Under a concurrency controller this is the MVCC path, whatever
-        the configured indices: the writer holds the latch *shared*
-        (readers keep running), records every overwritten text slot's
-        before-value in the document overlay, and publishes a new
-        snapshot of every index's run at the end.
+        This is the MVCC path, whatever the configured indices: the
+        writer holds the latch *shared* (readers keep running), records
+        every overwritten text slot's before-value in the document
+        overlay, and publishes a new snapshot of every index's run at
+        the end.
         """
-        controller = self.concurrency
         indexes = self.indexes
-        scope = (nullcontext(None) if controller is None
-                 else controller.text_update())
-        with scope as write_epoch:
+        with self.concurrency.text_update() as write_epoch:
             nids: list[int] = []
             seen: set[int] = set()
             with self.metrics.timer("index.update").time():
                 for nid, new_text in updates:
-                    if write_epoch is not None:
-                        self._record_before_value(nid, write_epoch)
+                    self._record_before_value(nid, write_epoch)
                     self.store.update_text(nid, new_text)
                     if nid not in seen:
                         seen.add(nid)

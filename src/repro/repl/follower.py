@@ -55,10 +55,6 @@ class Follower:
         self.poll_interval = poll_interval
         self._retain = retain_epochs
         self._engine_kwargs = dict(engine_kwargs)
-        self._engine_kwargs.setdefault("concurrent", True)
-        # The follower replays one stream; auto-checkpointing stays
-        # available but group commit buys nothing for a single applier.
-        self._engine_kwargs.setdefault("group_commit", False)
         self.engine: ShardEngine | None = None
         self.promoted = False
         #: Replication cursor, in the primary's terms.

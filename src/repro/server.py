@@ -1,8 +1,8 @@
-"""Asyncio network front-end over the concurrent engine.
+"""Asyncio network front-end over the engine.
 
 :class:`DatabaseServer` multiplexes many client connections onto one
-:class:`~repro.database.Database` opened with the concurrent serving
-path (``concurrent=True``, normally ``group_commit=True``):
+:class:`~repro.database.Database` (every database serves concurrently
+and group-commits; no flag is needed):
 
 * **Reads** (``query`` / ``lookup`` / ``explain``) are dispatched to a
   bounded thread pool; each request runs inside its own snapshot-
@@ -95,12 +95,10 @@ class _Session:
 
 
 class DatabaseServer:
-    """Serve one concurrent-mode :class:`Database` over TCP.
+    """Serve one :class:`Database` over TCP.
 
     Args:
-        db: An open database with concurrency enabled
-            (``concurrent=True``; ``group_commit=True`` recommended —
-            concurrent writers then share fsyncs).
+        db: An open database.
         host/port: Bind address (port 0 picks an ephemeral port;
             :attr:`port` holds the bound one after :meth:`start`).
         max_pending_updates: Admission-control bound on in-flight
@@ -126,11 +124,6 @@ class DatabaseServer:
         write_workers: int = 8,
         placement_version: int | None = None,
     ):
-        if db.manager.concurrency is None:
-            raise ReproError(
-                "serving requires a concurrent database "
-                "(Database(..., concurrent=True))"
-            )
         self.db = db
         self.host = host
         self.port = port

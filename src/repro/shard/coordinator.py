@@ -61,7 +61,7 @@ from ..errors import ReproError
 from ..query.kernels import kway_merge
 from ..query.plan import RemotePlan, ScatterGather, number_plan, render_plan
 from ..storage import faults
-from .engine import ShardEngine
+from .engine import ShardEngine, require_one_mode
 from .manifest import ShardingManifest
 
 __all__ = [
@@ -159,7 +159,7 @@ class _ProcessWorker:
     """One shard worker in its own OS process (the scale-out unit)."""
 
     def __init__(self, path: str, shard_id: int, *, sync: str,
-                 checkpoint_every: int, group_commit: bool,
+                 checkpoint_every: int,
                  kill_at: str | None = None,
                  kill_keep_bytes: int | None = None,
                  placement_version: int | None = None):
@@ -172,8 +172,6 @@ class _ProcessWorker:
         ]
         if placement_version is not None:
             cmd += ["--placement-version", str(placement_version)]
-        if not group_commit:
-            cmd.append("--no-group-commit")
         if kill_at is not None:
             cmd += ["--kill-at", kill_at]
             if kill_keep_bytes is not None:
@@ -219,7 +217,7 @@ class _ThreadWorker:
     shares the GIL, so no true scale-out and no hard kill)."""
 
     def __init__(self, path: str, shard_id: int, *, sync: str,
-                 checkpoint_every: int, group_commit: bool,
+                 checkpoint_every: int,
                  kill_at: str | None = None,
                  kill_keep_bytes: int | None = None,
                  placement_version: int | None = None):
@@ -231,7 +229,7 @@ class _ThreadWorker:
 
         self.engine = ShardEngine(
             path, sync=sync, checkpoint_every=checkpoint_every,
-            concurrent=True, group_commit=group_commit, shard_id=shard_id,
+            shard_id=shard_id,
         )
         self.thread = ServerThread(self.engine,
                                    placement_version=placement_version)
@@ -266,8 +264,11 @@ class ShardCluster:
         transport: ``"process"`` (one worker per OS process; the
             scale-out deployment) or ``"thread"`` (in-process server
             threads; fast tests).
-        sync / checkpoint_every / group_commit: Per-shard engine knobs
-            (see :class:`~repro.shard.engine.ShardEngine`).
+        sync / checkpoint_every: Per-shard engine knobs (see
+            :class:`~repro.shard.engine.ShardEngine`).
+        group_commit: Accepted only as ``True`` (every shard engine
+            group-commits; see
+            :func:`~repro.shard.engine.require_one_mode`).
     """
 
     def __init__(self, root: str, shards: int | None = None,
@@ -275,6 +276,7 @@ class ShardCluster:
                  transport: str = "process", sync: str = "flush",
                  checkpoint_every: int = 10_000,
                  group_commit: bool = True):
+        require_one_mode(group_commit=group_commit)
         if transport not in ("process", "thread"):
             raise ValueError(f"unknown transport {transport!r}")
         if ShardingManifest.exists(root):
@@ -294,7 +296,6 @@ class ShardCluster:
         self.transport = transport
         self.sync = sync
         self.checkpoint_every = checkpoint_every
-        self.group_commit = group_commit
         self._workers: dict[int, Any] = {}
         self._clients: dict[int, Client | None] = {}
         self._client_locks: dict[int, threading.Lock] = {}
@@ -357,7 +358,6 @@ class ShardCluster:
         worker = cls(
             self.manifest.shard_dir(self.root, shard), shard,
             sync=self.sync, checkpoint_every=self.checkpoint_every,
-            group_commit=self.group_commit,
             kill_at=kill_at, kill_keep_bytes=keep,
             placement_version=self.manifest.version,
         )

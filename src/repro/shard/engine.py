@@ -54,7 +54,7 @@ from ..storage.wal import (
     replay_records,
 )
 
-__all__ = ["ShardEngine", "RecoveryReport"]
+__all__ = ["ShardEngine", "RecoveryReport", "require_one_mode"]
 
 _WAL_FILE = "wal.log"
 
@@ -63,6 +63,26 @@ _WAL_FILE = "wal.log"
 #: so a migrated document keeps its nids and clients keep using ids
 #: they learned before the move.
 NID_RANGE_BITS = 48
+
+#: Keywords of engine modes that no longer exist, each with the one
+#: value still accepted (the setting every engine now runs with).
+_ONE_MODE = {"concurrent": True, "group_commit": True,
+             "group_batch_wait_ms": 0}
+
+
+def require_one_mode(**settings) -> None:
+    """Reject a setting of a removed engine mode.
+
+    Every engine is concurrent and group-committed and its commit
+    leader never lingers; older callers may still pass those settings,
+    but only with the values that describe this one mode.
+    """
+    for name, value in settings.items():
+        if value != _ONE_MODE[name]:
+            raise ValueError(
+                f"{name}={value!r}: that engine mode was removed; every "
+                f"engine runs with {name}={_ONE_MODE[name]!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -102,22 +122,22 @@ class ShardEngine:
         checkpoint_every: Auto-checkpoint after this many logged
             updates (0 disables; explicit :meth:`checkpoint` always
             works).
-        concurrent: Enable the concurrent serving path: queries pin
-            snapshot-isolated read views, text updates run under MVCC,
-            structural updates stop the world (docs/concurrency.md).
-        group_commit: Batch concurrent writers' WAL records so one
-            fsync covers a whole batch (implies ``concurrent``).
-        group_batch_max: Most records per commit batch.
-        group_batch_wait_ms: How long the commit leader lingers for a
-            fuller batch (0 = commit immediately).
         shard_id: Position of this shard in a cluster (``None`` when
             the engine runs stand-alone, as under
             :class:`repro.database.Database`).
         retain_epochs: Time-travel window — keep this many published
             MVCC snapshots so :meth:`query` can answer ``as_of`` a
-            historical epoch (requires ``concurrent``; 0 disables —
-            see docs/replication.md).  Epochs are process-lifetime:
-            a restart starts the window fresh.
+            historical epoch (0 keeps none — see docs/replication.md).
+            Epochs are process-lifetime: a restart starts the window
+            fresh.
+        concurrent/group_commit/group_batch_wait_ms: Accepted only as
+            ``True``/``True``/``0`` (see :func:`require_one_mode`).
+
+    Every engine serves concurrently: queries pin snapshot-isolated
+    read views, text updates run under MVCC, structural updates stop
+    the world (docs/concurrency.md), and writers commit through one
+    :class:`~repro.storage.groupcommit.GroupCommitLog`, so concurrent
+    writers share fsyncs.
     """
 
     def __init__(
@@ -128,13 +148,15 @@ class ShardEngine:
         substring: bool = False,
         sync: str = "flush",
         checkpoint_every: int = 10_000,
-        concurrent: bool = False,
-        group_commit: bool = False,
-        group_batch_max: int = 32,
-        group_batch_wait_ms: float = 0.0,
         shard_id: int | None = None,
         retain_epochs: int = 0,
+        *,
+        concurrent: bool = True,
+        group_commit: bool = True,
+        group_batch_wait_ms: float = 0,
     ):
+        require_one_mode(concurrent=concurrent, group_commit=group_commit,
+                         group_batch_wait_ms=group_batch_wait_ms)
         self.path = path
         self.shard_id = shard_id
         #: Bumped by every load/unload.  Those force checkpoints and
@@ -196,22 +218,9 @@ class ShardEngine:
             # Replayed records are folded, stale/corrupt records must
             # not survive, and legacy logs upgrade to the framed format.
             self._wal.truncate(epoch=self.checkpoint_epoch)
-        # Concurrency is enabled only after recovery: replay is
-        # single-threaded by construction.
-        self._group: GroupCommitLog | None = None
-        if retain_epochs and not (concurrent or group_commit):
-            raise ValueError("retain_epochs requires concurrent=True")
-        if concurrent or group_commit:
-            self.manager.enable_concurrency()
-            if retain_epochs:
-                self.manager.concurrency.set_retention(retain_epochs)
-        if group_commit:
-            self._group = GroupCommitLog(
-                self._wal,
-                batch_max=group_batch_max,
-                batch_wait=group_batch_wait_ms / 1000.0,
-                metrics=self.manager.metrics,
-            )
+        if retain_epochs:
+            self.manager.concurrency.set_retention(retain_epochs)
+        self._group = GroupCommitLog(self._wal, metrics=self.manager.metrics)
 
     def _reserve_shard_nids(self) -> None:
         """Move the nid allocator into this shard's private range (a
@@ -296,10 +305,6 @@ class ShardEngine:
         elif record.kind == RENAME:
             manager.rename(record.nid, record.name)
 
-    def _log(self, record: WalRecord) -> None:
-        self._wal.append(record)
-        self._bump_pending()
-
     def _bump_pending(self) -> None:
         with self._pending_lock:
             self._pending += 1
@@ -317,34 +322,25 @@ class ShardEngine:
             self.checkpoint()
 
     def _write_scope(self):
-        """Serializes apply + WAL-append so log order equals apply
-        order across writer threads (no-op when single-threaded).
-        Raises instead of deadlocking if the calling thread is inside a
-        read view (it holds the latch shared; waiting on the writer
-        lock here could cycle with a structural writer draining
-        shared holders)."""
+        """Serializes apply + WAL enqueue so log order equals apply
+        order across writer threads.  Raises instead of deadlocking if
+        the calling thread is inside a read view (it holds the latch
+        shared; waiting on the writer lock here could cycle with a
+        structural writer draining shared holders)."""
         controller = self.manager.concurrency
-        if controller is None:
-            return nullcontext()
         controller.check_write_allowed()
         return controller.write_lock
 
     def _logged(self, apply, record: WalRecord):
         """Run one logged update: apply it and make it durable.
 
-        Concurrent path: the in-memory apply and the WAL enqueue
-        happen under the writer lock; the *wait* for durability
-        happens outside it, so the next writer's apply overlaps this
-        record's fsync (and, with group commit, several writers share
-        one fsync).  The update is acknowledged — this method returns —
-        only once its record is on storage at the configured sync
-        level.
+        The in-memory apply and the WAL enqueue happen under the
+        writer lock; the *wait* for durability happens outside it, so
+        the next writer's apply overlaps this record's fsync and
+        several writers share one fsync (group commit).  The update is
+        acknowledged — this method returns — only once its record is
+        on storage at the configured sync level.
         """
-        if self._group is None:
-            with self._write_scope():
-                result = apply()
-                self._log(record)
-            return result
         with self._write_scope():
             result = apply()
             seq = self._group.enqueue(record)
@@ -380,10 +376,7 @@ class ShardEngine:
         exclusive latch so the columns are a consistent cut, without
         invalidating session pins.
         """
-        controller = self.manager.concurrency
-        scope = (nullcontext() if controller is None
-                 else controller.exclusive(structural=False))
-        with scope:
+        with self.manager.concurrency.exclusive(structural=False):
             doc = self.manager.store.document(name)
             return document_bytes(doc)
 
@@ -480,24 +473,19 @@ class ShardEngine:
     # ------------------------------------------------------------------
 
     def read_view(self):
-        """A pinned snapshot view (context manager; requires
-        ``concurrent=True``).  Queries and lookups inside the scope all
-        run at the pinned epoch."""
+        """A pinned snapshot view (context manager).  Queries and
+        lookups inside the scope all run at the pinned epoch."""
         return self.manager.read_view()
 
     def _read_scope(self, as_of: int | None = None):
         """The view one read evaluates under: the retained snapshot of
         epoch ``as_of``; else an auto-pinned view so the whole
         evaluation runs at one epoch; else nothing (the caller already
-        pinned a view, or the engine is single-threaded)."""
+        pinned a view)."""
         controller = self.manager.concurrency
         if as_of is not None:
-            if controller is None:
-                raise ValueError(
-                    "as_of queries require concurrent=True and retain_epochs"
-                )
             return controller.read_view_as_of(as_of)
-        if controller is not None and active_view() is None:
+        if active_view() is None:
             return controller.read_view()
         return nullcontext()
 
@@ -505,10 +493,7 @@ class ShardEngine:
         """Epochs answerable with ``as_of`` right now (oldest first;
         always includes the current epoch).  Empty window unless the
         engine was opened with ``retain_epochs``."""
-        controller = self.manager.concurrency
-        if controller is None:
-            return [self.manager.epoch]
-        return controller.retained_epochs()
+        return self.manager.concurrency.retained_epochs()
 
     def query(self, text: str, document: str | None = None,
               use_indexes: bool | str = True,
@@ -584,22 +569,15 @@ class ShardEngine:
         since the last commit keeps its files (and their older stem),
         so only the manifest names it again.
 
-        Under the concurrent serving path this is a stop-the-world
-        operation: the exclusive latch drains readers and writers, and
-        any queued group-commit records are flushed before the
-        snapshot, so the truncated WAL never holds an applied-but-
-        unwritten update.
+        This is a stop-the-world operation: the exclusive latch drains
+        readers and writers, and any queued group-commit records are
+        flushed before the snapshot, so the truncated WAL never holds an
+        applied-but-unwritten update.
         """
-        controller = self.manager.concurrency
-        scope = (
-            nullcontext() if controller is None
-            # A checkpoint drains readers but changes no indexed
-            # state, so it must not invalidate session pins.
-            else controller.exclusive(structural=False)
-        )
-        with scope:
-            if self._group is not None:
-                self._group.drain()
+        # A checkpoint drains readers but changes no indexed state, so
+        # it must not invalidate session pins.
+        with self.manager.concurrency.exclusive(structural=False):
+            self._group.drain()
             self._write_snapshot()
             faults.crashpoint("checkpoint.after_snapshot")
             self._wal.truncate(epoch=self.checkpoint_epoch)
@@ -617,7 +595,7 @@ class ShardEngine:
         try:
             if checkpoint:
                 self.checkpoint()
-            elif self._group is not None and not self._group.poisoned:
+            elif not self._group.poisoned:
                 self._group.drain()
         finally:
             self._wal.close()

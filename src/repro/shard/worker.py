@@ -1,7 +1,7 @@
 """One shard core behind the wire protocol, in its own OS process.
 
 ``python -m repro.shard.worker --path DIR`` opens (or recovers) the
-shard directory as a concurrent :class:`~repro.shard.engine.ShardEngine`
+shard directory as a :class:`~repro.shard.engine.ShardEngine`
 and serves it with the ordinary :class:`~repro.server.DatabaseServer` —
 the shard IPC *is* the public wire protocol, so every server guarantee
 (snapshot-pinned reads, admission control, graceful drain, acked ⇒
@@ -84,8 +84,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sync", default="flush",
                         choices=("none", "flush", "fsync"))
     parser.add_argument("--checkpoint-every", type=int, default=10_000)
-    parser.add_argument("--no-group-commit", action="store_true",
-                        help="serve with plain concurrent WAL appends")
     parser.add_argument("--retain-epochs", type=int, default=0,
                         help="time-travel window for as_of queries "
                              "(docs/replication.md)")
@@ -109,8 +107,6 @@ def main(argv: list[str] | None = None) -> int:
         args.path,
         sync=args.sync,
         checkpoint_every=args.checkpoint_every,
-        concurrent=True,
-        group_commit=not args.no_group_commit,
         shard_id=args.shard_id,
         retain_epochs=args.retain_epochs,
     )

@@ -26,40 +26,30 @@ the process dying for all writers at once.
 from __future__ import annotations
 
 import threading
-import time
 
 from .wal import WalRecord, WriteAheadLog
 
-__all__ = ["GroupCommitLog"]
+__all__ = ["BATCH_MAX", "GroupCommitLog"]
+
+#: Most records the leader writes per batch (one write, one fsync).
+BATCH_MAX = 32
 
 
 class GroupCommitLog:
     """Leader/follower group-commit front end over a WAL.
 
+    The leader commits as soon as it takes over, with whatever is
+    queued, up to :data:`BATCH_MAX` records per batch.
+
     Args:
         wal: The log records are written to.
-        batch_max: Most records the leader writes per batch.
-        batch_wait: Seconds the leader lingers before draining a
-            non-full queue, letting more writers pile on (0 = commit
-            immediately; small values trade latency for batch
-            occupancy).
         metrics: Optional registry; counts batches/records (mean
             occupancy = records/batches) and records per-batch sizes
             in the ``wal.group.batch_size`` histogram.
     """
 
-    def __init__(
-        self,
-        wal: WriteAheadLog,
-        batch_max: int = 32,
-        batch_wait: float = 0.0,
-        metrics=None,
-    ):
-        if batch_max < 1:
-            raise ValueError("batch_max must be at least 1")
+    def __init__(self, wal: WriteAheadLog, metrics=None):
         self._wal = wal
-        self._batch_max = batch_max
-        self._batch_wait = batch_wait
         self._metrics = metrics
         self._cond = threading.Condition()
         self._queue: list[tuple[int, WalRecord]] = []
@@ -116,12 +106,6 @@ class GroupCommitLog:
                     self._leader_active = False
                     self._cond.notify_all()
 
-    def append(self, record: WalRecord) -> int:
-        """Enqueue + wait: the simple one-call form."""
-        seq = self.enqueue(record)
-        self.wait_durable(seq)
-        return seq
-
     def drain(self) -> None:
         """Commit everything enqueued so far (checkpoint support)."""
         with self._cond:
@@ -136,13 +120,8 @@ class GroupCommitLog:
     def _lead(self, seq: int) -> None:
         """Write batches until ``seq`` is durable (leader role)."""
         while True:
-            if self._batch_wait > 0:
-                with self._cond:
-                    pending = len(self._queue)
-                if 0 < pending < self._batch_max:
-                    time.sleep(self._batch_wait)
             with self._cond:
-                batch = self._queue[: self._batch_max]
+                batch = self._queue[:BATCH_MAX]
                 del self._queue[: len(batch)]
             if not batch:
                 return  # a previous leader already covered seq
@@ -168,7 +147,7 @@ class GroupCommitLog:
                     self._metrics.histogram("wal.group.batch_size").observe(
                         len(batch)
                     )
-                    if len(batch) == self._batch_max:
+                    if len(batch) == BATCH_MAX:
                         self._metrics.counter("wal.group.full_batches").inc()
                 self._cond.notify_all()
             if self._durable_seq >= seq:

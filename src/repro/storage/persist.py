@@ -477,4 +477,7 @@ def load_manager(path: str, manifest: dict | None = None) -> IndexManager:
             compute_fields(doc, 0, len(doc) - 1, derived, bulk=True)
     for index in indexes:
         index.finish_bulk()
+    # The runs were installed outside a writer scope: publish them, or
+    # read views would pin the empty snapshot taken at construction.
+    manager.concurrency.publish()
     return manager

@@ -213,21 +213,9 @@ class WriteAheadLog:
             if self._metrics is not None:
                 self._metrics.counter("wal.fsyncs").inc()
 
-    def _append(self, record: WalRecord) -> None:
-        faults.fault_write(
-            self._fh, encode_frame(record, self.epoch), "wal.append"
-        )
-        if self._sync != "none":
-            self._flush()
-        faults.crashpoint("wal.appended")
-
     def append(self, record: WalRecord) -> None:
-        if self._metrics is None:
-            self._append(record)
-            return
-        with self._metrics.timer("wal.append").time():
-            self._append(record)
-        self._metrics.counter("wal.appends").inc()
+        """Append one record: a batch of one."""
+        self.append_many([record])
 
     def append_many(self, records: list[WalRecord]) -> None:
         """Append a batch of records with ONE write and one flush/fsync.

@@ -40,12 +40,12 @@ __all__ = ["TransactionManager", "Transaction"]
 
 
 class TransactionManager:
-    """Hands out transactions over one :class:`IndexManager` (enables
+    """Hands out transactions over one :class:`IndexManager` (through
     its concurrency controller: transactions are MVCC sessions)."""
 
     def __init__(self, index_manager: IndexManager):
         self.index_manager = index_manager
-        self.controller = index_manager.enable_concurrency()
+        self.controller = index_manager.concurrency
 
     def begin(self) -> "Transaction":
         """Start a transaction pinned at the published epoch."""

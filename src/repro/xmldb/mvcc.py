@@ -13,8 +13,8 @@ against the same chains; there is no second version store.
 
 The reader side is a thread-local: :func:`reading_at` installs the
 pinned epoch for the duration of a query, and :meth:`Document.text_of`
-consults it with a single ``is None`` check when no overlay exists —
-zero cost for single-threaded use.
+consults it only when the document has an overlay; an unpinned read
+then pays one thread-local lookup.
 """
 
 from __future__ import annotations

@@ -123,15 +123,13 @@ class TestConcurrentDriver:
         results = concurrent.run(
             writer_counts=(1, 2), updates_per_writer=15
         )
-        assert {(r.writers, r.group_commit) for r in results} == {
-            (1, False), (2, False), (1, True), (2, True),
-        }
+        assert [r.writers for r in results] == [1, 2]
         for result in results:
             assert result.commits == result.writers * 15
             assert result.commits_per_second > 0
             assert result.commit_p99_us >= result.commit_p50_us >= 0
-            if not result.group_commit:
-                assert result.batches == 0
+            # Every commit goes through a group-commit batch.
+            assert result.batch_records == result.commits
         report = concurrent.format_report(results)
         assert "commits/s" in report and "batch occ" in report
         path = tmp_path / "serve.json"
@@ -141,7 +139,7 @@ class TestConcurrentDriver:
         assert payload["bench"] == "concurrent_serve"
         assert payload["config"]["updates_per_writer"] == 15
         assert payload["aggregate"]["speedup_vs_baseline"] > 0
-        baseline = payload["aggregate"]["baseline_1_writer_fsync_per_commit"]
+        baseline = payload["aggregate"]["baseline_1_writer"]
         assert baseline > 0
 
     def test_claims(self):
@@ -151,11 +149,10 @@ class TestConcurrentDriver:
         records = concurrent.claims(results)
         assert {r["id"] for r in records} == {
             "concurrent.group_commit_speedup",
+            "concurrent.fsyncs_per_commit.1w",
             "concurrent.fsyncs_per_commit.4w",
             "concurrent.batch_occupancy.1w",
             "concurrent.batch_occupancy.4w",
-            "concurrent.fsync_per_commit_off.1w",
-            "concurrent.fsync_per_commit_off.4w",
         }
         # Batching arithmetic holds at any size; the speedup and the
         # fsync saving are timed claims, judged by bench-concurrent.

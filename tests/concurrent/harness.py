@@ -80,7 +80,7 @@ def run_stress(
 
     ``ops`` bounds each writer when ``duration`` is None; otherwise the
     run is wall-clock bounded (writers loop until the deadline).  Extra
-    ``db_kwargs`` go to :class:`Database` (e.g. ``group_batch_max``).
+    ``db_kwargs`` go to :class:`Database` (e.g. ``sync``).
     """
     db_kwargs.setdefault("typed", ("double",))
     db_kwargs.setdefault("sync", "flush")

@@ -14,6 +14,7 @@ import os
 import threading
 
 from repro.database import Database
+from repro.storage import groupcommit
 
 from .harness import (
     classified_text_nids,
@@ -32,9 +33,11 @@ class TestDifferentialServing:
         )
         assert counts["updates"] >= 240
 
-    def test_divergence_free_under_group_commit_fsync(self, tmp_path):
+    def test_divergence_free_under_group_commit_fsync(self, tmp_path,
+                                                      monkeypatch):
         # Small batches + fsync: the acknowledgment path (leader
         # election, batched fsync) runs constantly under the readers.
+        monkeypatch.setattr(groupcommit, "BATCH_MAX", 4)
         counts = run_stress(
             str(tmp_path / "db"),
             seed=SEED + 1,
@@ -42,7 +45,6 @@ class TestDifferentialServing:
             writers=3,
             ops=40,
             sync="fsync",
-            group_batch_max=4,
         )
         assert counts["updates"] == 120
 

@@ -26,11 +26,12 @@ import random
 import tempfile
 import threading
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.database import Database
-from repro.storage import faults
+from repro.storage import faults, groupcommit
 from repro.storage.wal import replay_records
 from repro.xmldb import TEXT
 
@@ -42,9 +43,10 @@ def _value_nids(doc) -> list[int]:
     return [doc.nid[p] for p in range(len(doc)) if doc.kind[p] == TEXT]
 
 
-def _run_case(base: str, seed: int) -> None:
+def _run_case(base: str, seed: int, patch: pytest.MonkeyPatch) -> None:
     rng = random.Random(seed)
     path = os.path.join(base, "db")
+    patch.setattr(groupcommit, "BATCH_MAX", rng.choice([2, 3, 8]))
     db = Database(
         path,
         typed=(),
@@ -52,7 +54,6 @@ def _run_case(base: str, seed: int) -> None:
         checkpoint_every=0,
         concurrent=True,
         group_commit=True,
-        group_batch_max=rng.choice([2, 3, 8]),
     )
     xml = "<root>" + "".join(
         f"<v>init{i}</v>" for i in range(WRITERS)
@@ -149,5 +150,6 @@ def _run_case(base: str, seed: int) -> None:
 @given(st.integers(min_value=0, max_value=2**20))
 @settings(max_examples=10, deadline=None)
 def test_recovered_state_is_a_serial_prefix_of_acknowledged(seed):
-    with tempfile.TemporaryDirectory() as base:
-        _run_case(base, seed)
+    with tempfile.TemporaryDirectory() as base, \
+            pytest.MonkeyPatch.context() as patch:
+        _run_case(base, seed, patch)

@@ -22,7 +22,7 @@ import pytest
 
 from repro.core import concurrency as concurrency_module
 from repro.database import Database
-from repro.storage import faults
+from repro.storage import faults, groupcommit
 
 from .harness import classified_text_nids, fixture_xml
 
@@ -182,9 +182,11 @@ class TestReadViewLifecycle:
 
 
 class TestBatchSizeHistogram:
-    def test_group_commit_records_batch_size_histogram(self, tmp_path):
+    def test_group_commit_records_batch_size_histogram(self, tmp_path,
+                                                       monkeypatch):
         """Per-batch sizes are observable, not just total counters."""
-        db = _open(tmp_path, group_commit=True, group_batch_max=4)
+        monkeypatch.setattr(groupcommit, "BATCH_MAX", 4)
+        db = _open(tmp_path, group_commit=True)
         doc = db.load("people", fixture_xml())
         age_nids, _ = classified_text_nids(doc)
 

@@ -14,6 +14,8 @@ import os
 
 import pytest
 
+from repro.storage import groupcommit
+
 from .harness import run_stress
 
 SECONDS = float(os.environ.get("REPRO_STRESS_SECONDS", "0"))
@@ -25,7 +27,7 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def test_soak(tmp_path):
+def test_soak(tmp_path, monkeypatch):
     # Split the budget between a flush-durability phase (high update
     # rate, maximum index churn) and an fsync group-commit phase
     # (constant leader elections under the readers).
@@ -34,9 +36,10 @@ def test_soak(tmp_path):
         str(tmp_path / "flush"), seed=SEED, readers=3, writers=3,
         duration=half,
     )
+    monkeypatch.setattr(groupcommit, "BATCH_MAX", 8)
     fsync = run_stress(
         str(tmp_path / "fsync"), seed=SEED + 1, readers=3, writers=3,
-        duration=half, sync="fsync", group_batch_max=8,
+        duration=half, sync="fsync",
     )
     print(
         f"soak ok (seed {SEED}): flush phase {flush['checks']} checks /"

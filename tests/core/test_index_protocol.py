@@ -154,8 +154,9 @@ class TestNoSidePaths:
     index class, no reach into another module's field map, no index
     that keeps its keys outside its run — and no index builds
     per-entry tuples on its scan path (``range_keys`` stays in
-    ``bplus.py`` only for the layer benchmark that times it) — and no
-    second bench emitter beside the drivers' ``claims``."""
+    ``bplus.py`` only for the layer benchmark that times it) — no
+    second bench emitter beside the drivers' ``claims`` — and no
+    engine mode without the concurrency controller or group commit."""
 
     SOURCES = sorted(pathlib.Path(repro.__file__).parent.rglob("*.py"))
     #: pattern -> the one module (if any) allowed to match it.
@@ -177,6 +178,12 @@ class TestNoSidePaths:
         # The brackets keep a grep for either name from matching here.
         r"\bpytest[_]benchmark\b": None,
         r"benchmark[-]only": None,
+        # One engine mode: every manager owns its concurrency
+        # controller and every engine commits through group commit.
+        r"\benable_concurrency\b": None,
+        r"concurrency is None": None,
+        r"\bgroup_batch_max\b": None,
+        r"no[-]group[-]commit": None,
     }
 
     @pytest.mark.parametrize("pattern", list(FORBIDDEN))

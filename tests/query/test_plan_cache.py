@@ -212,7 +212,6 @@ class TestEpochKeyedEntries:
 
     def test_pinned_as_of_and_live_readers_share_one_plan(self):
         m = _manager()
-        m.enable_concurrency()
         m.concurrency.set_retention(4)
         past = m.epoch
         with m.read_view() as view:
@@ -233,7 +232,6 @@ class TestEpochKeyedEntries:
 
     def test_view_answers_are_pinned_estimates_are_shared(self):
         m = _manager()
-        m.enable_concurrency()
         with m.read_view():
             priced = m.statistics("double")
             assert _names_of(m, query(m, Q, use_indexes="auto")) == ["Arthur"]
@@ -258,7 +256,6 @@ class TestEpochKeyedEntries:
             f"<p><age>{i}</age><name>n{i}</name></p>" for i in range(2500)
         ) + "</people>")
         assert len(m.index("double").tree) >= 5000
-        m.enable_concurrency()
         scans = []
         for index in m.indexes:
             build = index.statistics_type.from_tree
@@ -282,7 +279,6 @@ class TestEpochKeyedEntries:
 
     def test_plan_built_in_a_view_serves_live_readers(self):
         m = _manager()
-        m.enable_concurrency()
         self._mutate_in_thread(m, _text_nid(m, "99"), "42")
         with m.read_view():
             assert _names_of(m, query(m, Q)) == ["Arthur", "Marvin"]

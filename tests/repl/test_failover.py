@@ -35,7 +35,6 @@ class WorkerPrimary:
         argv = [
             sys.executable, "-m", "repro.shard.worker",
             "--path", path, "--checkpoint-every", "0",
-            "--no-group-commit",
         ]
         if kill_at is not None:
             argv += ["--kill-at", kill_at]

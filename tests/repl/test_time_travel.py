@@ -73,13 +73,21 @@ class TestEngineWindow:
             db.query("//p", as_of=old)
 
     def test_retention_requires_concurrency(self, tmp_path):
-        with pytest.raises(ValueError, match="concurrent"):
-            Database(str(tmp_path / "bad"), retain_epochs=4)
+        # Every database is concurrent: a default one keeps the window.
+        with Database(str(tmp_path / "plain"), retain_epochs=4) as db:
+            doc = db.load("a", "<a><b>1</b></a>")
+            past = db.manager.epoch
+            db.update_text(doc.nid[3], "2")
+            assert db.retained_epochs() == [past, db.manager.epoch]
+            assert db.query("//a[b = 1]", as_of=past) == [doc.nid[1]]
+            assert db.query("//a[b = 1]") == []
 
     def test_as_of_requires_concurrency(self, tmp_path):
+        # Without retain_epochs only the published epoch answers.
         with Database(str(tmp_path / "plain")) as db:
             db.load("a", "<a><b>1</b></a>")
-            with pytest.raises(ValueError, match="concurrent"):
+            assert db.retained_epochs() == [db.manager.epoch]
+            with pytest.raises(EpochNotRetained, match="not retained"):
                 db.query("//b", as_of=0)
 
 
