@@ -52,7 +52,8 @@ def compute_fields(
         for pre in range(start, end + 1)
         if kinds[pre] in (TEXT, ATTR)
     ]
-    leaf_texts = [doc.text_of(pre) for pre in leaf_pres]
+    text_id = doc.text_id
+    leaf_texts = doc.read_texts([text_id[pre] for pre in leaf_pres])
     leaf_fields: list[dict[int, object]] = [
         dict(zip(leaf_pres, index.field_of_texts(leaf_texts)))
         for index in indexes

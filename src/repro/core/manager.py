@@ -23,7 +23,6 @@ import numpy as np
 from ..errors import IndexError_
 from ..obs import MetricsRegistry
 from ..xmldb.document import ATTR, TEXT, Document
-from ..xmldb.mvcc import read_epoch
 from ..xmldb.store import Store, StructuralChange
 from .builder import compute_fields
 from .concurrency import ConcurrencyController, ReadView, active_view
@@ -456,27 +455,20 @@ class IndexManager:
 
     def _scan_contains(self, doc: Document, needle: str) -> list[int]:
         """All leaf nids of one document whose text contains
-        ``needle``, via the joined-region kernel when the document's
-        texts are directly addressable (no pinned MVCC overlay)."""
+        ``needle``: one batch read of the leaves' texts (as the reader
+        sees them), scanned by the joined-region kernel."""
         from .classify import containing_indices
 
         leaf_nids = self._leaf_nids_of(doc)
-        if doc.text_overlay is None or read_epoch() is None:
-            cols = doc.columns()
-            leaf = (cols.kind == TEXT) | (cols.kind == ATTR)
-            slots = cols.text_id[leaf].tolist()
-            texts = doc.texts
-            leaf_texts = [texts[slot] for slot in slots]
-            matches = containing_indices(leaf_texts, needle)
-            if matches is not None:
-                return [leaf_nids[i] for i in matches]
-        pre_of = doc.pre_of
-        text_of = doc.text_of
-        return [
-            nid
-            for nid in leaf_nids
-            if needle in text_of(pre_of(nid))
-        ]
+        cols = doc.columns()
+        leaf = (cols.kind == TEXT) | (cols.kind == ATTR)
+        leaf_texts = doc.read_texts(cols.text_id[leaf].tolist())
+        matches = containing_indices(leaf_texts, needle)
+        if matches is None:
+            matches = [
+                i for i, text in enumerate(leaf_texts) if needle in text
+            ]
+        return [leaf_nids[i] for i in matches]
 
     def lookup_contains(self, needle: str) -> Iterator[int]:
         """Value-leaf nids whose own text contains ``needle``.

@@ -1,20 +1,24 @@
-"""The plan executor: sorted numpy row-id pipelines, instrumented.
+"""The plan executor: one sorted numpy row-id pipeline, instrumented.
 
-Runs the plans built by :mod:`repro.query.planner` against one
-document.  Operators exchange sorted, duplicate-free int64 ``pre``
-arrays and evaluate the structural operators with the merge/interval
-kernels of :mod:`repro.query.kernels`:
+Runs the plans built by :mod:`repro.query.planner` once over a column
+view (:class:`~repro.xmldb.columns.DocColumns`): the store-wide view
+for an unscoped query, one document's view for a scoped one — the
+executor has one path either way.  Operators exchange sorted,
+duplicate-free int64 row arrays and evaluate the structural operators
+with the merge/interval kernels of :mod:`repro.query.kernels`:
 
-* ``IndexLookup`` takes a slice of the index's nid column and maps it
-  to owned pres by arithmetic over the document's nid runs
-  (:class:`~repro.xmldb.columns.DocColumns`).  The slice spans every
-  document; a caller running one plan over several documents passes a
-  probe memo, so each lookup scans its index once and every document
-  takes its share;
+* ``IndexLookup`` scans its index once and maps the nid slice to the
+  view's rows by arithmetic over the nid runs;
 * ``AncestorWalk`` / ``StructuralVerify`` become O(depth) batched
-  column gathers plus interval stabbing (``anc < pre <= anc + size``);
+  column gathers plus interval stabbing (``anc < row <= end[anc]``);
 * ``Intersect`` / ``Union`` are single ``np.intersect1d`` /
   ``np.union1d`` merges.
+
+Text is the only per-document work left: string verification,
+residual predicates and ``FullScan`` run per document segment of their
+batch (:meth:`DocColumns.segments`), and only for the documents that
+hold candidates; every text read is a batch read of the document's
+heap (:meth:`~repro.xmldb.document.Document.read_texts`).
 
 **Sortedness invariant**: every array handed between operators is
 sorted ascending with no duplicates.  All kernels both rely on it
@@ -41,8 +45,7 @@ import numpy as np
 
 from ..core.manager import IndexManager
 from ..xmldb.columns import EMPTY_PRES, DocColumns
-from ..xmldb.document import ATTR, TEXT, Document
-from ..xmldb.mvcc import read_epoch
+from ..xmldb.document import ELEM, Document
 from .ast import FunctionPredicate
 from .evaluator import evaluate_naive
 from .kernels import ancestor_walk, filter_predicates, structural_verify
@@ -58,85 +61,88 @@ from .plan import (
 
 __all__ = ["execute_plan", "execute_pres"]
 
+#: :func:`_value_rows` markers for containers without a TEXT descendant
+#: (string value ``""``) and with several (concatenated per node).
+NO_TEXT = -1
+MANY_TEXTS = -2
+
+#: Up to this many candidates, checking each one's ``string_value``
+#: costs less than the twenty-odd array operations of the batch check
+#: (measured on the lifecycle corpora's small buckets and perf's
+#: ``fat`` buckets of 35-150 candidates).
+SMALL_BUCKET = 8
+
+
+def _value_rows(cols: DocColumns, pres: "np.ndarray") -> "np.ndarray":
+    """Per row of ``pres``, the row whose heap slot holds its whole XDM
+    string value: the row itself for text-valued kinds (text,
+    attribute, comment, PI), the one TEXT descendant of a container
+    that has exactly one — the dominant shape, every field element of
+    the workloads — else :data:`NO_TEXT` or :data:`MANY_TEXTS`.
+
+    A container's TEXT descendants are sliced out of the sorted
+    TEXT-position plane with two ``searchsorted`` probes over its
+    subtree interval.
+    """
+    container = cols.kind[pres] <= ELEM  # DOC | ELEM
+    if not container.any():
+        return pres
+    rows = pres.copy()
+    cpres = pres[container]
+    text_pos = cols.text_positions()
+    lo = np.searchsorted(text_pos, cpres, side="right")
+    count = np.searchsorted(text_pos, cols.end[cpres], side="right") - lo
+    crows = np.where(count == 0, NO_TEXT, MANY_TEXTS)
+    one = count == 1
+    crows[one] = text_pos[lo[one]]
+    rows[container] = crows
+    return rows
+
 
 def _string_equal_pres(
-    doc: Document, cols: DocColumns, nids: "np.ndarray", value: str
+    cols: DocColumns, nids: "np.ndarray", value: str
 ) -> "np.ndarray":
-    """Owned pres whose XDM string value equals ``value``, out of the
-    hash bucket ``nids`` of ``value``.
+    """Rows whose XDM string value equals ``value``, out of the hash
+    bucket ``nids`` of ``value``.
 
-    Batch counterpart of ``manager.lookup_string``: nid→pre mapping via
-    ``pres_of_nids`` (which also drops other documents' nids), then
-    collision verification per *kind* — leaf nodes compare their heap
-    slot directly (no per-node resolution through the store),
-    containers fall back to ``string_value``.  Under an active MVCC
-    overlay with a pinned epoch all verification goes through
-    ``string_value`` so the reader sees its snapshot's values.
+    Batch counterpart of ``manager.lookup_string``: nid→row mapping via
+    ``pres_of_nids``, then collision verification per document segment
+    — one batch heap read (:meth:`Document.read_texts`) for every
+    candidate whose value is one slot, ``string_value`` for the
+    multi-text containers only, and for every candidate of a bucket of
+    at most :data:`SMALL_BUCKET`.
     """
     pres = cols.pres_of_nids(nids)
     if pres.size == 0:
         return pres
-    if doc.text_overlay is not None and read_epoch() is not None:
-        keep = np.fromiter(
-            (doc.string_value(int(pre)) == value for pre in pres),
-            dtype=bool,
-            count=pres.size,
-        )
-        return pres[keep]
-    kinds = cols.kind[pres]
-    leaf = (kinds == TEXT) | (kinds == ATTR)
-    keep = np.empty(pres.size, dtype=bool)
-    texts = doc.texts
-    leaf_slots = cols.text_id[pres[leaf]].tolist()
-    keep[leaf] = [texts[slot] == value for slot in leaf_slots]
-    container = ~leaf
-    if container.any():
-        keep[container] = _container_values_equal(
-            doc, cols, pres[container], value
-        )
+    if pres.size <= SMALL_BUCKET:
+        return pres[_each_equal(cols, pres, value)]
+    rows = _value_rows(cols, pres)
+    keep = rows == NO_TEXT if value == "" else np.zeros(pres.size, bool)
+    single = np.flatnonzero(rows >= 0)
+    if single.size:
+        # Value rows share their candidate's document, so the sorted
+        # candidates cut the slot list into per-document heap reads.
+        slots = cols.text_id[rows[single]].tolist()
+        texts: list[str] = []
+        for doc, _offset, segment in cols.segments(pres[single]):
+            texts += doc.read_texts(slots[segment])
+        keep[single] = [text == value for text in texts]
+    many = np.flatnonzero(rows == MANY_TEXTS)
+    if many.size:
+        keep[many] = _each_equal(cols, pres[many], value)
     return pres[keep]
 
 
-def _container_values_equal(
-    doc: Document, cols: DocColumns, pres: "np.ndarray", value: str
+def _each_equal(
+    cols: DocColumns, pres: "np.ndarray", value: str
 ) -> "np.ndarray":
-    """Boolean mask: does each container node's XDM string value equal
-    ``value``?
-
-    Document/element values concatenate their TEXT descendants.  The
-    dominant shape — an element wrapping exactly one text node (every
-    field element of the workloads) — is resolved with two
-    ``searchsorted`` probes against the sorted TEXT-position plane and
-    one direct heap-slot comparison; zero-text containers compare
-    against the empty string.  Only multi-text containers (and the
-    rare comment/PI candidates, whose value is their own content) fall
-    back to ``string_value``.
-    """
-    kinds = cols.kind[pres]
-    concat = (kinds == 0) | (kinds == 1)  # DOC | ELEM
+    """Boolean mask: does each row's ``string_value`` equal ``value``?"""
     keep = np.empty(pres.size, dtype=bool)
-    text_pos = cols.text_positions()
-    cpres = pres[concat]
-    lo = np.searchsorted(text_pos, cpres + 1, side="left")
-    hi = np.searchsorted(text_pos, cols.end[cpres], side="right")
-    count = hi - lo
-    ckeep = np.empty(cpres.size, dtype=bool)
-    ckeep[count == 0] = value == ""
-    one = count == 1
-    if one.any():
-        texts = doc.texts
-        slots = cols.text_id[text_pos[lo[one]]].tolist()
-        ckeep[one] = [texts[slot] == value for slot in slots]
-    many = count > 1
-    if many.any():
-        ckeep[many] = [
-            doc.string_value(int(pre)) == value for pre in cpres[many]
-        ]
-    keep[concat] = ckeep
-    other = ~concat  # comment / processing-instruction candidates
-    if other.any():
-        keep[other] = [
-            doc.string_value(int(pre)) == value for pre in pres[other]
+    for doc, offset, segment in cols.segments(pres):
+        keep[segment] = [
+            doc.string_value(pre - offset) == value
+            for pre in pres[segment].tolist()
         ]
     return keep
 
@@ -160,70 +166,63 @@ def _scan(manager: IndexManager, node: IndexLookup) -> "np.ndarray":
 
 
 def _index_pres(
-    manager: IndexManager,
-    doc: Document,
-    cols: DocColumns,
-    node: IndexLookup,
-    probes: dict | None,
+    manager: IndexManager, cols: DocColumns, node: IndexLookup
 ) -> "np.ndarray":
-    """Owned pres of the value-matching nodes of one ``IndexLookup``.
-
-    The scan spans every document (``pres_of_nids`` takes this
-    document's share); with a ``probes`` memo it runs once per probe
-    and later documents reuse it.
-    """
-    if probes is None:
-        nids = _scan(manager, node)
-    else:
-        nids = probes.get(node.probe)
-        if nids is None:
-            nids = probes[node.probe] = _scan(manager, node)
+    """Rows of the value-matching nodes of one ``IndexLookup``: one
+    index scan, mapped to the view's rows (nids outside it drop)."""
+    nids = _scan(manager, node)
     if node.kind == "string":
-        return _string_equal_pres(doc, cols, nids, node.driver.literal)
+        return _string_equal_pres(cols, nids, node.driver.literal)
     return cols.pres_of_nids(nids)
+
+
+def _full_scan(cols: DocColumns, node: FullScan) -> "np.ndarray":
+    """The naive evaluator over every document of the view, its pres
+    shifted to the view's rows."""
+    pres = [
+        np.asarray(evaluate_naive(doc, node.path), dtype=np.int64) + offset
+        for doc, offset in zip(cols.docs, cols.offsets.tolist())
+    ]
+    return np.concatenate(pres) if pres else EMPTY_PRES
 
 
 def _run(
     manager: IndexManager,
-    doc: Document,
     cols: DocColumns,
     node: PlanNode,
     actuals: dict[int, dict],
-    probes: dict | None,
 ) -> "np.ndarray":
-    """Execute one operator; returns its sorted output pres (inclusive
+    """Execute one operator; returns its sorted output rows (inclusive
     time and output cardinality are recorded into ``actuals``)."""
     start = time.perf_counter()
     if isinstance(node, FullScan):  # always the whole plan
-        pres = np.asarray(evaluate_naive(doc, node.path), dtype=np.int64)
+        pres = _full_scan(cols, node)
         manager.metrics.counter("query.plans.scan").inc()
     elif isinstance(node, IndexLookup):
-        pres = _index_pres(manager, doc, cols, node, probes)
+        pres = _index_pres(manager, cols, node)
     elif isinstance(node, AncestorWalk):
-        hits = _run(manager, doc, cols, node.children[0], actuals, probes)
-        pres = ancestor_walk(doc, cols, hits, node.operand_steps)
+        hits = _run(manager, cols, node.children[0], actuals)
+        pres = ancestor_walk(cols, hits, node.operands[0])
+        for steps in node.operands[1:]:
+            pres = np.union1d(pres, ancestor_walk(cols, hits, steps))
     elif isinstance(node, Intersect):
-        pres = _run(manager, doc, cols, node.children[0], actuals, probes)
+        pres = _run(manager, cols, node.children[0], actuals)
         for child in node.children[1:]:
             pres = np.intersect1d(
                 pres,
-                _run(manager, doc, cols, child, actuals, probes),
+                _run(manager, cols, child, actuals),
                 assume_unique=True,
             )
     elif isinstance(node, Union):
         pres = EMPTY_PRES
         for child in node.children:
-            pres = np.union1d(
-                pres, _run(manager, doc, cols, child, actuals, probes)
-            )
+            pres = np.union1d(pres, _run(manager, cols, child, actuals))
     elif isinstance(node, StructuralVerify):  # root of every index plan
-        candidates = _run(
-            manager, doc, cols, node.children[0], actuals, probes
-        )
+        candidates = _run(manager, cols, node.children[0], actuals)
         pres = structural_verify(
-            doc, cols, candidates, node.path.steps, node.predicate
+            cols, candidates, node.path.steps, node.predicate
         )
-        pres = filter_predicates(doc, pres, node.residual)
+        pres = filter_predicates(cols, pres, node.residual)
         manager.metrics.counter("query.plans.index").inc()
     else:  # pragma: no cover - defensive
         raise TypeError(f"unknown plan node {node!r}")
@@ -236,21 +235,17 @@ def _run(
 
 def execute_pres(
     manager: IndexManager,
-    doc: Document,
+    cols: DocColumns,
     plan: PlanNode,
     actuals: dict[int, dict] | None = None,
-    probes: dict | None = None,
 ) -> "np.ndarray":
-    """Run a plan tree over one document; returns the matching pres as
-    a sorted int64 array.  ``actuals`` (if given) is filled with
-    per-operator ``{"rows", "seconds"}`` entries keyed by ``op_id``.
-    ``probes`` (if given) memoizes the index scans by
-    :attr:`~repro.query.plan.IndexLookup.probe` for further documents
-    of the same query and the same read scope.  The operators' metrics
-    are flushed here, once per plan.
+    """Run a plan tree once over the column view ``cols``; returns the
+    matching rows as a sorted int64 array.  ``actuals`` (if given) is
+    filled with per-operator ``{"rows", "seconds"}`` entries keyed by
+    ``op_id``.  The operators' metrics are flushed here, once per plan.
     """
     operators: dict[int, dict] = {}
-    pres = _run(manager, doc, doc.columns(), plan, operators, probes)
+    pres = _run(manager, cols, plan, operators)
     if actuals is not None:
         actuals.update(operators)
     metrics = manager.metrics
@@ -268,5 +263,6 @@ def execute_plan(
     plan: PlanNode,
     actuals: dict[int, dict] | None = None,
 ) -> list[int]:
-    """:func:`execute_pres` with the pres as a list, in document order."""
-    return execute_pres(manager, doc, plan, actuals).tolist()
+    """:func:`execute_pres` over one document's view, with the pres as
+    a list, in document order."""
+    return execute_pres(manager, doc.columns(), plan, actuals).tolist()

@@ -3,8 +3,10 @@
 The structural operators of :mod:`repro.query.executor`:
 ``ancestor_walk`` finds the contexts from which an operand path selects
 some index hit, ``structural_verify`` keeps the candidates an absolute
-path selects.  Both operate on sorted numpy ``pre`` arrays and reduce
-every axis question to integer arithmetic on the shredded columns:
+path selects.  Both operate on sorted numpy row arrays of one column
+view (:class:`~repro.xmldb.columns.DocColumns`, over one document or
+the whole store) and reduce every axis question to integer arithmetic
+on the shredded columns:
 
 * parent — one gather from the ``parent_pre`` plane;
 * ancestors — O(depth) parent gathers with per-level dedup;
@@ -12,23 +14,24 @@ every axis question to integer arithmetic on the shredded columns:
   ``anc < pre <= anc + size[anc]`` probed with ``searchsorted`` plus a
   prefix maximum over subtree ends (intervals nest, so the running max
   is exact);
-* node tests — boolean masks over the ``kind``/``name_id`` columns.
+* node tests — boolean masks over the ``kind``/``name_id`` columns;
+* "child of the document node" — ``level == 1``.
 
 Steps that carry their own nested predicates fall back to the naive
-evaluator's ``_predicate_holds`` per *surviving* node — batches shrink
-before the fallback runs, so the per-node work is bounded by the
-candidate set, not the document.  Equivalence with
-:func:`repro.query.evaluator.evaluate_path` is enforced by
-``tests/query/test_vectorized_equivalence.py`` and the randomized
-kernel property suite.
+evaluator's ``_predicate_holds`` per *surviving* node, in the document
+that holds it — batches shrink before the fallback runs, so the
+per-node work is bounded by the candidate set, not the store.
+Equivalence with :func:`repro.query.evaluator.evaluate_path` is
+enforced by ``tests/query/test_vectorized_equivalence.py``, the
+randomized kernel property suite and ``tests/query/test_store_view.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..xmldb.document import ATTR, ELEM, TEXT, Document
 from ..xmldb.columns import EMPTY_PRES, DocColumns
+from ..xmldb.document import ATTR, ELEM, TEXT
 from .ast import (
     AnyTest,
     AttributeTest,
@@ -85,12 +88,11 @@ def kway_merge(arrays: "list[np.ndarray]") -> "np.ndarray":
     return arrays[0]
 
 
-def match_test(
-    doc: Document, cols: DocColumns, pres: "np.ndarray", test
-) -> "np.ndarray":
-    """Boolean mask over ``pres``: which nodes satisfy the node test?"""
+def match_test(cols: DocColumns, pres: "np.ndarray", test) -> "np.ndarray":
+    """Boolean mask over ``pres``: which rows satisfy the node test?
+    Names resolve through the view's name table."""
     if isinstance(test, NameTest):
-        name_id = doc.vocabulary.lookup(test.name)
+        name_id = cols.names.lookup(test.name)
         if name_id is None:
             return np.zeros(pres.size, dtype=bool)
         return (cols.kind[pres] == ELEM) & (cols.name_id[pres] == name_id)
@@ -101,7 +103,7 @@ def match_test(
     if isinstance(test, AttributeTest):
         mask = cols.kind[pres] == ATTR
         if test.name != "*":
-            name_id = doc.vocabulary.lookup(test.name)
+            name_id = cols.names.lookup(test.name)
             if name_id is None:
                 return np.zeros(pres.size, dtype=bool)
             mask &= cols.name_id[pres] == name_id
@@ -112,31 +114,32 @@ def match_test(
 
 
 def filter_predicates(
-    doc: Document, pres: "np.ndarray", predicates, skip_predicate=None
+    cols: DocColumns, pres: "np.ndarray", predicates, skip_predicate=None
 ) -> "np.ndarray":
-    """Nodes of ``pres`` on which every predicate holds, checked per
-    surviving node with the naive evaluator (``skip_predicate``
-    excluded — the index already answered it)."""
+    """Rows of ``pres`` on which every predicate holds, checked per
+    surviving row with the naive evaluator (``skip_predicate``
+    excluded — the index already answered it), in the document that
+    holds it."""
     for predicate in predicates:
         if predicate is skip_predicate or pres.size == 0:
             continue
-        keep = np.fromiter(
-            (_predicate_holds(doc, int(pre), predicate) for pre in pres),
-            dtype=bool,
-            count=pres.size,
-        )
+        keep = np.empty(pres.size, dtype=bool)
+        for doc, offset, rows in cols.segments(pres):
+            keep[rows] = [
+                _predicate_holds(doc, pre - offset, predicate)
+                for pre in pres[rows].tolist()
+            ]
         pres = pres[keep]
     return pres
 
 
 def ancestor_walk(
-    doc: Document,
     cols: DocColumns,
     hits: "np.ndarray",
     steps: tuple[Step, ...],
 ) -> "np.ndarray":
-    """The sorted unique context pres from which the operand ``steps``
-    can select some node in ``hits``.
+    """The sorted unique context rows from which the operand ``steps``
+    can select some row in ``hits``.
 
     Walks the steps backwards: the frontier is filtered by the current
     step's test/predicates, then expanded to its predecessors (parents
@@ -147,8 +150,8 @@ def ancestor_walk(
     for step in reversed(steps):
         if frontier.size == 0:
             return EMPTY_PRES
-        frontier = frontier[match_test(doc, cols, frontier, step.test)]
-        frontier = filter_predicates(doc, frontier, step.predicates)
+        frontier = frontier[match_test(cols, frontier, step.test)]
+        frontier = filter_predicates(cols, frontier, step.predicates)
         if step.axis == "child":
             frontier = cols.parents_of(frontier)
         elif step.axis == "descendant":
@@ -157,24 +160,39 @@ def ancestor_walk(
     return frontier
 
 
+def _first_step_mask(
+    cols: DocColumns, pres: "np.ndarray", step: Step
+) -> "np.ndarray":
+    """Rows the absolute path's first step selects from their document
+    node: its children (level 1) for the child axis, any row but a
+    document node (level > 0) for descendant (self never starts an
+    absolute path).  Only ``node()`` and ``.`` tests can match a
+    document node, so only they pay the level check there."""
+    mask = match_test(cols, pres, step.test)
+    if step.axis == "child":
+        return mask & (cols.level[pres] == 1)
+    if isinstance(step.test, (AnyTest, SelfTest)):
+        return mask & (cols.level[pres] > 0)
+    return mask
+
+
 def structural_verify(
-    doc: Document,
     cols: DocColumns,
     candidates: "np.ndarray",
     steps: tuple[Step, ...],
     skip_predicate,
 ) -> "np.ndarray":
-    """The candidates selectable by the absolute ``steps`` from the
+    """The candidates selectable by the absolute ``steps`` from their
     document node (``skip_predicate`` is not checked: the caller's plan
     answers it or re-checks it).
 
     Restricts work to the ancestor closure of the candidate batch and
     sweeps the steps *forwards* over it: ``matched`` holds the closure
-    nodes reachable by ``steps[:idx+1]``; a child step requires the
+    rows reachable by ``steps[:idx+1]``; a child step requires the
     parent in the previous front, a descendant step requires *some*
     strict ancestor in it (interval stabbing, no tree walking).  The
-    closure is ancestor-closed, so every chain from the document node
-    to a candidate lives entirely inside it.
+    closure is ancestor-closed, so every chain from a document node to
+    a candidate lives entirely inside it.
     """
     if candidates.size == 0:
         return EMPTY_PRES
@@ -182,30 +200,24 @@ def structural_verify(
         # Single-step path (``//item[...]``): the verify touches only
         # the candidates themselves — no closure, no final intersect.
         step = steps[0]
-        mask = match_test(doc, cols, candidates, step.test)
-        if step.axis == "child":
-            mask &= cols.parent_pre[candidates] == 0
-        else:  # descendant (self never starts an absolute path)
-            mask &= candidates != 0
+        mask = _first_step_mask(cols, candidates, step)
         return filter_predicates(
-            doc, candidates[mask], step.predicates, skip_predicate
+            cols, candidates[mask], step.predicates, skip_predicate
         )
     closure = np.union1d(candidates, cols.ancestors_of(candidates))
     matched = EMPTY_PRES
     for idx, step in enumerate(steps):
-        mask = match_test(doc, cols, closure, step.test)
         if idx == 0:
-            if step.axis == "child":
-                mask &= cols.parent_pre[closure] == 0
-            else:  # descendant (self never starts an absolute path)
-                mask &= closure != 0
+            mask = _first_step_mask(cols, closure, step)
         elif step.axis == "child":
+            mask = match_test(cols, closure, step.test)
             mask &= cols.parent_in(matched, closure)
         else:
             # descendant (the planner admits no other axis here).
+            mask = match_test(cols, closure, step.test)
             mask &= cols.has_ancestor_in(matched, closure)
         matched = filter_predicates(
-            doc, closure[mask], step.predicates, skip_predicate
+            cols, closure[mask], step.predicates, skip_predicate
         )
         if matched.size == 0:
             return EMPTY_PRES

@@ -1,11 +1,11 @@
 """Typed plan trees for the query execution engine.
 
 The planner (:mod:`repro.query.planner`) compiles a parsed query into a
-tree of these operators, one tree for every document of the store; the
-executor (:mod:`repro.query.executor`) runs the tree on each document
-with per-operator instrumentation.  Shapes:
+tree of these operators, one tree for the whole store; the executor
+(:mod:`repro.query.executor`) runs it once per query, over the column
+view of the query's scope, with per-operator instrumentation.  Shapes:
 
-* ``FullScan`` — the naive evaluator over the whole document (always
+* ``FullScan`` — the naive evaluator over every document (always
   applicable; the baseline every other plan is priced against);
 * ``IndexLookup → AncestorWalk`` — a value index supplies the nodes
   whose value matches one atomic predicate, and the predicate's operand
@@ -176,7 +176,8 @@ class IndexLookup(PlanNode):
                 bounds["include_high"] = high_op == "<="
             self.bounds = bounds
         #: What the lookup asks its index: lookups with equal probes
-        #: return the same nids, so a query scans once per probe.
+        #: return the same nids, so disjuncts with equal probes share
+        #: one lookup (see :class:`AncestorWalk`).
         if self.bounds is None:
             self.probe = (kind, getattr(driver, "function", op_symbol),
                           driver.literal)
@@ -194,25 +195,33 @@ class IndexLookup(PlanNode):
 
 
 class AncestorWalk(PlanNode):
-    """Walk index hits ancestor-wards through the operand path."""
+    """Walk index hits ancestor-wards through the operand path.
+
+    Disjuncts whose lookups share one probe (``[a = 7 or .//a = 7]``)
+    share one walk: it takes several operand paths from the same hits
+    and unites the contexts, so the index is scanned once.
+    """
 
     op = "AncestorWalk"
 
-    def __init__(self, child: IndexLookup, operand_steps: tuple[Step, ...]):
+    def __init__(self, child: IndexLookup, *operands: tuple[Step, ...]):
         super().__init__((child,))
-        self.operand_steps = operand_steps
+        self.operands = operands
 
     def answers(self, predicate) -> bool:
-        if any(proved is predicate for proved in self.children[0].proves):
+        if len(self.operands) == 1 and any(
+            proved is predicate for proved in self.children[0].proves
+        ):
             return not any(
                 isinstance(step_predicate, PositionPredicate)
-                for step in self.operand_steps
+                for step in self.operands[0]
                 for step_predicate in step.predicates
             )
         return super().answers(predicate)
 
     def describe(self) -> str:
-        return f"AncestorWalk[{len(self.operand_steps)} step(s)]"
+        paths = " | ".join(f"{len(steps)} step(s)" for steps in self.operands)
+        return f"AncestorWalk[{paths}]"
 
 
 class Intersect(PlanNode):

@@ -23,23 +23,25 @@ back to a ``FullScan``, so results always equal
 :func:`repro.query.evaluator.evaluate_naive`.
 
 A plan is priced store-wide (index estimates count every document's
-entries, and so does the scan they are weighed against), so one plan
-serves every document.  Plans are cached per ``(query text, mode)``
-while the manager's ``plan_generation`` stands — structural changes,
-index-set changes and base-run rebuilds move it, text updates do not
-— so repeated queries skip recognition, routing and pricing for every
-reader, pinned or live.  Each index is scanned once per query.
+entries, and so does the scan they are weighed against), as it runs.
+Plans are cached per ``(query text, mode)`` while the manager's
+``plan_generation`` stands — structural changes, index-set changes and
+base-run rebuilds move it, text updates do not — so repeated queries
+skip recognition, routing and pricing for every reader, pinned or
+live.  A query runs its plan once, over the column
+view of its scope (the store's, or one document's), so each index
+lookup scans its index once.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterator
 
 import numpy as np
 
 from ..core.manager import IndexManager
+from ..xmldb.columns import DocColumns
 from ..xmldb.document import Document
 from .ast import (
     AttributeTest,
@@ -385,6 +387,33 @@ def _fuse_range_conjuncts(manager: IndexManager, conjuncts):
     return fused, leftovers
 
 
+def _share_probes(covers: list[PlanNode]) -> list[PlanNode]:
+    """Disjunct walks whose lookups ask their index the same question
+    (equal :attr:`~repro.query.plan.IndexLookup.probe`) merged into one
+    walk over all their operand paths, so each probe is scanned once."""
+    first_of: dict = {}
+    shared: list[PlanNode] = []
+    for plan in covers:
+        if not isinstance(plan, AncestorWalk):
+            shared.append(plan)
+            continue
+        lookup = plan.children[0]
+        at = first_of.setdefault(lookup.probe, len(shared))
+        if at == len(shared):
+            shared.append(plan)
+            continue
+        first = shared[at]
+        walk = AncestorWalk(first.children[0], *first.operands,
+                            *plan.operands)
+        walk.estimated_rows = first.estimated_rows + plan.estimated_rows
+        walk.estimated_cost = (
+            first.estimated_cost + plan.estimated_cost
+            - lookup.estimated_cost
+        )
+        shared[at] = walk
+    return shared
+
+
 def _cover_plan(manager: IndexManager, predicate) -> PlanNode | None:
     """Candidate-context subplan covering ``predicate``, or ``None``.
 
@@ -437,6 +466,7 @@ def _cover_plan(manager: IndexManager, predicate) -> PlanNode | None:
         return node
     if len(covers) != len(predicate.children):
         return None  # a disjunct without an index breaks the cover
+    covers = _share_probes(covers)
     if len(covers) == 1:
         return covers[0]
     node = Union(tuple(covers))
@@ -538,37 +568,34 @@ def _plan_for(
 # ---------------------------------------------------------------------------
 
 
+def _scope(manager: IndexManager, parsed, document: str | None):
+    """The column view a query runs over: its document's own view when
+    scoped (``doc("...")`` or ``document``), else the store's."""
+    doc_name = parsed.document or document
+    if doc_name is not None:
+        return manager.store.document(doc_name).columns()
+    return manager.store.columns()
+
+
 def _evaluate(
     manager: IndexManager,
     text: str,
     document: str | None,
     use_indexes: bool | str,
-) -> Iterator[tuple[Document, np.ndarray]]:
-    """Plan ``text`` once and run it per document: ``(document, sorted
-    pres)`` in store order — what :func:`query` and :func:`query_rows`
-    turn into their two result shapes.
-
-    Across documents the call keeps a probe memo, so each index lookup
-    of the plan scans its index once and every document takes its
-    share.  The memo lives for this call only — inside the caller's
-    read scope, never across queries — and a query over one document
-    does without it.
-    """
+) -> tuple[DocColumns, np.ndarray]:
+    """Plan ``text`` and run the plan once over its scope's column
+    view: ``(view, sorted rows)`` — what :func:`query` and
+    :func:`query_rows` turn into their two result shapes."""
     if use_indexes not in (True, False, "auto"):
         raise ValueError("use_indexes must be True, False or 'auto'")
     parsed = _parse(text)
-    doc_name = parsed.document or document
-    if doc_name is not None:
-        docs = [manager.store.document(doc_name)]
-    else:
-        docs = list(manager.store.documents.values())
     metrics = manager.metrics
     with metrics.timer("query.evaluate").time():
+        view = _scope(manager, parsed, document)
         plan = _plan_for(manager, text, parsed.path, use_indexes)
-        probes = {} if len(docs) > 1 else None
-        for doc in docs:
-            yield doc, execute_pres(manager, doc, plan, probes=probes)
+        pres = execute_pres(manager, view, plan)
     metrics.counter("query.executed").inc()
+    return view, pres
 
 
 def query(
@@ -588,10 +615,8 @@ def query(
       predict fewer candidates than :data:`SCAN_THRESHOLD` of the
       store's nodes (an unselective range is cheaper to scan).
     """
-    results: list[int] = []
-    for doc, pres in _evaluate(manager, text, document, use_indexes):
-        results.extend(doc.columns().nid[pres].tolist())
-    return results
+    view, pres = _evaluate(manager, text, document, use_indexes)
+    return view.nid[pres].tolist()
 
 
 def query_rows(
@@ -601,19 +626,26 @@ def query_rows(
     use_indexes: bool | str = True,
 ) -> list[tuple[str, int, int]]:
     """Like :func:`query`, but returns ``(document, pre, nid)`` rows,
-    built straight from the executor's pre arrays (a nid is never
-    resolved back to its row)."""
+    built straight from the executor's row array, split by document
+    with one ``searchsorted`` (a nid is never resolved back to its
+    row)."""
+    view, pres = _evaluate(manager, text, document, use_indexes)
+    nids = view.nid[pres]
     rows: list[tuple[str, int, int]] = []
-    for doc, pres in _evaluate(manager, text, document, use_indexes):
-        nids = doc.columns().nid[pres].tolist()
-        rows.extend(zip(repeat(doc.name), pres.tolist(), nids))
+    for doc, offset, segment in view.segments(pres):
+        rows.extend(zip(
+            repeat(doc.name),
+            (pres[segment] - offset).tolist(),
+            nids[segment].tolist(),
+        ))
     return rows
 
 
 class ExplainReport:
-    """The query's plan on one document (tree + estimates, optionally
-    that document's actuals), and the number of runs the document's
-    nid→pre map holds — 1 until structural churn fragments it."""
+    """One document of a query's scope: the number of runs its nid→pre
+    map holds — 1 until structural churn fragments it — next to the one
+    plan the query runs over the whole scope (and that run's actuals,
+    which every document of the scope shares)."""
 
     def __init__(self, document: str, plan: PlanNode, nid_runs: int,
                  actuals: dict[int, dict] | None = None):
@@ -622,10 +654,12 @@ class ExplainReport:
         self.nid_runs = nid_runs
         self.actuals = actuals
 
+    def heading(self) -> str:
+        return f"document {self.document!r} (nid runs {self.nid_runs})"
+
     def render(self) -> str:
         return (
-            f"document {self.document!r} (nid runs {self.nid_runs}):\n"
-            + render_plan(self.plan, self.actuals)
+            f"{self.heading()}:\n" + render_plan(self.plan, self.actuals)
         )
 
     def to_dict(self) -> dict:
@@ -641,9 +675,9 @@ class Explanation(str):
 
     The string value keeps the compact legacy summary
     (``"scan"``/``"index(double)"``/...), so existing comparisons keep
-    working; :attr:`reports` carries one cost-annotated plan tree per
-    document, :meth:`tree` renders them, and :meth:`to_dict` is the
-    JSON form.
+    working; :attr:`reports` holds one :class:`ExplainReport` per
+    document of the scope, :meth:`tree` renders their nid runs and the
+    one cost-annotated pipeline, and :meth:`to_dict` is the JSON form.
     """
 
     reports: list[ExplainReport]
@@ -656,7 +690,11 @@ class Explanation(str):
     def tree(self) -> str:
         if not self.reports:
             return "(no documents loaded)"
-        return "\n".join(report.render() for report in self.reports)
+        first = self.reports[0]
+        return "\n".join(
+            [report.heading() for report in self.reports]
+            + [render_plan(first.plan, first.actuals)]
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -674,11 +712,11 @@ def explain(
     """Report the plan a query would use.
 
     Returns an :class:`Explanation` — comparable to the legacy compact
-    strings (``"index(...)"``/``"scan"``) and carrying per-document
-    plan trees with cost estimates.  With ``execute=True`` the plans
-    are run and each operator's actual row count and time is attached;
-    as in :func:`query`, one probe memo spans the documents, so each
-    index is scanned once and the actuals price the query as it runs.
+    strings (``"index(...)"``/``"scan"``) and carrying the plan tree
+    with cost estimates and each document's nid runs.  With
+    ``execute=True`` the plan is run once over the scope, as in
+    :func:`query`, and each operator's actual row count and time is
+    attached.
     """
     parsed = _parse(text)
     final = parsed.path.steps[-1]
@@ -690,20 +728,13 @@ def explain(
             kinds = [_driver_kind(manager, driver) for driver in drivers]
             if all(kind is not None for kind in kinds):
                 summary = "index(" + "+".join(sorted(set(kinds))) + ")"
-    doc_name = parsed.document or document
-    if doc_name is not None:
-        docs = [manager.store.document(doc_name)]
-    else:
-        docs = list(manager.store.documents.values())
+    view = _scope(manager, parsed, document)
     plan = build_plan(manager, None, parsed.path, "auto")
-    probes: dict = {}
-    reports = []
-    for doc in docs:
-        actuals: dict[int, dict] | None = None
-        if execute:
-            actuals = {}
-            execute_pres(manager, doc, plan, actuals, probes)
-        reports.append(
-            ExplainReport(doc.name, plan, doc.columns().runs, actuals)
-        )
-    return Explanation(summary, reports)
+    actuals: dict[int, dict] | None = None
+    if execute:
+        actuals = {}
+        execute_pres(manager, view, plan, actuals)
+    return Explanation(summary, [
+        ExplainReport(doc.name, plan, doc.columns().runs, actuals)
+        for doc in view.docs
+    ])

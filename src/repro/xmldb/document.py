@@ -23,7 +23,7 @@ attributes are not children), but are indexed like any other node.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from ..errors import DocumentError
 from .columns import DocColumns
@@ -75,6 +75,9 @@ class Document:
         #: Cached :class:`~repro.xmldb.columns.DocColumns` snapshot;
         #: dropped by any structural change or rename.
         self._columns = None
+        #: Bumped whenever the snapshot is dropped, so a store-wide
+        #: view built over this document can tell it is stale.
+        self.column_version = 0
         #: Serialized size of the source XML in bytes (set by the
         #: shredder); used for the paper's Table 1 "Size MB" column.
         self.source_bytes = 0
@@ -112,6 +115,7 @@ class Document:
         self.parent_nid.append(parent_nid)
         self._nid_to_pre[nid] = pre
         self._columns = None
+        self.column_version += 1
         return pre
 
     def rebuild_nid_map(self) -> None:
@@ -123,7 +127,7 @@ class Document:
         column snapshot — the pre plane shifted.
         """
         self._nid_map_dirty = True
-        self._columns = None
+        self.invalidate_columns()
 
     def _rebuild_nid_map_now(self) -> None:
         self._nid_to_pre = {nid: pre for pre, nid in enumerate(self.nid)}
@@ -134,6 +138,7 @@ class Document:
         """Drop the cached column snapshot (non-splice mutations that
         still touch a structural column, e.g. rename)."""
         self._columns = None
+        self.column_version += 1
 
     def columns(self) -> DocColumns:
         """Numpy snapshot of the structural columns (cached until the
@@ -141,7 +146,7 @@ class Document:
         stale ``pre_of`` dict stays stale until ``pre_of`` needs it."""
         columns = self._columns
         if columns is None:
-            columns = DocColumns(self)
+            columns = DocColumns((self,))
             self._columns = columns
         return columns
 
@@ -162,21 +167,36 @@ class Document:
             raise DocumentError(f"unknown node id {nid} in document {self.name!r}")
         return pre
 
-    def text_of(self, pre: int) -> str:
-        """Own text content of a text/attribute/comment/PI node.
+    def read_texts(self, slots: Sequence[int]) -> list[str]:
+        """The text-heap values at ``slots``, as this thread's reader
+        sees them: every text read of the document goes through here.
 
-        A reader pinned at an epoch (see :mod:`repro.xmldb.mvcc`) sees
-        the slot's value as of that epoch, not a concurrent writer's.
+        The heap is read in one pass.  A reader pinned at an epoch (see
+        :mod:`repro.xmldb.mvcc`) then re-resolves only the slots some
+        writer has overwritten since its pin
+        (:meth:`~repro.xmldb.mvcc.TextOverlay.rewind`); with no pinned
+        epoch, or no versions in the overlay, the heap values stand.
+        The order matters: a writer records a slot's before-value
+        *before* it overwrites the slot, so whatever the heap pass read,
+        the overlay check that follows it sees the record of any write
+        that pass could have observed.
         """
+        texts = self.texts
+        values = [texts[slot] for slot in slots]
+        overlay = self.text_overlay
+        if overlay is not None and overlay.versions:
+            epoch = read_epoch()
+            if epoch is not None:
+                overlay.rewind(slots, values, epoch)
+        return values
+
+    def text_of(self, pre: int) -> str:
+        """Own text content of a text/attribute/comment/PI node (one
+        :meth:`read_texts` slot)."""
         slot = self.text_id[pre]
         if slot < 0:
             raise DocumentError(f"node at pre {pre} has no text content")
-        overlay = self.text_overlay
-        if overlay is not None:
-            epoch = read_epoch()
-            if epoch is not None:
-                return overlay.resolve(slot, self.texts[slot], epoch)
-        return self.texts[slot]
+        return self.read_texts((slot,))[0]
 
     def name_of(self, pre: int) -> str:
         """Element/attribute/PI name."""
@@ -255,21 +275,9 @@ class Document:
             return self.text_of(pre)
         kinds = self.kind
         text_id = self.text_id
-        texts = self.texts
-        overlay = self.text_overlay
-        if overlay is not None:
-            epoch = read_epoch()
-            if epoch is not None:
-                return "".join(
-                    overlay.resolve(text_id[d], texts[text_id[d]], epoch)
-                    for d in self.descendants(pre)
-                    if kinds[d] == TEXT
-                )
-        return "".join(
-            texts[text_id[d]]
-            for d in self.descendants(pre)
-            if kinds[d] == TEXT
-        )
+        return "".join(self.read_texts([
+            text_id[d] for d in self.descendants(pre) if kinds[d] == TEXT
+        ]))
 
     # ------------------------------------------------------------------
     # Serialisation

@@ -12,9 +12,11 @@ heap.  Transactions (:mod:`repro.txn.manager`) read and validate
 against the same chains; there is no second version store.
 
 The reader side is a thread-local: :func:`reading_at` installs the
-pinned epoch for the duration of a query, and :meth:`Document.text_of`
-consults it only when the document has an overlay; an unpinned read
-then pays one thread-local lookup.
+pinned epoch for the duration of a query.  Every text read is a batch
+(:meth:`Document.read_texts`): it reads the heap slots first, then —
+only when the overlay holds versions and the thread is pinned — puts
+back the before-values of the slots overwritten after the pin
+(:meth:`TextOverlay.rewind`).
 """
 
 from __future__ import annotations
@@ -83,6 +85,23 @@ class TextOverlay:
                 if entry_epoch > epoch:
                     return before
         return live
+
+    def rewind(self, slots, values: list[str], epoch: int) -> None:
+        """Turn ``values``, the live heap values just read at ``slots``,
+        into their values as of read epoch ``epoch``, in place.
+
+        Only the slots overwritten after ``epoch``
+        (:meth:`changed_since`) are re-resolved; one set intersection
+        with the versioned slots finds them, so a batch none of whose
+        slots changed costs no per-slot Python work.  Call it *after*
+        reading the heap (see :meth:`record`).
+        """
+        changed = self.versions.keys() & slots
+        if not changed:
+            return
+        for i, slot in enumerate(slots):
+            if slot in changed and self.changed_since(slot, epoch):
+                values[i] = self.resolve(slot, values[i], epoch)
 
     def changed_since(self, slot: int, epoch: int) -> bool:
         """Was ``slot`` overwritten after ``epoch``?  Exact for an

@@ -6,6 +6,8 @@ the equivalent: names map to dense integer ids, shared per document.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 __all__ = ["Vocabulary"]
 
 
@@ -18,6 +20,10 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self._by_id)
+
+    def __iter__(self) -> Iterator[str]:
+        """The names in id order."""
+        return iter(self._by_id)
 
     def intern(self, name: str) -> int:
         """Return the id of ``name``, creating one if new."""

@@ -20,6 +20,7 @@ import os
 from typing import Iterator
 
 from ..errors import DocumentError
+from .columns import DocColumns
 from .document import ATTR, COMMENT, DOC, ELEM, PI, TEXT, Document
 from .parser import parse_events, parse_stream
 from .shredder import shred, shred_events
@@ -62,6 +63,8 @@ class Store:
         # strictly increasing across the store, so a document reloaded
         # under a reused name never repeats an earlier stamp.
         self._stamps = itertools.count(1)
+        #: The cached store-wide column view (see :meth:`columns`).
+        self._columns: DocColumns | None = None
 
     def _touch(self, doc: Document) -> None:
         """Give ``doc`` a fresh change stamp (it was registered or
@@ -166,6 +169,27 @@ class Store:
         if doc is None:
             raise DocumentError(f"no document named {name!r}")
         return doc
+
+    def columns(self) -> DocColumns:
+        """The column view over every document, in store order: what an
+        unscoped query runs its one pipeline over.
+
+        Cached until a load, unload or reload changes the set of
+        documents, or a splice or rename moves one document's
+        ``column_version`` (text-value updates keep it); a store of one
+        document is that document's own view.
+        """
+        docs = tuple(self.documents.values())
+        if len(docs) == 1:
+            return docs[0].columns()
+        view = self._columns
+        if (
+            view is None
+            or view.docs != docs
+            or view.versions != tuple(doc.column_version for doc in docs)
+        ):
+            view = self._columns = DocColumns(docs)
+        return view
 
     def remove_document(self, name: str) -> None:
         doc = self.documents.pop(name, None)

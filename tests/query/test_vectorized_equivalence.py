@@ -161,10 +161,10 @@ class TestOracleIsNotBlind:
     def test_verify_skipping_the_outermost_step_filter_is_caught(
         self, managers, oracle, monkeypatch
     ):
-        def buggy(doc, cols, candidates, steps, skip_predicate):
+        def buggy(cols, candidates, steps, skip_predicate):
             unfiltered = replace(steps[0], test=AnyTest())
             return kernels.structural_verify(
-                doc, cols, candidates, (unfiltered, *steps[1:]),
+                cols, candidates, (unfiltered, *steps[1:]),
                 skip_predicate,
             )
 
@@ -177,9 +177,9 @@ class TestOracleIsNotBlind:
         # The axis-confusion bugs are injected in
         # test_vectorized_kernels_property.py: these flat corpora are
         # blind to them.
-        def buggy(doc, cols, hits, steps):
+        def buggy(cols, hits, steps):
             untested = tuple(replace(step, test=AnyTest()) for step in steps)
-            return kernels.ancestor_walk(doc, cols, hits, untested)
+            return kernels.ancestor_walk(cols, hits, untested)
 
         monkeypatch.setattr(executor, "ancestor_walk", buggy)
         assert _divergences(managers, oracle)
@@ -191,8 +191,8 @@ COPIES = 3
 
 #: Per corpus, queries with two different probes of one index and hits
 #: for both; the workload queries have none (their one disjunction
-#: matches nothing), so without these a probe memo could confuse two
-#: scans unnoticed.
+#: matches nothing), so without these a planner sharing one lookup
+#: between disjuncts of equal probes could confuse two scans unnoticed.
 TWO_PROBES = {
     "XMark1": ["//item[price < 10 or price > 500]"],
     "DBLP": [
@@ -259,6 +259,9 @@ class TestMultiDocumentEquivalence:
     def test_probe_memo_keyed_without_its_bounds_is_caught(
         self, multi_document, monkeypatch
     ):
+        # Disjuncts whose lookups have equal probes share one lookup
+        # (``planner._share_probes``): a probe without its bounds must
+        # not merge two different scans unnoticed.
         made = IndexLookup.__init__
 
         def buggy(self, kind, *args, **kwargs):
@@ -326,7 +329,14 @@ class TestMultiDocumentEquivalence:
             assert len(scans) == probes, text
             assert [r.nid_runs for r in report.reports] == [1] * 4
             assert report.to_dict()["documents"][0]["nid_runs"] == 1
-            assert "(nid runs 1)" in report.tree()
+            # One pipeline ran over the four documents: they share its
+            # actuals, and the tree shows it once.
+            actuals = report.reports[0].actuals
+            assert all(r.actuals is actuals for r in report.reports)
+            assert actuals[0]["rows"] == len(query(m, text))
+            tree = report.tree()
+            assert tree.count("StructuralVerify") == 1
+            assert tree.count("(nid runs 1)") == 4
         doc = m.store.document("d1")
         m.insert_xml(doc.nid[doc.root_element()], "<p><age>1</age></p>",
                      before_nid=doc.nid[7])  # the second <p>: a mid splice

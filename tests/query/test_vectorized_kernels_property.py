@@ -106,7 +106,7 @@ def test_ancestor_walk_matches_oracle(seed):
             for context in range(len(doc))
             if wanted.intersection(evaluate_path(doc, [context], steps))
         ]
-        got = ancestor_walk(doc, cols, hits, steps)
+        got = ancestor_walk(cols, hits, steps)
         assert got.tolist() == expected, (seed, steps)
 
 
@@ -123,7 +123,7 @@ def test_structural_verify_matches_oracle(seed):
         expected = [
             pre for pre in candidates.tolist() if pre in selected
         ]
-        got = structural_verify(doc, cols, candidates, steps, None)
+        got = structural_verify(cols, candidates, steps, None)
         assert got.tolist() == expected, (seed, steps)
 
 
@@ -175,12 +175,12 @@ def test_oracle_catches_a_walk_confusing_the_axes(monkeypatch, wrong, right):
     operand one level below its context, so only these nested random
     documents tell ``child`` from ``descendant`` in the walk."""
 
-    def buggy(doc, cols, hits, steps):
+    def buggy(cols, hits, steps):
         confused = tuple(
             replace(step, axis=wrong) if step.axis == right else step
             for step in steps
         )
-        return ancestor_walk(doc, cols, hits, confused)
+        return ancestor_walk(cols, hits, confused)
 
     monkeypatch.setattr(executor, "ancestor_walk", buggy)
     assert any(_query_divergences(seed) for seed in range(15))
