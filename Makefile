@@ -18,7 +18,8 @@
 #                  (docs/replication.md)
 #   make elastic-test — just the elasticity suite: online migration
 #                  chaos/crashpoint cases, the differential property
-#                  interleavings and the follower-resync cases
+#                  interleavings, rebalance plans and resize, and the
+#                  follower-resync cases
 #                  (docs/sharding.md, elastic shards)
 #   make stress  — bounded, seeded reader/writer soak (default 30s;
 #                  tune with STRESS_SECONDS / STRESS_SEED)
@@ -80,6 +81,7 @@ repl-test:
 elastic-test:
 	$(PYTHON) -m pytest tests/shard/test_migration_faults.py \
 	    tests/shard/test_elastic_property.py \
+	    tests/shard/test_elastic_placement.py \
 	    tests/repl/test_elastic_resync.py -q
 
 stress:

@@ -5,13 +5,12 @@ One cluster, two measurements of the same read workload:
 * **quiesced** — steady-state scatter-gather throughput with
   placement at rest;
 * **during migration** — the same reader threads while a document is
-  being migrated between shards in a loop (snapshot method: the
-  source stays online for the copy, updates pause only for the WAL
-  tail drain + manifest flip).
+  being migrated between shards in a loop (queries stay online; updates
+  to the source pause for the export, the destination's import and
+  the manifest flip).
 
 The headline is the throughput ratio plus the migration's measured
-``duration_s``/``pause_s`` split — the paper-style claim being that
-the cutover pause, not the copy, is the only offline window.
+``duration_s``/``pause_s`` split.
 
 Emits ``BENCH_elastic.json``.
 
@@ -108,8 +107,8 @@ def run() -> dict:
                 deadline = time.perf_counter() + seconds
                 while time.perf_counter() < deadline:
                     target = (where + 1) % shards
-                    migrations.append(cluster.migrate_document(
-                        "people", target, method="snapshot"))
+                    migrations.append(
+                        cluster.migrate_document("people", target))
                     where = target
                 migrating.set()
 
@@ -152,8 +151,7 @@ def write_json(payload: dict, path: str = JSON_PATH) -> dict:
         path, "elastic", payload,
         workload=f"{len(QUERIES)}-query scatter mix, "
                  f"{payload['reader_threads']} reader thread(s), "
-                 "snapshot migrations looping one document between "
-                 "shards",
+                 "migrations looping one document between shards",
         config={
             "shards": payload["shards"],
             "reader_threads": payload["reader_threads"],

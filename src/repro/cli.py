@@ -338,8 +338,7 @@ def cmd_migrate(args) -> int:
         print(f"error: {args.db!r} is not a shard cluster", file=sys.stderr)
         return 1
     with _open_cluster(args.db) as cluster:
-        report = cluster.migrate_document(args.name, args.shard,
-                                          method=args.method)
+        report = cluster.migrate_document(args.name, args.shard)
     if not report["moved"]:
         print(f"{args.name!r} already on shard {args.shard}")
         return 0
@@ -355,8 +354,7 @@ def cmd_rebalance(args) -> int:
         return 1
     with _open_cluster(args.db) as cluster:
         result = cluster.rebalance(weight=args.weight,
-                                   apply=not args.dry_run,
-                                   method=args.method)
+                                   apply=not args.dry_run)
     for name, dst in result["moves"]:
         verb = "would move" if args.dry_run else "moved"
         print(f"{verb} {name!r} -> shard {dst}")
@@ -374,10 +372,9 @@ def cmd_resize(args) -> int:
         print(f"error: {args.db!r} is not a shard cluster", file=sys.stderr)
         return 1
     with _open_cluster(args.db) as cluster:
-        result = cluster.resize(args.shards, method=args.method)
-    for move in result["moves"]:
-        name, *rest = move
-        print(f"moved {name!r} -> shard {rest[-1]}")
+        result = cluster.resize(args.shards)
+    for name, src, dst in result["moves"]:
+        print(f"moved {name!r}: shard {src} -> {dst}")
     print(f"cluster now has {result['shards']} shard(s)")
     return 0
 
@@ -521,10 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("db")
     p.add_argument("name")
     p.add_argument("shard", type=int)
-    p.add_argument("--method", default="snapshot",
-                   choices=["snapshot", "direct"],
-                   help="snapshot: replicate then cut over (short pause); "
-                        "direct: pause for the whole copy")
     p.set_defaults(fn=cmd_migrate)
 
     p = sub.add_parser(
@@ -534,8 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("db")
     p.add_argument("--weight", default="bytes", choices=["bytes", "nodes"],
                    help="per-document load measure")
-    p.add_argument("--method", default="direct",
-                   choices=["snapshot", "direct"])
     p.add_argument("--dry-run", action="store_true",
                    help="print the plan without migrating")
     p.set_defaults(fn=cmd_rebalance)
@@ -546,8 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("db")
     p.add_argument("shards", type=int)
-    p.add_argument("--method", default="direct",
-                   choices=["snapshot", "direct"])
     p.set_defaults(fn=cmd_resize)
 
     p = sub.add_parser("bench", help="run a paper experiment")

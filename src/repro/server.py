@@ -716,7 +716,7 @@ class DatabaseServer:
         return await self._run_update(call)
 
     async def _op_doc_stats(self, session, message) -> dict:
-        """Per-document placement metrics (rebalance policy inputs)."""
+        """Per-document placement metrics (rebalance weights)."""
         return await self._run_read(
             session, message, lambda: {"documents": self.db.document_stats()}
         )

@@ -13,7 +13,7 @@ The package splits the serving engine into three layers
   corpus across shards by document, routes updates to the owning
   shard, scatters queries and k-way merges the per-shard row batches,
   and pins cross-shard read views on a consistent epoch vector.  The
-  cluster is elastic: live document migration, policy-driven
+  cluster is elastic: live document migration, greedy
   rebalancing and resize (``docs/sharding.md``, "Elastic shards").
 """
 

@@ -26,10 +26,10 @@ and presents the familiar engine API on top:
   the remaining shards keep serving; :meth:`restart_shard` respawns
   the worker, whose engine recovers from its own WAL + manifest;
 * the cluster is **elastic**: :meth:`migrate_document` moves one live
-  document between shards (snapshot copy at a pinned epoch via the
-  replication protocol, WAL tail replay, a paused-updates cutover and
-  an atomic manifest flip), :meth:`rebalance` re-levels placement
-  under a pluggable policy, and :meth:`resize` grows or shrinks the
+  document between shards (with updates to the source paused: export,
+  import on the destination, an atomic manifest flip, then the source
+  unload), :meth:`rebalance` re-levels placement with
+  :func:`greedy_balance`, and :meth:`resize` grows or shrinks the
   worker pool.  Queries racing a flip see the old or the new
   placement, never both: every scatter is stamped with the manifest
   version it was planned under and a shard that has moved on answers
@@ -45,13 +45,12 @@ claim and ``repro.bench.elastic`` the cost of a live migration.
 from __future__ import annotations
 
 import os
-import shutil
 import subprocess
 import sys
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -876,16 +875,16 @@ class ShardCluster:
     # Elasticity: migration, rebalance, resize (docs/sharding.md)
     # ------------------------------------------------------------------
 
-    def migrate_document(self, name: str, dst: int,
-                         method: str = "snapshot") -> dict:
+    def migrate_document(self, name: str, dst: int) -> dict:
         """Move one live document from its owning shard to ``dst``.
 
-        ``method="snapshot"`` keeps the source online for almost the
-        whole copy: a throwaway :class:`~repro.repl.follower.Follower`
-        snapshots the source at a pinned epoch and tails its WAL while
-        updates keep landing; only the final tail drain + cutover runs
-        with updates to the source paused.  ``method="direct"`` pauses
-        for the whole copy (simpler; fine for small documents).
+        One protocol: with updates to the source paused (queries keep
+        running), export the document from the source, import it on
+        ``dst``, flip the manifest, then unload the source copy.  The
+        pause is dominated by the destination's import (decode, adopt,
+        the creation pass and a checkpoint), so copying the source
+        ahead of the pause would not shorten it (``EXPERIMENTS.md``,
+        "Why migration has one path").
 
         Cutover order is the crash-safety invariant: the document is
         imported on ``dst`` *before* the manifest flips, and the
@@ -897,102 +896,34 @@ class ShardCluster:
         rejects with retryable ``doc_moved``) or a pinned view plan
         (the source copy is retained until the last view closes).
         """
-        if method not in ("snapshot", "direct"):
-            raise ValueError(f"unknown migration method {method!r}")
         with self._route_lock:
             if not 0 <= dst < self.manifest.shards:
                 raise ShardError(
                     dst, f"shard {dst} out of range "
                     f"(cluster has {self.manifest.shards})")
         src = self._owner(name)
-        report = {"document": name, "src": src, "dst": dst,
-                  "method": method, "moved": False}
+        report = {"document": name, "src": src, "dst": dst, "moved": False}
         if src == dst:
             return report
         # A queued-but-unflushed unload of this name on dst (the doc
         # bounced back) would collide with the import: force it now.
         self._flush_unloads(name=name)
         started = time.monotonic()
-        if method == "snapshot":
-            self._migrate_snapshot(name, src, dst, report)
-        else:
-            self._migrate_direct(name, src, dst, report)
-        report["moved"] = True
-        report["duration_s"] = time.monotonic() - started
-        return report
-
-    def _migrate_snapshot(self, name: str, src: int, dst: int,
-                          report: dict) -> None:
-        from ..repl.follower import Follower, ReplicationError
-
-        worker = self._workers.get(src)
-        if worker is None or not worker.alive():
-            raise ShardDownError(src, f"shard {src} is down")
-        staging = os.path.join(self.root, f".staging-{src:03d}-{dst:03d}")
-        shutil.rmtree(staging, ignore_errors=True)
-        follower = Follower(staging, (worker.host, worker.port))
-
-        def tail_once() -> int:
-            # A dead source must abort the migration: an acked update
-            # could still sit in an unfetched WAL segment, so the
-            # snapshot is never promoted over a broken tail.
-            try:
-                return follower.poll_once()
-            except (ClientError, ReplicationError,
-                    ConnectionError, OSError) as exc:
-                raise ShardDownError(
-                    src, f"shard {src} went down mid-migration"
-                ) from exc
-
-        try:
-            try:
-                follower.sync()
-            except (ClientError, ReplicationError,
-                    ConnectionError, OSError) as exc:
-                raise ShardDownError(
-                    src, f"shard {src} went down mid-migration"
-                ) from exc
-            faults.crashpoint("migrate.after_sync")
-            # Online tail replay: updates are still landing on src.
-            while tail_once():
-                pass
-            with self._pause_updates(src):
-                paused = time.monotonic()
-                # Quiescent drain: two consecutive empty polls, so a
-                # resync (returns 0 even when a tail remains) cannot
-                # end the loop with frames unapplied.
-                empty = 0
-                while empty < 2:
-                    empty = empty + 1 if tail_once() == 0 else 0
-                # Belt and braces: the drain above only proves the
-                # repl endpoint answered; probe the routing path too
-                # before trusting the tail.
-                self._routed(src, lambda c: c.ping())
-                payload = follower.engine.export_document(name)
-                report["bytes"] = len(payload)
-                faults.crashpoint("migrate.before_import")
-                self._import_to(dst, name, payload)
-                faults.crashpoint("migrate.after_import")
-                self._flip(name, src, dst)
-                report["pause_s"] = time.monotonic() - paused
-        finally:
-            try:
-                follower.close()
-            except Exception:
-                pass
-            shutil.rmtree(staging, ignore_errors=True)
-
-    def _migrate_direct(self, name: str, src: int, dst: int,
-                        report: dict) -> None:
         with self._pause_updates(src):
             paused = time.monotonic()
-            payload = self._export_from(src, name)
+            faults.crashpoint("migrate.before_export")
+            with self._transfer_client(src) as client:
+                payload = client.export_document(name)
             report["bytes"] = len(payload)
             faults.crashpoint("migrate.before_import")
-            self._import_to(dst, name, payload)
+            with self._transfer_client(dst) as client:
+                client.import_document(name, payload)
             faults.crashpoint("migrate.after_import")
             self._flip(name, src, dst)
             report["pause_s"] = time.monotonic() - paused
+        report["moved"] = True
+        report["duration_s"] = time.monotonic() - started
+        return report
 
     @contextmanager
     def _transfer_client(self, shard: int) -> Iterator[Client]:
@@ -1017,14 +948,6 @@ class ShardCluster:
                 shard, f"shard {shard} unreachable: {exc}") from exc
         finally:
             client.close()
-
-    def _export_from(self, shard: int, name: str) -> bytes:
-        with self._transfer_client(shard) as client:
-            return client.export_document(name)
-
-    def _import_to(self, shard: int, name: str, payload: bytes) -> None:
-        with self._transfer_client(shard) as client:
-            client.import_document(name, payload)
 
     def _flip(self, name: str, src: int, dst: int) -> None:
         """Atomically repoint the manifest at ``dst`` and tell the
@@ -1142,7 +1065,7 @@ class ShardCluster:
         return weights
 
     def _query_load(self) -> dict[int, float]:
-        """Per-shard ``query.executed`` counters (policy input)."""
+        """Per-shard ``query.executed`` counters (rebalance tie-break)."""
         load: dict[int, float] = {}
         for shard in sorted(self._workers):
             try:
@@ -1153,55 +1076,46 @@ class ShardCluster:
                 (snap.get("counters") or {}).get("query.executed", 0))
         return load
 
-    def rebalance(self, policy: Callable | None = None,
-                  weight: str = "bytes", apply: bool = True,
-                  method: str = "direct") -> dict:
+    def _assignment(self) -> dict[str, int]:
+        with self._route_lock:
+            return {name: self.manifest.placement[name]
+                    for name in self.manifest.doc_order}
+
+    def rebalance(self, weight: str = "bytes", apply: bool = True) -> dict:
         """Re-level document placement across shards.
 
-        ``policy(assignment, weights, shards, query_load)`` returns the
-        moves ``[(document, dst_shard), ...]``; the default is
         :func:`greedy_balance` over per-document ``weight`` ("bytes"
-        or "nodes").  With ``apply=False`` the plan is returned
-        without migrating anything.
+        or "nodes") plans the moves ``[(document, dst_shard), ...]``,
+        each document at most once.  With ``apply=False`` the plan is
+        returned without migrating anything.
         """
         weights = self._document_weights(weight)
-        with self._route_lock:
-            assignment = {
-                name: self.manifest.placement[name]
-                for name in self.manifest.doc_order
-            }
-            shards = self.manifest.shards
-        chosen = policy if policy is not None else greedy_balance
-        moves = list(chosen(assignment, weights, shards,
-                            self._query_load()))
-        loads_before = _shard_loads(assignment, weights, shards)
+        assignment = self._assignment()
+        shards = self.manifest.shards
+        moves = greedy_balance(assignment, weights, shards,
+                               self._query_load())
         result = {"moves": moves, "applied": [],
-                  "loads_before": loads_before}
+                  "loads_before": _shard_loads(assignment, weights, shards)}
         if apply:
             for name, dst in moves:
-                outcome = self.migrate_document(name, dst, method=method)
-                if outcome["moved"]:
+                if self.migrate_document(name, dst)["moved"]:
                     result["applied"].append((name, dst))
-            with self._route_lock:
-                assignment = {
-                    name: self.manifest.placement[name]
-                    for name in self.manifest.doc_order
-                }
+            assignment = self._assignment()
         else:
-            for name, dst in moves:
-                assignment[name] = dst
+            assignment.update(moves)
         result["loads_after"] = _shard_loads(assignment, weights, shards)
         return result
 
-    def resize(self, shards: int, method: str = "direct",
-               policy: Callable | None = None) -> dict:
+    def resize(self, shards: int) -> dict:
         """Grow or shrink the cluster to ``shards`` workers.
 
         Growing registers and spawns the new (empty) shards, then
         rebalances onto them.  Shrinking migrates every document off
         the doomed shards to the least-loaded survivors, stops the
         doomed workers, and then drops them from the manifest (their
-        emptied directories stay on disk).
+        emptied directories stay on disk).  Either way the result
+        lists the moves as ``(document, src, dst)`` and the per-shard
+        byte loads after them.
         """
         if shards < 1:
             raise ValueError("cluster needs at least one shard")
@@ -1209,6 +1123,7 @@ class ShardCluster:
             current = self.manifest.shards
         if shards == current:
             return {"shards": shards, "moves": []}
+        before = self._assignment()
         if shards > current:
             with self._route_lock:
                 self.manifest.set_shards(shards)
@@ -1217,26 +1132,25 @@ class ShardCluster:
                 self._ensure_shard_dir(shard)
                 self._spawn(shard)
             self._broadcast_placement()
-            plan = self.rebalance(policy=policy, method=method)
-            return {"shards": shards, "moves": plan["applied"],
+            plan = self.rebalance()
+            return {"shards": shards,
+                    "moves": [(name, before[name], dst)
+                              for name, dst in plan["applied"]],
                     "loads_after": plan["loads_after"]}
         doomed = list(range(shards, current))
         survivors = list(range(shards))
         weights = self._document_weights()
-        with self._route_lock:
-            assignment = dict(self.manifest.placement)
-        loads = {s: 0 for s in survivors}
-        for name, owner in assignment.items():
-            if owner in loads:
-                loads[owner] += weights.get(name, 0)
+        loads = _shard_loads(
+            {n: s for n, s in before.items() if s in survivors},
+            weights, shards)
         moves: list[tuple[str, int, int]] = []
-        for src in doomed:
-            for name in list(self.manifest.documents_on(src)):
-                dst = min(survivors, key=lambda s: (loads[s], s))
-                outcome = self.migrate_document(name, dst, method=method)
-                if outcome["moved"]:
-                    loads[dst] += weights.get(name, 0)
-                    moves.append((name, src, dst))
+        for name, src in before.items():
+            if src in survivors:
+                continue
+            dst = min(survivors, key=lambda s: (loads[s], s))
+            if self.migrate_document(name, dst)["moved"]:
+                loads[dst] += weights.get(name, 0)
+                moves.append((name, src, dst))
         # Doomed shards may still hold view-deferred source copies;
         # they die with the workers and are swept on any reconcile.
         for shard in doomed:
@@ -1252,7 +1166,9 @@ class ShardCluster:
             self.manifest.save(self.root)
             self._reindex()
         self._broadcast_placement()
-        return {"shards": shards, "moves": moves}
+        return {"shards": shards, "moves": moves,
+                "loads_after": _shard_loads(self._assignment(), weights,
+                                            shards)}
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -1296,18 +1212,21 @@ def greedy_balance(assignment: dict[str, int], weights: dict[str, int],
                    shards: int,
                    query_load: dict[int, float] | None = None
                    ) -> list[tuple[str, int]]:
-    """Minimal-move greedy leveling (the default rebalance policy).
+    """Minimal-move greedy leveling (the rebalance plan).
 
     Repeatedly moves the lightest document off the most-loaded shard
     onto the least-loaded one, for as long as that strictly shrinks
     the load spread.  ``query_load`` (per-shard ``query.executed``
     counters) breaks ties: among equally-loaded destinations the
-    historically coldest shard wins.  Deterministic for a given input.
+    historically coldest shard wins.  A document the leveling moves
+    more than once is returned once, at its final shard, in the order
+    of its first move; one that ends where it started is dropped.
+    Deterministic for a given input.
     """
     query_load = query_load or {}
     loads = _shard_loads(assignment, weights, shards)
     placement = dict(assignment)
-    moves: list[tuple[str, int]] = []
+    first_moved: dict[str, None] = {}
     for _ in range(len(placement) * shards or 1):
         hi = max(loads, key=lambda s: (loads[s], -s))
         lo = min(loads, key=lambda s: (loads[s], query_load.get(s, 0.0), s))
@@ -1323,8 +1242,9 @@ def greedy_balance(assignment: dict[str, int], weights: dict[str, int],
         placement[name] = lo
         loads[hi] -= lightest
         loads[lo] += lightest
-        moves.append((name, lo))
-    return moves
+        first_moved.setdefault(name)
+    return [(name, placement[name]) for name in first_moved
+            if placement[name] != assignment[name]]
 
 
 def _merge_numeric(into: dict, snapshot: dict) -> None:

@@ -155,8 +155,9 @@ class TestNoSidePaths:
     that keeps its keys outside its run — and no index builds
     per-entry tuples on its scan path (``range_keys`` stays in
     ``bplus.py`` only for the layer benchmark that times it) — no
-    second bench emitter beside the drivers' ``claims`` — and no
-    engine mode without the concurrency controller or group commit."""
+    second bench emitter beside the drivers' ``claims`` — no engine
+    mode without the concurrency controller or group commit — and no
+    second way to migrate a document."""
 
     SOURCES = sorted(pathlib.Path(repro.__file__).parent.rglob("*.py"))
     #: pattern -> the one module (if any) allowed to match it.
@@ -184,6 +185,12 @@ class TestNoSidePaths:
         r"concurrency is None": None,
         r"\bgroup_batch_max\b": None,
         r"no[-]group[-]commit": None,
+        # One migration path: export and import under one pause, with
+        # no follower copy staged beside the shards.
+        r"\b_migrate_snapshot\b": None,
+        r"migrate\.after_sync": None,
+        r"\.staging-": None,
+        r'method="(snapshot|direct)"': None,
     }
 
     @pytest.mark.parametrize("pattern", list(FORBIDDEN))

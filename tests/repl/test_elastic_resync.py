@@ -55,8 +55,7 @@ def test_source_follower_resyncs_after_migration_away(tmp_path):
 
         # ...but migrating the tailed document away is a bulk unload:
         # the next poll must resync, not keep replaying frames.
-        assert cluster.migrate_document("mover", 1,
-                                        method="direct")["moved"]
+        assert cluster.migrate_document("mover", 1)["moved"]
         follower.poll_once()
         assert follower.resyncs == resyncs + 1
         assert not _corpus(follower.engine, "mover")
@@ -82,8 +81,7 @@ def test_destination_follower_resyncs_after_migration_in(tmp_path):
 
         # The import on the destination is a bulk load: resync, after
         # which the follower serves the migrated document too.
-        assert cluster.migrate_document("mover", 1,
-                                        method="snapshot")["moved"]
+        assert cluster.migrate_document("mover", 1)["moved"]
         follower.poll_once()
         assert follower.resyncs == resyncs + 1
         assert _corpus(follower.engine, "mover") == expected

@@ -57,8 +57,7 @@ _update = st.tuples(st.just("update"), st.integers(0, len(DOCS) - 1),
 _query = st.tuples(st.just("query"), st.integers(0, 3),
                    st.integers(0, 99))
 _migrate = st.tuples(st.just("migrate"), st.integers(0, len(DOCS) - 1),
-                     st.integers(0, SHARDS - 1),
-                     st.sampled_from(["direct", "snapshot"]))
+                     st.integers(0, SHARDS - 1))
 _rebalance = st.tuples(st.just("rebalance"),
                        st.sampled_from(["bytes", "nodes"]))
 
@@ -152,10 +151,10 @@ def test_interleaved_ops_match_oracle(ops):
                 rig.check(_query_text(op[1], op[2]), f"step {step}")
             elif kind == "migrate":
                 name = rig.order[op[1]]
-                rig.cluster.migrate_document(name, op[2], method=op[3])
+                rig.cluster.migrate_document(name, op[2])
                 assert rig.cluster.manifest.placement[name] == op[2]
             elif kind == "rebalance":
-                rig.cluster.rebalance(weight=op[1], method="direct")
+                rig.cluster.rebalance(weight=op[1])
         for probe in PROBES:
             rig.check(probe, "final")
         # Placement stayed a permutation: every doc exactly once.
@@ -180,8 +179,7 @@ def test_view_pinned_across_migration(prelude, moved, dst, after):
         frozen = {probe: rig.expected(probe) for probe in PROBES}
         name = rig.order[moved]
         with rig.cluster.read_view() as view:
-            report = rig.cluster.migrate_document(name, dst,
-                                                  method="snapshot")
+            report = rig.cluster.migrate_document(name, dst)
             assert report["moved"] == (rig.base[name]
                                        != dst << NID_RANGE_BITS)
             # Post-flip update lands on the new owner (cluster only:

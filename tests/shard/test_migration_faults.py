@@ -34,7 +34,7 @@ PROBES = ("//p[.//age = 7]", '//p[.//name = "n3"]', "//p[.//age >= 12]")
 
 #: Every coordinator-side step of the migration protocol, in order.
 CRASHPOINTS = (
-    "migrate.after_sync",
+    "migrate.before_export",
     "migrate.before_import",
     "migrate.after_import",
     "migrate.before_flip",
@@ -75,7 +75,7 @@ class TestCoordinatorDeath:
             with faults.injected(
                     faults.FaultInjector(faults.CrashPlan(point))):
                 with pytest.raises(faults.InjectedCrash):
-                    cluster.migrate_document("mover", 1, method="snapshot")
+                    cluster.migrate_document("mover", 1)
 
             # Invariant before any repair: whatever the manifest says,
             # that shard holds the document.
@@ -100,7 +100,7 @@ class TestCoordinatorDeath:
             row = cluster.query("//age/text()", document="mover")[0]
             cluster.update_text("mover", row[2], "4321")
             assert cluster.query_pres("//p[.//age = 4321]")
-            retried = cluster.migrate_document("mover", 1, method="direct")
+            retried = cluster.migrate_document("mover", 1)
             assert retried["moved"] or cluster.manifest.placement["mover"] == 1
             _assert_owner_holds(cluster)
         finally:
@@ -118,7 +118,7 @@ class TestCoordinatorDeath:
             with faults.injected(faults.FaultInjector(
                     faults.CrashPlan("migrate.after_import"))):
                 with pytest.raises(faults.InjectedCrash):
-                    cluster.migrate_document("mover", 1, method="direct")
+                    cluster.migrate_document("mover", 1)
         finally:
             cluster.stop()
 
@@ -170,13 +170,13 @@ class TestWorkerDeath:
         before = cluster.query_pres("//p[.//age >= 0]", document="mover")
 
         with faults.injected(
-                _KillWorkerAt(cluster, "migrate.after_sync", 0)):
+                _KillWorkerAt(cluster, "migrate.before_export", 0)):
             with pytest.raises(ShardDownError):
-                cluster.migrate_document("mover", 1, method="snapshot")
+                cluster.migrate_document("mover", 1)
 
         # Migration aborted: the manifest still points at the (dead)
-        # source — the snapshot that may be missing an acked tail was
-        # thrown away, never promoted.
+        # source — nothing was exported, so nothing was imported or
+        # promoted.
         assert cluster.manifest.placement["mover"] == 0
         assert not cluster._paused_shards
 
@@ -188,7 +188,7 @@ class TestWorkerDeath:
         assert cluster.query_pres("//p[.//age >= 0]",
                                   document="mover") == before
 
-        report = cluster.migrate_document("mover", 1, method="snapshot")
+        report = cluster.migrate_document("mover", 1)
         assert report["moved"]
         _assert_owner_holds(cluster)
         assert cluster.query_pres("//p[.//age >= 0]",
@@ -202,7 +202,7 @@ class TestWorkerDeath:
         with faults.injected(
                 _KillWorkerAt(cluster, "migrate.before_import", 1)):
             with pytest.raises(ShardDownError):
-                cluster.migrate_document("mover", 1, method="snapshot")
+                cluster.migrate_document("mover", 1)
 
         # The flip never happened; the source still owns and serves.
         assert cluster.manifest.placement["mover"] == 0
@@ -212,7 +212,7 @@ class TestWorkerDeath:
         cluster.restart_shard(1)
         cluster.reconcile()
         _assert_owner_holds(cluster)
-        report = cluster.migrate_document("mover", 1, method="snapshot")
+        report = cluster.migrate_document("mover", 1)
         assert report["moved"]
         assert _snapshot(cluster) == before
 
@@ -229,8 +229,7 @@ class TestStaleManifest:
             cluster.load("a", fixture_xml(), shard=0)
             cluster.load("b", fixture_xml(24), shard=1)
             before = _snapshot(cluster)
-            assert cluster.migrate_document("b", 0,
-                                            method="direct")["moved"]
+            assert cluster.migrate_document("b", 0)["moved"]
             # Forge a coordinator that never observed the flip: disk
             # says b→0, this object believes b→1.
             cluster.manifest.placement["b"] = 1
@@ -296,7 +295,7 @@ def test_migration_soak(tmp_path):
         moves = 0
         while time.monotonic() < deadline and not failures:
             target = (where + 1) % 3
-            cluster.migrate_document("mover", target, method="snapshot")
+            cluster.migrate_document("mover", target)
             where = target
             moves += 1
         stop.set()

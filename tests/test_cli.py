@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.shard import ShardCluster
+from repro.shard.manifest import ShardingManifest
 
 PERSON = (
     "<person>"
@@ -169,3 +172,74 @@ class TestVerify:
     def test_clean_database_verifies(self, db, capsys):
         assert main(["verify", db]) == 0
         assert "verification: OK" in capsys.readouterr().out
+
+
+class TestShardCommands:
+    """``shard-init``, ``load``, ``rebalance``, ``migrate`` and
+    ``resize`` on a cluster directory, with workers as in-process
+    threads rather than child processes."""
+
+    @pytest.fixture()
+    def cluster_root(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            cli, "_open_cluster",
+            lambda path: ShardCluster(path, transport="thread",
+                                      checkpoint_every=0).start())
+        root = str(tmp_path / "cluster")
+        assert main(["shard-init", root, "--shards", "2"]) == 0
+        assert "initialised 2-shard cluster" in capsys.readouterr().out
+        # Three documents that hash to shard 0, so the placement is
+        # lopsided until a rebalance.
+        hashed = ShardingManifest(2)
+        names = [name for name in (f"doc{i}" for i in range(64))
+                 if hashed.shard_of(name) == 0][:3]
+        for name in names:
+            xml_file = tmp_path / f"{name}.xml"
+            xml_file.write_text(f"<r>{PERSON * 4}</r>")
+            assert main(["load", root, name, str(xml_file)]) == 0
+            assert f"loaded {name!r} onto shard 0" in \
+                capsys.readouterr().out
+        return root
+
+    @staticmethod
+    def _placement(root):
+        return ShardingManifest.load(root).placement
+
+    def test_rebalance_dry_run_prints_plan_only(self, cluster_root, capsys):
+        before = self._placement(cluster_root)
+        assert main(["rebalance", cluster_root, "--dry-run"]) == 0
+        out = capsys.readouterr().out
+        assert "would move" in out and "-> shard 1" in out
+        assert self._placement(cluster_root) == before
+
+    def test_rebalance_applies_plan(self, cluster_root, capsys):
+        assert main(["rebalance", cluster_root]) == 0
+        assert "moved" in capsys.readouterr().out
+        assert set(self._placement(cluster_root).values()) == {0, 1}
+
+    def test_migrate_moves_one_document(self, cluster_root, capsys):
+        name = sorted(self._placement(cluster_root))[0]
+        assert main(["migrate", cluster_root, name, "1"]) == 0
+        assert f"moved {name!r}: shard 0 -> 1" in capsys.readouterr().out
+        assert self._placement(cluster_root)[name] == 1
+        assert main(["migrate", cluster_root, name, "1"]) == 0
+        assert "already on shard 1" in capsys.readouterr().out
+
+    def test_migrate_has_no_method_option(self, cluster_root, capsys):
+        name = sorted(self._placement(cluster_root))[0]
+        with pytest.raises(SystemExit) as exc:
+            main(["migrate", cluster_root, name, "1", "--method", "direct"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --method" in capsys.readouterr().err
+
+    def test_resize_grows_and_shrinks(self, cluster_root, capsys):
+        assert main(["resize", cluster_root, "3"]) == 0
+        out = capsys.readouterr().out
+        assert "cluster now has 3 shard(s)" in out
+        assert "moved" in out
+        assert main(["resize", cluster_root, "1"]) == 0
+        out = capsys.readouterr().out
+        assert "cluster now has 1 shard(s)" in out
+        assert set(self._placement(cluster_root).values()) == {0}
+        assert main(["query", cluster_root, "//person"]) == 0
+        assert "12 hit(s)" in capsys.readouterr().out
