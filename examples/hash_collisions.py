@@ -36,7 +36,7 @@ def main():
 
     target = family[2]
     print("\n== candidate sets vs verified answers ==")
-    candidates = list(manager.lookup_string(target, verify=False))
+    candidates = list(manager.string_index.candidates(target))
     verified = list(manager.lookup_string(target))
     print(f"  hash candidates: {len(candidates)} nodes "
           f"(all five URLs' text+element nodes)")

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..errors import IndexError_
 from ..obs import MetricsRegistry
+from ..xmldb.columns import string_equal_pres
 from ..xmldb.document import ATTR, TEXT, Document
 from ..xmldb.store import Store, StructuralChange
 from .builder import compute_fields
@@ -61,9 +62,6 @@ class IndexManager:
             SubstringIndex() if substring else None
         )
         self._statistics_cache: dict[str, object] = {}
-        # name -> value-leaf nids, pre order (scan fallback for
-        # substring/regex lookups; invalidated on structural changes).
-        self._leaf_nids_cache: dict[str, list[int]] = {}
         # (function, literal) -> (epoch key, nids): memoized contains/
         # regex results, valid for exactly one mutation epoch (pinned
         # views key on their own epoch, so concurrent readers at
@@ -195,7 +193,6 @@ class IndexManager:
     def _build_document(self, doc: Document, structural: bool = True) -> None:
         with self._exclusive(structural=structural):
             self._bulk_build([doc], self.indexes)
-            self._leaf_nids_cache.pop(doc.name, None)
 
     def load(self, name: str, xml: str) -> Document:
         """Shred a document and index it (shred + Figure 7 pass)."""
@@ -251,7 +248,6 @@ class IndexManager:
             for index in self.indexes:
                 index.remove_entries(nids)
             self.store.remove_document(name)
-            self._leaf_nids_cache.pop(name, None)
             self.bump_epoch(structural=True)
 
     # ------------------------------------------------------------------
@@ -311,7 +307,6 @@ class IndexManager:
             with self.metrics.timer("index.update").time():
                 change = splice()
                 apply_structural_change(self.store, change, self.indexes)
-            self._leaf_nids_cache.pop(change.document.name, None)
             self.metrics.counter("index.updates").inc()
             self.bump_epoch(structural=True)
         return change
@@ -356,21 +351,22 @@ class IndexManager:
     # Lookups
     # ------------------------------------------------------------------
 
-    def lookup_string(self, value: str, verify: bool = True) -> Iterator[int]:
-        """nids whose XDM string value equals ``value``.
+    def lookup_string(self, value: str) -> Iterator[int]:
+        """nids whose XDM string value equals ``value``, ascending.
 
-        With ``verify`` (default) candidates from the hash index are
-        checked against the document, eliminating hash collisions.
+        The hash bucket of ``value`` is verified against the store
+        view by the executor's own batch check
+        (:func:`~repro.xmldb.columns.string_equal_pres`), which drops
+        the hash collisions; ``string_index.candidates`` is the
+        unverified bucket.
         """
         if self.string_index is None:
             raise IndexError_("string index not enabled")
-        for nid in self.string_index.candidates(value):
-            if not verify:
-                yield nid
-                continue
-            doc, pre = self.store.node(nid)
-            if doc.string_value(pre) == value:
-                yield nid
+        cols = self.store.columns()
+        pres = string_equal_pres(
+            cols, self.string_index.candidate_nids(value), value
+        )
+        return iter(np.sort(cols.nid[pres]).tolist())
 
     def lookup_typed_equal(self, type_name: str, value: Any) -> Iterator[int]:
         """nids whose typed value equals ``value`` (exact, no verify)."""
@@ -410,125 +406,84 @@ class IndexManager:
         """The k largest (or smallest) typed values with their nodes."""
         return self.typed_index(type_name).top_values(k, largest=largest)
 
-    def _leaf_nids_of(self, doc: Document) -> list[int]:
-        """Value-leaf nids of one document, pre order (cached; the
-        cache entry is dropped whenever the document's node set
-        changes, so scans never re-walk an unchanged document)."""
-        cached = self._leaf_nids_cache.get(doc.name)
-        if cached is None:
-            kinds = doc.kind
-            cached = [
-                doc.nid[pre]
-                for pre in range(len(doc))
-                if kinds[pre] in (TEXT, ATTR)
-            ]
-            self._leaf_nids_cache[doc.name] = cached
-        return cached
+    def _text_lookup(self, function: str, literal: str, prune,
+                     matches) -> Iterator[int]:
+        """Ascending nids of the value leaves whose own text passes
+        ``matches`` — a function from a list of texts to the indices of
+        those that pass.
 
-    def _all_leaf_nids(self) -> Iterator[int]:
-        for doc in self.store.documents.values():
-            yield from self._leaf_nids_of(doc)
-
-    def _text_lookup_epoch(self) -> object:
-        """Cache key component for text-scan lookups: the pinned
-        view's epoch inside a read view, else the live mutation epoch
-        (bumped by every result-changing operation)."""
+        ``prune(substring_index)`` gives the candidate nids (any
+        order) when the substring index can narrow the leaves; without
+        candidates every TEXT and ATTR row of the store view is
+        checked.  The texts are read with one batch read per document
+        segment, as the reader sees them.  Results are memoized per
+        ``(function, literal)`` for one epoch: the pinned view's inside
+        a read view, else the live mutation epoch (bumped by every
+        result-changing operation), so readers at different snapshots
+        never share an entry.
+        """
         view = active_view()
-        if view is not None and view.epoch is not None:
-            return ("view", view.epoch)
-        return ("live", self.epoch)
-
-    def _cached_text_lookup(self, function: str, literal: str):
-        entry = self._text_lookup_cache.get((function, literal))
-        if entry is not None and entry[0] == self._text_lookup_epoch():
-            self.metrics.counter("query.text_lookup.cache_hits").inc()
-            return entry[1]
-        return None
-
-    def _store_text_lookup(
-        self, function: str, literal: str, nids: list[int]
-    ) -> None:
+        epoch = (("view", view.epoch)
+                 if view is not None and view.epoch is not None
+                 else ("live", self.epoch))
         cache = self._text_lookup_cache
+        entry = cache.get((function, literal))
+        if entry is not None and entry[0] == epoch:
+            self.metrics.counter("query.text_lookup.cache_hits").inc()
+            return iter(entry[1])
+        candidates = None
+        if self.substring_index is not None:
+            candidates = prune(self.substring_index)
+        cols = self.store.columns()
+        if candidates is None:
+            pres = np.flatnonzero((cols.kind == TEXT) | (cols.kind == ATTR))
+        else:
+            pres = cols.pres_of_nids(candidates)
+        slots = cols.text_id[pres].tolist()
+        hits: list[int] = []
+        for doc, _offset, segment in cols.segments(pres):
+            rows = pres[segment]
+            hits += rows[matches(doc.read_texts(slots[segment]))].tolist()
+        nids = np.sort(cols.nid[hits]).tolist()
         if len(cache) >= 128:
             cache.clear()
-        cache[(function, literal)] = (self._text_lookup_epoch(), nids)
-
-    def _scan_contains(self, doc: Document, needle: str) -> list[int]:
-        """All leaf nids of one document whose text contains
-        ``needle``: one batch read of the leaves' texts (as the reader
-        sees them), scanned by the joined-region kernel."""
-        from .classify import containing_indices
-
-        leaf_nids = self._leaf_nids_of(doc)
-        cols = doc.columns()
-        leaf = (cols.kind == TEXT) | (cols.kind == ATTR)
-        leaf_texts = doc.read_texts(cols.text_id[leaf].tolist())
-        matches = containing_indices(leaf_texts, needle)
-        if matches is None:
-            matches = [
-                i for i, text in enumerate(leaf_texts) if needle in text
-            ]
-        return [leaf_nids[i] for i in matches]
+        cache[(function, literal)] = (epoch, nids)
+        return iter(nids)
 
     def lookup_contains(self, needle: str) -> Iterator[int]:
-        """Value-leaf nids whose own text contains ``needle``.
+        """Value-leaf nids whose own text contains ``needle``, ascending
+        and exact.  The q-gram substring index prunes when it can
+        (needle at least ``q`` long); every text is checked by the
+        joined-region ``contains`` kernel.  Memoized per epoch
+        (repeated substring queries on an unchanged database are
+        answered from the cache)."""
+        from .classify import containing_indices
 
-        Uses the q-gram substring index when it can prune (needle at
-        least ``q`` long); otherwise scans the cached leaves with the
-        joined-region ``contains`` kernel.  Candidates are sorted so
-        results are emitted in a deterministic order either way, and
-        always verified (exact).  Results are memoized per mutation
-        epoch (repeated substring queries on an unchanged database are
-        answered from the cache).
-        """
-        cached = self._cached_text_lookup("contains", needle)
-        if cached is not None:
-            return iter(cached)
-        candidates: Iterable[int] | None = None
-        if self.substring_index is not None:
-            pruned = self.substring_index.candidates(needle)
-            if pruned is not None:
-                candidates = pruned.tolist()
-        if candidates is None:
-            result = []
-            for doc in self.store.documents.values():
-                result.extend(self._scan_contains(doc, needle))
-        else:
-            result = []
-            node = self.store.node
-            for nid in candidates:
-                doc, pre = node(nid)
-                if needle in doc.text_of(pre):
-                    result.append(nid)
-        self._store_text_lookup("contains", needle, result)
-        return iter(result)
+        def matches(texts: list[str]) -> list[int]:
+            found = containing_indices(texts, needle)
+            if found is None:
+                found = [i for i, text in enumerate(texts) if needle in text]
+            return found
+
+        return self._text_lookup("contains", needle,
+                                 lambda index: index.candidates(needle),
+                                 matches)
 
     def lookup_regex(self, pattern: str) -> Iterator[int]:
         """Value-leaf nids whose own text matches ``pattern`` (search
-        semantics).  Mandatory literal factors of the pattern prune
-        through the substring index when possible.  Results are
-        memoized per mutation epoch.  (Regex search stays per text:
-        a joined-region scan would be unsound — anchors, ``.`` and
+        semantics), ascending.  Mandatory literal factors of the
+        pattern prune through the substring index when possible.
+        Memoized per epoch.  (Regex search stays per text: a
+        joined-region scan would be unsound — anchors, ``.`` and
         quantifiers can straddle the sentinel.)"""
-        cached = self._cached_text_lookup("regex", pattern)
-        if cached is not None:
-            return iter(cached)
-        compiled = re.compile(pattern)
-        candidates: Iterable[int] | None = None
-        if self.substring_index is not None:
-            pruned = self.substring_index.candidates_for_regex(pattern)
-            if pruned is not None:
-                candidates = pruned.tolist()
-        if candidates is None:
-            candidates = self._all_leaf_nids()
-        result = []
-        node = self.store.node
-        for nid in candidates:
-            doc, pre = node(nid)
-            if compiled.search(doc.text_of(pre)):
-                result.append(nid)
-        self._store_text_lookup("regex", pattern, result)
-        return iter(result)
+        search = re.compile(pattern).search
+
+        def matches(texts: list[str]) -> list[int]:
+            return [i for i, text in enumerate(texts) if search(text)]
+
+        return self._text_lookup(
+            "regex", pattern,
+            lambda index: index.candidates_for_regex(pattern), matches)
 
     # ------------------------------------------------------------------
     # Planner statistics

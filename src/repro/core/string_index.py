@@ -65,24 +65,16 @@ class StringIndex(ValueIndex):
     # Lookup
     # ------------------------------------------------------------------
 
-    def lookup_hash(self, hash_value: int) -> Iterator[int]:
-        """All nids whose string value hashes to ``hash_value``,
-        ascending."""
-        nids = self._lookup_tree().nids_between(hash_value, hash_value)
-        return iter(np.sort(nids).tolist())
-
     def candidates(self, value: str) -> Iterator[int]:
-        """Candidate nids for an equality predicate on ``value``.
-
-        May contain false positives (hash collisions); callers verify
-        against the document.
-        """
-        return self.lookup_hash(hash_string(value))
+        """Candidate nids for an equality predicate on ``value``,
+        ascending: the unverified hash bucket, which may hold false
+        positives (hash collisions)."""
+        return iter(np.sort(self.candidate_nids(value)).tolist())
 
     def candidate_nids(self, value: str) -> "np.ndarray":
-        """Batched :meth:`candidates`: the same unverified hash-bucket
-        contents as an int64 array (two ``searchsorted`` and a slice of
-        the run's nid column)."""
+        """The unverified hash bucket of ``value`` as an int64 array in
+        no particular order (two ``searchsorted`` and a slice of the
+        run's nid column)."""
         hash_value = hash_string(value)
         return self._lookup_tree().nids_between(hash_value, hash_value)
 

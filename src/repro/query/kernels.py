@@ -55,13 +55,13 @@ __all__ = [
 def kway_merge(arrays: "list[np.ndarray]") -> "np.ndarray":
     """Merge sorted int64 key arrays into one sorted array.
 
-    The gather half of scatter-gather: each shard returns its hits as a
-    sorted key array (``global_doc_index << 40 | pre`` — documents are
-    whole-shard-resident, so the per-shard arrays are already in global
-    order and, placements being disjoint, duplicate-free across
-    shards).  Pairwise merges proceed tournament-style so every element
-    moves O(log k) times; each pairwise merge is a vectorized
-    searchsorted + slot scatter, not an elementwise Python loop.
+    No read path calls it: the scatter-gather coordinator gathers rows
+    by document instead (documents are whole-shard-resident, so the
+    document order is the whole merge).  It stays as the layer
+    benchmark's merge kernel.  Pairwise merges proceed tournament-style
+    so every element moves O(log k) times; each pairwise merge is a
+    vectorized searchsorted + slot scatter, not an elementwise Python
+    loop.
     """
     arrays = [a for a in arrays if a.size]
     if not arrays:

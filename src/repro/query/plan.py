@@ -285,14 +285,14 @@ class StructuralVerify(PlanNode):
 
 
 class ScatterGather(PlanNode):
-    """Coordinator root: scatter the query to shards, k-way merge.
+    """Coordinator root: scatter the query to shards, gather by document.
 
     Children are one :class:`RemotePlan` per participating shard.  Each
-    shard evaluates its local plan (its own IndexLookup/window scans —
-    predicate evaluation is pushed down with the query text, so only
-    row-id batches cross the process boundary) and returns hits sorted
-    by (global document index, pre); the gather side merges them with
-    :func:`repro.query.kernels.kway_merge`.
+    shard runs its one plan over its store view (the query text carries
+    the predicates, so only ``(document, pre, nid)`` rows come back)
+    and returns the rows of the documents it was asked for, in pre
+    order; placements are disjoint, so the gather emits each
+    document's rows in global document order.
     """
 
     op = "ScatterGather"

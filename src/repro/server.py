@@ -38,6 +38,7 @@ import json
 import signal
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from typing import Any, Awaitable, Callable
 
 from . import wire
@@ -299,8 +300,17 @@ class DatabaseServer:
                 request_id, E_INTERNAL, f"{type(exc).__name__}: {exc}"
             )
         try:
+            frame = wire.encode_frame(response)
+        except wire.WireError as exc:
+            # An answer over the frame cap fails its request: the
+            # client must not wait out its timeout for a lost response.
+            self._metrics.counter(f"server.errors.{E_INTERNAL}").inc()
+            frame = wire.encode_frame(
+                wire.error_response(request_id, E_INTERNAL, str(exc))
+            )
+        try:
             async with session.write_lock:
-                writer.write(wire.encode_frame(response))
+                writer.write(frame)
                 await writer.drain()
         except (ConnectionError, OSError):
             pass
@@ -414,23 +424,25 @@ class DatabaseServer:
                 placement=current,
             )
 
-    def _documents_query(self, documents: list, fn):
-        """Evaluate ``fn(document)`` per requested document, inside one
-        pinned view, failing with ``doc_moved`` on any absent one.
-
-        The explicit document list is what makes scatter queries safe
-        during migration: a document mid-copy exists on *two* shards,
-        and the coordinator's placement snapshot names which shard
-        answers for it — so a shard must never silently answer for a
+    def _rows_of(self, text: str, document, documents: list | None,
+                 use_indexes, as_of):
+        """``query_rows`` over the store view.  With ``documents`` (a
+        coordinator scatter) the same pinned view also checks that
+        every listed document is here — else ``doc_moved`` — and keeps
+        only their rows.  A document mid-migration exists on *two*
+        shards and the coordinator's placement snapshot names the one
+        that answers for it, so a shard must never answer for a
         document it merely happens to hold (double count), nor
-        silently skip one it no longer holds (dropped rows).
-        """
-        controller = self._controller
-
-        def run():
-            out = []
+        silently skip one it no longer holds (dropped rows)."""
+        if documents is None:
+            return self.db.query_rows(text, document, use_indexes,
+                                      as_of=as_of)
+        pin = (self._controller.read_view() if active_view() is None
+               else nullcontext())
+        with pin:
+            held = self.db.store.documents
             for name in documents:
-                if name not in self.db.store.documents:
+                if name not in held:
                     raise RequestError(
                         E_DOC_MOVED,
                         f"document {name!r} is not on this shard; "
@@ -438,15 +450,11 @@ class DatabaseServer:
                         document=name,
                         placement=self.placement_version,
                     )
-                out.append(fn(name))
-            return out
-
-        if active_view() is None:
-            # One pin for the whole list — per-document evaluation
-            # must not straddle epochs.
-            with controller.read_view():
-                return run()
-        return run()
+            rows = self.db.query_rows(text, None, use_indexes, as_of=as_of)
+            listed = set(documents)
+            if len(listed) < len(held):
+                rows = [row for row in rows if row[0] in listed]
+            return rows
 
     async def _op_query(self, session, message) -> dict:
         text = self._require(message, "xpath")
@@ -463,26 +471,14 @@ class DatabaseServer:
         if documents is not None and not isinstance(documents, list):
             raise RequestError(E_BAD_REQUEST, "documents must be a list")
         self._check_placement(message)
-        if documents is not None:
-            # Documents-scoped scatter shape (always rows).
-            batches = await self._run_read(
-                session, message,
-                lambda: self._documents_query(
-                    documents,
-                    lambda name: self.db.query_rows(
-                        text, name, use_indexes, as_of=as_of),
-                ),
-            )
-            return {"rows": [list(row)
-                             for batch in batches for row in batch]}
-        if message.get("rows"):
+        if message.get("rows") or documents is not None:
             # Scatter-gather shape: (document, pre, nid) rows — pre
             # addresses survive re-placement, bare nids don't.  The
             # engine maps rows at the same pinned epoch it evaluates.
             rows = await self._run_read(
                 session, message,
-                lambda: self.db.query_rows(text, document, use_indexes,
-                                           as_of=as_of),
+                lambda: self._rows_of(text, document, documents,
+                                      use_indexes, as_of),
             )
             return {"rows": [list(row) for row in rows]}
         nids = await self._run_read(
@@ -652,9 +648,13 @@ class DatabaseServer:
         one transfer never mixes two states of the document.  The
         cache entry drops with the final chunk.
         """
+        from .repl.primary import DEFAULT_CHUNK
+
         name = self._require(message, "name")
         offset = int(message.get("offset", 0))
-        length = int(message.get("length", 4 << 20))
+        # Capped like ``repl.fetch``: a larger chunk outgrows the frame
+        # cap once base64-encoded.
+        length = min(int(message.get("length", DEFAULT_CHUNK)), DEFAULT_CHUNK)
         if offset < 0 or length <= 0:
             raise RequestError(E_BAD_REQUEST, "bad offset/length")
 

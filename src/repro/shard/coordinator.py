@@ -10,11 +10,13 @@ and presents the familiar engine API on top:
   every engine guarantee (WAL, group commit, acked ⇒ durable) holds
   unchanged — an update never spans shards;
 * **queries** scatter to every owning shard over the wire protocol
-  (predicates travel with the query text, so each shard runs its own
-  index plans and only ``(document, pre, nid)`` row batches come
-  back), and the gather side k-way merges the per-shard sorted key
-  arrays with :func:`repro.query.kernels.kway_merge` into exactly the
-  order a single-shard engine would produce;
+  (predicates travel with the query text, so each shard runs its one
+  plan over its own store view and only the ``(document, pre, nid)``
+  rows of the documents it was asked for come back), and the gather
+  side groups the rows by document and emits the groups in global
+  document order — exactly the order a single-shard engine would
+  produce, since placements are disjoint and each shard returns a
+  document's rows in pre order;
 * **read views** pin a *consistent epoch vector* by two-phase
   publication: phase one pins a session view on every shard, phase
   two re-reads every shard's published epoch and retries until no
@@ -50,14 +52,13 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Iterator
-
-import numpy as np
 
 from .. import wire
 from ..client import Client, ClientError
 from ..errors import ReproError
-from ..query.kernels import kway_merge
 from ..query.plan import RemotePlan, ScatterGather, number_plan, render_plan
 from ..storage import faults
 from .engine import ShardEngine, require_one_mode
@@ -67,12 +68,6 @@ __all__ = [
     "ShardCluster", "ShardError", "ShardDownError", "DocumentMovedError",
     "ClusterView", "greedy_balance",
 ]
-
-#: Bits reserved for ``pre`` in the int64 merge key
-#: ``global_doc_index << PRE_BITS | pre`` (a single document may hold
-#: up to 2**40 nodes before keys could collide).
-PRE_BITS = 40
-_PRE_MASK = (1 << PRE_BITS) - 1
 
 #: Attempts at a stable epoch vector before giving up.
 PIN_ATTEMPTS = 16
@@ -299,7 +294,6 @@ class ShardCluster:
         self._clients: dict[int, Client | None] = {}
         self._client_locks: dict[int, threading.Lock] = {}
         self._kill_specs: dict[int, tuple[str, int | None]] = {}
-        self._doc_index: dict[str, int] = {}
         # Elasticity state (docs/sharding.md "Elastic shards"): the
         # route lock guards manifest mutation + plan snapshots; the
         # condition gates updates during a migration cutover.
@@ -309,7 +303,6 @@ class ShardCluster:
         self._inflight_updates: dict[int, int] = {}
         self._views_open = 0
         self._pending_unloads: list[tuple[int, str]] = []
-        self._reindex()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -424,7 +417,6 @@ class ShardCluster:
         self._drop_client(shard)
         with self._route_lock:
             self.manifest = ShardingManifest.load(self.root)
-            self._reindex()
         self._spawn(shard)
 
     def shard_alive(self, shard: int) -> bool:
@@ -439,11 +431,6 @@ class ShardCluster:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-
-    def _reindex(self) -> None:
-        self._doc_index = {
-            name: idx for idx, name in enumerate(self.manifest.doc_order)
-        }
 
     def _client(self, shard: int) -> Client:
         client = self._clients.get(shard)
@@ -541,7 +528,6 @@ class ShardCluster:
         with self._route_lock:
             target = self.manifest.place(name, shard)
             self.manifest.save(self.root)
-            self._reindex()
         try:
             self._routed(target,
                          lambda c: c.call("load", name=name, xml=xml))
@@ -549,7 +535,6 @@ class ShardCluster:
             with self._route_lock:
                 self.manifest.unplace(name)
                 self.manifest.save(self.root)
-                self._reindex()
             raise
         return target
 
@@ -560,7 +545,6 @@ class ShardCluster:
         with self._route_lock:
             self.manifest.unplace(name)
             self.manifest.save(self.root)
-            self._reindex()
 
     def update_text(self, document: str, nid: int, text: str,
                     busy_retries: int = 0) -> dict:
@@ -623,16 +607,28 @@ class ShardCluster:
     def _scatter(self, shards: list[int], op: str, params) -> dict[int, dict]:
         """Pipeline one request to every shard, then gather: the sends
         all go out before the first receive blocks, so the shards
-        evaluate concurrently in their own processes."""
-        sent: dict[int, int] = {}
-        for shard in shards:
-            sent[shard] = self._routed(
+        evaluate concurrently in their own processes.  Every response
+        is drained before a failed one is raised (a request left in
+        flight would desynchronize the pipelined per-shard
+        connections); a ``doc_moved`` answer raises
+        :class:`DocumentMovedError`."""
+        sent = {
+            shard: self._routed(
                 shard, lambda c, s=shard: c.send(op, **params(s)))
+            for shard in shards
+        }
         results: dict[int, dict] = {}
+        failure: Exception | None = None
         for shard, request_id in sent.items():
-            results[shard] = self._routed(
-                shard,
-                lambda c, rid=request_id: c.receive(rid))
+            try:
+                results[shard] = self._routed(
+                    shard, lambda c, rid=request_id: c.receive(rid))
+            except ClientError as exc:
+                failure = failure or (DocumentMovedError(shard, str(exc))
+                                      if exc.code == wire.E_DOC_MOVED
+                                      else exc)
+        if failure is not None:
+            raise failure
         return results
 
     def query(self, xpath: str, document: str | None = None,
@@ -680,11 +676,12 @@ class ShardCluster:
                        plan: dict[int, list[str]],
                        view: ClusterView | None,
                        version: int | None) -> list[tuple[str, int, int]]:
-        """One scatter round over an explicit placement plan.  All
-        responses are drained even when some answer ``doc_moved``
-        (leaving requests in flight would desynchronize the pipelined
-        per-shard connections); the move is re-raised afterwards."""
-        shards = sorted(plan)
+        """One scatter round over an explicit placement plan: each
+        shard answers with the rows of the documents the plan lists for
+        it, and the gather emits them document by document in global
+        order.  Placements are disjoint and a shard returns each
+        document's rows in pre order, so document order is the whole
+        merge."""
 
         def params(shard: int) -> dict:
             p: dict[str, Any] = {"xpath": xpath, "use_indexes": use_indexes,
@@ -697,26 +694,13 @@ class ShardCluster:
                     p["view"] = token
             return p
 
-        sent: dict[int, int] = {}
-        for shard in shards:
-            sent[shard] = self._routed(
-                shard, lambda c, s=shard: c.send("query", **params(s)))
-        results: dict[int, dict] = {}
-        moved: DocumentMovedError | None = None
-        for shard, request_id in sent.items():
-            try:
-                results[shard] = self._routed(
-                    shard, lambda c, rid=request_id: c.receive(rid))
-            except ClientError as exc:
-                if exc.code == wire.E_DOC_MOVED and view is None:
-                    moved = DocumentMovedError(shard, str(exc))
-                    continue
-                raise
-        if moved is not None:
-            raise moved
-        return self._merge_rows(
-            [(shard, result["rows"]) for shard, result in results.items()]
-        )
+        by_doc: dict[str, list] = {}
+        for result in self._scatter(sorted(plan), "query", params).values():
+            for name, group in groupby(result["rows"], key=itemgetter(0)):
+                by_doc.setdefault(name, []).extend(map(tuple, group))
+        with self._route_lock:
+            order = list(self.manifest.doc_order)
+        return [row for name in order for row in by_doc.get(name, ())]
 
     def query_pres(self, xpath: str, document: str | None = None,
                    use_indexes: bool | str = True,
@@ -724,40 +708,6 @@ class ShardCluster:
         """Placement-independent result shape for differential checks."""
         return [(doc, pre) for doc, pre, _nid in
                 self.query(xpath, document, use_indexes, view=view)]
-
-    def _merge_rows(
-        self, per_shard: list[tuple[int, list]]
-    ) -> list[tuple[str, int, int]]:
-        keys_arrays: list[np.ndarray] = []
-        nids_arrays: list[np.ndarray] = []
-        for _shard, rows in per_shard:
-            if not rows:
-                continue
-            gidx = np.fromiter(
-                (self._doc_index[row[0]] for row in rows),
-                dtype=np.int64, count=len(rows),
-            )
-            pres = np.fromiter((row[1] for row in rows),
-                               dtype=np.int64, count=len(rows))
-            nids = np.fromiter((row[2] for row in rows),
-                               dtype=np.int64, count=len(rows))
-            keys = (gidx << PRE_BITS) | pres
-            order = np.argsort(keys, kind="stable")
-            keys_arrays.append(keys[order])
-            nids_arrays.append(nids[order])
-        if not keys_arrays:
-            return []
-        merged = kway_merge(keys_arrays)
-        out_nids = np.empty(merged.size, dtype=np.int64)
-        for keys, nids in zip(keys_arrays, nids_arrays):
-            # Placements are disjoint, so each shard's keys land in
-            # unique merged slots.
-            out_nids[np.searchsorted(merged, keys)] = nids
-        order = self.manifest.doc_order
-        return [
-            (order[int(key >> PRE_BITS)], int(key & _PRE_MASK), int(nid))
-            for key, nid in zip(merged, out_nids)
-        ]
 
     def explain(self, xpath: str) -> dict:
         """Cluster-level explain: a ``ScatterGather`` root with one
@@ -959,7 +909,6 @@ class ShardCluster:
             self.manifest.move(name, dst)
             version = self.manifest.version
             self.manifest.save(self.root)
-            self._reindex()
         faults.crashpoint("migrate.after_flip")
         self._broadcast_placement(version)
         self._queue_unload(src, name)
@@ -1039,7 +988,6 @@ class ShardCluster:
                         flipped.append((name, owner, holder))
             if flipped:
                 self.manifest.save(self.root)
-                self._reindex()
             placement = dict(self.manifest.placement)
         if flipped:
             self._broadcast_placement()
@@ -1164,7 +1112,6 @@ class ShardCluster:
         with self._route_lock:
             self.manifest.set_shards(shards)
             self.manifest.save(self.root)
-            self._reindex()
         self._broadcast_placement()
         return {"shards": shards, "moves": moves,
                 "loads_after": _shard_loads(self._assignment(), weights,

@@ -47,12 +47,14 @@ import numpy as np
 
 from .names import Vocabulary
 
-__all__ = ["DocColumns", "EMPTY_PRES"]
+__all__ = ["DocColumns", "EMPTY_PRES", "string_equal_pres"]
 
 #: Shared empty row-id batch (int64, the pre-plane dtype).
 EMPTY_PRES = np.empty(0, dtype=np.int64)
 
-_TEXT = 2  # document.TEXT (kept literal: no circular import)
+# document.ELEM / document.TEXT (kept literal: no circular import)
+_ELEM = 1
+_TEXT = 2
 
 
 class DocColumns:
@@ -269,3 +271,90 @@ class DocColumns:
         pos = np.searchsorted(anchors, parents)
         pos_clipped = np.minimum(pos, anchors.size - 1)
         return (anchors[pos_clipped] == parents) & (parents >= 0)
+
+
+#: :func:`_value_rows` markers for containers without a TEXT descendant
+#: (string value ``""``) and with several (concatenated per node).
+NO_TEXT = -1
+MANY_TEXTS = -2
+
+#: Up to this many candidates, checking each one's ``string_value``
+#: costs less than the twenty-odd array operations of the batch check
+#: (measured on the lifecycle corpora's small buckets and perf's
+#: ``fat`` buckets of 35-150 candidates).
+SMALL_BUCKET = 8
+
+
+def _value_rows(cols: DocColumns, pres: "np.ndarray") -> "np.ndarray":
+    """Per row of ``pres``, the row whose heap slot holds its whole XDM
+    string value: the row itself for text-valued kinds (text,
+    attribute, comment, PI), the one TEXT descendant of a container
+    that has exactly one — the dominant shape, every field element of
+    the workloads — else :data:`NO_TEXT` or :data:`MANY_TEXTS`.
+
+    A container's TEXT descendants are sliced out of the sorted
+    TEXT-position plane with two ``searchsorted`` probes over its
+    subtree interval.
+    """
+    container = cols.kind[pres] <= _ELEM  # DOC | ELEM
+    if not container.any():
+        return pres
+    rows = pres.copy()
+    cpres = pres[container]
+    text_pos = cols.text_positions()
+    lo = np.searchsorted(text_pos, cpres, side="right")
+    count = np.searchsorted(text_pos, cols.end[cpres], side="right") - lo
+    crows = np.where(count == 0, NO_TEXT, MANY_TEXTS)
+    one = count == 1
+    crows[one] = text_pos[lo[one]]
+    rows[container] = crows
+    return rows
+
+
+def string_equal_pres(
+    cols: DocColumns, nids: "np.ndarray", value: str
+) -> "np.ndarray":
+    """Rows whose XDM string value equals ``value``, out of the hash
+    bucket ``nids`` of ``value``.
+
+    The one string-equality check, shared by
+    ``IndexManager.lookup_string`` and the executor's string
+    ``IndexLookup``: nid→row mapping via ``pres_of_nids``, then
+    collision verification per document segment — one batch heap read
+    (:meth:`Document.read_texts`) for every candidate whose value is
+    one slot, ``string_value`` for the multi-text containers only, and
+    for every candidate of a bucket of at most :data:`SMALL_BUCKET`.
+    """
+    pres = cols.pres_of_nids(nids)
+    if pres.size == 0:
+        return pres
+    if pres.size <= SMALL_BUCKET:
+        return pres[_each_equal(cols, pres, value)]
+    rows = _value_rows(cols, pres)
+    keep = rows == NO_TEXT if value == "" else np.zeros(pres.size, bool)
+    single = np.flatnonzero(rows >= 0)
+    if single.size:
+        # Value rows share their candidate's document, so the sorted
+        # candidates cut the slot list into per-document heap reads.
+        slots = cols.text_id[rows[single]].tolist()
+        texts: list[str] = []
+        for doc, _offset, segment in cols.segments(pres[single]):
+            texts += doc.read_texts(slots[segment])
+        keep[single] = [text == value for text in texts]
+    many = np.flatnonzero(rows == MANY_TEXTS)
+    if many.size:
+        keep[many] = _each_equal(cols, pres[many], value)
+    return pres[keep]
+
+
+def _each_equal(
+    cols: DocColumns, pres: "np.ndarray", value: str
+) -> "np.ndarray":
+    """Boolean mask: does each row's ``string_value`` equal ``value``?"""
+    keep = np.empty(pres.size, dtype=bool)
+    for doc, offset, segment in cols.segments(pres):
+        keep[segment] = [
+            doc.string_value(pre - offset) == value
+            for pre in pres[segment].tolist()
+        ]
+    return keep

@@ -156,8 +156,9 @@ class TestNoSidePaths:
     per-entry tuples on its scan path (``range_keys`` stays in
     ``bplus.py`` only for the layer benchmark that times it) — no
     second bench emitter beside the drivers' ``claims`` — no engine
-    mode without the concurrency controller or group commit — and no
-    second way to migrate a document."""
+    mode without the concurrency controller or group commit — no
+    second way to migrate a document — and no read that loops per
+    document or per candidate beside the one store-wide pipeline."""
 
     SOURCES = sorted(pathlib.Path(repro.__file__).parent.rglob("*.py"))
     #: pattern -> the one module (if any) allowed to match it.
@@ -191,6 +192,14 @@ class TestNoSidePaths:
         r"migrate\.after_sync": None,
         r"\.staging-": None,
         r'method="(snapshot|direct)"': None,
+        # One read pipeline: a scatter runs one plan per shard and the
+        # gather groups rows by document; lookups verify candidates in
+        # batch over the store view.
+        r"\b_leaf_nids_cache\b": None,
+        r"\b_documents_query\b": None,
+        r"\b_merge_rows\b": None,
+        r"\bPRE_BITS\b": None,
+        r"verify: bool": None,
     }
 
     @pytest.mark.parametrize("pattern", list(FORBIDDEN))

@@ -92,7 +92,7 @@ class TestStringLookups:
         assert all(
             doc.string_value(doc.pre_of(nid)) == a for nid in hits
         )
-        unverified = list(manager.lookup_string(a, verify=False))
+        unverified = list(manager.string_index.candidates(a))
         assert len(unverified) > len(hits)
 
 

@@ -2,14 +2,18 @@
 
 Unload drops a document's entries with one ``remove_entries`` pass per
 index (not one tree descent per node); ``lookup_contains`` emits index
-candidates in sorted nid order and caches per-document leaf-nid lists
-for the scan fallback.
+candidates in sorted nid order, and both ``lookup_contains`` and
+``lookup_regex`` answer exactly what a brute-force ``text_of`` scan of
+every value leaf does.
 """
+
+import re
 
 import pytest
 
 from repro.core import IndexManager
 from repro.workloads import DATASETS
+from repro.xmldb.document import ATTR, TEXT
 
 DOC_A = (
     "<book><title>The Hitchhikers Guide</title>"
@@ -19,6 +23,24 @@ DOC_B = (
     "<book><title>Mostly Harmless</title>"
     "<price>7.50</price><isbn code='0345418778'>extant</isbn></book>"
 )
+
+
+def _brute_force(manager, keep):
+    """Sorted nids of every TEXT/ATTR leaf whose ``text_of`` passes."""
+    return sorted(
+        doc.nid[pre]
+        for doc in manager.store.documents.values()
+        for pre in range(len(doc))
+        if doc.kind[pre] in (TEXT, ATTR) and keep(doc.text_of(pre))
+    )
+
+
+def _assert_matches_brute_force(manager, needle):
+    assert list(manager.lookup_contains(needle)) == _brute_force(
+        manager, lambda text: needle in text)
+    pattern = re.escape(needle)
+    assert list(manager.lookup_regex(pattern)) == _brute_force(
+        manager, lambda text: re.search(pattern, text) is not None)
 
 
 @pytest.fixture()
@@ -102,31 +124,34 @@ class TestLookupContains:
         assert scan_hits == sorted(scan_hits)
 
     def test_leaf_cache_populated_and_reused(self, manager):
-        list(manager.lookup_contains("x"))
-        assert set(manager._leaf_nids_cache) == {"a", "b"}
-        cached = manager._leaf_nids_cache["a"]
-        list(manager.lookup_contains("y"))
-        assert manager._leaf_nids_cache["a"] is cached
+        """Both scan needles (under q) and index needles, asked twice:
+        every answer equals the brute-force scan."""
+        for needle in ("x", "y", "5.", "Guide", "x", "Guide"):
+            _assert_matches_brute_force(manager, needle)
 
     def test_cache_invalidated_by_structural_change(self, manager):
-        list(manager.lookup_contains("x"))
+        _assert_matches_brute_force(manager, "x")
         doc = manager.store.document("a")
         manager.insert_xml(doc.nid[0], "<extra>fresh text</extra>")
-        assert "a" not in manager._leaf_nids_cache
         assert len(list(manager.lookup_contains("fresh text"))) == 1
+        for needle in ("x", "fresh", "e"):
+            _assert_matches_brute_force(manager, needle)
 
     def test_cache_invalidated_by_unload(self, manager):
-        list(manager.lookup_contains("zz"))  # short needle: scan path
+        _assert_matches_brute_force(manager, "zz")  # short needle: scan
         manager.unload("a")
-        assert "a" not in manager._leaf_nids_cache
         assert list(manager.lookup_contains("Hitchhikers")) == []
+        for needle in ("zz", "e", "extant", "Hitchhikers"):
+            _assert_matches_brute_force(manager, needle)
 
     def test_no_substring_index_uses_scan(self):
         m = IndexManager()  # no substring index
         m.load("a", DOC_A)
+        m.load("b", DOC_B)
         hits = list(m.lookup_contains("Hitchhikers"))
         assert len(hits) == 1
-        assert "a" in m._leaf_nids_cache
+        for needle in ("Hitchhikers", "x", "0345", "e"):
+            _assert_matches_brute_force(m, needle)
 
     def test_regex_results_sorted(self, manager):
         hits = list(manager.lookup_regex(r"03454\d+"))

@@ -4,6 +4,7 @@ Each test drives a live :class:`~repro.server.ServerThread` over real
 sockets with the blocking :class:`~repro.client.Client`.
 """
 
+import base64
 import time
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from repro import wire
 from repro.client import Client, ClientError
 
-from ..concurrent.harness import classified_text_nids
+from ..concurrent.harness import classified_text_nids, fixture_xml
 
 
 class TestHandshake:
@@ -175,6 +176,42 @@ class TestErrors:
             with pytest.raises(ClientError) as err:
                 client.call("update", action="shred")
         assert err.value.code == wire.E_BAD_REQUEST
+
+
+class TestFrameCap:
+    def test_oversized_response_fails_its_request(self, served, monkeypatch):
+        """An answer over the frame cap fails its own request, with its
+        request id: the client does not wait out its timeout."""
+        served.db.load("big", fixture_xml(3000))
+        monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 20_000)
+        with Client(served.host, served.port, timeout=5.0) as client:
+            started = time.monotonic()
+            with pytest.raises(ClientError) as err:
+                client.query_rows("//p")
+            assert time.monotonic() - started < 4.0
+            assert err.value.code == wire.E_INTERNAL
+            assert "exceeds" in str(err.value)
+            assert client.ping() == {}  # the connection survives
+            assert len(client.query_rows("//p", document="people")) == 30
+        counters = served.db.metrics()["counters"]
+        assert counters["server.errors.internal"] == 1
+
+    def test_export_chunk_is_capped(self, served, monkeypatch):
+        """``doc.export`` serves at most ``DEFAULT_CHUNK`` bytes per
+        chunk, whatever ``length`` asks for (a chunk near the frame cap
+        would outgrow it once base64-encoded)."""
+        from repro.repl import primary
+
+        monkeypatch.setattr(primary, "DEFAULT_CHUNK", 256)
+        whole = served.db.export_document("people")
+        assert len(whole) > 256
+        with Client(served.host, served.port) as client:
+            first = client.call("doc.export", name="people", offset=0,
+                                length=64 << 20)
+            assert len(base64.b64decode(first["data"])) == 256
+            assert not first["eof"]
+            assert client.export_document("people",
+                                          chunk_bytes=64 << 20) == whole
 
 
 class TestAdmissionControl:

@@ -87,6 +87,27 @@ class TestScatterGather:
             expected = [(d, p) for d, p, _n in oracle.query_rows("//p")]
         assert cluster2.query_pres("//p") == expected
 
+    def test_scatter_runs_one_plan_per_shard(self, cluster2):
+        """A documents-scoped scatter over several documents per shard
+        runs one plan over each shard's store view, not one per
+        listed document."""
+        for name, shard in [("d0", 0), ("d1", 1), ("d2", 0), ("d3", 1),
+                            ("d4", 0)]:
+            cluster2.load(name, fixture_xml(persons=6), shard=shard)
+
+        def executed():
+            return {
+                shard: snap["counters"].get("query.executed", 0)
+                for shard, snap in cluster2.metrics()["shards"].items()
+            }
+
+        before = executed()
+        rows = cluster2.query("//p[.//age = 3]")
+        after = executed()
+        assert {doc for doc, _pre, _nid in rows} == {
+            "d0", "d1", "d2", "d3", "d4"}
+        assert {s: after[s] - before[s] for s in after} == {0: 1, 1: 1}
+
     def test_document_scoped_query_hits_one_shard(self, cluster2):
         cluster2.load("a", fixture_xml(persons=3), shard=0)
         cluster2.load("b", fixture_xml(persons=3), shard=1)

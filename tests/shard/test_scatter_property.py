@@ -5,7 +5,9 @@ from the evaluation workload — the scatter-gathered result must be
 bit-identical to the single-engine oracle computed per document with
 :func:`repro.query.evaluate_naive`: same ``(document, pre)`` rows, same
 global order (document load order, then pre), and no duplicates across
-the per-shard ``Union`` boundaries.
+the per-shard ``Union`` boundaries.  Two placements get a test of
+their own: an interleaved one, and a migrated document whose source
+copy an open :class:`~repro.shard.ClusterView` still retains.
 """
 
 import random
@@ -91,5 +93,59 @@ def test_hash_placement_matches_oracle(tmp_path, corpus):
             cluster.load(name, xml)
         for _label, text in _POOL:
             assert cluster.query_pres(text) == _oracle(corpus, names, text)
+    finally:
+        cluster.stop()
+
+#: Queries with rows in two to four corpus documents (every pool query
+#: selects from one dataset only), so the gather has groups to order.
+_ACROSS = [
+    ("root elements", "/*"),
+    ("contains on every document", '//*[contains(., "vogon")]'),
+    ("string equality", '//*[. = "1999"]'),
+    ("typed range", "//*[year >= 1999]"),
+    ("name test", "//title"),
+]
+
+
+def _check_queries(cluster, corpus, order, texts, view=None):
+    for label, text in texts:
+        got = cluster.query_pres(text, view=view)
+        assert got == _oracle(corpus, order, text), (
+            f"query={label!r} view={view is not None}: gather order "
+            "diverged from the single-engine order"
+        )
+
+
+def test_interleaved_placement_matches_oracle(tmp_path, corpus):
+    """Every shard holds documents that are not adjacent in load order
+    (and neither shard's first document is the first one loaded)."""
+    names = [name for name, _xml, _doc in corpus]
+    cluster = make_cluster(tmp_path, shards=2)
+    try:
+        for shard, (name, xml, _doc) in zip([1, 0, 1, 0], corpus):
+            cluster.load(name, xml, shard=shard)
+        _check_queries(cluster, corpus, names,
+                       _ACROSS + random.Random(7).sample(_POOL, 4))
+    finally:
+        cluster.stop()
+
+
+def test_migrated_document_retained_by_open_view(tmp_path, corpus):
+    """Migrate the first document while a view is open.  The source
+    keeps its copy for the view, so it now holds a document it was not
+    asked for; the destination holds the document last in its store.
+    Pinned and un-pinned queries must both match the oracle."""
+    names = [name for name, _xml, _doc in corpus]
+    cluster = make_cluster(tmp_path, shards=2)
+    try:
+        for shard, (name, xml, _doc) in zip([0, 0, 1, 1], corpus):
+            cluster.load(name, xml, shard=shard)
+        texts = _ACROSS + random.Random(11).sample(_POOL, 4)
+        with cluster.read_view() as view:
+            cluster.migrate_document(names[0], 1)
+            assert cluster.manifest.placement[names[0]] == 1
+            _check_queries(cluster, corpus, names, texts, view=view)
+            _check_queries(cluster, corpus, names, texts)
+        _check_queries(cluster, corpus, names, texts)
     finally:
         cluster.stop()
