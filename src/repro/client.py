@@ -16,7 +16,14 @@ Two flavours over the same length-prefixed JSON frames
 Failures come back as :class:`ClientError` carrying the server's
 stable error code (``busy``, ``view_invalid``, ...); ``busy``
 rejections include the server's ``retry_after_ms`` hint, which
-:meth:`Client.update_text`'s optional retry loop honours.
+:meth:`Client.update_text`'s optional retry loop honours.  A
+:class:`Client` whose connection failed (a read timed out part-way
+through a frame, the peer closed, a torn frame) closes it: that call
+and every later one raise ``ClientError("disconnected")``, since the
+stream is no longer at a frame boundary.
+
+``query`` answers arrive as packed columns (:func:`repro.wire.unpack_rows`);
+``(document, pre, nid)`` tuples are built only by ``query_rows``.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from typing import Any
 
 from . import wire
 from .errors import ReproError
+from .xmldb.columns import RowColumns
 
 __all__ = ["Client", "AsyncClient", "ClientError"]
 
@@ -66,6 +74,8 @@ class Client:
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._next_id = 1
         self._pending: dict[int, dict] = {}
+        #: Why the connection was dropped, once it has been.
+        self._lost: str | None = None
 
     def close(self) -> None:
         try:
@@ -81,24 +91,45 @@ class Client:
 
     # -- pipelined primitives -------------------------------------------
 
+    def _disconnected(self, reason: str | None = None) -> ClientError:
+        """Drop the connection (once) and the error every call on it
+        raises from now on."""
+        if self._lost is None:
+            self._lost = reason
+            self.close()
+        return ClientError("disconnected", self._lost, {})
+
     def send(self, op: str, **params: Any) -> int:
         """Fire one request without waiting; returns its id."""
+        if self._lost is not None:
+            raise self._disconnected()
         request_id = self._next_id
         self._next_id += 1
         message = {"id": request_id, "op": op}
         message.update(params)
-        wire.write_frame(self._sock, message)
+        frame = wire.encode_frame(message)
+        try:
+            self._sock.sendall(frame)
+        except OSError as exc:
+            # Part of the frame may be out: the stream is torn.
+            raise self._disconnected(f"send failed: {exc}") from exc
         return request_id
 
     def receive(self, request_id: int) -> dict:
         """The response for ``request_id`` (drains out-of-order ones)."""
         while request_id not in self._pending:
-            response = wire.read_frame(self._sock)
+            if self._lost is not None:
+                raise self._disconnected()
+            try:
+                response = wire.read_frame(self._sock)
+            except (OSError, wire.WireError) as exc:
+                # A timeout may strike mid-frame: what follows on the
+                # socket is no longer a frame header.
+                raise self._disconnected(
+                    f"connection lost: {type(exc).__name__}: {exc}"
+                ) from exc
             if response is None:
-                raise ClientError(
-                    "disconnected", "server closed the connection",
-                    {},
-                )
+                raise self._disconnected("server closed the connection")
             self._pending[response.get("id")] = response
         return _unwrap(self._pending.pop(request_id))
 
@@ -129,10 +160,9 @@ class Client:
     def ping(self) -> dict:
         return self.call("ping")
 
-    def query(self, xpath: str, document: str | None = None,
-              use_indexes: bool | str = True,
-              view: int | None = None,
-              as_of: int | None = None) -> list[int]:
+    def _query(self, xpath: str, document: str | None,
+               use_indexes: bool | str, view: int | None,
+               as_of: int | None) -> RowColumns:
         params: dict[str, Any] = {"xpath": xpath, "use_indexes": use_indexes}
         if document is not None:
             params["document"] = document
@@ -140,23 +170,27 @@ class Client:
             params["view"] = view
         if as_of is not None:
             params["as_of"] = as_of
-        return self.call("query", **params)["nids"]
+        return wire.unpack_rows(self.call("query", **params))
+
+    def query(self, xpath: str, document: str | None = None,
+              use_indexes: bool | str = True,
+              view: int | None = None,
+              as_of: int | None = None) -> list[int]:
+        """Matching node ids in document order (like
+        :meth:`Database.query <repro.shard.engine.ShardEngine.query>`)."""
+        return self._query(xpath, document, use_indexes, view,
+                           as_of).nids.tolist()
 
     def query_rows(self, xpath: str, document: str | None = None,
                    use_indexes: bool | str = True,
                    view: int | None = None,
-                   as_of: int | None = None) -> list[list]:
-        """Query returning ``[document, pre, nid]`` rows (the
+                   as_of: int | None = None) -> list[tuple[str, int, int]]:
+        """Query returning ``(document, pre, nid)`` tuples, equal to
+        :meth:`Database.query_rows
+        <repro.shard.engine.ShardEngine.query_rows>` on the server (the
         placement-independent shape the shard coordinator merges)."""
-        params: dict[str, Any] = {"xpath": xpath, "use_indexes": use_indexes,
-                                  "rows": True}
-        if document is not None:
-            params["document"] = document
-        if view is not None:
-            params["view"] = view
-        if as_of is not None:
-            params["as_of"] = as_of
-        return self.call("query", **params)["rows"]
+        return self._query(xpath, document, use_indexes, view,
+                           as_of).rows()
 
     def epochs(self) -> dict:
         """The server's retained time-travel window: ``epochs`` (oldest
@@ -319,7 +353,8 @@ class AsyncClient:
         params: dict[str, Any] = {"xpath": xpath, "use_indexes": use_indexes}
         if view is not None:
             params["view"] = view
-        return (await self.call("query", **params))["nids"]
+        result = await self.call("query", **params)
+        return wire.unpack_rows(result).nids.tolist()
 
     async def update_text(self, nid: int, text: str,
                           busy_retries: int = 0) -> dict:

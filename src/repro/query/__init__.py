@@ -14,7 +14,14 @@ from .plan import (
     Union,
     render_plan,
 )
-from .planner import Explanation, build_plan, explain, query, query_rows
+from .planner import (
+    Explanation,
+    build_plan,
+    explain,
+    query,
+    query_columns,
+    query_rows,
+)
 
 __all__ = [
     "AncestorWalk",
@@ -34,6 +41,7 @@ __all__ = [
     "explain",
     "parse_query",
     "query",
+    "query_columns",
     "query_rows",
     "render_plan",
 ]

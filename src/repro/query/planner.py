@@ -36,12 +36,11 @@ lookup scans its index once.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
 from ..core.manager import IndexManager
-from ..xmldb.columns import DocColumns
+from ..xmldb.columns import DocColumns, RowColumns
 from ..xmldb.document import Document
 from .ast import (
     AttributeTest,
@@ -67,7 +66,8 @@ from .plan import (
 )
 from .parser import parse_query
 
-__all__ = ["query", "query_rows", "explain", "Explanation", "build_plan"]
+__all__ = ["query", "query_columns", "query_rows", "explain", "Explanation",
+           "build_plan"]
 
 #: ``auto`` mode scans when the index is expected to return more than
 #: this fraction of the store's nodes as candidates.
@@ -585,7 +585,7 @@ def _evaluate(
 ) -> tuple[DocColumns, np.ndarray]:
     """Plan ``text`` and run the plan once over its scope's column
     view: ``(view, sorted rows)`` — what :func:`query` and
-    :func:`query_rows` turn into their two result shapes."""
+    :func:`query_columns` turn into their two result shapes."""
     if use_indexes not in (True, False, "auto"):
         raise ValueError("use_indexes must be True, False or 'auto'")
     parsed = _parse(text)
@@ -619,26 +619,28 @@ def query(
     return view.nid[pres].tolist()
 
 
+def query_columns(
+    manager: IndexManager,
+    text: str,
+    document: str | None = None,
+    use_indexes: bool | str = True,
+) -> RowColumns:
+    """Like :func:`query`, but the answer as :class:`RowColumns`:
+    document names and hit counts, then document-local pres and nids,
+    cut from the executor's row array with one ``searchsorted`` (a nid
+    is never resolved back to its row).  The shape the server sends."""
+    view, pres = _evaluate(manager, text, document, use_indexes)
+    return view.answer(pres)
+
+
 def query_rows(
     manager: IndexManager,
     text: str,
     document: str | None = None,
     use_indexes: bool | str = True,
 ) -> list[tuple[str, int, int]]:
-    """Like :func:`query`, but returns ``(document, pre, nid)`` rows,
-    built straight from the executor's row array, split by document
-    with one ``searchsorted`` (a nid is never resolved back to its
-    row)."""
-    view, pres = _evaluate(manager, text, document, use_indexes)
-    nids = view.nid[pres]
-    rows: list[tuple[str, int, int]] = []
-    for doc, offset, segment in view.segments(pres):
-        rows.extend(zip(
-            repeat(doc.name),
-            (pres[segment] - offset).tolist(),
-            nids[segment].tolist(),
-        ))
-    return rows
+    """Like :func:`query`, but returns ``(document, pre, nid)`` rows."""
+    return query_columns(manager, text, document, use_indexes).rows()
 
 
 class ExplainReport:

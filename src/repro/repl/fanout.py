@@ -91,7 +91,10 @@ class ReplicaSet:
     def query(self, xpath: str, **kwargs) -> list[int]:
         return self._read(lambda c: c.query(xpath, **kwargs))
 
-    def query_rows(self, xpath: str, **kwargs) -> list[list]:
+    def query_rows(self, xpath: str,
+                   **kwargs) -> list[tuple[str, int, int]]:
+        """``(document, pre, nid)`` tuples from one read member
+        (:meth:`Client.query_rows <repro.client.Client.query_rows>`)."""
         return self._read(lambda c: c.query_rows(xpath, **kwargs))
 
     def epochs(self) -> dict:

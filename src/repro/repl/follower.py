@@ -355,15 +355,20 @@ class FollowerServer:
             if self._proxy_client is None:
                 self._proxy_client = Client(host, port)
             try:
-                return self._proxy_client.call(op, **params)
-            except (ConnectionError, OSError):
-                # One reconnect attempt: the primary may have restarted.
-                try:
-                    self._proxy_client.close()
-                except OSError:
-                    pass
+                request_id = self._proxy_client.send(op, **params)
+            except ClientError:
+                # Only a dead connection fails a send: one reconnect
+                # attempt, the primary may have restarted.
                 self._proxy_client = Client(host, port)
-                return self._proxy_client.call(op, **params)
+                request_id = self._proxy_client.send(op, **params)
+            try:
+                return self._proxy_client.receive(request_id)
+            except ClientError as exc:
+                if exc.code == "disconnected":
+                    # A lost connection stays lost: the next call
+                    # opens a new one.
+                    self._proxy_client = None
+                raise
 
     def start(self) -> tuple[str, int]:
         from ..server import ServerThread

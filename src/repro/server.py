@@ -59,6 +59,7 @@ from .wire import (
     E_VIEW_INVALID,
     PROTOCOL_VERSION,
 )
+from .xmldb.columns import RowColumns
 
 __all__ = ["DatabaseServer", "RequestError", "ServerThread", "serve"]
 
@@ -424,19 +425,19 @@ class DatabaseServer:
                 placement=current,
             )
 
-    def _rows_of(self, text: str, document, documents: list | None,
-                 use_indexes, as_of):
-        """``query_rows`` over the store view.  With ``documents`` (a
+    def _columns_of(self, text: str, document, documents: list | None,
+                    use_indexes, as_of) -> RowColumns:
+        """``query_columns`` over the store view.  With ``documents`` (a
         coordinator scatter) the same pinned view also checks that
         every listed document is here — else ``doc_moved`` — and keeps
-        only their rows.  A document mid-migration exists on *two*
+        only their segments.  A document mid-migration exists on *two*
         shards and the coordinator's placement snapshot names the one
         that answers for it, so a shard must never answer for a
         document it merely happens to hold (double count), nor
         silently skip one it no longer holds (dropped rows)."""
         if documents is None:
-            return self.db.query_rows(text, document, use_indexes,
-                                      as_of=as_of)
+            return self.db.query_columns(text, document, use_indexes,
+                                         as_of=as_of)
         pin = (self._controller.read_view() if active_view() is None
                else nullcontext())
         with pin:
@@ -450,11 +451,15 @@ class DatabaseServer:
                         document=name,
                         placement=self.placement_version,
                     )
-            rows = self.db.query_rows(text, None, use_indexes, as_of=as_of)
+            columns = self.db.query_columns(text, None, use_indexes,
+                                            as_of=as_of)
             listed = set(documents)
             if len(listed) < len(held):
-                rows = [row for row in rows if row[0] in listed]
-            return rows
+                columns = RowColumns.join(
+                    (name, *segment)
+                    for name, segment in columns.split().items()
+                    if name in listed)
+            return columns
 
     async def _op_query(self, session, message) -> dict:
         text = self._require(message, "xpath")
@@ -471,22 +476,13 @@ class DatabaseServer:
         if documents is not None and not isinstance(documents, list):
             raise RequestError(E_BAD_REQUEST, "documents must be a list")
         self._check_placement(message)
-        if message.get("rows") or documents is not None:
-            # Scatter-gather shape: (document, pre, nid) rows — pre
-            # addresses survive re-placement, bare nids don't.  The
-            # engine maps rows at the same pinned epoch it evaluates.
-            rows = await self._run_read(
-                session, message,
-                lambda: self._rows_of(text, document, documents,
-                                      use_indexes, as_of),
-            )
-            return {"rows": [list(row) for row in rows]}
-        nids = await self._run_read(
+        # (document, pre) addresses survive re-placement, bare nids
+        # don't: every answer carries both, as packed columns.
+        return await self._run_read(
             session, message,
-            lambda: self.db.query(text, document, use_indexes,
-                                  as_of=as_of),
+            lambda: wire.pack_rows(self._columns_of(
+                text, document, documents, use_indexes, as_of)),
         )
-        return {"nids": nids}
 
     async def _op_lookup(self, session, message) -> dict:
         mode = self._require(message, "mode")

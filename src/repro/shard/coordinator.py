@@ -11,12 +11,11 @@ and presents the familiar engine API on top:
   unchanged — an update never spans shards;
 * **queries** scatter to every owning shard over the wire protocol
   (predicates travel with the query text, so each shard runs its one
-  plan over its own store view and only the ``(document, pre, nid)``
-  rows of the documents it was asked for come back), and the gather
-  side groups the rows by document and emits the groups in global
-  document order — exactly the order a single-shard engine would
-  produce, since placements are disjoint and each shard returns a
-  document's rows in pre order;
+  plan over its own store view and only the column segments of the
+  documents it was asked for come back), and the gather side
+  concatenates the segments in global document order — exactly the
+  order a single-shard engine would produce, since placements are
+  disjoint and a segment holds its document's rows in pre order;
 * **read views** pin a *consistent epoch vector* by two-phase
   publication: phase one pins a session view on every shard, phase
   two re-reads every shard's published epoch and retries until no
@@ -52,8 +51,6 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
-from itertools import groupby
-from operator import itemgetter
 from typing import Any, Iterator
 
 from .. import wire
@@ -61,6 +58,7 @@ from ..client import Client, ClientError
 from ..errors import ReproError
 from ..query.plan import RemotePlan, ScatterGather, number_plan, render_plan
 from ..storage import faults
+from ..xmldb.columns import RowColumns
 from .engine import ShardEngine, require_one_mode
 from .manifest import ShardingManifest
 
@@ -677,15 +675,15 @@ class ShardCluster:
                        view: ClusterView | None,
                        version: int | None) -> list[tuple[str, int, int]]:
         """One scatter round over an explicit placement plan: each
-        shard answers with the rows of the documents the plan lists for
-        it, and the gather emits them document by document in global
-        order.  Placements are disjoint and a shard returns each
-        document's rows in pre order, so document order is the whole
-        merge."""
+        shard answers with the column segments of the documents the
+        plan lists for it, and the gather concatenates them document by
+        document in global order.  Placements are disjoint and a
+        shard's segment holds a document's rows in pre order, so
+        document order is the whole merge."""
 
         def params(shard: int) -> dict:
             p: dict[str, Any] = {"xpath": xpath, "use_indexes": use_indexes,
-                                 "rows": True, "documents": plan[shard]}
+                                 "documents": plan[shard]}
             if version is not None:
                 p["placement"] = version
             if view is not None:
@@ -694,13 +692,14 @@ class ShardCluster:
                     p["view"] = token
             return p
 
-        by_doc: dict[str, list] = {}
+        segments: dict[str, tuple] = {}
         for result in self._scatter(sorted(plan), "query", params).values():
-            for name, group in groupby(result["rows"], key=itemgetter(0)):
-                by_doc.setdefault(name, []).extend(map(tuple, group))
+            segments.update(wire.unpack_rows(result).split())
         with self._route_lock:
             order = list(self.manifest.doc_order)
-        return [row for name in order for row in by_doc.get(name, ())]
+        return RowColumns.join(
+            (name, *segments[name]) for name in order if name in segments
+        ).rows()
 
     def query_pres(self, xpath: str, document: str | None = None,
                    use_indexes: bool | str = True,

@@ -29,7 +29,7 @@ from ..core import IndexManager
 from ..core.concurrency import active_view
 from ..query import explain as _explain
 from ..query import query as _query
-from ..query import query_rows as _query_rows
+from ..query import query_columns as _query_columns
 from ..storage import faults
 from ..storage.groupcommit import GroupCommitLog
 from ..storage.persist import (
@@ -53,6 +53,7 @@ from ..storage.wal import (
     WriteAheadLog,
     replay_records,
 )
+from ..xmldb.columns import RowColumns
 
 __all__ = ["ShardEngine", "RecoveryReport", "require_one_mode"]
 
@@ -510,12 +511,19 @@ class ShardEngine:
         nids are surrogates of one engine's nid space; ``(document,
         pre)`` addresses are stable across *placements*, which is what
         the scatter-gather coordinator merges and what the cross-shard
-        differential suite compares bit-for-bit.  The rows are built
-        from the executor's pre arrays at the evaluation's own pinned
-        epoch.
+        differential suite compares bit-for-bit.
         """
+        return self.query_columns(text, document, use_indexes,
+                                  as_of=as_of).rows()
+
+    def query_columns(self, text: str, document: str | None = None,
+                      use_indexes: bool | str = True,
+                      as_of: int | None = None) -> RowColumns:
+        """The answer of :meth:`query_rows` as packed columns (what the
+        server sends), built from the executor's row array at the
+        evaluation's own pinned epoch."""
         with self._read_scope(as_of):
-            return _query_rows(self.manager, text, document, use_indexes)
+            return _query_columns(self.manager, text, document, use_indexes)
 
     def explain(self, text: str, document: str | None = None,
                 execute: bool = False):

@@ -14,6 +14,12 @@ request id, clients may **pipeline**: send many requests without
 waiting, and match responses as they arrive (the server may answer
 out of order).
 
+A ``query`` answer is packed columns (:func:`pack_rows`): the
+documents and their hit counts as JSON lists, the pres and nids as
+base64 of little-endian integer arrays (int32 when every value of the
+column fits, else int64) — no per-row JSON, and no document name
+repeated per row.
+
 The frame length is capped (:data:`MAX_FRAME_BYTES`) so a corrupt or
 hostile peer cannot make the other side buffer unboundedly; an
 oversized header is a protocol error and the connection is dropped.
@@ -23,9 +29,17 @@ See ``docs/serving.md`` for the full protocol specification.
 
 from __future__ import annotations
 
+import array
+import base64
+import binascii
 import json
 import socket
 import struct
+import sys
+
+import numpy as np
+
+from .xmldb.columns import RowColumns
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -40,6 +54,8 @@ __all__ = [
     "error_response",
     "hello_request",
     "check_hello",
+    "pack_rows",
+    "unpack_rows",
     "E_BAD_REQUEST",
     "E_UNKNOWN_OP",
     "E_BUSY",
@@ -55,7 +71,8 @@ __all__ = [
 ]
 
 #: Bumped on incompatible protocol changes; exchanged in ``hello``.
-PROTOCOL_VERSION = 1
+#: Version 2: every ``query`` answer is packed columns.
+PROTOCOL_VERSION = 2
 
 #: Optional capabilities this protocol version serves.  A client may
 #: name the features it needs in its ``hello``; a server that lacks
@@ -67,6 +84,17 @@ FEATURES = ("views", "rows", "scatter", "replication", "as_of", "elastic")
 MAX_FRAME_BYTES = 16 << 20
 
 _HEADER = struct.Struct(">I")
+
+#: Element types of the packed ``pres``/``nids`` columns.
+_INT32 = np.dtype("<i4")
+_INT64 = np.dtype("<i8")
+_INT32_LIMIT = 1 << 31
+#: Shortest column :func:`pack_rows` packs as int32 when it can: a
+#: range check costs about as much as 60 values' worth of int64 bytes.
+NARROW_MIN = 64
+#: ``array`` type code per element width (``i`` and ``q`` are 4 and 8
+#: bytes wherever CPython runs; the table makes that a lookup).
+_TYPECODES = {array.array(code).itemsize: code for code in "qi"}
 
 # Stable error codes (the ``error`` field of failure responses).
 E_BAD_REQUEST = "bad_request"      # malformed frame/params
@@ -177,3 +205,66 @@ def check_hello(message: dict) -> str | None:
     if missing:
         return f"unsupported features requested: {', '.join(missing)}"
     return None
+
+
+def _pack_ints(values: np.ndarray) -> str:
+    # Each value in 4 bytes when every one fits (pres always, and the
+    # nids of a single engine), else in 8: half the bytes to encode,
+    # escape-scan and decode on each side.  A column shorter than
+    # NARROW_MIN stays int64: checking the range would cost more than
+    # the bytes it saves.  The reader tells the width from the
+    # column's length and the row count.
+    narrow = values.size >= NARROW_MIN and bool(
+        np.minimum.reduce(values) >= -_INT32_LIMIT
+        and np.maximum.reduce(values) < _INT32_LIMIT)
+    return base64.b64encode(np.ascontiguousarray(
+        values, _INT32 if narrow else _INT64)).decode("ascii")
+
+
+def _unpack_ints(text: str, rows: int) -> array.array:
+    # array.array, not numpy: the client only turns the column into
+    # Python ints, and numpy's per-call overhead shows on small answers.
+    raw = binascii.a2b_base64(text)
+    width, spare = divmod(len(raw), rows) if rows else (4, len(raw))
+    typecode = _TYPECODES.get(width)
+    if spare or typecode is None:
+        raise WireError(f"a column of {len(raw)} bytes cannot hold "
+                        f"{rows} int32 or int64 values")
+    values = array.array(typecode, raw)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values
+
+
+def pack_rows(columns: RowColumns) -> dict:
+    """A ``query`` result: ``{"documents": [name, ...], "counts": [n,
+    ...], "pres": b64(<i4 or <i8), "nids": b64(<i4 or <i8)}``."""
+    return {
+        "documents": columns.documents,
+        "counts": columns.counts,
+        "pres": _pack_ints(columns.pres),
+        "nids": _pack_ints(columns.nids),
+    }
+
+
+def unpack_rows(result: dict) -> RowColumns:
+    """Inverse of :func:`pack_rows`; :class:`WireError` on a result
+    that is not one (missing keys, bad base64, columns whose lengths
+    disagree with the counts)."""
+    try:
+        documents, counts = result["documents"], result["counts"]
+        rows = sum(counts)
+        pres = _unpack_ints(result["pres"], rows)
+        nids = _unpack_ints(result["nids"], rows)
+    except (KeyError, TypeError, ValueError) as exc:
+        # binascii.Error (bad base64) is a ValueError.
+        raise WireError(f"malformed query result: {exc}") from None
+    if (type(documents) is not list or type(counts) is not list
+            or len(documents) != len(counts)
+            or not all(type(count) is int and count >= 0
+                       for count in counts)):
+        raise WireError(
+            f"query result lists {len(documents)} documents and "
+            f"{len(counts)} counts, not one count (an int >= 0) "
+            "per document")
+    return RowColumns(documents, counts, pres, nids)

@@ -30,7 +30,8 @@ store-wide id table — the paper's single pre/size/level table of the
 whole collection, over which a query is one pipeline.
 Text stays per document (``text_id`` holds each document's own heap
 slots); :meth:`DocColumns.segments` hands a batch of rows to the
-documents that hold them.
+documents that hold them, and :meth:`DocColumns.answer` turns a
+query's rows into its :class:`RowColumns` answer.
 
 A view is immutable; a document caches its own per *structural* state
 and drops it on any splice/rename (text-value updates do not touch
@@ -41,13 +42,14 @@ has changed.
 
 from __future__ import annotations
 
-from typing import Iterator
+from itertools import accumulate, chain, repeat
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .names import Vocabulary
 
-__all__ = ["DocColumns", "EMPTY_PRES", "string_equal_pres"]
+__all__ = ["DocColumns", "EMPTY_PRES", "RowColumns", "string_equal_pres"]
 
 #: Shared empty row-id batch (int64, the pre-plane dtype).
 EMPTY_PRES = np.empty(0, dtype=np.int64)
@@ -55,6 +57,52 @@ EMPTY_PRES = np.empty(0, dtype=np.int64)
 # document.ELEM / document.TEXT (kept literal: no circular import)
 _ELEM = 1
 _TEXT = 2
+
+
+class RowColumns(NamedTuple):
+    """A query answer as columns, the paper's postings-as-id-lists
+    layout carried through to results: the documents holding hits in
+    store order, each with its number of hits, then every hit's
+    document-local pre and its nid, one integer array each (an int64
+    numpy array where the executor made it, an ``array.array`` where
+    :func:`repro.wire.unpack_rows` decoded it), segment by segment in
+    the same order.  A row ``(document, pre, nid)`` exists only at a
+    public edge that asks for it (:meth:`rows`)."""
+
+    documents: list
+    counts: list
+    pres: Sequence[int]
+    nids: Sequence[int]
+
+    def rows(self) -> list[tuple[str, int, int]]:
+        """``(document, pre, nid)`` tuples, in answer order."""
+        if len(self.documents) == 1:
+            names = repeat(self.documents[0])
+        else:
+            names = chain.from_iterable(
+                map(repeat, self.documents, self.counts))
+        return list(zip(names, self.pres.tolist(), self.nids.tolist()))
+
+    def split(self) -> dict[str, tuple[Sequence[int], Sequence[int]]]:
+        """``{document: (pres, nids)}``, one entry per segment."""
+        cuts = list(accumulate(self.counts, initial=0))
+        return {
+            name: (self.pres[lo:hi], self.nids[lo:hi])
+            for name, lo, hi in zip(self.documents, cuts, cuts[1:])
+        }
+
+    @classmethod
+    def join(
+        cls, segments: Iterable[tuple[str, Sequence[int], Sequence[int]]]
+    ) -> "RowColumns":
+        """The answer made of ``(document, pres, nids)`` segments, in
+        the order given."""
+        segments = list(segments)
+        if not segments:
+            return cls([], [], EMPTY_PRES, EMPTY_PRES)
+        names, pres, nids = zip(*segments)
+        return cls(list(names), [len(part) for part in pres],
+                   np.concatenate(pres), np.concatenate(nids))
 
 
 class DocColumns:
@@ -161,6 +209,26 @@ class DocColumns:
         ):
             if lo < hi:
                 yield doc, offset, slice(lo, hi)
+
+    def answer(self, pres: "np.ndarray") -> RowColumns:
+        """The sorted rows ``pres`` as a query answer: cut by document
+        with one ``searchsorted`` (as :meth:`segments` does), each row
+        shifted to its document's pre by one vector subtraction."""
+        nids = self.nid[pres]
+        if len(self.docs) == 1:  # a one-document view needs no cut
+            held = [self.docs[0].name] if pres.size else []
+            return RowColumns(held, [pres.size] if held else [], pres, nids)
+        cuts = np.searchsorted(pres, self.offsets)
+        bounds = cuts.tolist()
+        names, counts = [], []
+        for doc, lo, hi in zip(self.docs, bounds, bounds[1:]):
+            if lo < hi:
+                names.append(doc.name)
+                counts.append(hi - lo)
+        local = pres
+        if bounds[1] < bounds[-1]:  # some hit lies past the first document
+            local = pres - self.offsets[:-1].repeat(cuts[1:] - cuts[:-1])
+        return RowColumns(names, counts, local, nids)
 
     def text_positions(self) -> "np.ndarray":
         """Sorted rows of the TEXT nodes (lazy, cached).

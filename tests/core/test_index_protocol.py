@@ -158,7 +158,8 @@ class TestNoSidePaths:
     second bench emitter beside the drivers' ``claims`` — no engine
     mode without the concurrency controller or group commit — no
     second way to migrate a document — and no read that loops per
-    document or per candidate beside the one store-wide pipeline."""
+    document or per candidate beside the one store-wide pipeline — and
+    no query answer sent as per-row JSON."""
 
     SOURCES = sorted(pathlib.Path(repro.__file__).parent.rglob("*.py"))
     #: pattern -> the one module (if any) allowed to match it.
@@ -193,13 +194,18 @@ class TestNoSidePaths:
         r"\.staging-": None,
         r'method="(snapshot|direct)"': None,
         # One read pipeline: a scatter runs one plan per shard and the
-        # gather groups rows by document; lookups verify candidates in
-        # batch over the store view.
+        # gather concatenates column segments by document; lookups
+        # verify candidates in batch over the store view.
         r"\b_leaf_nids_cache\b": None,
         r"\b_documents_query\b": None,
         r"\b_merge_rows\b": None,
         r"\bPRE_BITS\b": None,
         r"verify: bool": None,
+        # One query answer shape: packed columns, no per-row lists and
+        # no request flag choosing rows over nids.
+        r"\[list\(row\) for row in": None,
+        r'result\["rows"\]': None,
+        r'"rows": True': None,
     }
 
     @pytest.mark.parametrize("pattern", list(FORBIDDEN))

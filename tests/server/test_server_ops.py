@@ -88,9 +88,8 @@ class TestQueries:
             # Collect in reverse: responses are matched by id, not order.
             results = {rid: client.receive(rid) for rid in reversed(ids)}
         for k, rid in enumerate(ids):
-            assert results[rid]["nids"] == served.db.query(
-                "//p[.//age = %d]" % k
-            )
+            assert wire.unpack_rows(results[rid]).nids.tolist() \
+                == served.db.query("//p[.//age = %d]" % k)
 
 
 class TestPinnedViews:

@@ -1,11 +1,15 @@
-"""Framing-layer tests: length-prefixed JSON frames."""
+"""Framing-layer tests: length-prefixed JSON frames, and a client that
+loses its place in the frame stream."""
 
 import socket
 import struct
+import threading
+import time
 
 import pytest
 
 from repro import wire
+from repro.client import Client, ClientError
 
 
 def _pair():
@@ -127,3 +131,53 @@ class TestResponseShapes:
         assert response["ok"] is False
         assert response["error"] == "busy"
         assert response["retry_after_ms"] == 25.0
+
+
+def _half_frame_server(listener: socket.socket, stall: float,
+                       seen: dict) -> None:
+    """Answer one request with a frame cut in half, stall, then send
+    the rest and a second, complete frame; record whether the client
+    hung up rather than sending another request."""
+    conn, _addr = listener.accept()
+    with conn:
+        request = wire.read_frame(conn)
+        first = wire.encode_frame(wire.ok_response(
+            request["id"], {"pad": "x" * 64}))
+        second = wire.encode_frame(wire.ok_response(request["id"] + 1, {}))
+        try:
+            conn.sendall(first[:len(first) // 2])
+            time.sleep(stall)
+            conn.sendall(first[len(first) // 2:] + second)
+            conn.settimeout(5)
+            seen["after"] = conn.recv(1024)
+        except OSError as exc:
+            seen["after"] = exc
+
+
+class TestTornRead:
+    def test_timeout_mid_frame_drops_the_connection(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        host, port = listener.getsockname()[:2]
+        seen: dict = {}
+        server = threading.Thread(target=_half_frame_server,
+                                  args=(listener, 0.6, seen), daemon=True)
+        server.start()
+        try:
+            client = Client(host, port, timeout=0.2)
+            with pytest.raises(ClientError) as first:
+                client.ping()
+            assert first.value.code == "disconnected"
+            time.sleep(0.6)  # the rest of the frame has arrived by now
+            for _ in range(2):
+                with pytest.raises(ClientError) as later:
+                    client.ping()
+                assert later.value.code == "disconnected"
+            client.close()
+        finally:
+            server.join(timeout=10)
+            listener.close()
+        assert not server.is_alive()
+        # The client closed its socket at the first failure: the server
+        # reads end-of-stream (or a reset), never a second request.
+        after = seen["after"]
+        assert after == b"" or isinstance(after, ConnectionError)

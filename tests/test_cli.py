@@ -75,6 +75,27 @@ class TestQueryLookup:
         assert main(["query", db, "//first", "--no-index"]) == 0
         assert "hit(s)" in capsys.readouterr().out
 
+    def test_query_over_connect_prints_tuple_rows(self, db, capsys):
+        from repro.database import Database
+        from repro.server import ServerThread
+
+        text = "//age/text()"
+        opened = Database(db)
+        opened.load("person2", PERSON)
+        rows = opened.query_rows(text)
+        thread = ServerThread(opened)
+        host, port = thread.start()
+        try:  # the server's drain closes the database
+            capsys.readouterr()
+            assert main(["query", text, "--connect", f"{host}:{port}"]) == 0
+        finally:
+            thread.stop()
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"{len(rows)} hit(s)"
+        assert lines[1:] == [f"  [{doc}] pre {pre} (nid {nid})"
+                             for doc, pre, nid in rows]
+        assert [doc for doc, _pre, _nid in rows] == ["person", "person2"]
+
     def test_lookup_string(self, db, capsys):
         assert main(["lookup", db, "--string", "ArthurDent"]) == 0
         assert "1 hit(s)" in capsys.readouterr().out
