@@ -29,8 +29,6 @@
 #   make bench-concurrent — concurrent serving sweep
 #                  (emits BENCH_concurrent_serve.json; fails when a
 #                  group-commit claim does not hold)
-#   make bench-serve — network serving bench: N client connections
-#                  against one server (emits BENCH_serve_network.json)
 #   make bench-shard — scatter-gather scale-out sweep over shard
 #                  counts, differential-verified against the
 #                  single-engine oracle (emits BENCH_shard_scaleout.json)
@@ -43,7 +41,8 @@
 #                  — alternating parent/change runs of the BENCHMARK.json
 #                  command (tools/pairs.py) on one workload or all of
 #                  them: medians, quartiles, pairs won and a verdict per
-#                  metric; OUT also writes every run as JSON
+#                  metric; OUT also writes every run as JSON.
+#                  wire_read and wire_mixed time the network server
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -54,7 +53,7 @@ PAIRS ?= 10
 
 .PHONY: test lint faults concurrent serve-test shard-test repl-test \
 	elastic-test stress paper bench-concurrent \
-	bench-serve bench-shard bench-repl bench-elastic pairs
+	bench-shard bench-repl bench-elastic pairs
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -96,9 +95,6 @@ paper:
 
 bench-concurrent:
 	$(PYTHON) -m repro.bench.concurrent
-
-bench-serve:
-	$(PYTHON) -m repro.bench.serve
 
 bench-shard:
 	$(PYTHON) -m repro.bench.shard

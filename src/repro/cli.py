@@ -278,8 +278,6 @@ def cmd_serve(args) -> int:
         asyncio.run(serve(
             db, args.host, args.port,
             max_pending_updates=args.max_pending_updates,
-            read_workers=args.read_workers,
-            write_workers=args.write_workers,
         ))
     except KeyboardInterrupt:
         pass
@@ -381,7 +379,7 @@ def cmd_resize(args) -> int:
 
 def cmd_bench(args) -> int:
     from .bench import concurrent, elastic, figure9, figure10, figure11, \
-        repl, serve, shard, table1
+        repl, shard, table1
 
     module = {
         "table1": table1,
@@ -389,7 +387,6 @@ def cmd_bench(args) -> int:
         "figure10": figure10,
         "figure11": figure11,
         "concurrent": concurrent,
-        "serve": serve,
         "shard": shard,
         "repl": repl,
         "elastic": elastic,
@@ -483,10 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-pending-updates", type=int, default=64,
                    help="admission bound on in-flight updates "
                         "(beyond it: busy + retry_after_ms)")
-    p.add_argument("--read-workers", type=int, default=8,
-                   help="reader thread-pool size")
-    p.add_argument("--write-workers", type=int, default=8,
-                   help="writer thread-pool size")
     p.add_argument("--shards", type=int, default=None,
                    help="serve a shard cluster: one engine process per "
                         "shard (docs/sharding.md)")
@@ -542,8 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run a paper experiment")
     p.add_argument("experiment",
                    choices=["table1", "figure9", "figure10", "figure11",
-                            "concurrent", "serve", "shard", "repl",
-                            "elastic"])
+                            "concurrent", "shard", "repl", "elastic"])
     p.set_defaults(fn=cmd_bench)
     return parser
 

@@ -1,17 +1,9 @@
-"""Clients for the :mod:`repro.server` wire protocol.
+"""The blocking client for the :mod:`repro.server` wire protocol.
 
-Two flavours over the same length-prefixed JSON frames
-(:mod:`repro.wire`):
-
-* :class:`Client` — a blocking, one-request-at-a-time client for
-  tests, scripts and thread-per-connection drivers.  Also supports
-  explicit pipelining (:meth:`Client.send` / :meth:`Client.receive`)
-  when the caller wants several requests in flight on one connection.
-* :class:`AsyncClient` — an asyncio client whose ``call`` coroutine
-  may be awaited concurrently from many tasks; requests are pipelined
-  on one connection and responses are matched by request id.  Used by
-  ``repro.bench.serve`` to drive hundreds of connections from one
-  event loop.
+:class:`Client` sends length-prefixed JSON frames (:mod:`repro.wire`)
+over one socket, one request at a time, or pipelined: several
+requests go out with :meth:`Client.send` and their answers come back
+by id through :meth:`Client.receive`.
 
 Failures come back as :class:`ClientError` carrying the server's
 stable error code (``busy``, ``view_invalid``, ...); ``busy``
@@ -28,9 +20,7 @@ stream is no longer at a frame boundary.
 
 from __future__ import annotations
 
-import asyncio
 import base64
-import json
 import socket
 import time
 from typing import Any
@@ -39,7 +29,7 @@ from . import wire
 from .errors import ReproError
 from .xmldb.columns import RowColumns
 
-__all__ = ["Client", "AsyncClient", "ClientError"]
+__all__ = ["Client", "ClientError"]
 
 
 class ClientError(ReproError):
@@ -252,27 +242,28 @@ class Client:
         """Per-document ``{nodes, bytes}`` stats (rebalance inputs)."""
         return self.call("doc.stats")["documents"]
 
-    def export_document(self, name: str,
-                        chunk_bytes: int = 4 << 20) -> bytes:
-        """Fetch one document's snapshot encoding in chunks."""
+    def download(self, op: str, **params: Any) -> bytes:
+        """Read a chunked payload (``doc.export``, ``repl.fetch``) from
+        offset 0 to ``eof``; the server sizes each chunk
+        (:data:`repro.wire.DEFAULT_CHUNK`)."""
         payload = bytearray()
-        offset = 0
         while True:
-            result = self.call("doc.export", name=name, offset=offset,
-                               length=chunk_bytes)
+            result = self.call(op, offset=len(payload), **params)
             payload.extend(base64.b64decode(result["data"]))
-            offset = len(payload)
             if result["eof"]:
                 return bytes(payload)
 
-    def import_document(self, name: str, payload: bytes,
-                        chunk_bytes: int = 4 << 20) -> dict:
+    def export_document(self, name: str) -> bytes:
+        """Fetch one document's snapshot encoding in chunks."""
+        return self.download("doc.export", name=name)
+
+    def import_document(self, name: str, payload: bytes) -> dict:
         """Ship a document's snapshot encoding in chunks; the final
         (``eof``) chunk adopts and indexes it on the receiving shard."""
         offset = 0
         result: dict = {}
         while True:
-            chunk = payload[offset:offset + chunk_bytes]
+            chunk = payload[offset:offset + wire.DEFAULT_CHUNK]
             eof = offset + len(chunk) >= len(payload)
             result = self.call(
                 "doc.import", name=name, offset=offset,
@@ -282,92 +273,3 @@ class Client:
             if eof:
                 return result
 
-
-class AsyncClient:
-    """Pipelined asyncio client: concurrent ``call`` awaiters share
-    one connection; responses are matched to callers by request id."""
-
-    def __init__(self) -> None:
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._next_id = 1
-        self._waiters: dict[int, asyncio.Future] = {}
-        self._reader_task: asyncio.Task | None = None
-
-    async def connect(self, host: str, port: int) -> "AsyncClient":
-        self._reader, self._writer = await asyncio.open_connection(host, port)
-        self._reader_task = asyncio.ensure_future(self._read_loop())
-        return self
-
-    async def close(self) -> None:
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):
-                pass
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        self._fail_waiters(ClientError(
-            "disconnected", "connection closed", {}))
-
-    def _fail_waiters(self, exc: Exception) -> None:
-        for future in self._waiters.values():
-            if not future.done():
-                future.set_exception(exc)
-        self._waiters.clear()
-
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                header = await self._reader.readexactly(4)
-                length = wire.decode_header(header)
-                body = await self._reader.readexactly(length)
-                response = json.loads(body)
-                future = self._waiters.pop(response.get("id"), None)
-                if future is not None and not future.done():
-                    future.set_result(response)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            self._fail_waiters(ClientError(
-                "disconnected", f"connection lost: {exc}", {}))
-
-    async def call(self, op: str, **params: Any) -> dict:
-        request_id = self._next_id
-        self._next_id += 1
-        message = {"id": request_id, "op": op}
-        message.update(params)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._waiters[request_id] = future
-        self._writer.write(wire.encode_frame(message))
-        await self._writer.drain()
-        return _unwrap(await future)
-
-    async def query(self, xpath: str, view: int | None = None,
-                    use_indexes: bool | str = True) -> list[int]:
-        params: dict[str, Any] = {"xpath": xpath, "use_indexes": use_indexes}
-        if view is not None:
-            params["view"] = view
-        result = await self.call("query", **params)
-        return wire.unpack_rows(result).nids.tolist()
-
-    async def update_text(self, nid: int, text: str,
-                          busy_retries: int = 0) -> dict:
-        attempts = 0
-        while True:
-            try:
-                return await self.call("update", action="update_text",
-                                       nid=nid, text=text)
-            except ClientError as exc:
-                if exc.code != wire.E_BUSY or attempts >= busy_retries:
-                    raise
-                attempts += 1
-                await asyncio.sleep((exc.retry_after_ms or 25.0) / 1000.0)
-
-    async def metrics(self) -> dict:
-        return (await self.call("metrics"))["metrics"]

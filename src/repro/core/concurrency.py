@@ -444,26 +444,10 @@ class ConcurrencyController:
         return pin.structural_epoch == self.structural_epoch
 
     def release_pin(self, view: object) -> None:
+        """Forget ``view``'s pin.  Readers never prune: the versions it
+        held go at the next :meth:`publish`."""
         with self._state_lock:
             self._pins.pop(id(view), None)
-            empty = not self._pins
-        # Prune only if no writer is mid-update: holding the writer
-        # lock excludes overlay record() calls, whose freshly written
-        # before-values (stamped for the not-yet-published epoch) must
-        # survive until that writer publishes.  Blocking here would
-        # deadlock — this thread still holds the latch shared, and a
-        # structural writer may hold write_lock while waiting for
-        # shared holders to drain — so a busy writer means we skip and
-        # let its own publish() prune.
-        if empty and self.write_lock.acquire(blocking=False):
-            try:
-                self.prune_overlays()
-            finally:
-                self.write_lock.release()
-
-    def oldest_pin(self) -> int | None:
-        with self._state_lock:
-            return min(self._pins.values()) if self._pins else None
 
     def prune_overlays(self) -> None:
         """Drop overlay versions no pinned reader can still observe.
@@ -471,22 +455,20 @@ class ConcurrencyController:
         The published epoch acts as an implicit pin: a new reader may
         pin it at any instant, and a mid-flight text update's
         before-values are stamped ``published + 1``, so the prune bound
-        is ``min(oldest_pin, published_epoch)`` — entries above the
-        published epoch always survive until their writer publishes.
-        Callers hold the writer lock (publish path) or have verified no
-        writer is active (release_pin's non-blocking acquire), so
-        pruning never races a recording writer's chain mutation.
+        is ``min(oldest pin, oldest retained, published epoch)`` —
+        entries above the published epoch always survive until their
+        writer publishes.
+        Only :meth:`publish` calls it — from a writer scope, or from
+        ``load_manager`` before anyone reads or writes — so pruning
+        never races a recording writer's chain mutation.
         """
         with self._state_lock:
-            oldest = min(self._pins.values()) if self._pins else None
-            published = self._published.epoch
+            floors = [self._published.epoch, *self._pins.values()]
             if self._retained:
                 # Retained snapshots are implicit pins: an "as of"
                 # reader may still resolve text at the oldest one.
-                retained = self._retained[0].epoch
-                oldest = retained if oldest is None else min(oldest,
-                                                             retained)
-        bound = published if oldest is None else min(oldest, published)
+                floors.append(self._retained[0].epoch)
+        bound = min(floors)
         for doc in self.manager.store.documents.values():
             overlay = doc.text_overlay
             if overlay is not None:

@@ -176,7 +176,3 @@ class TransitionMonoid:
             if state == REJECT:
                 return REJECT
         return state
-
-    def dfa_state_from_initial(self, element: int) -> int:
-        """The DFA state reached from the initial state via the fragment."""
-        return self.elements[element][self.dfa.initial]

@@ -20,7 +20,7 @@ lexicographically); pass ``cast`` for a custom value.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .fragment import Token, TypePlugin
@@ -222,16 +222,6 @@ class _PatternParser:
 # ---------------------------------------------------------------------------
 # Thompson NFA and subset construction
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Nfa:
-    """Fragment with one start and one accept state."""
-
-    start: int
-    accept: int
-    # state -> [(charset | None for epsilon, target)]
-    edges: dict[int, list] = field(default_factory=dict)
 
 
 class _NfaBuilder:

@@ -200,12 +200,6 @@ class IndexManager:
         self._build_document(doc)
         return doc
 
-    def load_events(self, name: str, events) -> Document:
-        """Shred a pre-parsed event stream and index it."""
-        doc = self.store.add_document_events(name, events)
-        self._build_document(doc)
-        return doc
-
     def adopt_document(self, doc: Document) -> Document:
         """Index a document decoded from another engine's snapshot
         (shard migration import).

@@ -88,17 +88,6 @@ class Follower:
                 pass
             self._client = None
 
-    def _fetch_file(self, client: Client, name: str) -> bytes:
-        parts: list[bytes] = []
-        offset = 0
-        while True:
-            chunk = client.call("repl.fetch", name=name, offset=offset)
-            data = base64.b64decode(chunk["data"])
-            parts.append(data)
-            offset += len(data)
-            if chunk["eof"]:
-                return b"".join(parts)
-
     def sync(self, attempts: int = 5) -> None:
         """Full resync: restore the primary's committed snapshot and
         reopen the local engine on it.
@@ -118,7 +107,7 @@ class Follower:
             info = client.call("repl.manifest")
             try:
                 blobs = {
-                    name: self._fetch_file(client, name)
+                    name: client.download("repl.fetch", name=name)
                     for name in info["files"]
                 }
             except (ClientError, OSError) as exc:
@@ -274,7 +263,7 @@ class FollowerServer:
     verbatim); after :meth:`Follower.promote` they execute locally.
     """
 
-    def __init__(self, follower: Follower, **server_kwargs):
+    def __init__(self, follower: Follower):
         from ..server import DatabaseServer, RequestError
 
         self.follower = follower
@@ -347,7 +336,6 @@ class FollowerServer:
 
         self._server_cls = _FollowerFacingServer
         self._server_thread = None
-        self._server_kwargs = server_kwargs
 
     def _forward(self, op: str, params: dict) -> dict:
         with self._proxy_lock:
@@ -379,7 +367,6 @@ class FollowerServer:
             )
         self._server_thread = ServerThread(
             self.follower.engine, server_cls=self._server_cls,
-            **self._server_kwargs,
         )
         return self._server_thread.start()
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import base64
 import os
 
+from .. import wire
 from ..storage.persist import manifest_epoch, read_manifest
 from ..storage.persist import _stem_of_data_file  # shared layout rule
 from ..storage.wal import WAL_HEADER_SIZE, tail_frames
@@ -43,14 +44,9 @@ __all__ = [
     "manifest_info",
     "fetch_chunk",
     "wal_chunk",
-    "DEFAULT_CHUNK",
 ]
 
 MANIFEST_FILE = "MANIFEST.json"
-
-#: Default ranged-read size; comfortably under MAX_FRAME_BYTES after
-#: base64 expansion (4/3) plus JSON envelope.
-DEFAULT_CHUNK = 4 << 20
 
 
 def snapshot_files(path: str) -> list[str]:
@@ -90,15 +86,14 @@ def manifest_info(engine) -> dict:
     }
 
 
-def fetch_chunk(engine, name: str, offset: int,
-                length: int = DEFAULT_CHUNK) -> dict:
+def fetch_chunk(engine, name: str, offset: int, length: int) -> dict:
     """A ranged read of one snapshot file (``repl.fetch``)."""
     if os.sep in name or (os.altsep and os.altsep in name) or name == "..":
         raise ValueError(f"illegal snapshot file name {name!r}")
     if name != MANIFEST_FILE and _stem_of_data_file(name) is None:
         raise ValueError(f"not a snapshot file: {name!r}")
     path = os.path.join(engine.path, name)
-    length = max(0, min(int(length), DEFAULT_CHUNK))
+    length = max(0, min(int(length), wire.DEFAULT_CHUNK))
     with open(path, "rb") as fh:
         fh.seek(int(offset))
         data = fh.read(length)
@@ -110,8 +105,7 @@ def fetch_chunk(engine, name: str, offset: int,
     }
 
 
-def wal_chunk(engine, epoch: int, offset: int,
-              max_bytes: int = DEFAULT_CHUNK) -> dict:
+def wal_chunk(engine, epoch: int, offset: int, max_bytes: int) -> dict:
     """Serve WAL frames at a follower's cursor (``repl.wal``).
 
     Response ``status``:
@@ -129,7 +123,7 @@ def wal_chunk(engine, epoch: int, offset: int,
     any difference as ``resync`` (see module docstring).
     """
     wal = engine._wal
-    max_bytes = max(0, min(int(max_bytes), DEFAULT_CHUNK))
+    max_bytes = max(0, min(int(max_bytes), wire.DEFAULT_CHUNK))
     current = wal.epoch
     stamp = engine.bulk_stamp
     if epoch == current:

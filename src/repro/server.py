@@ -5,19 +5,21 @@
 and group-commits; no flag is needed):
 
 * **Reads** (``query`` / ``lookup`` / ``explain``) are dispatched to a
-  bounded thread pool; each request runs inside its own snapshot-
-  pinned :class:`~repro.core.concurrency.ReadView`.  A session may
-  additionally *pin* a view (``view.open``): the server registers a
-  long-lived :class:`~repro.core.concurrency.SessionPin` — which keeps
-  the epoch's MVCC overlay versions alive without holding the latch —
-  and subsequent requests carrying the view token resolve at that
-  epoch.  Structural updates invalidate session views; the affected
-  requests fail with ``view_invalid`` instead of serving torn data.
+  pool of :data:`READ_WORKERS` threads; each request runs inside its
+  own snapshot-pinned :class:`~repro.core.concurrency.ReadView`.  A
+  session may additionally *pin* a view (``view.open``): the server
+  registers a long-lived :class:`~repro.core.concurrency.SessionPin` —
+  which keeps the epoch's MVCC overlay versions alive without holding
+  the latch — and subsequent requests carrying the view token resolve
+  at that epoch.  Structural updates invalidate session views; the
+  affected requests fail with ``view_invalid`` instead of serving torn
+  data.
 * **Updates** are funneled through the group-commit leader by a
-  separate writer pool behind a **bounded admission queue**: when
-  ``max_pending_updates`` updates are already in flight the request is
-  rejected immediately with ``busy`` and a ``retry_after_ms`` hint —
-  backpressure surfaces at the edge instead of as unbounded latency.
+  separate pool of :data:`WRITE_WORKERS` threads behind a **bounded
+  admission queue**: when ``max_pending_updates`` updates are already
+  in flight the request is rejected immediately with ``busy`` and a
+  ``retry_after_ms`` hint — backpressure surfaces at the edge instead
+  of as unbounded latency.
 * **Graceful drain** (SIGTERM/SIGINT, or :meth:`drain`): stop
   accepting connections, reject new requests, let in-flight requests
   finish, then flush the group-commit queue, checkpoint and close the
@@ -25,9 +27,9 @@ and group-commits; no flag is needed):
   is durable across the restart.
 
 Wire protocol: length-prefixed JSON frames (:mod:`repro.wire`);
-responses are tagged with the request id, so clients may pipeline.
-``docs/serving.md`` is the protocol and lifecycle spec;
-``repro.bench.serve`` measures the sustained-traffic claims.
+responses are tagged with the request id, so clients may pipeline
+(:class:`~repro.client.Client` is the one client).  ``docs/serving.md``
+is the protocol and lifecycle spec.
 """
 
 from __future__ import annotations
@@ -65,6 +67,12 @@ __all__ = ["DatabaseServer", "RequestError", "ServerThread", "serve"]
 
 #: Default hint returned with ``busy`` rejections.
 RETRY_AFTER_MS = 25.0
+
+#: Threads that run reads (``query``/``lookup``/``explain``, exports,
+#: replication fetches) and threads that run updates; the update pool
+#: feeds the group-commit leader behind the admission bound.
+READ_WORKERS = 8
+WRITE_WORKERS = 8
 
 
 class RequestError(Exception):
@@ -105,8 +113,6 @@ class DatabaseServer:
             :attr:`port` holds the bound one after :meth:`start`).
         max_pending_updates: Admission-control bound on in-flight
             updates; beyond it requests fail fast with ``busy``.
-        read_workers/write_workers: Thread-pool sizes for read and
-            update execution.
         placement_version: The cluster layout version this shard was
             (re)started under, or ``None`` when serving stand-alone.
             Scatter requests stamped with an older version are
@@ -122,8 +128,6 @@ class DatabaseServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_pending_updates: int = 64,
-        read_workers: int = 8,
-        write_workers: int = 8,
         placement_version: int | None = None,
     ):
         self.db = db
@@ -133,10 +137,10 @@ class DatabaseServer:
         self._metrics = db.manager.metrics
         self._max_pending_updates = max_pending_updates
         self._read_pool = ThreadPoolExecutor(
-            max_workers=read_workers, thread_name_prefix="serve-read"
+            max_workers=READ_WORKERS, thread_name_prefix="serve-read"
         )
         self._write_pool = ThreadPoolExecutor(
-            max_workers=write_workers, thread_name_prefix="serve-write"
+            max_workers=WRITE_WORKERS, thread_name_prefix="serve-write"
         )
         self._pending_updates = 0
         self.placement_version = placement_version
@@ -644,13 +648,12 @@ class DatabaseServer:
         one transfer never mixes two states of the document.  The
         cache entry drops with the final chunk.
         """
-        from .repl.primary import DEFAULT_CHUNK
-
         name = self._require(message, "name")
         offset = int(message.get("offset", 0))
         # Capped like ``repl.fetch``: a larger chunk outgrows the frame
         # cap once base64-encoded.
-        length = min(int(message.get("length", DEFAULT_CHUNK)), DEFAULT_CHUNK)
+        length = min(int(message.get("length", wire.DEFAULT_CHUNK)),
+                     wire.DEFAULT_CHUNK)
         if offset < 0 or length <= 0:
             raise RequestError(E_BAD_REQUEST, "bad offset/length")
 
@@ -731,7 +734,7 @@ class DatabaseServer:
 
         name = self._require(message, "name")
         offset = int(message.get("offset", 0))
-        length = int(message.get("length", repl_primary.DEFAULT_CHUNK))
+        length = int(message.get("length", wire.DEFAULT_CHUNK))
 
         def call():
             try:
@@ -747,9 +750,7 @@ class DatabaseServer:
 
         epoch = int(self._require(message, "epoch"))
         offset = int(self._require(message, "offset"))
-        max_bytes = int(
-            message.get("max_bytes", repl_primary.DEFAULT_CHUNK)
-        )
+        max_bytes = int(message.get("max_bytes", wire.DEFAULT_CHUNK))
         return await self._run_read(
             session, message,
             lambda: repl_primary.wal_chunk(self.db, epoch, offset,
@@ -837,12 +838,21 @@ class ServerThread:
             raise RuntimeError("server thread did not drain in time")
 
 
-async def serve(db: Database, host: str, port: int, **kwargs) -> None:
-    """CLI entry: serve until SIGTERM/SIGINT, then drain."""
-    server = DatabaseServer(db, host=host, port=port, **kwargs)
+async def serve(db: Database, host: str, port: int,
+                max_pending_updates: int = 64,
+                placement_version: int | None = None) -> None:
+    """Serve until SIGTERM/SIGINT, then drain.
+
+    Once bound, prints one line, ``serving PATH on HOST:PORT (...)``;
+    a parent process that started the server on port 0 reads its
+    address from it.
+    """
+    server = DatabaseServer(db, host=host, port=port,
+                            max_pending_updates=max_pending_updates,
+                            placement_version=placement_version)
     await server.start()
     print(f"serving {db.path!r} on {server.host}:{server.port} "
-          f"(protocol v{PROTOCOL_VERSION}; SIGTERM drains)")
+          f"(protocol v{PROTOCOL_VERSION}; SIGTERM drains)", flush=True)
     await server.serve_until(asyncio.Event())
     if server.close_error is not None:
         raise server.close_error

@@ -46,6 +46,7 @@ claim and ``repro.bench.elastic`` the cost of a live migration.
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -75,6 +76,9 @@ PIN_ATTEMPTS = 16
 #: the then-current manifest, so one in-flight migration costs at most
 #: one bounce.
 MOVED_RETRIES = 4
+
+#: The address in the line ``repro.server.serve`` prints once bound.
+_SERVING = re.compile(r" on ([\d.]+):(\d+) ")
 
 
 class ShardError(ReproError):
@@ -175,15 +179,15 @@ class _ProcessWorker:
         self.proc = subprocess.Popen(
             cmd, stdout=subprocess.PIPE, env=env, text=True
         )
-        line = self.proc.stdout.readline()
-        if not line.startswith("PORT "):
+        match = _SERVING.search(self.proc.stdout.readline())
+        if match is None:
             self.proc.wait()
             raise ShardError(
                 shard_id, f"worker for shard {shard_id} failed to start "
                 f"(exit {self.proc.returncode})"
             )
-        self.host = "127.0.0.1"
-        self.port = int(line.split()[1])
+        self.host = match.group(1)
+        self.port = int(match.group(2))
 
     def alive(self) -> bool:
         return self.proc.poll() is None

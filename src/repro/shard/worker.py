@@ -2,16 +2,13 @@
 
 ``python -m repro.shard.worker --path DIR`` opens (or recovers) the
 shard directory as a :class:`~repro.shard.engine.ShardEngine`
-and serves it with the ordinary :class:`~repro.server.DatabaseServer` —
-the shard IPC *is* the public wire protocol, so every server guarantee
-(snapshot-pinned reads, admission control, graceful drain, acked ⇒
-durable) holds per shard for free.  On successful bind the worker
-prints one line::
-
-    PORT <port>
-
-to stdout (the coordinator's readiness signal + address) and serves
-until SIGTERM.
+and serves it with :func:`repro.server.serve`, as ``repro-xml serve``
+does — the shard IPC *is* the public wire protocol, so every server
+guarantee (snapshot-pinned reads, admission control, graceful drain,
+acked ⇒ durable) holds per shard for free.  On successful bind the
+worker prints ``serve``'s one line, ``serving PATH on HOST:PORT
+(...)``, to stdout (the coordinator's readiness signal + address) and
+serves until SIGTERM.
 
 Fault testing: ``--kill-at POINT[:OCCURRENCE]`` installs a process-wide
 :class:`~repro.storage.faults.FaultInjector` that calls ``os._exit`` at
@@ -29,7 +26,7 @@ import os
 import sys
 from typing import BinaryIO
 
-from ..server import DatabaseServer
+from ..server import serve
 from ..storage import faults
 from .engine import ShardEngine
 
@@ -111,16 +108,8 @@ def main(argv: list[str] | None = None) -> int:
         retain_epochs=args.retain_epochs,
     )
 
-    async def run() -> None:
-        server = DatabaseServer(engine, host=args.host, port=args.port,
-                                placement_version=args.placement_version)
-        await server.start()
-        print(f"PORT {server.port}", flush=True)
-        await server.serve_until(asyncio.Event())
-        if server.close_error is not None:
-            raise server.close_error
-
-    asyncio.run(run())
+    asyncio.run(serve(engine, args.host, args.port,
+                      placement_version=args.placement_version))
     return 0
 
 

@@ -150,9 +150,16 @@ class Transaction:
                     self._conflict(
                         f"node {nid} was modified by a concurrent writer"
                     )
+            # Validated: the pin has served its last read, and must not
+            # hold back the prune at this commit's own publish.
+            controller.close_pin(self._pin)
             # Apply writes and recompute ancestors from the *live*
             # children values (the Section 5.1 commit-time re-read).
-            manager.update_texts(list(self._writes.items()))
+            try:
+                manager.update_texts(list(self._writes.items()))
+            except BaseException:
+                self._finish("aborted")
+                raise
             self.commit_epoch = self.commit_ts = manager.epoch
         self._finish("committed")
         return self.commit_epoch

@@ -45,6 +45,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "FEATURES",
     "MAX_FRAME_BYTES",
+    "DEFAULT_CHUNK",
     "WireError",
     "encode_frame",
     "decode_header",
@@ -82,6 +83,12 @@ FEATURES = ("views", "rows", "scatter", "replication", "as_of", "elastic")
 
 #: Upper bound on one frame's body size (16 MiB).
 MAX_FRAME_BYTES = 16 << 20
+
+#: The largest chunk one ``doc.export``/``doc.import``/``repl.fetch``/
+#: ``repl.wal`` frame carries: comfortably under
+#: :data:`MAX_FRAME_BYTES` after base64 expansion (4/3) plus the JSON
+#: envelope.
+DEFAULT_CHUNK = 4 << 20
 
 _HEADER = struct.Struct(">I")
 

@@ -109,21 +109,17 @@ class TextOverlay:
         chain = self.versions.get(slot)
         return bool(chain) and chain[-1][0] > epoch
 
-    def prune(self, oldest_pin: int | None) -> None:
-        """Drop entries no pinned reader can still need.
+    def prune(self, bound: int) -> None:
+        """Drop the entries with ``epoch <= bound``.
 
-        ``oldest_pin`` is the smallest epoch any active reader holds
-        (None = no readers): entries with ``epoch <= oldest_pin`` are
-        invisible to every current and future reader.
+        ``bound`` is the smallest epoch any reader holds or may still
+        pin (:meth:`ConcurrencyController.prune_overlays
+        <repro.core.concurrency.ConcurrencyController.prune_overlays>`);
+        such entries are invisible to every current and future reader.
         """
-        if not self.versions:
-            return
-        if oldest_pin is None:
-            self.versions.clear()
-            return
         dead = []
         for slot, chain in self.versions.items():
-            keep = [e for e in chain if e[0] > oldest_pin]
+            keep = [e for e in chain if e[0] > bound]
             if keep:
                 if len(keep) != len(chain):
                     self.versions[slot] = keep

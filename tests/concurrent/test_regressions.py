@@ -53,8 +53,8 @@ class TestOverlayPruning:
 
     def test_last_reader_exit_spares_inflight_writer_entries(self, tmp_path):
         """A reader leaving mid-update must not reclaim the update's
-        before-values: the writer holds the writer lock, so the exit
-        prune is skipped (and the bound excludes them regardless)."""
+        before-values: readers never prune (only ``publish`` does, and
+        its bound excludes them regardless)."""
         db = _open(tmp_path)
         doc = db.load("people", fixture_xml())
         (nid, *_), _ = classified_text_nids(doc)
@@ -75,7 +75,7 @@ class TestOverlayPruning:
         t.start()
         assert recorded.wait(30)
         with db.read_view():
-            pass  # last reader out triggers the exit-path prune
+            pass  # the last reader out prunes nothing
         assert doc.text_overlay.versions.get(slot) == [(published + 1, "before")]
         release.set()
         t.join(timeout=30)

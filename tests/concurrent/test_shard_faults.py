@@ -16,7 +16,8 @@ import time
 import pytest
 
 from repro.database import Database
-from repro.shard import ShardCluster, ShardDownError
+from repro.shard import ShardCluster, ShardDownError, ShardError
+from repro.shard.coordinator import _ProcessWorker
 from repro.shard.engine import NID_RANGE_BITS
 from repro.shard.worker import KillSwitch
 
@@ -117,3 +118,12 @@ def test_kill_requires_process_transport(tmp_path):
 
     with pytest.raises(ShardError, match="process transport"):
         cluster.start()
+
+
+def test_worker_that_cannot_start_is_a_shard_error(tmp_path):
+    """A worker process that exits before ``serve`` prints its
+    ``serving ... on HOST:PORT`` line surfaces as ``ShardError``."""
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    with pytest.raises(ShardError, match="failed to start"):
+        _ProcessWorker(str(blocker), 0, sync="flush", checkpoint_every=0)

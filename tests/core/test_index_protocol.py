@@ -159,7 +159,8 @@ class TestNoSidePaths:
     mode without the concurrency controller or group commit — no
     second way to migrate a document — and no read that loops per
     document or per candidate beside the one store-wide pipeline — and
-    no query answer sent as per-row JSON."""
+    no query answer sent as per-row JSON — and no second client, no
+    pool-size option and no prune on a reader's way out."""
 
     SOURCES = sorted(pathlib.Path(repro.__file__).parent.rglob("*.py"))
     #: pattern -> the one module (if any) allowed to match it.
@@ -206,6 +207,11 @@ class TestNoSidePaths:
         r"\[list\(row\) for row in": None,
         r'result\["rows"\]': None,
         r'"rows": True': None,
+        # One client, fixed server pools, and readers that never prune.
+        r"\bAsyncClient\b": None,
+        r"\bread_workers\b": None,
+        r"\bwrite_workers\b": None,
+        r"\boldest_pin\b": None,
     }
 
     @pytest.mark.parametrize("pattern", list(FORBIDDEN))

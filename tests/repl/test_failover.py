@@ -12,6 +12,7 @@ asynchronous, so the contract under test is:
 """
 
 import os
+import re
 import subprocess
 import sys
 import time
@@ -47,8 +48,9 @@ class WorkerPrimary:
             text=True, env=env,
         )
         line = self.proc.stdout.readline()
-        assert line.startswith("PORT "), f"unexpected worker output {line!r}"
-        self.addr = ("127.0.0.1", int(line.split()[1]))
+        match = re.search(r" on ([\d.]+):(\d+) ", line)
+        assert match, f"unexpected worker output {line!r}"
+        self.addr = (match.group(1), int(match.group(2)))
 
     def wait_dead(self, timeout: float = 15.0) -> int:
         return self.proc.wait(timeout=timeout)

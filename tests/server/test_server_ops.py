@@ -199,9 +199,7 @@ class TestFrameCap:
         """``doc.export`` serves at most ``DEFAULT_CHUNK`` bytes per
         chunk, whatever ``length`` asks for (a chunk near the frame cap
         would outgrow it once base64-encoded)."""
-        from repro.repl import primary
-
-        monkeypatch.setattr(primary, "DEFAULT_CHUNK", 256)
+        monkeypatch.setattr(wire, "DEFAULT_CHUNK", 256)
         whole = served.db.export_document("people")
         assert len(whole) > 256
         with Client(served.host, served.port) as client:
@@ -209,16 +207,14 @@ class TestFrameCap:
                                 length=64 << 20)
             assert len(base64.b64decode(first["data"])) == 256
             assert not first["eof"]
-            assert client.export_document("people",
-                                          chunk_bytes=64 << 20) == whole
+            assert client.export_document("people") == whole
 
 
 class TestAdmissionControl:
     def test_busy_rejection_when_update_queue_full(self, tmp_path):
         from .conftest import Served
 
-        box = Served(tmp_path, server_kwargs={"max_pending_updates": 1,
-                                              "write_workers": 1})
+        box = Served(tmp_path, server_kwargs={"max_pending_updates": 1})
         try:
             ages, _ = classified_text_nids(box.doc)
             controller = box.db.manager.concurrency

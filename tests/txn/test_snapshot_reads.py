@@ -96,7 +96,12 @@ class TestSnapshotReads:
         assert len(overlay) == 2
         assert reader.read_text(nid) == "one"
         reader.abort()
-        # The last transaction closing releases them all.
+        # Closing a pin prunes nothing: the versions it held go at the
+        # next commit's publish.
+        assert len(overlay) == 2
+        writer = txns.begin()
+        writer.update_text(nid, "v3")
+        writer.commit()
         assert len(overlay) == 0
 
     def test_aborted_writer_leaves_no_versions(self, setup):
