@@ -1,9 +1,10 @@
 """The blocking client for the :mod:`repro.server` wire protocol.
 
-:class:`Client` sends length-prefixed JSON frames (:mod:`repro.wire`)
-over one socket, one request at a time, or pipelined: several
-requests go out with :meth:`Client.send` and their answers come back
-by id through :meth:`Client.receive`.
+:class:`Client` sends length-prefixed JSON frames (:mod:`repro.wire`;
+byte payloads ride each frame's raw tail) over one socket, one
+request at a time, or pipelined: several requests go out with
+:meth:`Client.send` and their answers come back by id through
+:meth:`Client.receive`.
 
 Failures come back as :class:`ClientError` carrying the server's
 stable error code (``busy``, ``view_invalid``, ...); ``busy``
@@ -16,11 +17,13 @@ stream is no longer at a frame boundary.
 
 ``query`` answers arrive as packed columns (:func:`repro.wire.unpack_rows`);
 ``(document, pre, nid)`` tuples are built only by ``query_rows``.
+Chunked transfers (:meth:`Client.download`,
+:meth:`Client.import_document`) move ``bytes`` under the ``data`` key,
+which :func:`repro.wire.encode_frame` ships in the tail.
 """
 
 from __future__ import annotations
 
-import base64
 import socket
 import time
 from typing import Any
@@ -249,7 +252,7 @@ class Client:
         payload = bytearray()
         while True:
             result = self.call(op, offset=len(payload), **params)
-            payload.extend(base64.b64decode(result["data"]))
+            payload.extend(result["data"])
             if result["eof"]:
                 return bytes(payload)
 
@@ -265,10 +268,8 @@ class Client:
         while True:
             chunk = payload[offset:offset + wire.DEFAULT_CHUNK]
             eof = offset + len(chunk) >= len(payload)
-            result = self.call(
-                "doc.import", name=name, offset=offset,
-                data=base64.b64encode(chunk).decode("ascii"), eof=eof,
-            )
+            result = self.call("doc.import", name=name, offset=offset,
+                               data=chunk, eof=eof)
             offset += len(chunk)
             if eof:
                 return result

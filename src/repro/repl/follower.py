@@ -16,11 +16,14 @@ prefix* — bounded staleness equal to the replication lag, never a torn
 or reordered state (frames apply in log order).  The dead primary's
 directory still holds every acknowledged record; restarting an engine
 on it recovers the full set via ordinary WAL replay.
+
+Snapshot files (``repl.fetch``) and WAL frames (``repl.wal``) arrive
+as raw bytes in each response's frame tail (:mod:`repro.wire`): the
+follower writes the files and replays the frames exactly as shipped.
 """
 
 from __future__ import annotations
 
-import base64
 import os
 import threading
 
@@ -185,9 +188,8 @@ class Follower:
         if status == "resync":
             self._sync_locked(attempts=5)
             return 0
-        blob = base64.b64decode(reply["data"])
         applied = 0
-        for record in decode_frames(blob):
+        for record in decode_frames(reply["data"]):
             if record.epoch < self._basis_epoch:
                 # Folded into the snapshot we restored from.
                 continue

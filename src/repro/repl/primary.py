@@ -11,7 +11,8 @@ Catch-up protocol (docs/replication.md):
 * ``manifest_info`` — the committed checkpoint snapshot: its epoch,
   the data files to fetch, and the WAL cursor the snapshot pairs with
   (the *basis*).  Initial sync and full resync both start here.
-* ``fetch_chunk`` — ranged reads of one snapshot file, base64-framed.
+* ``fetch_chunk`` — ranged reads of one snapshot file; the bytes ride
+  the frame tail raw (:mod:`repro.wire`).
   Checkpoints GC files the new manifest no longer names, so a fetcher
   re-validates the manifest epoch when a file disappears mid-transfer
   and retries.
@@ -31,10 +32,8 @@ incomplete fast-forward.
 
 from __future__ import annotations
 
-import base64
 import os
 
-from .. import wire
 from ..storage.persist import manifest_epoch, read_manifest
 from ..storage.persist import _stem_of_data_file  # shared layout rule
 from ..storage.wal import WAL_HEADER_SIZE, tail_frames
@@ -87,31 +86,32 @@ def manifest_info(engine) -> dict:
 
 
 def fetch_chunk(engine, name: str, offset: int, length: int) -> dict:
-    """A ranged read of one snapshot file (``repl.fetch``)."""
+    """A ranged read of one snapshot file (``repl.fetch``): at most
+    ``length`` bytes from ``offset``, which the server has checked
+    (``offset >= 0``, ``0 < length <= DEFAULT_CHUNK``)."""
     if os.sep in name or (os.altsep and os.altsep in name) or name == "..":
         raise ValueError(f"illegal snapshot file name {name!r}")
     if name != MANIFEST_FILE and _stem_of_data_file(name) is None:
         raise ValueError(f"not a snapshot file: {name!r}")
     path = os.path.join(engine.path, name)
-    length = max(0, min(int(length), wire.DEFAULT_CHUNK))
     with open(path, "rb") as fh:
-        fh.seek(int(offset))
+        fh.seek(offset)
         data = fh.read(length)
         size = os.fstat(fh.fileno()).st_size
-    return {
-        "data": base64.b64encode(data).decode("ascii"),
-        "eof": int(offset) + len(data) >= size,
-        "size": size,
-    }
+    return {"data": data, "eof": offset + len(data) >= size, "size": size}
 
 
 def wal_chunk(engine, epoch: int, offset: int, max_bytes: int) -> dict:
-    """Serve WAL frames at a follower's cursor (``repl.wal``).
+    """Serve WAL frames at a follower's cursor (``repl.wal``); the
+    server has checked ``offset >= 0`` and ``0 < max_bytes <=
+    DEFAULT_CHUNK``.
 
     Response ``status``:
 
-    * ``"frames"`` — base64 frames from ``offset``; advance the cursor
-      to ``next`` (possibly no progress when the primary is idle).
+    * ``"frames"`` — at most ``max_bytes`` of WAL frames from
+      ``offset`` under ``data`` (raw in the frame tail); advance the
+      cursor to ``next`` (possibly no progress when the primary is
+      idle).
     * ``"reset"`` — the cursor had fully consumed the pre-checkpoint
       log; fast-forward to ``(epoch, next)`` on the fresh log.
     * ``"resync"`` — the cursor is unusable (lagged past one
@@ -123,11 +123,10 @@ def wal_chunk(engine, epoch: int, offset: int, max_bytes: int) -> dict:
     any difference as ``resync`` (see module docstring).
     """
     wal = engine._wal
-    max_bytes = max(0, min(int(max_bytes), wire.DEFAULT_CHUNK))
     current = wal.epoch
     stamp = engine.bulk_stamp
     if epoch == current:
-        blob, next_offset = tail_frames(wal.path, int(offset), max_bytes)
+        blob, next_offset = tail_frames(wal.path, offset, max_bytes)
         if wal.epoch != current:
             # A checkpoint truncated the file mid-read: the bytes may
             # belong to the fresh log.  The epoch always changes across
@@ -136,13 +135,13 @@ def wal_chunk(engine, epoch: int, offset: int, max_bytes: int) -> dict:
             return {"status": "retry", "bulk_stamp": stamp}
         return {
             "status": "frames",
-            "data": base64.b64encode(blob).decode("ascii"),
+            "data": blob,
             "next": next_offset,
             "epoch": current,
             "bulk_stamp": stamp,
         }
     mark = wal.last_truncate
-    if mark is not None and (int(epoch), int(offset)) == tuple(mark):
+    if mark is not None and (epoch, offset) == tuple(mark):
         return {
             "status": "reset",
             "epoch": current,

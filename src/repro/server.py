@@ -26,17 +26,16 @@ and group-commits; no flag is needed):
   WAL (``Database.close``).  Every update acknowledged over the wire
   is durable across the restart.
 
-Wire protocol: length-prefixed JSON frames (:mod:`repro.wire`);
-responses are tagged with the request id, so clients may pipeline
-(:class:`~repro.client.Client` is the one client).  ``docs/serving.md``
+Wire protocol: length-prefixed JSON frames whose byte payloads ride
+a raw tail (:mod:`repro.wire`); responses are tagged with the request
+id, so clients may pipeline (:class:`~repro.client.Client` is the one
+client).  ``docs/serving.md``
 is the protocol and lifecycle spec.
 """
 
 from __future__ import annotations
 
 import asyncio
-import base64
-import json
 import signal
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -236,22 +235,20 @@ class DatabaseServer:
         self._metrics.counter("server.connections").inc()
         try:
             while True:
-                header = await reader.readexactly(4)
-                length = wire.decode_header(header)
-                body = await reader.readexactly(length)
+                decoder = wire.decode_frame(await reader.readexactly(4))
                 try:
-                    message = json.loads(body)
-                    if not isinstance(message, dict):
-                        raise ValueError("frame body must be an object")
-                except ValueError:
-                    break  # framing violation: drop the connection
+                    need = next(decoder)
+                    while True:
+                        need = decoder.send(await reader.readexactly(need))
+                except StopIteration as done:
+                    message = done.value
                 task = asyncio.ensure_future(
                     self._serve_request(session, writer, message)
                 )
                 self._inflight.add(task)
                 task.add_done_callback(self._inflight.discard)
         except (asyncio.IncompleteReadError, ConnectionError, wire.WireError):
-            pass
+            pass  # EOF or a framing violation: drop the connection
         finally:
             self._release_session(session)
             self._sessions.discard(session)
@@ -371,6 +368,30 @@ class DatabaseServer:
         if key not in message:
             raise RequestError(E_BAD_REQUEST, f"missing parameter {key!r}")
         return message[key]
+
+    @classmethod
+    def _int_param(cls, message: dict, key: str,
+                   default: int | None = None) -> int:
+        """An integer parameter, ``default`` when absent (required
+        when there is none); anything else is ``bad_request``."""
+        value = (cls._require(message, key) if default is None
+                 else message.get(key, default))
+        if type(value) is not int:
+            raise RequestError(E_BAD_REQUEST,
+                               f"parameter {key!r} must be an integer")
+        return value
+
+    @classmethod
+    def _chunk_params(cls, message: dict, length_key: str,
+                      offset_default: int | None = 0) -> tuple[int, int]:
+        """``offset`` and the chunk length under ``length_key``,
+        capped at :data:`repro.wire.DEFAULT_CHUNK`; ``bad_request``
+        unless ``offset >= 0`` and the length is positive."""
+        offset = cls._int_param(message, "offset", offset_default)
+        length = cls._int_param(message, length_key, wire.DEFAULT_CHUNK)
+        if offset < 0 or length <= 0:
+            raise RequestError(E_BAD_REQUEST, f"bad offset/{length_key}")
+        return offset, min(length, wire.DEFAULT_CHUNK)
 
     # ------------------------------------------------------------------
     # Operations
@@ -530,28 +551,25 @@ class DatabaseServer:
 
     async def _op_update(self, session, message) -> dict:
         action = self._require(message, "action")
+        nid = self._int_param(message, "nid")
         db = self.db
         if action == "update_text":
-            nid = self._require(message, "nid")
             text = self._require(message, "text")
 
             def call():
                 return {"recomputed": db.update_text(nid, text)}
         elif action == "insert_xml":
-            nid = self._require(message, "nid")
             fragment = self._require(message, "fragment")
-            before = message.get("before")
+            before = (None if message.get("before") is None
+                      else self._int_param(message, "before"))
 
             def call():
                 change = db.insert_xml(nid, fragment, before)
                 return {"added": len(change.added_nids)}
         elif action == "delete_subtree":
-            nid = self._require(message, "nid")
-
             def call():
                 return {"removed": len(db.delete_subtree(nid).removed_nids)}
         elif action == "insert_attribute":
-            nid = self._require(message, "nid")
             name = self._require(message, "name")
             value = self._require(message, "value")
 
@@ -559,12 +577,9 @@ class DatabaseServer:
                 change = db.insert_attribute(nid, name, value)
                 return {"added": len(change.added_nids)}
         elif action == "delete_attribute":
-            nid = self._require(message, "nid")
-
             def call():
                 return {"removed": len(db.delete_attribute(nid).removed_nids)}
         elif action == "rename":
-            nid = self._require(message, "nid")
             name = self._require(message, "name")
 
             def call():
@@ -634,7 +649,7 @@ class DatabaseServer:
         Monotonic: a late-arriving older stamp never rolls the shard
         back behind a flip it has already been told about.
         """
-        version = int(self._require(message, "version"))
+        version = self._int_param(message, "version")
         previous = self.placement_version
         if previous is None or version > previous:
             self.placement_version = version
@@ -649,13 +664,7 @@ class DatabaseServer:
         cache entry drops with the final chunk.
         """
         name = self._require(message, "name")
-        offset = int(message.get("offset", 0))
-        # Capped like ``repl.fetch``: a larger chunk outgrows the frame
-        # cap once base64-encoded.
-        length = min(int(message.get("length", wire.DEFAULT_CHUNK)),
-                     wire.DEFAULT_CHUNK)
-        if offset < 0 or length <= 0:
-            raise RequestError(E_BAD_REQUEST, "bad offset/length")
+        offset, length = self._chunk_params(message, "length")
 
         def call():
             if offset == 0:
@@ -678,11 +687,7 @@ class DatabaseServer:
             eof = offset + len(chunk) >= len(payload)
             if eof:
                 session.exports.pop(name, None)
-            return {
-                "data": base64.b64encode(chunk).decode("ascii"),
-                "eof": eof,
-                "size": len(payload),
-            }
+            return {"data": chunk, "eof": eof, "size": len(payload)}
 
         return await self._run_read(session, message, call)
 
@@ -694,8 +699,11 @@ class DatabaseServer:
         on the writer pool like any other bulk write.
         """
         name = self._require(message, "name")
-        data = base64.b64decode(self._require(message, "data"))
-        offset = int(message.get("offset", 0))
+        data = self._require(message, "data")
+        if not isinstance(data, bytes):
+            raise RequestError(E_BAD_REQUEST,
+                               "data must be a span into the frame tail")
+        offset = self._int_param(message, "offset", 0)
         buffer = session.imports.setdefault(name, bytearray())
         if offset != len(buffer):
             session.imports.pop(name, None)
@@ -733,8 +741,7 @@ class DatabaseServer:
         from .repl import primary as repl_primary
 
         name = self._require(message, "name")
-        offset = int(message.get("offset", 0))
-        length = int(message.get("length", wire.DEFAULT_CHUNK))
+        offset, length = self._chunk_params(message, "length")
 
         def call():
             try:
@@ -748,9 +755,8 @@ class DatabaseServer:
     async def _op_repl_wal(self, session, message) -> dict:
         from .repl import primary as repl_primary
 
-        epoch = int(self._require(message, "epoch"))
-        offset = int(self._require(message, "offset"))
-        max_bytes = int(message.get("max_bytes", wire.DEFAULT_CHUNK))
+        epoch = self._int_param(message, "epoch")
+        offset, max_bytes = self._chunk_params(message, "max_bytes", None)
         return await self._run_read(
             session, message,
             lambda: repl_primary.wal_chunk(self.db, epoch, offset,

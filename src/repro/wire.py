@@ -1,8 +1,22 @@
-"""Length-prefixed JSON wire protocol shared by server and client.
+"""The wire protocol shared by server and client: framed JSON with a
+raw byte tail.
 
 A connection carries a stream of **frames**::
 
-    u32 big-endian body length | body (UTF-8 JSON object)
+    u32 big-endian JSON length | JSON object | tail
+
+The tail holds the message's byte payloads, raw and back to back.  Its
+length sits under the one reserved top-level key :data:`TAIL`.  Where
+a frame has a tail, the values under the span keys (:data:`SPAN_KEYS`:
+``pres``, ``nids``, ``data``) at the top level and in ``result`` are
+``[offset, length]`` spans into it; the reader finds a span by its
+key, never by its shape (``counts`` is a list of ints too).  A message
+that holds no bytes has no tail key and no tail, so its frame is the
+length-prefixed JSON alone.  :func:`encode_frame` and
+:func:`decode_frame` are the only code that turns payload bytes into a
+frame and back: a sender puts ``bytes`` (or a numpy array) under a
+span key, and the receiver finds ``bytes`` there.  No payload is
+encoded twice.
 
 Requests are objects with an ``id`` (client-chosen, echoed back) and
 an ``op``; remaining keys are operation parameters.  Responses echo
@@ -16,13 +30,13 @@ out of order).
 
 A ``query`` answer is packed columns (:func:`pack_rows`): the
 documents and their hit counts as JSON lists, the pres and nids as
-base64 of little-endian integer arrays (int32 when every value of the
-column fits, else int64) — no per-row JSON, and no document name
-repeated per row.
+little-endian int64 arrays in the tail — no per-row JSON, and no
+document name repeated per row.
 
-The frame length is capped (:data:`MAX_FRAME_BYTES`) so a corrupt or
-hostile peer cannot make the other side buffer unboundedly; an
-oversized header is a protocol error and the connection is dropped.
+JSON plus tail is capped (:data:`MAX_FRAME_BYTES`) so a corrupt or
+hostile peer cannot make the other side buffer unboundedly; a frame
+over the cap, or a span outside its tail, is a protocol error and the
+connection is dropped.
 
 See ``docs/serving.md`` for the full protocol specification.
 """
@@ -30,8 +44,6 @@ See ``docs/serving.md`` for the full protocol specification.
 from __future__ import annotations
 
 import array
-import base64
-import binascii
 import json
 import socket
 import struct
@@ -46,9 +58,12 @@ __all__ = [
     "FEATURES",
     "MAX_FRAME_BYTES",
     "DEFAULT_CHUNK",
+    "TAIL",
+    "SPAN_KEYS",
     "WireError",
     "encode_frame",
     "decode_header",
+    "decode_frame",
     "read_frame",
     "write_frame",
     "ok_response",
@@ -72,8 +87,9 @@ __all__ = [
 ]
 
 #: Bumped on incompatible protocol changes; exchanged in ``hello``.
-#: Version 2: every ``query`` answer is packed columns.
-PROTOCOL_VERSION = 2
+#: Version 2: every ``query`` answer is packed columns.  Version 3:
+#: every byte payload rides the frame tail.
+PROTOCOL_VERSION = 3
 
 #: Optional capabilities this protocol version serves.  A client may
 #: name the features it needs in its ``hello``; a server that lacks
@@ -81,27 +97,31 @@ PROTOCOL_VERSION = 2
 #: undefined ways mid-session.
 FEATURES = ("views", "rows", "scatter", "replication", "as_of", "elastic")
 
-#: Upper bound on one frame's body size (16 MiB).
+#: Upper bound on one frame's JSON plus tail (16 MiB).
 MAX_FRAME_BYTES = 16 << 20
 
 #: The largest chunk one ``doc.export``/``doc.import``/``repl.fetch``/
-#: ``repl.wal`` frame carries: comfortably under
-#: :data:`MAX_FRAME_BYTES` after base64 expansion (4/3) plus the JSON
-#: envelope.
+#: ``repl.wal`` frame carries: raw in the tail, a quarter of
+#: :data:`MAX_FRAME_BYTES`.
 DEFAULT_CHUNK = 4 << 20
 
-_HEADER = struct.Struct(">I")
+#: The reserved top-level key that holds the tail's length.
+TAIL = "tail"
 
-#: Element types of the packed ``pres``/``nids`` columns.
-_INT32 = np.dtype("<i4")
+#: Keys whose values are byte payloads: spans into the tail on the
+#: wire, ``bytes`` on either side of it.
+SPAN_KEYS = ("pres", "nids", "data")
+
+_HEADER = struct.Struct(">I")
+#: ``json.dumps(..., separators=(",", ":"))`` without building an
+#: encoder per frame.
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+#: The types :func:`encode_frame` moves into the tail.
+_PAYLOADS = frozenset((bytes, bytearray, memoryview, np.ndarray))
+
+#: Element type of the packed ``pres``/``nids`` columns.
 _INT64 = np.dtype("<i8")
-_INT32_LIMIT = 1 << 31
-#: Shortest column :func:`pack_rows` packs as int32 when it can: a
-#: range check costs about as much as 60 values' worth of int64 bytes.
-NARROW_MIN = 64
-#: ``array`` type code per element width (``i`` and ``q`` are 4 and 8
-#: bytes wherever CPython runs; the table makes that a lookup).
-_TYPECODES = {array.array(code).itemsize: code for code in "qi"}
 
 # Stable error codes (the ``error`` field of failure responses).
 E_BAD_REQUEST = "bad_request"      # malformed frame/params
@@ -122,21 +142,97 @@ class WireError(Exception):
     """A framing-level protocol violation (connection must close)."""
 
 
+def _cut(scope: dict, tail: list, size: int) -> tuple[dict, int]:
+    """``scope`` with each payload under a span key appended to
+    ``tail`` (``size`` bytes so far) and replaced by its span; a copy
+    if anything moved.  Returns it and the tail's new size."""
+    out = scope
+    for key in SPAN_KEYS:
+        value = scope.get(key)
+        if type(value) in _PAYLOADS:
+            length = memoryview(value).nbytes
+            if out is scope:
+                out = dict(scope)
+            out[key] = [size, length]
+            tail.append(value)
+            size += length
+    return out, size
+
+
 def encode_frame(message: dict) -> bytes:
-    """One wire frame: 4-byte big-endian length + JSON body."""
-    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_FRAME_BYTES:
-        raise WireError(f"frame body of {len(body)} bytes exceeds "
-                        f"{MAX_FRAME_BYTES}")
-    return _HEADER.pack(len(body)) + body
+    """One wire frame: u32 JSON length + JSON + tail.  Every payload
+    under a span key, at the top level or in ``result``, moves raw
+    into the tail and leaves its span behind (``message`` itself is
+    not changed)."""
+    tail: list = []
+    out, size = _cut(message, tail, 0)
+    result = message.get("result")
+    if type(result) is dict:
+        spanned, size = _cut(result, tail, size)
+        if spanned is not result:
+            out = {**out, "result": spanned}
+    if tail:
+        out[TAIL] = size  # a copy: _cut() copied whatever held a payload
+    body = _JSON.encode(out).encode("utf-8")
+    if len(body) + size > MAX_FRAME_BYTES:
+        raise WireError(f"frame of {len(body)} JSON and {size} tail bytes "
+                        f"exceeds {MAX_FRAME_BYTES}")
+    return b"".join((_HEADER.pack(len(body)), body, *tail))
 
 
 def decode_header(header: bytes) -> int:
-    """Body length from a 4-byte frame header (validates the cap)."""
+    """JSON length from a 4-byte frame header (validates the cap)."""
     (length,) = _HEADER.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise WireError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
     return length
+
+
+def _resolve_spans(scope: dict, tail: bytes) -> None:
+    for key in SPAN_KEYS:
+        span = scope.get(key)
+        if span is None:
+            continue
+        try:
+            offset, length = span
+            if offset >= 0 and length >= 0 and offset + length <= len(tail):
+                scope[key] = tail[offset:offset + length]
+                continue
+        except (TypeError, ValueError):
+            pass  # not a pair of numbers, or not ints to slice with
+        raise WireError(f"{key!r} is {span!r}, not a span inside a "
+                        f"{len(tail)}-byte tail")
+
+
+def decode_frame(header: bytes):
+    """The one frame decoder, as a generator its reader drives.
+
+    Given a frame's 4-byte header, it yields how many bytes it needs
+    next and is sent exactly those; it returns the message with every
+    span resolved to the ``bytes`` it names.  :class:`WireError` on a
+    frame over :data:`MAX_FRAME_BYTES`, a body that is not a JSON
+    object, or a span outside the tail.
+    """
+    length = decode_header(header)
+    body = yield length
+    try:
+        message = json.loads(body)
+    except ValueError as exc:
+        raise WireError(f"frame body is not valid JSON: {exc}") from None
+    if not isinstance(message, dict):
+        raise WireError("frame body must be a JSON object")
+    size = message.pop(TAIL, None)
+    if size is None:
+        return message
+    if type(size) is not int or size < 0 or length + size > MAX_FRAME_BYTES:
+        raise WireError(f"frame of {length} JSON and {size!r} tail bytes "
+                        f"exceeds {MAX_FRAME_BYTES}")
+    tail = yield size
+    _resolve_spans(message, tail)
+    result = message.get("result")
+    if type(result) is dict:
+        _resolve_spans(result, tail)
+    return message
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
@@ -158,17 +254,16 @@ def read_frame(sock: socket.socket) -> dict | None:
     header = _recv_exact(sock, _HEADER.size)
     if header is None:
         return None
-    length = decode_header(header)
-    body = _recv_exact(sock, length)
-    if body is None:
-        raise WireError("connection closed mid-frame")
+    decoder = decode_frame(header)
     try:
-        message = json.loads(body)
-    except ValueError as exc:
-        raise WireError(f"frame body is not valid JSON: {exc}") from None
-    if not isinstance(message, dict):
-        raise WireError("frame body must be a JSON object")
-    return message
+        need = next(decoder)
+        while True:
+            data = _recv_exact(sock, need)
+            if data is None:
+                raise WireError("connection closed mid-frame")
+            need = decoder.send(data)
+    except StopIteration as done:
+        return done.value
 
 
 def write_frame(sock: socket.socket, message: dict) -> None:
@@ -214,57 +309,42 @@ def check_hello(message: dict) -> str | None:
     return None
 
 
-def _pack_ints(values: np.ndarray) -> str:
-    # Each value in 4 bytes when every one fits (pres always, and the
-    # nids of a single engine), else in 8: half the bytes to encode,
-    # escape-scan and decode on each side.  A column shorter than
-    # NARROW_MIN stays int64: checking the range would cost more than
-    # the bytes it saves.  The reader tells the width from the
-    # column's length and the row count.
-    narrow = values.size >= NARROW_MIN and bool(
-        np.minimum.reduce(values) >= -_INT32_LIMIT
-        and np.maximum.reduce(values) < _INT32_LIMIT)
-    return base64.b64encode(np.ascontiguousarray(
-        values, _INT32 if narrow else _INT64)).decode("ascii")
+def pack_rows(columns: RowColumns) -> dict:
+    """A ``query`` result: ``{"documents": [name, ...], "counts": [n,
+    ...], "pres": <i8, "nids": <i8}``; the two columns ride the frame
+    tail."""
+    return {
+        "documents": columns.documents,
+        "counts": columns.counts,
+        "pres": np.ascontiguousarray(columns.pres, _INT64),
+        "nids": np.ascontiguousarray(columns.nids, _INT64),
+    }
 
 
-def _unpack_ints(text: str, rows: int) -> array.array:
+def _unpack_ints(raw, rows: int) -> array.array:
     # array.array, not numpy: the client only turns the column into
     # Python ints, and numpy's per-call overhead shows on small answers.
-    raw = binascii.a2b_base64(text)
-    width, spare = divmod(len(raw), rows) if rows else (4, len(raw))
-    typecode = _TYPECODES.get(width)
-    if spare or typecode is None:
+    raw = memoryview(raw).cast("B")
+    if len(raw) != 8 * rows:
         raise WireError(f"a column of {len(raw)} bytes cannot hold "
-                        f"{rows} int32 or int64 values")
-    values = array.array(typecode, raw)
+                        f"{rows} int64 values")
+    values = array.array("q")
+    values.frombytes(raw)
     if sys.byteorder == "big":
         values.byteswap()
     return values
 
 
-def pack_rows(columns: RowColumns) -> dict:
-    """A ``query`` result: ``{"documents": [name, ...], "counts": [n,
-    ...], "pres": b64(<i4 or <i8), "nids": b64(<i4 or <i8)}``."""
-    return {
-        "documents": columns.documents,
-        "counts": columns.counts,
-        "pres": _pack_ints(columns.pres),
-        "nids": _pack_ints(columns.nids),
-    }
-
-
 def unpack_rows(result: dict) -> RowColumns:
     """Inverse of :func:`pack_rows`; :class:`WireError` on a result
-    that is not one (missing keys, bad base64, columns whose lengths
-    disagree with the counts)."""
+    that is not one (missing keys, columns that are not bytes or whose
+    lengths disagree with the counts)."""
     try:
         documents, counts = result["documents"], result["counts"]
         rows = sum(counts)
         pres = _unpack_ints(result["pres"], rows)
         nids = _unpack_ints(result["nids"], rows)
     except (KeyError, TypeError, ValueError) as exc:
-        # binascii.Error (bad base64) is a ValueError.
         raise WireError(f"malformed query result: {exc}") from None
     if (type(documents) is not list or type(counts) is not list
             or len(documents) != len(counts)

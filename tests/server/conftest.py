@@ -1,5 +1,7 @@
 """Shared helpers for the network serving tests."""
 
+import io
+
 import pytest
 
 from repro.database import Database
@@ -13,6 +15,14 @@ def open_db(tmp_path, **kwargs) -> Database:
     kwargs.setdefault("checkpoint_every", 0)
     kwargs.setdefault("concurrent", True)
     return Database(str(tmp_path / "db"), **kwargs)
+
+
+class ByteStream:
+    """A socket stand-in that replays ``data`` to
+    :func:`repro.wire.read_frame`, then reads end-of-stream."""
+
+    def __init__(self, data: bytes):
+        self.recv = io.BytesIO(data).read
 
 
 class Served:

@@ -4,7 +4,9 @@ Each test drives a live :class:`~repro.server.ServerThread` over real
 sockets with the blocking :class:`~repro.client.Client`.
 """
 
-import base64
+import json
+import socket
+import struct
 import time
 
 import pytest
@@ -176,6 +178,36 @@ class TestErrors:
                 client.call("update", action="shred")
         assert err.value.code == wire.E_BAD_REQUEST
 
+    @pytest.mark.parametrize("op, params", [
+        ("doc.export", {"name": "people", "offset": "x"}),
+        ("doc.export", {"name": "people", "length": 2.5}),
+        ("doc.import", {"name": "n", "offset": "x", "data": b"",
+                        "eof": False}),
+        ("doc.import", {"name": "n", "data": "AAAA", "eof": True}),
+        ("repl.fetch", {"name": "MANIFEST.json", "offset": -5}),
+        ("repl.fetch", {"name": "MANIFEST.json", "offset": "x"}),
+        ("repl.fetch", {"name": "MANIFEST.json", "length": 0}),
+        ("repl.wal", {"epoch": "live", "offset": -5}),
+        ("repl.wal", {"epoch": "live", "offset": "x"}),
+        ("repl.wal", {"epoch": "x", "offset": 16}),
+        ("placement", {"version": "x"}),
+        ("update", {"action": "delete_subtree", "nid": "x"}),
+        ("update", {"action": "insert_xml", "nid": 1, "fragment": "<b/>",
+                    "before": "x"}),
+    ])
+    def test_malformed_integer_is_a_bad_request(self, served, op, params):
+        """A parameter that should be an integer and is not (or is out
+        of range) is ``bad_request``, never ``internal``; the payload of
+        ``doc.import`` must ride the frame tail."""
+        with Client(served.host, served.port) as client:
+            if params.get("epoch") == "live":
+                live = client.call("repl.manifest")["wal_epoch"]
+                params = {**params, "epoch": live}
+            with pytest.raises(ClientError) as err:
+                client.call(op, **params)
+            assert err.value.code == wire.E_BAD_REQUEST, err.value
+            assert client.ping() == {}
+
 
 class TestFrameCap:
     def test_oversized_response_fails_its_request(self, served, monkeypatch):
@@ -198,15 +230,22 @@ class TestFrameCap:
     def test_export_chunk_is_capped(self, served, monkeypatch):
         """``doc.export`` serves at most ``DEFAULT_CHUNK`` bytes per
         chunk, whatever ``length`` asks for (a chunk near the frame cap
-        would outgrow it once base64-encoded)."""
+        would leave no room for the JSON beside it)."""
         monkeypatch.setattr(wire, "DEFAULT_CHUNK", 256)
         whole = served.db.export_document("people")
         assert len(whole) > 256
+        with socket.create_connection((served.host, served.port)) as raw:
+            wire.write_frame(raw, {"id": 1, "op": "doc.export",
+                                   "name": "people", "offset": 0,
+                                   "length": 64 << 20})
+            stream = raw.makefile("rb")
+            (length,) = struct.unpack(">I", stream.read(4))
+            first = json.loads(stream.read(length))
+            _offset, size = first["result"]["data"]
+            assert size == 256 == first["tail"]
+            assert stream.read(size) == whole[:256]
+            assert not first["result"]["eof"]
         with Client(served.host, served.port) as client:
-            first = client.call("doc.export", name="people", offset=0,
-                                length=64 << 20)
-            assert len(base64.b64decode(first["data"])) == 256
-            assert not first["eof"]
             assert client.export_document("people") == whole
 
 
