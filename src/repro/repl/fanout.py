@@ -45,11 +45,11 @@ class ReplicaSet:
         self._followers = [Client(*addr) for addr in self.follower_addrs]
         self._dead: set[int] = set()
         self._lock = threading.Lock()
-        read_pool = self._followers if (self._followers
-                                        and not primary_reads) else []
-        self._rotation = itertools.cycle(range(len(read_pool))) \
-            if read_pool else None
-        self._read_pool = read_pool
+        readers = self._followers if (self._followers
+                                      and not primary_reads) else []
+        self._rotation = itertools.cycle(range(len(readers))) \
+            if readers else None
+        self._readers = readers
 
     # -- reads -----------------------------------------------------------
 
@@ -57,20 +57,20 @@ class ReplicaSet:
         if self._rotation is None:
             return self._primary
         with self._lock:
-            for _ in range(len(self._read_pool)):
+            for _ in range(len(self._readers)):
                 idx = next(self._rotation)
                 if idx not in self._dead:
-                    return self._read_pool[idx]
+                    return self._readers[idx]
         return self._primary  # every follower quarantined
 
     def _quarantine(self, client: Client) -> None:
         with self._lock:
-            for idx, member in enumerate(self._read_pool):
+            for idx, member in enumerate(self._readers):
                 if member is client:
                     self._dead.add(idx)
 
     def _read(self, fn):
-        attempts = 1 + len(self._read_pool)
+        attempts = 1 + len(self._readers)
         last: Exception | None = None
         for _ in range(attempts):
             client = self._read_client()

@@ -279,18 +279,13 @@ class FollowerServer:
                 means "run it locally" (follower was promoted)."""
                 if outer.follower.promoted:
                     return None
-                import asyncio
-
                 params = {
                     k: v for k, v in message.items()
                     if k not in ("id", "op")
                 }
-                loop = asyncio.get_running_loop()
                 try:
-                    return await loop.run_in_executor(
-                        self._write_pool,
-                        lambda: outer._forward(op, params),
-                    )
+                    return await self._offload(
+                        lambda: outer._forward(op, params))
                 except ClientError as exc:
                     extra = {}
                     if exc.retry_after_ms is not None:

@@ -4,18 +4,25 @@
 :class:`~repro.database.Database` (every database serves concurrently
 and group-commits; no flag is needed):
 
-* **Reads** (``query`` / ``lookup`` / ``explain``) are dispatched to a
-  pool of :data:`READ_WORKERS` threads; each request runs inside its
-  own snapshot-pinned :class:`~repro.core.concurrency.ReadView`.  A
-  session may additionally *pin* a view (``view.open``): the server
-  registers a long-lived :class:`~repro.core.concurrency.SessionPin` —
-  which keeps the epoch's MVCC overlay versions alive without holding
-  the latch — and subsequent requests carrying the view token resolve
-  at that epoch.  Structural updates invalidate session views; the
-  affected requests fail with ``view_invalid`` instead of serving torn
-  data.
-* **Updates** are funneled through the group-commit leader by a
-  separate pool of :data:`WRITE_WORKERS` threads behind a **bounded
+* **Reads** (``query`` / ``lookup`` / ``explain``) run on the event
+  loop itself, each inside its own snapshot-pinned
+  :class:`~repro.core.concurrency.ReadView`: under the GIL a thread
+  pool would add two thread hand-offs to every read and no
+  parallelism.  A session may additionally *pin* a view
+  (``view.open``): the server registers a long-lived
+  :class:`~repro.core.concurrency.SessionPin` — which keeps the
+  epoch's MVCC overlay versions alive without holding the latch — and
+  subsequent requests carrying the view token resolve at that epoch.
+  Structural updates invalidate session views; the affected requests
+  fail with ``view_invalid`` instead of serving torn data.  A read
+  holds the loop while it runs, and one that waits on the shared
+  latch behind a structural writer, a checkpoint or a document export
+  holds it until the latch is free.
+* **Updates** and the ops that move bytes to or from disk or wait on
+  the exclusive latch (``doc.export``, ``doc.stats``,
+  ``repl.manifest``/``fetch``/``wal``) run on one pool of
+  :data:`WORKERS` threads (:meth:`DatabaseServer._offload`).  Updates
+  are funneled through the group-commit leader behind a **bounded
   admission queue**: when ``max_pending_updates`` updates are already
   in flight the request is rejected immediately with ``busy`` and a
   ``retry_after_ms`` hint — backpressure surfaces at the edge instead
@@ -67,11 +74,9 @@ __all__ = ["DatabaseServer", "RequestError", "ServerThread", "serve"]
 #: Default hint returned with ``busy`` rejections.
 RETRY_AFTER_MS = 25.0
 
-#: Threads that run reads (``query``/``lookup``/``explain``, exports,
-#: replication fetches) and threads that run updates; the update pool
-#: feeds the group-commit leader behind the admission bound.
-READ_WORKERS = 8
-WRITE_WORKERS = 8
+#: Threads that run updates (feeding the group-commit leader behind
+#: the admission bound), exports and replication transfers.
+WORKERS = 8
 
 
 class RequestError(Exception):
@@ -135,11 +140,8 @@ class DatabaseServer:
         self._controller = db.manager.concurrency
         self._metrics = db.manager.metrics
         self._max_pending_updates = max_pending_updates
-        self._read_pool = ThreadPoolExecutor(
-            max_workers=READ_WORKERS, thread_name_prefix="serve-read"
-        )
-        self._write_pool = ThreadPoolExecutor(
-            max_workers=WRITE_WORKERS, thread_name_prefix="serve-write"
+        self._pool = ThreadPoolExecutor(
+            max_workers=WORKERS, thread_name_prefix="serve-worker"
         )
         self._pending_updates = 0
         self.placement_version = placement_version
@@ -205,17 +207,15 @@ class DatabaseServer:
         # when the event loop shuts down.
         for conn_writer in tuple(self._conn_writers):
             conn_writer.close()
-        loop = asyncio.get_running_loop()
         try:
-            await loop.run_in_executor(self._write_pool, self._close_db)
+            await self._offload(self._close_db)
         except asyncio.CancelledError:
             raise
         except BaseException as exc:
             self.close_error = exc
         for session in tuple(self._sessions):
             self._release_session(session)
-        self._read_pool.shutdown(wait=False)
-        self._write_pool.shutdown(wait=False)
+        self._pool.shutdown(wait=False)
         self._state = "closed"
 
     def _close_db(self) -> None:
@@ -321,15 +321,9 @@ class DatabaseServer:
     # Request execution helpers
     # ------------------------------------------------------------------
 
-    async def _run_read(self, session: _Session, message: dict, fn):
-        """Run ``fn`` on the read pool, inside the request's view."""
+    def _run_read(self, session: _Session, message: dict, fn):
+        """Run ``fn`` on the event loop, inside the request's view."""
         view_id = message.get("view")
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._read_pool, self._read_in_view, session, view_id, fn
-        )
-
-    def _read_in_view(self, session: _Session, view_id, fn):
         if view_id is None:
             return fn()
         pin = session.pins.get(view_id)
@@ -346,8 +340,13 @@ class DatabaseServer:
                 )
             return fn()
 
+    async def _offload(self, fn):
+        """Run blocking ``fn`` on the worker pool, off the event loop."""
+        return await asyncio.get_running_loop().run_in_executor(
+            self._pool, fn)
+
     async def _run_update(self, fn):
-        """Run an update on the writer pool behind admission control."""
+        """Run an update on the worker pool behind admission control."""
         if self._pending_updates >= self._max_pending_updates:
             self._metrics.counter("server.busy_rejections").inc()
             raise RequestError(
@@ -357,9 +356,8 @@ class DatabaseServer:
                 retry_after_ms=RETRY_AFTER_MS,
             )
         self._pending_updates += 1
-        loop = asyncio.get_running_loop()
         try:
-            return await loop.run_in_executor(self._write_pool, fn)
+            return await self._offload(fn)
         finally:
             self._pending_updates -= 1
 
@@ -503,7 +501,7 @@ class DatabaseServer:
         self._check_placement(message)
         # (document, pre) addresses survive re-placement, bare nids
         # don't: every answer carries both, as packed columns.
-        return await self._run_read(
+        return self._run_read(
             session, message,
             lambda: wire.pack_rows(self._columns_of(
                 text, document, documents, use_indexes, as_of)),
@@ -536,7 +534,7 @@ class DatabaseServer:
                     self._require(message, "value")))
             raise RequestError(E_BAD_REQUEST, f"unknown lookup mode {mode!r}")
 
-        nids = await self._run_read(session, message, call)
+        nids = self._run_read(session, message, call)
         return {"nids": nids}
 
     async def _op_explain(self, session, message) -> dict:
@@ -547,7 +545,7 @@ class DatabaseServer:
             explanation = self.db.explain(text, execute=execute)
             return {"summary": str(explanation), "tree": explanation.tree()}
 
-        return await self._run_read(session, message, call)
+        return self._run_read(session, message, call)
 
     async def _op_update(self, session, message) -> dict:
         action = self._require(message, "action")
@@ -593,7 +591,7 @@ class DatabaseServer:
 
     async def _op_load(self, session, message) -> dict:
         """Shred + index one document (a checkpoint-forcing bulk
-        write — runs on the writer pool behind admission control)."""
+        write — runs on the worker pool behind admission control)."""
         name = self._require(message, "name")
         xml = self._require(message, "xml")
 
@@ -689,14 +687,14 @@ class DatabaseServer:
                 session.exports.pop(name, None)
             return {"data": chunk, "eof": eof, "size": len(payload)}
 
-        return await self._run_read(session, message, call)
+        return await self._offload(call)
 
     async def _op_doc_import(self, session, message) -> dict:
         """Chunked write of a document exported from another shard.
 
         Chunks accumulate on the session; the ``eof`` chunk adopts the
         document (foreign nids remapped, indexes rebuilt, checkpoint)
-        on the writer pool like any other bulk write.
+        on the worker pool like any other bulk write.
         """
         name = self._require(message, "name")
         data = self._require(message, "data")
@@ -724,18 +722,16 @@ class DatabaseServer:
 
     async def _op_doc_stats(self, session, message) -> dict:
         """Per-document placement metrics (rebalance weights)."""
-        return await self._run_read(
-            session, message, lambda: {"documents": self.db.document_stats()}
-        )
+        return await self._offload(
+            lambda: {"documents": self.db.document_stats()})
 
     # -- replication (primary side; see repro.repl.primary) -------------
 
     async def _op_repl_manifest(self, session, message) -> dict:
         from .repl import primary as repl_primary
 
-        return await self._run_read(
-            session, message, lambda: repl_primary.manifest_info(self.db)
-        )
+        return await self._offload(
+            lambda: repl_primary.manifest_info(self.db))
 
     async def _op_repl_fetch(self, session, message) -> dict:
         from .repl import primary as repl_primary
@@ -750,18 +746,16 @@ class DatabaseServer:
             except (ValueError, FileNotFoundError) as exc:
                 raise RequestError(E_BAD_REQUEST, str(exc)) from exc
 
-        return await self._run_read(session, message, call)
+        return await self._offload(call)
 
     async def _op_repl_wal(self, session, message) -> dict:
         from .repl import primary as repl_primary
 
         epoch = self._int_param(message, "epoch")
         offset, max_bytes = self._chunk_params(message, "max_bytes", None)
-        return await self._run_read(
-            session, message,
+        return await self._offload(
             lambda: repl_primary.wal_chunk(self.db, epoch, offset,
-                                           max_bytes),
-        )
+                                           max_bytes))
 
     _OPS: dict[str, Callable[..., Awaitable[dict]]] = {
         "hello": _op_hello,

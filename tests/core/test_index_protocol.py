@@ -162,7 +162,8 @@ class TestNoSidePaths:
     no query answer sent as per-row JSON — and no second client, no
     pool-size option and no prune on a reader's way out — and no
     payload encoded twice: bytes ride the frame tail raw, in one
-    width."""
+    width — and no thread hop on a read: reads run on the server's
+    event loop."""
 
     SOURCES = sorted(pathlib.Path(repro.__file__).parent.rglob("*.py"))
     #: pattern -> the one module (if any) allowed to match it.
@@ -218,6 +219,11 @@ class TestNoSidePaths:
         r"\bbase64\b": None,
         r"\bbinascii\b": None,
         r"\bNARROW_MIN\b": None,
+        # No thread hop on a read: reads run on the event loop, and
+        # updates and byte transfers share one worker pool.
+        r"\b_read_pool\b": None,
+        r"\bREAD_WORKERS\b": None,
+        r"serve-read": None,
     }
 
     @pytest.mark.parametrize("pattern", list(FORBIDDEN))
