@@ -22,17 +22,16 @@ class ReproError(Exception):
 class XmlSyntaxError(ReproError):
     """Raised by the XML parser on malformed input.
 
-    Carries the character ``position`` and 1-based ``line`` of the
-    offending input when known.  Both count from the start of the whole
-    document, however it was fed to the parser.
+    Carries expat's 1-based ``line`` and, as ``position``, its 0-based
+    column: characters from the start of that line (a ``\\r\\n`` line
+    end counts as one).  Both hold however the document was fed to the
+    parser; they are -1 when unknown.
     """
 
     def __init__(self, message: str, position: int = -1, line: int = -1):
         detail = message
         if line >= 0:
-            detail = f"{message} (line {line})"
-        elif position >= 0:
-            detail = f"{message} (offset {position})"
+            detail = f"{message} (line {line}, column {position})"
         super().__init__(detail)
         self.message = message
         self.position = position

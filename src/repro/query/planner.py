@@ -141,39 +141,6 @@ def _driver_kind(manager: IndexManager, driver) -> str | None:
     return None if route is None else route[0]
 
 
-def _plan_drivers(manager: IndexManager, predicate) -> list | None:
-    """The atomic predicates whose index hits jointly *cover* all
-    context nodes satisfying ``predicate``.
-
-    * an indexable atom covers itself;
-    * ``and``: any one indexable conjunct covers (the rest is verified);
-    * ``or``: every disjunct must be covered (hits are unioned).
-
-    Returns ``None`` when no covering driver set exists.  (This is the
-    recognition rule behind the compact ``explain`` summary; the cost
-    model may pick a different — cheaper — covering conjunct.)
-    """
-    if isinstance(predicate, (Comparison, FunctionPredicate)):
-        if _driver_kind(manager, predicate) is None:
-            return None
-        return [predicate]
-    if isinstance(predicate, BooleanExpr):
-        if predicate.op == "and":
-            for child in predicate.children:
-                drivers = _plan_drivers(manager, child)
-                if drivers is not None:
-                    return drivers
-            return None
-        drivers: list = []
-        for child in predicate.children:
-            child_drivers = _plan_drivers(manager, child)
-            if child_drivers is None:
-                return None
-            drivers.extend(child_drivers)
-        return drivers
-    return None
-
-
 def _estimate_driver(manager: IndexManager, driver) -> float:
     """Expected number of index candidates for one atomic predicate."""
     if isinstance(driver, FunctionPredicate):
@@ -711,27 +678,24 @@ def explain(
     document: str | None = None,
     execute: bool = False,
 ) -> Explanation:
-    """Report the plan a query would use.
+    """Report the plan :func:`query` runs in its default mode
+    (``use_indexes=True``).
 
     Returns an :class:`Explanation` — comparable to the legacy compact
-    strings (``"index(...)"``/``"scan"``) and carrying the plan tree
+    strings (``"index(...)"``/``"scan"``), which name the kinds of the
+    plan's own ``IndexLookup`` operators, and carrying the plan tree
     with cost estimates and each document's nid runs.  With
     ``execute=True`` the plan is run once over the scope, as in
     :func:`query`, and each operator's actual row count and time is
     attached.
     """
     parsed = _parse(text)
-    final = parsed.path.steps[-1]
-    predicate = next(iter(final.predicates), None)
-    summary = "scan"
-    if predicate is not None:
-        drivers = _plan_drivers(manager, predicate)
-        if drivers is not None:
-            kinds = [_driver_kind(manager, driver) for driver in drivers]
-            if all(kind is not None for kind in kinds):
-                summary = "index(" + "+".join(sorted(set(kinds))) + ")"
     view = _scope(manager, parsed, document)
-    plan = build_plan(manager, None, parsed.path, "auto")
+    plan = build_plan(manager, None, parsed.path, True)
+    kinds = sorted({
+        node.kind for node in plan.walk() if isinstance(node, IndexLookup)
+    })
+    summary = f"index({'+'.join(kinds)})" if kinds else "scan"
     actuals: dict[int, dict] | None = None
     if execute:
         actuals = {}

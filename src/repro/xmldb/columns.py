@@ -215,7 +215,7 @@ class DocColumns:
         with one ``searchsorted`` (as :meth:`segments` does), each row
         shifted to its document's pre by one vector subtraction."""
         nids = self.nid[pres]
-        if len(self.docs) == 1:  # a one-document view needs no cut
+        if len(self.docs) <= 1:  # a view of at most one document needs no cut
             held = [self.docs[0].name] if pres.size else []
             return RowColumns(held, [pres.size] if held else [], pres, nids)
         cuts = np.searchsorted(pres, self.offsets)

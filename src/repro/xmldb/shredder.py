@@ -24,35 +24,27 @@ def shred_events(
 ) -> Document:
     """Build a :class:`Document` from a parser event stream.
 
-    ``allocate_nid`` supplies store-wide immutable node ids.  Adjacent
-    text events (text + CDATA) coalesce into one text node, matching
-    the XDM requirement that no two text siblings are adjacent.
+    ``allocate_nid`` supplies store-wide immutable node ids.  The
+    parser joins adjacent character data (text + CDATA) into one
+    ``text`` event, so each becomes one text node, matching the XDM
+    requirement that no two text siblings are adjacent.
     """
     doc = Document(name)
     root_nid = allocate_nid()
     doc.append_row(DOC, level=0, nid=root_nid, parent_nid=-1)
     # Stack of (pre, nid) of open containers; starts at the doc node.
     stack: list[tuple[int, int]] = [(0, root_nid)]
-    pending_text: list[str] = []
-
-    def flush_text() -> None:
-        if pending_text:
-            text = "".join(pending_text)
-            pending_text.clear()
+    for event in events:
+        tag = event[0]
+        if tag == "text":
             doc.append_row(
                 TEXT,
                 level=len(stack),
                 nid=allocate_nid(),
                 parent_nid=stack[-1][1],
-                text=text,
+                text=event[1],
             )
-
-    for event in events:
-        tag = event[0]
-        if tag == "text":
-            pending_text.append(event[1])
         elif tag == "start":
-            flush_text()
             _name, attributes = event[1], event[2]
             nid = allocate_nid()
             pre = doc.append_row(
@@ -73,11 +65,9 @@ def shred_events(
                 )
             stack.append((pre, nid))
         elif tag == "end":
-            flush_text()
             pre, _nid = stack.pop()
             doc.size[pre] = len(doc) - pre - 1
         elif tag == "comment":
-            flush_text()
             doc.append_row(
                 COMMENT,
                 level=len(stack),
@@ -86,7 +76,6 @@ def shred_events(
                 text=event[1],
             )
         elif tag == "pi":
-            flush_text()
             doc.append_row(
                 PI,
                 level=len(stack),
@@ -97,9 +86,6 @@ def shred_events(
             )
         else:  # pragma: no cover - parser yields no other tags
             raise ValueError(f"unknown event {tag!r}")
-    # Trailing top-level text occurs in fragments (full documents always
-    # end with an "end" event, which flushes).
-    flush_text()
     doc.size[0] = len(doc) - 1
     return doc
 

@@ -1,5 +1,7 @@
 """Structured plans: operator trees, cost annotations, explain reports."""
 
+import pytest
+
 from repro.core import IndexManager
 from repro.query import (
     AncestorWalk,
@@ -130,6 +132,34 @@ class TestExplain:
         data = json.loads(json.dumps(result.to_dict()))
         assert data["summary"] == "index(double)"
         assert data["documents"][0]["plan"]["op"] == "StructuralVerify"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "//person[1]/age[. = 42]",
+            "//age/parent::person[age = 42]",
+            "//person[preceding-sibling::person/age = 42]",
+        ],
+    )
+    def test_summary_names_the_reported_scan(self, text):
+        m = IndexManager(typed=("double",))
+        m.load("d", "<d>" + "<person><age>42</age></person>" * 3 + "</d>")
+        result = explain(m, text)
+        assert isinstance(result.reports[0].plan, FullScan)
+        assert result == "scan"
+
+    def test_reports_the_plan_query_runs_by_default(self):
+        # Every p matches, so "auto" would scan; query's default mode
+        # (use_indexes=True) runs the index plan, and explain says so.
+        m = _manager()
+        text = "//p[.//age >= 0]"
+        path = parse_query(text).path
+        assert isinstance(build_plan(m, None, path, "auto"), FullScan)
+        result = explain(m, text)
+        assert result == "index(double)"
+        plan = result.reports[0].plan
+        assert isinstance(plan, StructuralVerify)
+        assert plan.describe() == build_plan(m, None, path, True).describe()
 
     def test_no_documents(self):
         m = IndexManager(typed=("double",))

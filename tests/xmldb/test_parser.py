@@ -1,11 +1,11 @@
-"""Tests for the from-scratch XML parser."""
+"""Tests for the XML parser (an adapter over expat)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import XmlSyntaxError
-from repro.xmldb.parser import escape_attribute, escape_text, parse_events, unescape
+from repro.xmldb.parser import escape_attribute, escape_text, parse_events
 
 
 def events(xml):
@@ -141,14 +141,6 @@ class TestErrors:
         assert exc_info.value.line == 3
 
 
-class TestUnescape:
-    def test_no_amp_fast_path(self):
-        assert unescape("", "plain") == "plain"
-
-    def test_mixed(self):
-        assert unescape("", "a&amp;b&#10;c") == "a&b\nc"
-
-
 class TestEscaping:
     def test_text_roundtrip(self):
         original = 'a<b&c>d"e'
@@ -208,3 +200,40 @@ class TestInternalDtdEntities:
     def test_predefined_not_overridden_by_subset(self):
         xml = '<!DOCTYPE r [<!ENTITY amp "BAD">]><r>&amp;</r>'
         assert events(xml)[1] == ("text", "&")
+
+
+def amplified(levels: int) -> str:
+    """A document whose one entity reference expands to 10**levels
+    copies of a three-character text."""
+    declarations = '<!ENTITY e0 "abc">' + "".join(
+        f'<!ENTITY e{i} "{f"&e{i - 1};" * 10}">' for i in range(1, levels + 1)
+    )
+    return f"<!DOCTYPE r [{declarations}]><r>&e{levels};</r>"
+
+
+class TestHostileInput:
+    def test_modest_expansion_is_allowed(self):
+        assert events(amplified(3))[1] == ("text", "abc" * 1000)
+
+    def test_entity_amplification_is_refused(self):
+        with pytest.raises(XmlSyntaxError, match="amplification"):
+            events(amplified(7))
+
+    def test_external_entity_reference_is_refused(self):
+        xml = '<!DOCTYPE r [<!ENTITY ext SYSTEM "file:///etc/hostname">]><r>&ext;</r>'
+        with pytest.raises(XmlSyntaxError, match="external entity"):
+            events(xml)
+
+    def test_undefined_entity_after_external_subset_is_refused(self):
+        xml = '<!DOCTYPE r SYSTEM "r.dtd"><r>\n&undefined;</r>'
+        with pytest.raises(XmlSyntaxError, match="undefined entity") as info:
+            events(xml)
+        assert info.value.line == 2
+
+    @pytest.mark.parametrize(
+        "text", ["a\ud800b", "a\x01b", "a\ufffeb", "a\uffffb", "&#1;"]
+    )
+    def test_characters_outside_xml_are_refused(self, text):
+        with pytest.raises(XmlSyntaxError) as info:
+            events(f"<r>\n{text}</r>")
+        assert info.value.line == 2

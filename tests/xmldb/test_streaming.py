@@ -296,7 +296,7 @@ class TestErrors:
     def test_no_root(self):
         parser = StreamingParser()
         parser.feed("   ")
-        with pytest.raises(XmlSyntaxError, match="no root"):
+        with pytest.raises(XmlSyntaxError, match="no element found"):
             parser.close()
 
 
