@@ -77,8 +77,10 @@ def rehash_update(store: Store, index: StringIndex, nids: Iterable[int]) -> int:
     """String-index maintenance *without* ``C``: re-read and re-hash the
     full string value of every affected node."""
     affected = _affected(store, nids)
-    for doc, pre, nid in affected:
-        index.set_entry(nid, index.field_of_text(doc.string_value(pre)))
+    index.set_entries(
+        [nid for _doc, _pre, nid in affected],
+        [index.field_of_text(doc.string_value(pre)) for doc, pre, _nid in affected],
+    )
     return len(affected)
 
 
@@ -86,8 +88,11 @@ def refsm_update(store: Store, index: TypedIndex, nids: Iterable[int]) -> int:
     """Typed-index maintenance *without* the SCT: re-read and re-run the
     FSM over the full string value of every affected node."""
     affected = _affected(store, nids)
-    for doc, pre, nid in affected:
-        index.set_entry(nid, index.plugin.fragment_of_text(doc.string_value(pre)))
+    fragment_of_text = index.plugin.fragment_of_text
+    index.set_entries(
+        [nid for _doc, _pre, nid in affected],
+        [fragment_of_text(doc.string_value(pre)) for doc, pre, _nid in affected],
+    )
     return len(affected)
 
 

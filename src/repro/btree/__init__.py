@@ -1,8 +1,7 @@
 """Sorted-set substrate shared by every value index (string, typed,
-substring): the :class:`SortedRun` they sit on and the copy-on-write
-:class:`BPlusTree` that is its delta."""
+substring): the :class:`SortedRun` they sit on, frozen numpy columns
+for the base run and for its delta."""
 
-from .bplus import BPlusTree
 from .sorted_run import SortedRun
 
-__all__ = ["BPlusTree", "SortedRun"]
+__all__ = ["SortedRun"]

@@ -1,31 +1,40 @@
-"""A sorted ``(key, nid)`` set: frozen columns plus a copy-on-write delta.
+"""A sorted ``(key, nid)`` set: frozen base columns plus frozen delta columns.
 
 Inside MonetDB the paper's "(B-tree) index, constructed on the hash
 values" (Section 3) and its "clustered (b-tree) index ... on top of the
 typed values" (Section 4) are sorted BATs.  :class:`SortedRun` is that
 layout: an immutable **base run** of two aligned numpy columns —
 ``keys`` and ``nids`` (int64), sorted by ``(key, nid)`` — and a small
-**delta**, a copy-on-write :class:`~repro.btree.bplus.BPlusTree` that
-maps an entry to ``True`` (inserted since the base was built) or
-``False`` (a tombstone over a base entry).  An index scan is two
-``searchsorted`` probes and a slice of ``nids``; the delta's range is
-merged in only while the delta is non-empty.
-
-Two invariants tie the halves together: an inserted delta entry is
-never in the base, and a tombstone always is.  So the set's size is
-``len(base) + inserts - tombstones`` and a merge never has to decide
+**delta** of three more frozen columns: ``dead``, the sorted base
+positions of the entries deleted since the base was built, and
+``ins_keys``/``ins_nids``, the entries inserted since, in ``(key, nid)``
+order.  No inserted entry is in the base, so the set's size is
+``len(base) - len(dead) + len(inserts)`` and a merge never has to decide
 between two copies of one entry.
 
-**Concurrency model.**  The base columns are never written after they
-are built and the delta is path-copying, so one ``(keys, nids, delta
-snapshot, size)`` tuple — a :class:`RunSnapshot` — is a complete
-immutable version of the set.  Every mutation publishes a fresh one
-with a single reference assignment; :meth:`SortedRun.snapshot` hands
-out the current one in O(1), and every read of the live run goes
-through the snapshot current at the call.  :meth:`SortedRun.fold`
-merges the delta into a new base and starts an empty delta; snapshots
-taken before keep the old columns and the old delta root alive until
-their last holder lets go (see ``docs/concurrency.md``).
+An index scan is two ``searchsorted`` probes and a slice of the base's
+nid column.  While the delta is non-empty the slice loses the dead
+positions inside it (two probes on ``dead``) and gains the inserted
+nids between two probes on ``ins_keys``; no step costs a Python object
+per entry.  The cursors read the same stretch as merged columns: the
+dead positions dropped and the inserts placed in one pass.
+
+**Writes.**  :meth:`SortedRun.apply` takes one batch of inserts and
+deletes — one index's share of one update — and publishes once.  An
+update's few entries are settled one by one in Python after one
+vectorised key search; a bulk batch runs as whole-column steps.  Either
+way each next delta column is built in one pass (``_splice``: the
+dropped positions out, the new entries in).
+
+**Concurrency model.**  No column is written after it is built, so one
+``(base, dead, inserts)`` tuple — a :class:`RunSnapshot` — is a complete
+immutable version of the set.  Every write publishes a fresh one with a
+single reference assignment; :meth:`SortedRun.snapshot` hands out the
+current one in O(1), and every read of the live run goes through the
+snapshot current at the call.  :meth:`SortedRun.fold` merges the delta
+into a new base and starts an empty delta; snapshots taken before keep
+the old columns alive until their last holder lets go (see
+``docs/concurrency.md``).
 
 The key column's dtype is fixed per run: ``<u4`` for the hash ``H``,
 ``f8`` for ``xs:double``, ``object`` for keys numpy cannot hold exactly
@@ -35,16 +44,25 @@ objects they are, never rounded into a float.
 
 from __future__ import annotations
 
-import operator
-from itertools import chain, repeat
-from math import inf
+from itertools import repeat
 from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .bplus import BPlusTree, TreeSnapshot
-
 __all__ = ["RunSnapshot", "SortedRun"]
+
+#: The ``dead`` column of a run with no deletes.
+_NO_POSITIONS = np.empty(0, dtype=np.int64)
+_NO_POSITIONS.setflags(write=False)
+
+
+def _column(values: Sequence, dtype: Any) -> "np.ndarray":
+    """``values`` as a column of ``dtype``, element by element: object
+    keys stay the objects given, and a hash outside ``<u4`` raises
+    instead of wrapping."""
+    column = np.empty(len(values), dtype=dtype)
+    column[:] = values
+    return column
 
 
 def _sorted_columns(
@@ -53,157 +71,233 @@ def _sorted_columns(
     """The ``base`` columns and the entries ``zip(keys, nids)`` as one
     pair of columns in ``(key, nid)`` order, plus the mask of positions
     whose entry equals its predecessor's."""
-    added = np.empty(len(keys), dtype=base[0].dtype)
-    added[:] = keys  # element-wise: object keys stay the objects given
-    keys = np.concatenate((base[0], added))
+    keys = np.concatenate((base[0], _column(keys, base[0].dtype)))
     nids = np.concatenate((base[1], np.asarray(nids, dtype=np.int64)))
     order = np.lexsort((nids, keys))
     keys, nids = keys[order], nids[order]
-    repeat = np.zeros(len(keys), dtype=bool)
-    repeat[1:] = (keys[1:] == keys[:-1]) & (nids[1:] == nids[:-1])
-    return keys, nids, repeat
+    repeat_ = np.zeros(len(keys), dtype=bool)
+    repeat_[1:] = (keys[1:] == keys[:-1]) & (nids[1:] == nids[:-1])
+    return keys, nids, repeat_
+
+
+#: A batch with more entries than this works on whole arrays; a smaller
+#: one (an update's ``depth+1`` entries) settles each entry in Python,
+#: where numpy's per-call cost would dominate.
+_FEW = 64
+
+
+def _find(
+    keys: "np.ndarray",
+    nids: "np.ndarray",
+    find_keys: "np.ndarray",
+    find_nids: "np.ndarray",
+) -> tuple["np.ndarray", "np.ndarray"]:
+    """Where each entry ``(find_keys[i], find_nids[i])`` sorts in the
+    ``(key, nid)``-sorted columns (before an equal entry), and whether
+    it is there.  Two ``searchsorted`` on the key column give every
+    entry's key group; the nid is then found inside the group."""
+    if not len(keys):
+        count = len(find_keys)
+        return np.zeros(count, dtype=np.intp), np.zeros(count, dtype=bool)
+    lo = keys.searchsorted(find_keys, "left")
+    hi = keys.searchsorted(find_keys, "right")
+    if len(find_keys) <= _FEW:
+        at, found = [], []
+        for start, stop, nid in zip(lo.tolist(), hi.tolist(), find_nids.tolist()):
+            if stop - start > 1:
+                start += int(nids[start:stop].searchsorted(nid))
+            elif stop > start and nids.item(start) < nid:
+                start += 1
+            at.append(start)
+            found.append(start < stop and nids.item(start) == nid)
+        return np.array(at, dtype=np.intp), np.array(found, dtype=bool)
+    # Many entries: bisect every key group in step.
+    last, stop = len(nids) - 1, hi
+    while np.count_nonzero(lo < hi):
+        mid = (lo + hi) >> 1
+        # Where a search is over, mid is lo == hi (maybe len(nids)):
+        # clamp the probe, and keep lo there with the min below.
+        ahead = nids[np.minimum(mid, last)] < find_nids
+        lo = np.where(ahead, np.minimum(mid + 1, hi), lo)
+        hi = np.where(ahead, hi, mid)
+    return lo, (lo < stop) & (nids[np.minimum(lo, last)] == find_nids)
+
+
+def _hits(column: "np.ndarray", at: "np.ndarray", values) -> "np.ndarray":
+    """Whether ``column[at] == values`` elementwise (``at`` may be
+    ``len(column)``: a miss)."""
+    if not len(column):
+        return np.zeros(len(at), dtype=bool)
+    return (column[np.minimum(at, len(column) - 1)] == values) & (at < len(column))
+
+
+def _splice(
+    columns: tuple["np.ndarray", ...],
+    drop: Sequence[int],
+    at: Sequence[int],
+    values: tuple["np.ndarray", ...],
+) -> list["np.ndarray"]:
+    """New aligned ``columns``: without the positions ``drop``, and with
+    each column's ``values[i]`` placed before position ``at[i]`` (both
+    ascending).  A few changes join the old columns' stretches between
+    them and the new values with one ``np.concatenate`` per column;
+    many are one ``np.delete`` and one ``np.insert``."""
+    if len(drop) + len(at) > _FEW:
+        drop = np.asarray(drop, dtype=np.intp)
+        at = np.asarray(at, dtype=np.intp) - drop.searchsorted(at)
+        return [
+            np.insert(np.delete(column, drop), at, new)
+            for column, new in zip(columns, values)
+        ]
+    if not len(drop) and not len(at):
+        return list(columns)
+    # The stretches as (start, stop, value index or -1 for none).
+    drop, at = list(drop), list(at)
+    stretches = []
+    start = d = i = 0
+    while d < len(drop) or i < len(at):
+        if i < len(at) and (d == len(drop) or at[i] <= drop[d]):
+            stretches.append((start, at[i], i))
+            start = at[i]
+            i += 1
+        else:
+            stretches.append((start, drop[d], -1))
+            start = drop[d] + 1
+            d += 1
+    spliced = []
+    for column, new in zip(columns, values):
+        pieces = []
+        for begin, end, value in stretches:
+            pieces.append(column[begin:end])
+            if value >= 0:
+                pieces.append(new[value : value + 1])
+        pieces.append(column[start:])
+        spliced.append(np.concatenate(pieces))
+    return spliced
+
+
+def _key_position(keys: "np.ndarray", key: Any, side: str) -> int:
+    """Where ``key`` sorts in a key column.  The probe is made in the
+    column's own dtype: against a bare Python int numpy would cast the
+    whole ``<u4`` column per call."""
+    return int(keys.searchsorted(keys.dtype.type(key), side))
+
+
+def _key_bounds(
+    keys: "np.ndarray",
+    low: Any,
+    high: Any,
+    include_low: bool,
+    include_high: bool,
+) -> tuple[int, int]:
+    """Positions ``[lo, hi)`` of the keys between ``low`` and ``high``
+    (``None`` = unbounded)."""
+    lo = 0
+    if low is not None:
+        lo = _key_position(keys, low, "left" if include_low else "right")
+    hi = len(keys)
+    if high is not None:
+        hi = _key_position(keys, high, "right" if include_high else "left")
+    return lo, hi
+
+
+def _entry_position(
+    keys: "np.ndarray", nids: "np.ndarray", entry: tuple, side: str
+) -> int:
+    """Where one ``(key, nid)`` entry sorts in a pair of columns: the
+    scalar form of :func:`_find`."""
+    key = keys.dtype.type(entry[0])
+    lo = keys.searchsorted(key, "left")
+    hi = keys.searchsorted(key, "right")
+    return int(lo + nids[lo:hi].searchsorted(entry[1], side))
+
+
+def _holds(keys: "np.ndarray", nids: "np.ndarray", entry: tuple) -> int:
+    """The position of ``entry`` in a pair of columns, or -1."""
+    at = _entry_position(keys, nids, entry, "left")
+    if at < len(keys) and keys[at] == entry[0] and nids[at] == entry[1]:
+        return at
+    return -1
 
 
 class RunSnapshot:
     """One immutable version of a :class:`SortedRun`.  Holds every read
     algorithm: the live run answers reads through its current one."""
 
-    __slots__ = ("base_keys", "base_nids", "delta", "_size")
+    __slots__ = ("base_keys", "base_nids", "dead", "ins_keys", "ins_nids")
 
     def __init__(
         self,
         base_keys: "np.ndarray",
         base_nids: "np.ndarray",
-        delta: TreeSnapshot,
-        size: int,
+        dead: "np.ndarray",
+        ins_keys: "np.ndarray",
+        ins_nids: "np.ndarray",
     ):
         self.base_keys = base_keys
         self.base_nids = base_nids
-        self.delta = delta
-        self._size = size
+        self.dead = dead
+        self.ins_keys = ins_keys
+        self.ins_nids = ins_nids
 
     def __len__(self) -> int:
-        return self._size
-
-    # ------------------------------------------------------------------
-    # Positions in the base run
-    # ------------------------------------------------------------------
-
-    def _key_position(self, key: Any, side: str) -> int:
-        """Where ``key`` sorts in the key column.  The probe is made in
-        the column's own dtype: against a bare Python int numpy would
-        cast the whole ``<u4`` column per call."""
-        keys = self.base_keys
-        return int(keys.searchsorted(keys.dtype.type(key), side))
-
-    def _group(self, key: Any) -> tuple[int, int]:
-        """Base positions ``[lo, hi)`` of the entries under ``key``
-        (empty, at its insertion point, when there are none)."""
-        lo = self._key_position(key, "left")
-        if lo == len(self.base_keys) or self.base_keys[lo] != key:
-            return lo, lo
-        return lo, self._key_position(key, "right")
-
-    def _position(self, entry: tuple, side: str) -> int:
-        """Where ``entry`` sorts in the base: before (``"left"``) or
-        after (``"right"``) an equal base entry."""
-        lo, hi = self._group(entry[0])
-        return lo + int(self.base_nids[lo:hi].searchsorted(entry[1], side))
-
-    def in_base(self, entry: tuple) -> bool:
-        lo, hi = self._group(entry[0])
-        if lo == hi:
-            return False
-        nids = self.base_nids
-        at = lo + int(nids[lo:hi].searchsorted(entry[1]))
-        return bool(at < hi and nids[at] == entry[1])
+        return len(self.base_keys) - len(self.dead) + len(self.ins_keys)
 
     def __contains__(self, entry: tuple) -> bool:
-        live = self.delta.get(entry)
-        return self.in_base(entry) if live is None else live
+        at = _holds(self.base_keys, self.base_nids, entry)
+        if at >= 0:
+            dead = self.dead
+            where = dead.searchsorted(at)
+            return where == len(dead) or dead[where] != at
+        return _holds(self.ins_keys, self.ins_nids, entry) >= 0
+
+    # ------------------------------------------------------------------
+    # Merged stretches (the cursors and columns())
+    # ------------------------------------------------------------------
+
+    def _slice(
+        self, lo: int, hi: int, ins_lo: int, ins_hi: int
+    ) -> tuple["np.ndarray", "np.ndarray"]:
+        """Base positions ``[lo, hi)`` less their dead ones, with the
+        inserts ``[ins_lo, ins_hi)`` sorted in: one stretch of the set
+        as ``(keys, nids)`` columns."""
+        keys, nids = self.base_keys[lo:hi], self.base_nids[lo:hi]
+        dead = self.dead
+        gone = dead[dead.searchsorted(lo) : dead.searchsorted(hi)] - lo
+        add_keys = self.ins_keys[ins_lo:ins_hi]
+        add_nids = self.ins_nids[ins_lo:ins_hi]
+        at, _found = _find(keys, nids, add_keys, add_nids)
+        keys, nids = _splice((keys, nids), gone, at, (add_keys, add_nids))
+        return keys, nids
+
+    @staticmethod
+    def _tuples(
+        keys: "np.ndarray", nids: "np.ndarray", reverse: bool = False
+    ) -> Iterator[tuple]:
+        """Columns as entry tuples, made a block at a time (a cursor
+        read for ``top_values(3)`` pays for one block)."""
+        if reverse:
+            keys, nids = keys[::-1], nids[::-1]
+        block = 1024
+        for start in range(0, len(keys), block):
+            stop = start + block
+            yield from zip(keys[start:stop].tolist(), nids[start:stop].tolist())
 
     # ------------------------------------------------------------------
     # Cursors (Python tuples: point lookups, verification, tests)
     # ------------------------------------------------------------------
 
-    def _base_blocks(self, lo: int, hi: int, reverse: bool) -> Iterator[zip]:
-        """Base positions ``[lo, hi)`` as blocks of entry tuples, both
-        the blocks and their entries in cursor order."""
-        keys, nids = self.base_keys, self.base_nids
-        block = 1024  # tuples made per step: top_values(3) pays for one
-        if reverse:
-            for stop in range(hi, lo, -block):
-                start = max(lo, stop - block)
-                yield zip(
-                    keys[start:stop][::-1].tolist(),
-                    nids[start:stop][::-1].tolist(),
-                )
-        else:
-            for start in range(lo, hi, block):
-                stop = min(hi, start + block)
-                yield zip(keys[start:stop].tolist(), nids[start:stop].tolist())
-
-    def _entries(
-        self,
-        lo: int,
-        hi: int,
-        changes: Iterator[tuple[tuple, bool]],
-        reverse: bool = False,
-    ) -> Iterator[tuple]:
-        """Base positions ``[lo, hi)`` merged with the delta ``changes``
-        over the same interval (both in cursor order): the base blocks
-        chained while the delta has nothing there."""
-        blocks = self._base_blocks(lo, hi, reverse)
-        first = next(changes, None)
-        if first is None:
-            return chain.from_iterable(blocks)
-        return self._merged(blocks, first, changes, reverse)
-
-    @staticmethod
-    def _merged(
-        blocks: Iterator[zip],
-        change: tuple[tuple, bool] | None,
-        changes: Iterator[tuple[tuple, bool]],
-        reverse: bool,
-    ) -> Iterator[tuple]:
-        """Block by block: the changes up to the block's last entry are
-        applied to it — a tombstone removes the base entry it equals,
-        inserts are sorted in — and blocks without changes pass through
-        untouched.  Inserts past the last block follow it."""
-        ahead = operator.gt if reverse else operator.lt
-        for block in blocks:
-            entries = list(block)
-            added: list[tuple] = []
-            dropped: set[tuple] = set()
-            while change is not None and not ahead(entries[-1], change[0]):
-                if change[1]:
-                    added.append(change[0])
-                else:
-                    dropped.add(change[0])
-                change = next(changes, None)
-            if dropped:
-                entries = [entry for entry in entries if entry not in dropped]
-            if added:
-                entries = sorted(entries + added, reverse=reverse)
-            yield from entries
-        while change is not None:
-            yield change[0]
-            change = next(changes, None)
-
     def keys(self) -> Iterator[tuple]:
         """Every ``(key, nid)`` entry in ascending order."""
-        return self._entries(0, len(self.base_keys), self.delta.items())
+        return self._tuples(*self.columns())
 
     def items(self) -> Iterator[tuple[tuple, None]]:
-        """:meth:`keys` as ``(entry, None)`` pairs (the B+-tree's
-        cursor protocol, which the point lookups consume)."""
+        """:meth:`keys` as ``(entry, None)`` pairs (the cursor protocol
+        the point lookups consume)."""
         return zip(self.keys(), repeat(None))
 
     def items_reversed(self) -> Iterator[tuple[tuple, None]]:
-        entries = self._entries(
-            0, len(self.base_keys), self.delta.items_reversed(), reverse=True
-        )
-        return zip(entries, repeat(None))
+        return zip(self._tuples(*self.columns(), reverse=True), repeat(None))
 
     def range(
         self,
@@ -214,14 +308,21 @@ class RunSnapshot:
     ) -> Iterator[tuple[tuple, None]]:
         """Entries between two composite ``(key, nid)`` bounds
         (``None`` = unbounded), as ``(entry, None)`` pairs."""
-        lo = 0
+        base = (self.base_keys, self.base_nids)
+        ins = (self.ins_keys, self.ins_nids)
+        lo, ins_lo = 0, 0
         if low is not None:
-            lo = self._position(low, "left" if include_low else "right")
-        hi = len(self.base_keys)
+            side = "left" if include_low else "right"
+            lo = _entry_position(*base, low, side)
+            ins_lo = _entry_position(*ins, low, side)
+        hi, ins_hi = len(base[0]), len(ins[0])
         if high is not None:
-            hi = self._position(high, "right" if include_high else "left")
-        changes = self.delta.range(low, high, include_low, include_high)
-        return zip(self._entries(lo, hi, changes), repeat(None))
+            side = "right" if include_high else "left"
+            hi = _entry_position(*base, high, side)
+            ins_hi = _entry_position(*ins, high, side)
+        return zip(
+            self._tuples(*self._slice(lo, hi, ins_lo, ins_hi)), repeat(None)
+        )
 
     # ------------------------------------------------------------------
     # Column reads (the scan path: no per-entry Python objects)
@@ -237,60 +338,37 @@ class RunSnapshot:
         """nids of the entries whose *key* lies between ``low`` and
         ``high`` (``None`` = unbounded): an int64 array in no
         particular order — two ``searchsorted`` and a slice of the nid
-        column, plus the delta's entries over the same keys while
-        there are any."""
-        lo = 0
-        if low is not None:
-            lo = self._key_position(low, "left" if include_low else "right")
-        hi = len(self.base_keys)
-        if high is not None:
-            hi = self._key_position(high, "right" if include_high else "left")
+        column; while there is a delta, minus the slice's dead
+        positions and plus the inserted nids over the same keys."""
+        bounds = (low, high, include_low, include_high)
+        lo, hi = _key_bounds(self.base_keys, *bounds)
         nids = self.base_nids[lo:hi]
-        if not len(self.delta):
+        dead, ins_keys = self.dead, self.ins_keys
+        if not len(dead) and not len(ins_keys):
             return nids
-        # (key,) sorts before every (key, nid) and (key, inf) after.
-        if low is not None:
-            low = (low,) if include_low else (low, inf)
-        if high is not None:
-            high = (high, inf) if include_high else (high,)
-        changes = list(self.delta.range(low, high))
-        added = [entry[1] for entry, live in changes if live]
-        dropped = {entry for entry, live in changes if not live}
-        if dropped:
-            # Every tombstone over these keys is in the slice; where a
-            # tombstoned nid also sits under another key, match keys.
-            hit = np.flatnonzero(np.isin(nids, [nid for _key, nid in dropped]))
-            if len(hit) != len(dropped):
-                held = zip(
-                    self.base_keys[lo:hi][hit].tolist(), nids[hit].tolist()
-                )
-                hit = hit[[entry in dropped for entry in held]]
-            nids = np.delete(nids, hit)
-        if added:
-            nids = np.concatenate((nids, np.asarray(added, dtype=np.int64)))
+        gone = dead[dead.searchsorted(lo) : dead.searchsorted(hi)]
+        if len(gone):
+            nids = np.delete(nids, gone - lo)
+        ins_lo, ins_hi = _key_bounds(ins_keys, *bounds)
+        if ins_lo < ins_hi:
+            nids = np.concatenate((nids, self.ins_nids[ins_lo:ins_hi]))
         return nids
 
     def columns(self) -> tuple["np.ndarray", "np.ndarray"]:
         """The whole set as sorted ``(keys, nids)`` columns: the base
         itself while the delta is empty, else base and delta merged
         (what :meth:`SortedRun.fold` installs)."""
-        base = (self.base_keys, self.base_nids)
-        if not len(self.delta):
-            return base
-        changed = zip(*(entry for entry, _live in self.delta.items()))
-        keys, nids, repeat = _sorted_columns(base, *changed)
-        # A tombstone lands next to the base entry it cancels (an
-        # insert never equals a base entry): drop both of each pair.
-        keep = ~repeat
-        keep[:-1] &= ~repeat[1:]
-        return keys[keep], nids[keep]
+        if not len(self.dead) and not len(self.ins_keys):
+            return self.base_keys, self.base_nids
+        return self._slice(0, len(self.base_keys), 0, len(self.ins_keys))
 
 
 class SortedRun:
     """A mutable sorted set of ``(key, nid)`` entries (module docstring).
 
-    Offers what the value indices used of their B+-tree — ``insert``,
-    ``delete``, ``keys``, ``range``, ``items_reversed``, ``snapshot``,
+    Offers what the value indices need — :meth:`apply` (one batch of
+    inserts and deletes), ``insert``/``delete`` (one-entry batches),
+    ``keys``, ``range``, ``items_reversed``, ``snapshot``,
     ``check_invariants`` — plus the column operations that replace
     per-entry work: :meth:`nids_between` (scan), :meth:`merge` (bulk
     build), :meth:`remove_nids` (unload) and :meth:`fold`.  Writers are
@@ -298,29 +376,31 @@ class SortedRun:
 
     Args:
         dtype: numpy dtype of the key column.
-        order: Node order of the delta tree.
     """
 
-    def __init__(self, dtype: Any, order: int = 64):
-        self._order = order
+    def __init__(self, dtype: Any):
         self._rebase(np.empty(0, dtype=dtype), np.empty(0, dtype=np.int64))
 
     def _publish(
-        self, base_keys: "np.ndarray", base_nids: "np.ndarray", size: int
+        self,
+        base_keys: "np.ndarray",
+        base_nids: "np.ndarray",
+        dead: "np.ndarray",
+        ins_keys: "np.ndarray",
+        ins_nids: "np.ndarray",
     ) -> None:
-        """Install the next version: one reference assignment."""
-        self._state = RunSnapshot(
-            base_keys, base_nids, self._delta.snapshot(), size
-        )
+        """Install the next version: one reference assignment.  Scans
+        hand out slices of the columns, so they are frozen."""
+        for column in (dead, ins_keys, ins_nids):
+            column.setflags(write=False)
+        self._state = RunSnapshot(base_keys, base_nids, dead, ins_keys, ins_nids)
 
     def _rebase(self, keys: "np.ndarray", nids: "np.ndarray") -> None:
         """Publish ``(keys, nids)`` as the base run under an empty
-        delta.  Scans hand out slices of the columns, so they are
-        frozen."""
+        delta."""
         keys.setflags(write=False)
         nids.setflags(write=False)
-        self._delta = BPlusTree(order=self._order)
-        self._publish(keys, nids, len(keys))
+        self._publish(keys, nids, _NO_POSITIONS, keys[:0], nids[:0])
 
     def snapshot(self) -> RunSnapshot:
         """The current immutable version, O(1)."""
@@ -355,32 +435,128 @@ class SortedRun:
         return self._state.columns()
 
     # ------------------------------------------------------------------
-    # Single-entry writes (the delta)
+    # Delta writes
     # ------------------------------------------------------------------
+
+    def apply(
+        self, inserts: Sequence[tuple] = (), deletes: Sequence[tuple] = ()
+    ) -> int:
+        """Delete the entries ``deletes``, then add ``inserts``, and
+        publish one version; returns the change in size.  Deleting an
+        absent entry or adding a present one changes nothing.
+
+        A base entry dies by its position joining ``dead`` and comes
+        back by its position leaving it; any other entry is, or
+        becomes, an insert.  An update's few entries are sorted into
+        place one by one in Python (:meth:`_few`), a bulk batch as
+        whole columns (:meth:`_many`): numpy's per-call cost would
+        dominate the first, a Python loop the second."""
+        live = dict.fromkeys(deletes, False)
+        live.update(dict.fromkeys(inserts, True))
+        if not live:
+            return 0
+        state = self._state
+        delta = (self._few if len(live) <= _FEW else self._many)(state, live)
+        self._publish(state.base_keys, state.base_nids, *delta)
+        return len(self._state) - len(state)
+
+    @staticmethod
+    def _few(state: RunSnapshot, live: dict) -> tuple["np.ndarray", ...]:
+        """The next ``(dead, ins_keys, ins_nids)`` for a few changes
+        (``live``: entry -> added)."""
+        dtype = state.base_keys.dtype
+        entries = sorted(live)
+        keys = _column([key for key, _nid in entries], dtype)
+        nids = np.array([nid for _key, nid in entries], dtype=np.int64)
+        at, held = _find(state.base_keys, state.base_nids, keys, nids)
+        dies, lives, others = [], [], []
+        for entry, position, in_base in zip(entries, at.tolist(), held.tolist()):
+            if not in_base:
+                others.append(entry)
+            elif live[entry]:
+                lives.append(position)
+            else:
+                dies.append(position)
+        dead = state.dead
+        if dies or lives:
+            # Dying twice or living on changes nothing.
+            where = dead.searchsorted(dies + lives).tolist()
+            was = [
+                w < len(dead) and dead.item(w) == p
+                for w, p in zip(where, dies + lives)
+            ]
+            fresh = [(w, p) for w, p, gone in zip(where, dies, was) if not gone]
+            back = [
+                w for w, gone in zip(where[len(dies) :], was[len(dies) :]) if gone
+            ]
+            (dead,) = _splice(
+                (dead,),
+                back,
+                [w for w, _p in fresh],
+                (np.array([p for _w, p in fresh], dtype=np.int64),),
+            )
+        drop, place, new = [], [], []
+        if others:
+            at, held = _find(
+                state.ins_keys,
+                state.ins_nids,
+                _column([key for key, _nid in others], dtype),
+                np.array([nid for _key, nid in others], dtype=np.int64),
+            )
+            for entry, position, there in zip(others, at.tolist(), held.tolist()):
+                if live[entry] and not there:
+                    place.append(position)
+                    new.append(entry)
+                elif there and not live[entry]:
+                    drop.append(position)
+        ins_keys, ins_nids = _splice(
+            (state.ins_keys, state.ins_nids),
+            drop,
+            place,
+            (
+                _column([key for key, _nid in new], dtype),
+                np.array([nid for _key, nid in new], dtype=np.int64),
+            ),
+        )
+        return dead, ins_keys, ins_nids
+
+    @staticmethod
+    def _many(state: RunSnapshot, live: dict) -> tuple["np.ndarray", ...]:
+        """:meth:`_few` for a bulk batch, with whole-column steps."""
+        keys, nids = zip(*live)
+        keys = _column(keys, state.base_keys.dtype)
+        nids = np.array(nids, dtype=np.int64)
+        adds = np.fromiter(live.values(), dtype=bool, count=len(live))
+        order = np.lexsort((nids, keys))
+        keys, nids, adds = keys[order], nids[order], adds[order]
+        at, held = _find(state.base_keys, state.base_nids, keys, nids)
+        at_base, dies = at[held], ~adds[held]
+        dead = state.dead
+        where = dead.searchsorted(at_base)
+        was = _hits(dead, where, at_base)
+        doomed = dies & ~was
+        (dead,) = _splice(
+            (dead,), where[was & ~dies], where[doomed], (at_base[doomed],)
+        )
+        rest = ~held
+        keys, nids, adds = keys[rest], nids[rest], adds[rest]
+        at, held = _find(state.ins_keys, state.ins_nids, keys, nids)
+        new = adds & ~held
+        ins_keys, ins_nids = _splice(
+            (state.ins_keys, state.ins_nids),
+            at[held & ~adds],
+            at[new],
+            (keys[new], nids[new]),
+        )
+        return dead, ins_keys, ins_nids
 
     def insert(self, entry: tuple) -> bool:
         """Add ``entry``; returns False if it was already present."""
-        state = self._state
-        # The two invariants make base membership decide which delta
-        # change can exist, so one tree operation both tests and acts.
-        if state.in_base(entry):
-            added = self._delta.delete(entry)  # lift its tombstone
-        else:
-            added = self._delta.insert(entry, True)
-        if added:
-            self._publish(state.base_keys, state.base_nids, len(state) + 1)
-        return added
+        return self.apply(inserts=(entry,)) > 0
 
     def delete(self, entry: tuple) -> bool:
         """Remove ``entry``; returns False if it was absent."""
-        state = self._state
-        if state.in_base(entry):
-            removed = self._delta.insert(entry, False)  # a tombstone
-        else:
-            removed = self._delta.delete(entry)
-        if removed:
-            self._publish(state.base_keys, state.base_nids, len(state) - 1)
-        return removed
+        return self.apply(deletes=(entry,)) < 0
 
     # ------------------------------------------------------------------
     # Column writes (each builds a new base under an empty delta)
@@ -388,17 +564,18 @@ class SortedRun:
 
     def fold(self) -> None:
         """Merge the delta into a new base run.  Versions handed out
-        before keep reading the columns and delta root they hold."""
-        if len(self._state.delta):
-            self._rebase(*self._state.columns())
+        before keep reading the columns they hold."""
+        state = self._state
+        if len(state.dead) or len(state.ins_keys):
+            self._rebase(*state.columns())
 
     def merge(self, keys: Sequence, nids: Sequence[int]) -> None:
         """Add the entries ``zip(keys, nids)`` (any order) with one
         sort of the columns — index creation, reopen, a further
         document.  Raises ``ValueError`` if an entry is already present
         or given twice."""
-        keys, nids, repeat = _sorted_columns(self.columns(), keys, nids)
-        if repeat.any():
+        keys, nids, repeat_ = _sorted_columns(self.columns(), keys, nids)
+        if repeat_.any():
             raise ValueError("merge requires entries that are not present")
         self._rebase(keys, nids)
 
@@ -417,22 +594,26 @@ class SortedRun:
     # ------------------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Validate the base order, the delta tree, the two invariants
-        that tie them together, and the size counter."""
+        """Validate the order of the base and the inserts, the dead
+        positions, the invariant that ties the delta to the base, and
+        the size."""
         state = self._state
-        keys, nids = state.base_keys, state.base_nids
-        assert len(keys) == len(nids), "columns out of step"
-        ascending = (keys[1:] > keys[:-1]) | (
-            (keys[1:] == keys[:-1]) & (nids[1:] > nids[:-1])
+        for keys, nids in (
+            (state.base_keys, state.base_nids),
+            (state.ins_keys, state.ins_nids),
+        ):
+            assert len(keys) == len(nids), "columns out of step"
+            ascending = (keys[1:] > keys[:-1]) | (
+                (keys[1:] == keys[:-1]) & (nids[1:] > nids[:-1])
+            )
+            assert ascending.all(), "run out of order"
+        dead = state.dead
+        assert (dead[1:] > dead[:-1]).all(), "dead positions out of order"
+        assert not len(dead) or 0 <= dead[0] <= dead[-1] < len(state.base_keys)
+        _at, held = _find(
+            state.base_keys, state.base_nids, state.ins_keys, state.ins_nids
         )
-        assert ascending.all(), "base run out of order"
-        self._delta.check_invariants()
-        inserts = 0
-        for entry, live in state.delta.items():
-            assert state.in_base(entry) != live, "delta disagrees with base"
-            inserts += live
-        tombstones = len(state.delta) - inserts
-        assert len(state) == len(keys) + inserts - tombstones, "size drift"
+        assert not held.any(), "an insert is in the base"
         scanned = 0
         previous = None
         for entry in state.keys():  # streamed: verify() runs on full indices

@@ -37,13 +37,15 @@ def compute_fields(
 
     The range must cover complete subtrees (as pre ranges of siblings
     do).  With ``bulk`` the entries are staged for bulk-loading
-    (creation); otherwise they go through ``set_entry`` (structural
-    updates over freshly inserted subtrees).
+    (creation); otherwise each field is stored as it is computed and
+    each index's run takes them, with any fields stored before, as one
+    ``set_entries`` batch at the end (structural updates over freshly
+    inserted subtrees).
     """
     kinds = doc.kind
     sizes = doc.size
     nids = doc.nid
-    enter = [index.stage_entry if bulk else index.set_entry for index in indexes]
+    enter = [index.stage_entry if bulk else index.store_field for index in indexes]
     k = len(indexes)
     # Pre-compute leaf fields in one batch per index (the string index
     # hashes all values vectorised, the typed index pre-classifies).
@@ -95,6 +97,9 @@ def compute_fields(
                 enter[i](nids[pre], leaf_fields[i][pre])
         # COMMENT/PI: not indexed, nothing contributed.
         pre += 1
+    if not bulk:
+        for index in indexes:
+            index.set_entries()
 
 
 def build_document(doc: Document, indexes: Sequence[ValueIndex]) -> None:

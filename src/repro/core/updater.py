@@ -10,6 +10,12 @@ to reconstructing their string values".
 Structural updates (subtree insertion/deletion) drop/compute fields for
 the spliced rows and then run the same ancestor recomputation from the
 splice parent upwards (Section 5, last paragraph).
+
+Every new field is stored at once (:meth:`ValueIndex.store_field`),
+because the deepest-first fold reads the fields it just wrote; each
+index's run then takes the whole update as one batch
+(:meth:`ValueIndex.set_entries`) — Figure 8's ``depth+1`` entries per
+index in one write.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ def _recompute_node(doc: Document, pre: int, indexes: Sequence[ValueIndex]) -> N
             for i, index in enumerate(indexes):
                 fields[i] = index.combine(fields[i], index.field_of(child_nid))
     for i, index in enumerate(indexes):
-        index.set_entry(nids[pre], fields[i])
+        index.store_field(nids[pre], fields[i])
 
 
 def recompute_ancestors(
@@ -52,8 +58,9 @@ def recompute_ancestors(
     """Recompute fields for a set of (document, ancestor-pre) pairs.
 
     Ancestors are processed deepest level first so every recomputation
-    reads already-refreshed child fields.  Returns the number of nodes
-    recomputed (update-cost metric for the benchmarks).
+    reads already-refreshed child fields.  The fields are stored, and
+    the runs follow at the caller's ``set_entries``.  Returns the
+    number of nodes recomputed (update-cost metric for the benchmarks).
     """
     ordered = sorted(dirty, key=lambda item: item[0].level[item[1]], reverse=True)
     for doc, pre in ordered:
@@ -94,12 +101,15 @@ def apply_text_updates(
             continue  # not indexed
         text = doc.text_of(pre)
         for index in indexes:
-            index.set_entry(nid, index.field_of_text(text))
+            index.store_field(nid, index.field_of_text(text))
         touched += 1
         if kind == TEXT:
             # Attribute values never influence ancestors (XDM).
             _collect_ancestors(doc, pre, seen, dirty)
-    return touched + recompute_ancestors(store, dirty, indexes)
+    touched += recompute_ancestors(store, dirty, indexes)
+    for index in indexes:
+        index.set_entries()
+    return touched
 
 
 def apply_structural_change(
@@ -107,10 +117,12 @@ def apply_structural_change(
     change: StructuralChange,
     indexes: Sequence[ValueIndex],
 ) -> int:
-    """Refresh all indices after a subtree insertion or deletion."""
+    """Refresh all indices after a subtree insertion or deletion: the
+    spliced rows are one batch per index (``compute_fields`` ends it),
+    the splice parent and its ancestors a second."""
     for nid in change.removed_nids:
         for index in indexes:
-            index.remove_entry(nid)
+            index.store_field(nid, None)
     doc = change.document
     if change.added_nids:
         # The spliced rows are contiguous and form complete subtrees.
@@ -124,8 +136,7 @@ def apply_structural_change(
     seen.add(change.parent_nid)
     dirty.append((doc, parent_pre))
     _collect_ancestors(doc, parent_pre, seen, dirty)
-    return (
-        len(change.removed_nids)
-        + len(change.added_nids)
-        + recompute_ancestors(store, dirty, indexes)
-    )
+    recomputed = recompute_ancestors(store, dirty, indexes)
+    for index in indexes:
+        index.set_entries()
+    return len(change.removed_nids) + len(change.added_nids) + recomputed

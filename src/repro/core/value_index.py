@@ -73,6 +73,10 @@ class ValueIndex:
         self.tree = tree
         #: (keys, their nids, ``len(fields)`` at ``begin_bulk``).
         self._staged: tuple[list, list[int], int] | None = None
+        #: nid -> its field before the pending batch (``None``: none),
+        #: for every node :meth:`store_field` wrote since the last
+        #: :meth:`set_entries`.
+        self._before: dict[int, Any] = {}
         #: Counts stored-field changes.
         self.mutations = 0
         #: ``mutations`` when the tree's base run was last rebuilt.
@@ -148,51 +152,71 @@ class ValueIndex:
     # Entry maintenance (updates)
     # ------------------------------------------------------------------
 
-    def _mutated(self) -> None:
-        """Count one stored-field change.  The one drift rule: more
-        than ``max(STATS_DRIFT_MIN, size / STATS_DRIFT_DENOMINATOR)``
+    def store_field(self, nid: int, field: Any) -> None:
+        """Store ``nid``'s field at once (``None``, or a field not
+        :meth:`stores`, drops it) — the deepest-first fold of Figure 8
+        reads it straight back — and remember the field it held before
+        the batch.  The run follows at the next :meth:`set_entries`."""
+        fields = self.fields
+        old = fields.get(nid)
+        if nid not in self._before:
+            self._before[nid] = old
+        if field is not None and self.stores(field):
+            fields[nid] = field
+        elif old is not None:
+            del fields[nid]
+
+    def set_entries(
+        self, nids: Iterable[int] = (), fields: Iterable[Any] = ()
+    ) -> None:
+        """Store ``zip(nids, fields)`` (see :meth:`store_field`), then
+        bring the run in line with every field stored since the last
+        call in one batch: nimdbx's ``updateEntry`` rule, per node only
+        the keys that differ between its old and its new field.  A node
+        whose field ends where it started costs no entry and no
+        mutation; the drift rule runs once, after the batch is in."""
+        for nid, field in zip(nids, fields):
+            self.store_field(nid, field)
+        before, self._before = self._before, {}
+        current = self.fields
+        keys_of = self.keys_of
+        inserts: list[tuple] = []
+        deletes: list[tuple] = []
+        changed = 0
+        for nid, old in before.items():
+            new = current.get(nid)
+            if new == old:
+                continue
+            changed += 1
+            old_keys = () if old is None else keys_of(old)
+            new_keys = () if new is None else keys_of(new)
+            deletes += [(key, nid) for key in old_keys if key not in new_keys]
+            inserts += [(key, nid) for key in new_keys if key not in old_keys]
+        if inserts or deletes:
+            self.tree.apply(inserts, deletes)
+        if changed:
+            self._mutated(changed)
+
+    def _mutated(self, count: int) -> None:
+        """Count ``count`` stored-field changes.  The one drift rule:
+        more than ``max(STATS_DRIFT_MIN, size / STATS_DRIFT_DENOMINATOR)``
         mutations after the tree's base run was built, the delta is
         folded into a new one.  Size and drift are both counted in
         stored fields, whatever number of keys each field holds."""
-        self.mutations += 1
+        self.mutations += count
         drift = self.mutations - self.folded_at
         if drift > STATS_DRIFT_MIN:
             if drift > len(self) // STATS_DRIFT_DENOMINATOR:
                 self.tree.fold()
                 self.folded_at = self.mutations
 
-    def _rekey(self, nid: int, old: Any, new: Any) -> None:
-        """Move ``nid``'s entries from ``old``'s keys to ``new``'s
-        (``None`` = no stored field): only the keys that differ."""
-        old_keys = () if old is None else self.keys_of(old)
-        new_keys = () if new is None else self.keys_of(new)
-        tree = self.tree
-        for key in old_keys:
-            if key not in new_keys:
-                tree.delete((key, nid))
-        for key in new_keys:
-            if key not in old_keys:
-                tree.insert((key, nid))
-
     def set_entry(self, nid: int, field: Any) -> None:
-        """Insert or refresh one node's entry; a no-op (and no
-        mutation) when the stored field does not change."""
-        if not self.stores(field):
-            self.remove_entry(nid)
-            return
-        old = self.fields.get(nid)
-        if old == field:
-            return
-        self.fields[nid] = field
-        self._rekey(nid, old, field)
-        self._mutated()
+        """Insert or refresh one node's entry: a one-node batch."""
+        self.set_entries((nid,), (field,))
 
     def remove_entry(self, nid: int) -> None:
-        """Drop a node's entry (subtree deletion)."""
-        old = self.fields.pop(nid, None)
-        if old is not None:
-            self._rekey(nid, old, None)
-            self._mutated()
+        """Drop a node's entry (subtree deletion): a one-node batch."""
+        self.set_entries((nid,), (None,))
 
     def remove_entries(self, nids: Iterable[int]) -> int:
         """Bulk :meth:`remove_entry` (document unload): pops the stored

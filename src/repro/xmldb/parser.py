@@ -8,7 +8,9 @@ expands under its own input-amplification limit.  This module only
 shapes expat's callbacks into events and refuses what would reach
 outside the document: an external entity reference or a skipped entity
 (an undeclared one after an external DTD subset) raises, and nothing
-is fetched.
+is fetched.  It also applies expat's amplification factor from a lower
+threshold (:data:`AMPLIFICATION_THRESHOLD`), since expat 2.5 checks it
+only past 8 MiB of output.
 
 There is one parser, :class:`StreamingParser`.  :func:`parse_events`
 feeds it a string in :data:`CHUNK_SIZE` slices and :func:`parse_stream`
@@ -34,6 +36,12 @@ __all__ = [
 #: Expat hands over a slice's events at once, so this bounds that
 #: batch: 64 KiB slices raised perf's ``embed_read`` peak RSS by 6 %.
 CHUNK_SIZE = 16 * 1024
+
+#: Characters the parser delivers per input byte before it refuses the
+#: document (expat's own default factor) ...
+AMPLIFICATION_FACTOR = 100
+#: ... once it has delivered more than this many characters in all.
+AMPLIFICATION_THRESHOLD = 1 << 20
 
 
 def escape_text(text: str) -> str:
@@ -64,6 +72,10 @@ class StreamingParser:
         self._text: list[str] = []
         self._depth = 0
         self._closed = False
+        #: Input bytes handed to expat and characters delivered as
+        #: text and attributes (the amplification check).
+        self._consumed = 0
+        self._delivered = 0
         # The input is handed over as UTF-8 whatever its declaration
         # says; a lone surrogate passes through as bytes expat rejects.
         parser = self._parser = expat.ParserCreate(encoding="utf-8")
@@ -78,13 +90,30 @@ class StreamingParser:
         parser.ExternalEntityRefHandler = lambda *_: 0
         parser.SkippedEntityHandler = self._skipped
 
+    def _deliver(self, characters: int) -> None:
+        """Count characters handed out; refuse a document that expands
+        past :data:`AMPLIFICATION_FACTOR` per input byte."""
+        self._delivered += characters
+        if (
+            self._delivered > AMPLIFICATION_THRESHOLD
+            and self._delivered > AMPLIFICATION_FACTOR * self._consumed
+        ):
+            parser = self._parser
+            raise XmlSyntaxError(
+                expat.errors.XML_ERROR_AMPLIFICATION_LIMIT_BREACH,
+                parser.CurrentColumnNumber,
+                parser.CurrentLineNumber,
+            )
+
     def _flush(self) -> None:
         if self._text:
+            self._deliver(sum(map(len, self._text)))
             self._events.append(("text", "".join(self._text)))
             self._text.clear()
 
     def _start(self, name: str, attributes: list[str]) -> None:
         self._flush()
+        self._deliver(sum(map(len, attributes)))
         self._depth += 1
         pairs = list(zip(attributes[::2], attributes[1::2]))
         self._events.append(("start", name, pairs))
@@ -114,8 +143,10 @@ class StreamingParser:
         )
 
     def _parse(self, data: str, final: bool) -> list[tuple]:
+        payload = data.encode("utf-8", "surrogatepass")
+        self._consumed += len(payload)
         try:
-            self._parser.Parse(data.encode("utf-8", "surrogatepass"), final)
+            self._parser.Parse(payload, final)
         except expat.ExpatError as exc:
             raise XmlSyntaxError(
                 expat.ErrorString(exc.code), exc.offset, exc.lineno

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.btree import BPlusTree
+from repro.btree.bplus import BPlusTree
 
 
 class TestBasics:

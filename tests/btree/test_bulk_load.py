@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.btree import BPlusTree
-from repro.btree.bplus import _Inner
+from repro.btree.bplus import BPlusTree, _Inner
 
 
 def bulk_loaded(entries, order=8):

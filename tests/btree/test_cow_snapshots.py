@@ -14,8 +14,7 @@ that used to corrupt scans, then true multi-threaded hammering.
 import random
 import threading
 
-from repro.btree import BPlusTree
-from repro.btree.bplus import TreeSnapshot
+from repro.btree.bplus import BPlusTree, TreeSnapshot
 
 
 class TestInterleavedMutation:

@@ -1,14 +1,19 @@
-"""``SortedRun``: frozen base columns plus a copy-on-write delta.
+"""``SortedRun``: frozen base columns plus frozen delta columns.
 
 * a hypothesis state machine over every write — insert, delete,
-  re-insert after a tombstone, bulk merge, ``remove_nids``, forced fold
-  — and ``snapshot()``, checked after *every* step against a plain
-  sorted list of tuples, for the live run and for every snapshot taken
-  so far (a snapshot pinned across a fold must keep reading its own
-  entries);
+  re-insert after a tombstone, a mixed batch through ``apply`` (a few
+  entries, and most of the entry space at once), bulk merge, ``remove_nids``, forced fold — and ``snapshot()``, checked
+  after *every* step against a plain sorted list of tuples, for the
+  live run and for every snapshot taken so far (a snapshot pinned
+  across a batch or a fold must keep reading its own entries);
+* cursors raced by writes, in one thread and in several: a cursor reads
+  the version current when it was opened;
 * the key edge cases of the three column dtypes;
 * what the index laid over it does with those keys.
 """
+
+import random
+import threading
 
 from decimal import Decimal
 
@@ -74,7 +79,7 @@ class RunMachine(RuleBasedStateMachine):
 
     @initialize()
     def setup(self):
-        self.run = SortedRun(self.dtype, order=4)
+        self.run = SortedRun(self.dtype)
         self.model: set[tuple] = set()
         self.pinned: list[tuple] = []  # (snapshot, its entries)
 
@@ -110,6 +115,42 @@ class RunMachine(RuleBasedStateMachine):
         self.model.add(entry)
 
     @rule(data=st.data())
+    def apply(self, data):
+        """One mixed batch: deletes first, then inserts; an entry may be
+        in both, absent deletes and present inserts change nothing.  A
+        snapshot taken before the batch scans the same entries after it."""
+        deletes = data.draw(st.lists(self.entries(), max_size=6))
+        inserts = data.draw(st.lists(self.entries(), max_size=6))
+        before = self.run.snapshot()
+        held = sorted(self.model)
+        scanned = before.nids_between(None, None)
+        grown = self.run.apply(inserts, deletes)
+        self.model.difference_update(deletes)
+        self.model.update(inserts)
+        assert grown == len(self.model) - len(held)
+        assert list(before.keys()) == held
+        assert before.nids_between(None, None).tolist() == scanned.tolist()
+        assert len(before) == len(held)
+
+    @rule(data=st.data())
+    def apply_bulk(self, data):
+        """A batch over most of the entry space: more entries than the
+        per-entry path takes, so the whole-column path runs."""
+        rng = data.draw(st.randoms())
+        space = [(key, nid) for key in KEYS[self.dtype] for nid in range(12)]
+        # Most entries change, and the set stays small enough to check
+        # every step.
+        deletes = [entry for entry in space if rng.random() < 0.75]
+        inserts = [entry for entry in space if rng.random() < 0.3]
+        before = self.run.snapshot()
+        held = sorted(self.model)
+        grown = self.run.apply(inserts, deletes)
+        self.model.difference_update(deletes)
+        self.model.update(inserts)
+        assert grown == len(self.model) - len(held)
+        assert list(before.keys()) == held
+
+    @rule(data=st.data())
     def merge(self, data):
         fresh = sorted(
             set(data.draw(st.lists(self.entries(), max_size=8))) - self.model
@@ -134,7 +175,8 @@ class RunMachine(RuleBasedStateMachine):
     @rule()
     def fold(self):
         self.run.fold()
-        assert len(self.run.snapshot().delta) == 0
+        state = self.run.snapshot()
+        assert len(state.dead) == len(state.ins_nids) == 0
 
     @rule()
     def snapshot(self):
@@ -212,7 +254,7 @@ TestObjectRun.settings = _machine_settings
 
 class TestSnapshotAcrossFolds:
     def test_pinned_version_reads_its_own_entries(self):
-        run = SortedRun("f8", order=4)
+        run = SortedRun("f8")
         run.merge([1.0, 2.0, 3.0], [10, 20, 30])
         run.delete((2.0, 20))
         run.insert((2.5, 25))
@@ -246,6 +288,166 @@ class TestSnapshotAcrossFolds:
         nids = run.nids_between(None, None)
         with pytest.raises(ValueError):
             nids[0] = 99
+
+
+
+def filled(keys, dtype="f8"):
+    """A run holding ``(key, key)`` for every key, built one insert at a
+    time so that it carries a delta."""
+    run = SortedRun(dtype)
+    for key in keys:
+        run.insert((key, key))
+    return run
+
+
+def keys_of(cursor):
+    return [entry[0] for entry, _none in cursor]
+
+
+class TestCursorsRaceWrites:
+    """A cursor reads the version current when it was opened, whatever
+    the writer does meanwhile: inserts behind or ahead of it, deletes,
+    batches, merges and folds."""
+
+    def test_scan_survives_inserts_behind_the_cursor(self):
+        run = filled(range(0, 100, 2))
+        seen = []
+        for step, (entry, _none) in enumerate(run.items()):
+            seen.append(entry[0])
+            run.insert((2 * step + 1, 2 * step + 1))
+        assert seen == list(range(0, 100, 2))
+        assert len(run) == 100
+
+    def test_scan_survives_deletes_ahead_of_the_cursor(self):
+        run = filled(range(60))
+        seen = []
+        for entry, _none in run.items():
+            seen.append(entry[0])
+            doomed = 59 - len(seen) % 60
+            run.delete((doomed, doomed))
+        assert seen == list(range(60))
+
+    def test_range_cursor_pins_its_snapshot(self):
+        run = filled(range(200))
+        cursor = run.range((50, 0), (150, 1 << 62))
+        run.apply(deletes=[(key, key) for key in range(60, 140)])
+        assert keys_of(cursor) == list(range(50, 151))
+
+    def test_reversed_cursor_pins_its_snapshot(self):
+        run = filled(range(50))
+        cursor = run.items_reversed()
+        run.remove_nids(range(5, 50))
+        run.merge([100.0], [100])
+        assert keys_of(cursor) == list(range(49, -1, -1))
+
+    def test_fold_and_merge_do_not_disturb_a_cursor(self):
+        run = SortedRun("f8")
+        run.merge(list(range(300)), list(range(300)))
+        run.apply([(1000.0, 1)], [(7.0, 7)])
+        cursor = run.keys()
+        run.fold()
+        run.merge([-1.0], [-1])
+        assert [key for key, _nid in cursor] == [
+            key for key in range(300) if key != 7
+        ] + [1000]
+
+    def test_snapshot_is_frozen(self):
+        run = filled(range(100))
+        snap = run.snapshot()
+        run.apply([(key, key) for key in range(100, 200)])
+        run.apply(deletes=[(key, key) for key in range(0, 100, 2)])
+        assert len(snap) == 100
+        assert [key for key, _nid in snap.keys()] == list(range(100))
+        assert (43.0, 43) in snap and (150.0, 150) not in snap
+        assert keys_of(snap.range((10, 0), (20, 1 << 62))) == list(range(10, 21))
+        assert next(snap.items_reversed())[0] == (99.0, 99)
+        assert len(run) == 150
+
+    def test_snapshots_are_independent_versions(self):
+        run = SortedRun("<u4")
+        versions = []
+        for key in range(50):
+            run.insert((key, key))
+            versions.append(run.snapshot())
+        for count, snap in enumerate(versions, start=1):
+            assert [key for key, _nid in snap.keys()] == list(range(count))
+            assert sorted(snap.nids_between(None, None).tolist()) == list(
+                range(count)
+            )
+
+
+class TestThreadedScans:
+    """Readers scan while a writer applies batches — every scan comes
+    out sorted, duplicate-free, and of one published version."""
+
+    @staticmethod
+    def _write(run, seed, steps):
+        rng = random.Random(seed)
+        for _ in range(steps):
+            batch = [(key, key) for key in rng.sample(range(400), 3)]
+            if rng.random() < 0.5:
+                run.apply(inserts=batch)
+            else:
+                run.apply(deletes=batch)
+            if rng.random() < 0.02:
+                run.fold()
+
+    def test_concurrent_scans_see_consistent_versions(self):
+        run = filled(range(0, 400, 4), "<u4")
+        stop = threading.Event()
+        failures = []
+
+        def reader(seed):
+            rng = random.Random(seed)
+            while not stop.is_set():
+                if rng.random() < 0.5:
+                    keys = [key for key, _nid in run.keys()]
+                else:
+                    keys = keys_of(run.range((40, 0), (360, 1 << 62)))
+                if keys != sorted(set(keys)):
+                    failures.append(keys)
+                    return
+
+        threads = [
+            threading.Thread(target=reader, args=(seed,), daemon=True)
+            for seed in range(3)
+        ]
+        for thread in threads:
+            thread.start()
+        self._write(run, 1234, 1500)
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not failures, f"inconsistent scan: {failures[0][:20]}..."
+        run.check_invariants()
+
+    def test_snapshot_size_matches_its_entries_under_writes(self):
+        """``len(snapshot)`` is derived from the snapshot's own
+        columns, so it always equals the number of entries it scans
+        (the statistics builders divide by it)."""
+        run = filled(range(0, 200, 2), "<u4")
+        done = threading.Event()
+        failures = []
+
+        def reader():
+            while not done.is_set():
+                snap = run.snapshot()
+                scanned = len(snap.nids_between(None, None))
+                if scanned != len(snap) or sum(1 for _ in snap.keys()) != scanned:
+                    failures.append((len(snap), scanned))
+                    return
+
+        threads = [threading.Thread(target=reader, daemon=True) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        self._write(run, 4321, 2000)
+        done.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not failures, (
+            f"snapshot tore: len()={failures[0][0]} but {failures[0][1]} entries"
+        )
+        run.check_invariants()
 
 
 class TestKeyEdgeCases:
@@ -374,7 +576,9 @@ class TestIndexOverTheRun:
         )
         manager.update_text(text, "-3")
         assert index.tree.snapshot().base_nids is base  # not re-materialised
-        assert len(index.tree.snapshot().delta) == 4  # two moved entries
+        delta = index.tree.snapshot()
+        # Two moved entries: two tombstones and two inserts.
+        assert len(delta.dead) == len(delta.ins_nids) == 2
         assert list(index.lookup_equal(float("inf"))) == []
         assert len(index.range_nids(None, 0.0, include_high=False)) == 2
         index.tree.fold()

@@ -53,7 +53,8 @@ def test_view_and_as_of_epoch_answer_the_same_after_a_fold(db):
     past = db.manager.epoch
     pinned_bases = [index.tree.snapshot().base_nids for index in indexes]
     folded_at = [index.folded_at for index in indexes]
-    assert all(len(index.tree.snapshot().delta) for index in indexes)
+    deltas = [index.tree.snapshot() for index in indexes]
+    assert all(len(delta.dead) + len(delta.ins_nids) for delta in deltas)
 
     def churn():
         for round_ in range(3):

@@ -164,7 +164,8 @@ class TestNoSidePaths:
     payload encoded twice: bytes ride the frame tail raw, in one
     width — and no thread hop on a read: reads run on the server's
     event loop — and one XML parser, the stdlib's expat, with no
-    scanner of its own beside it."""
+    scanner of its own beside it — and one delta shape under every
+    index, frozen columns, with the B+-tree left to ``bplus.py``."""
 
     SOURCES = sorted(pathlib.Path(repro.__file__).parent.rglob("*.py"))
     #: pattern -> the one module (if any) allowed to match it.
@@ -232,6 +233,10 @@ class TestNoSidePaths:
         r"\b_parse_internal_subset\b": None,
         r"\b_parse_attributes\b": None,
         r"\b_normalise_line_ends\b": None,
+        # One delta shape: frozen columns; the B+-tree stays only for
+        # the layer benchmark that times it.
+        r"\bBPlusTree\b": "bplus.py",
+        r"\bTreeSnapshot\b": "bplus.py",
     }
 
     @pytest.mark.parametrize("pattern", list(FORBIDDEN))
@@ -289,6 +294,26 @@ class TestMutationCounter:
         manager.update_text(self._text(manager, "hello"), "world")
         assert typed.mutations == before
         assert manager.string_index.mutations > 0
+
+    def test_a_fold_takes_the_batch_that_crossed_the_bound(self):
+        """The drift rule runs once the batch is in the run, so the
+        fold it triggers leaves no delta behind: whatever is built from
+        the run at ``folded_at`` (planner statistics) sees the batch."""
+        index = StringIndex()
+        folds = 0
+        for round_ in range(6):
+            before = index.folded_at
+            index.set_entries(
+                range(60),
+                [index.field_of_text(f"r{round_} {nid}") for nid in range(60)],
+            )
+            if index.folded_at != before:
+                folds += 1
+                state = index.tree.snapshot()
+                assert index.folded_at == index.mutations
+                assert len(state.dead) == len(state.ins_nids) == 0
+        assert folds >= 2
+        index.tree.check_invariants()
 
     def test_typed_update_counts_the_changed_entry_only(self, manager):
         typed = manager.typed_index("double")

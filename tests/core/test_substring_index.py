@@ -102,7 +102,8 @@ class TestStandalone:
         for nid in range(1000):
             index.set_entry(nid, index.field_of_text(f"leaf number {nid}"))
         assert index.folded_at > 0
-        assert len(index.tree.snapshot().delta) <= len(index.tree) // 5
+        delta = index.tree.snapshot()
+        assert len(delta.dead) + len(delta.ins_nids) <= len(index.tree) // 5
         index.tree.check_invariants()
 
     def test_gram_distribution(self):

@@ -1,6 +1,8 @@
-"""Hostile XML handed to ``load``, in process and over the wire.
+"""Hostile XML handed to ``load`` and ``insert_xml``, in process and
+over the wire.
 
-An entity-amplification document, an external entity reference, an
+Two entity-amplification documents (one past expat's own 8 MiB
+activation threshold, one below it), an external entity reference, an
 undefined entity after an external DTD subset and a lone surrogate are
 each refused by the parser before anything is shredded: in process the
 load raises :class:`~repro.errors.XmlSyntaxError` and the database is
@@ -20,6 +22,7 @@ from .conftest import open_db
 
 HOSTILE = {
     "amplification": amplified(7),
+    "amplification_below_8_mib": amplified(6),
     "external_entity": (
         '<!DOCTYPE r [<!ENTITY ext SYSTEM "file:///etc/hostname">]>'
         "<r>&ext;</r>"
@@ -57,3 +60,24 @@ def test_served_load_is_an_engine_error_and_serving_goes_on(served):
         client.call("load", name="more", xml=fixture_xml(3))
         rows = client.query_rows("//p")
     assert {doc for doc, _pre, _nid in rows} == {"people", "more"}
+
+
+def test_in_process_insert_xml_refuses_and_changes_nothing(tmp_path):
+    db = open_db(tmp_path)
+    doc = db.load("people", fixture_xml())
+    before = db.query_rows("//p")
+    with pytest.raises(XmlSyntaxError):
+        db.insert_xml(doc.nid[0], amplified(6))
+    assert db.query_rows("//p") == before
+    db.close()
+
+
+def test_served_insert_xml_is_an_engine_error_and_serving_goes_on(served):
+    with Client(served.host, served.port) as client:
+        before = client.query_rows("//p")
+        root = before[0][2]
+        with pytest.raises(ClientError) as err:
+            client.insert_xml(root, amplified(6))
+        assert err.value.code == wire.E_ENGINE
+        assert client.ping() == {}
+        assert client.query_rows("//p") == before

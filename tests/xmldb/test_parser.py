@@ -219,6 +219,21 @@ class TestHostileInput:
         with pytest.raises(XmlSyntaxError, match="amplification"):
             events(amplified(7))
 
+    def test_amplification_below_expats_threshold_is_refused(self):
+        # 374 bytes expanding to 3,000,000 characters: under the 8 MiB
+        # of output past which expat 2.5 checks its own factor.
+        with pytest.raises(XmlSyntaxError, match="amplification"):
+            events(amplified(6))
+
+    def test_amplification_through_an_attribute_is_refused(self):
+        xml = amplified(6).replace("<r>&e6;</r>", '<r a="&e6;"/>')
+        with pytest.raises(XmlSyntaxError, match="amplification"):
+            events(xml)
+
+    def test_large_plain_text_is_not_amplification(self):
+        text = "x" * (3 << 20)
+        assert events(f"<r>{text}</r>")[1] == ("text", text)
+
     def test_external_entity_reference_is_refused(self):
         xml = '<!DOCTYPE r [<!ENTITY ext SYSTEM "file:///etc/hostname">]><r>&ext;</r>'
         with pytest.raises(XmlSyntaxError, match="external entity"):
