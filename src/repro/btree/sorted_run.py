@@ -16,8 +16,9 @@ An index scan is two ``searchsorted`` probes and a slice of the base's
 nid column.  While the delta is non-empty the slice loses the dead
 positions inside it (two probes on ``dead``) and gains the inserted
 nids between two probes on ``ins_keys``; no step costs a Python object
-per entry.  The cursors read the same stretch as merged columns: the
-dead positions dropped and the inserts placed in one pass.
+per entry.  The cursors merge the same way, one base block of 1,024
+entries at a time, so a cursor that stops early pays only for the
+blocks it read.
 
 **Writes.**  :meth:`SortedRun.apply` takes one batch of inserts and
 deletes — one index's share of one update — and publishes once.  An
@@ -81,9 +82,13 @@ def _sorted_columns(
 
 
 #: A batch with more entries than this works on whole arrays; a smaller
-#: one (an update's ``depth+1`` entries) settles each entry in Python,
-#: where numpy's per-call cost would dominate.
+#: one (a single node's ``depth+1`` entries) settles each entry in
+#: Python, where numpy's per-call cost would dominate.  The same bound
+#: splits :func:`_find` and :func:`_splice`, which a fold also runs.
 _FEW = 64
+
+#: Base entries a cursor merges per step.
+_BLOCK = 1024
 
 
 def _find(
@@ -264,24 +269,45 @@ class RunSnapshot:
         keys, nids = self.base_keys[lo:hi], self.base_nids[lo:hi]
         dead = self.dead
         gone = dead[dead.searchsorted(lo) : dead.searchsorted(hi)] - lo
+        if not len(gone) and ins_hi <= ins_lo:
+            return keys, nids
         add_keys = self.ins_keys[ins_lo:ins_hi]
         add_nids = self.ins_nids[ins_lo:ins_hi]
         at, _found = _find(keys, nids, add_keys, add_nids)
         keys, nids = _splice((keys, nids), gone, at, (add_keys, add_nids))
         return keys, nids
 
+    def _inserts_before(self, at: int) -> int:
+        """How many inserts sort before base position ``at``'s entry."""
+        if not len(self.ins_keys):
+            return 0
+        entry = (self.base_keys[at], self.base_nids[at])
+        return _entry_position(self.ins_keys, self.ins_nids, entry, "left")
+
+    def _stretches(
+        self, lo: int, hi: int, ins_lo: int, ins_hi: int, reverse: bool = False
+    ) -> Iterator[tuple["np.ndarray", "np.ndarray"]]:
+        """:meth:`_slice` over ``[lo, hi)`` and ``[ins_lo, ins_hi)``
+        made a base block at a time, in cursor order: each block takes
+        the inserts that sort before the next block's first entry, so a
+        read of ``top_values(3)`` pays for one block."""
+        starts = range(lo, max(hi, lo + 1), _BLOCK)
+        order = reversed(range(len(starts))) if reverse else range(len(starts))
+        for i in order:
+            start = starts[i]
+            stop = min(start + _BLOCK, hi)
+            first = ins_lo if i == 0 else self._inserts_before(start)
+            last = ins_hi if stop == hi else self._inserts_before(stop)
+            keys, nids = self._slice(start, stop, first, last)
+            yield (keys[::-1], nids[::-1]) if reverse else (keys, nids)
+
     @staticmethod
     def _tuples(
-        keys: "np.ndarray", nids: "np.ndarray", reverse: bool = False
+        stretches: Iterator[tuple["np.ndarray", "np.ndarray"]],
     ) -> Iterator[tuple]:
-        """Columns as entry tuples, made a block at a time (a cursor
-        read for ``top_values(3)`` pays for one block)."""
-        if reverse:
-            keys, nids = keys[::-1], nids[::-1]
-        block = 1024
-        for start in range(0, len(keys), block):
-            stop = start + block
-            yield from zip(keys[start:stop].tolist(), nids[start:stop].tolist())
+        """Stretches of columns as entry tuples, one stretch at a time."""
+        for keys, nids in stretches:
+            yield from zip(keys.tolist(), nids.tolist())
 
     # ------------------------------------------------------------------
     # Cursors (Python tuples: point lookups, verification, tests)
@@ -289,7 +315,9 @@ class RunSnapshot:
 
     def keys(self) -> Iterator[tuple]:
         """Every ``(key, nid)`` entry in ascending order."""
-        return self._tuples(*self.columns())
+        return self._tuples(
+            self._stretches(0, len(self.base_keys), 0, len(self.ins_keys))
+        )
 
     def items(self) -> Iterator[tuple[tuple, None]]:
         """:meth:`keys` as ``(entry, None)`` pairs (the cursor protocol
@@ -297,7 +325,10 @@ class RunSnapshot:
         return zip(self.keys(), repeat(None))
 
     def items_reversed(self) -> Iterator[tuple[tuple, None]]:
-        return zip(self._tuples(*self.columns(), reverse=True), repeat(None))
+        stretches = self._stretches(
+            0, len(self.base_keys), 0, len(self.ins_keys), reverse=True
+        )
+        return zip(self._tuples(stretches), repeat(None))
 
     def range(
         self,
@@ -320,9 +351,8 @@ class RunSnapshot:
             side = "right" if include_high else "left"
             hi = _entry_position(*base, high, side)
             ins_hi = _entry_position(*ins, high, side)
-        return zip(
-            self._tuples(*self._slice(lo, hi, ins_lo, ins_hi)), repeat(None)
-        )
+        stretches = self._stretches(lo, hi, ins_lo, ins_hi)
+        return zip(self._tuples(stretches), repeat(None))
 
     # ------------------------------------------------------------------
     # Column reads (the scan path: no per-entry Python objects)
@@ -448,9 +478,11 @@ class SortedRun:
         A base entry dies by its position joining ``dead`` and comes
         back by its position leaving it; any other entry is, or
         becomes, an insert.  An update's few entries are sorted into
-        place one by one in Python (:meth:`_few`), a bulk batch as
-        whole columns (:meth:`_many`): numpy's per-call cost would
-        dominate the first, a Python loop the second."""
+        place one by one in Python (:meth:`_few`); a batch of more than
+        ``_FEW`` — a multi-node ``update_texts``, a transaction's
+        commit, a structural update of a large subtree — as whole
+        columns (:meth:`_many`): numpy's per-call cost would dominate
+        the first, a Python loop the second."""
         live = dict.fromkeys(deletes, False)
         live.update(dict.fromkeys(inserts, True))
         if not live:

@@ -37,10 +37,9 @@ def compute_fields(
 
     The range must cover complete subtrees (as pre ranges of siblings
     do).  With ``bulk`` the entries are staged for bulk-loading
-    (creation); otherwise each field is stored as it is computed and
-    each index's run takes them, with any fields stored before, as one
-    ``set_entries`` batch at the end (structural updates over freshly
-    inserted subtrees).
+    (creation); otherwise each field is stored as it is computed, and
+    the caller writes the runs with one ``set_entries`` batch per index
+    (structural updates over freshly inserted subtrees).
     """
     kinds = doc.kind
     sizes = doc.size
@@ -97,9 +96,6 @@ def compute_fields(
                 enter[i](nids[pre], leaf_fields[i][pre])
         # COMMENT/PI: not indexed, nothing contributed.
         pre += 1
-    if not bulk:
-        for index in indexes:
-            index.set_entries()
 
 
 def build_document(doc: Document, indexes: Sequence[ValueIndex]) -> None:

@@ -118,8 +118,8 @@ def apply_structural_change(
     indexes: Sequence[ValueIndex],
 ) -> int:
     """Refresh all indices after a subtree insertion or deletion: the
-    spliced rows are one batch per index (``compute_fields`` ends it),
-    the splice parent and its ancestors a second."""
+    spliced rows, the splice parent and its ancestors are one batch per
+    index."""
     for nid in change.removed_nids:
         for index in indexes:
             index.store_field(nid, None)

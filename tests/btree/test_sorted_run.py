@@ -2,12 +2,15 @@
 
 * a hypothesis state machine over every write — insert, delete,
   re-insert after a tombstone, a mixed batch through ``apply`` (a few
-  entries, and most of the entry space at once), bulk merge, ``remove_nids``, forced fold — and ``snapshot()``, checked
-  after *every* step against a plain sorted list of tuples, for the
+  entries, and most of the entry space at once), bulk merge,
+  ``remove_nids``, forced fold — and ``snapshot()``, checked after
+  *every* step against a plain sorted list of tuples, for the
   live run and for every snapshot taken so far (a snapshot pinned
   across a batch or a fold must keep reading its own entries);
 * cursors raced by writes, in one thread and in several: a cursor reads
   the version current when it was opened;
+* cursors that merge the delta one base block at a time, across block
+  edges and stopping after the first block;
 * the key edge cases of the three column dtypes;
 * what the index laid over it does with those keys.
 """
@@ -29,7 +32,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.btree import SortedRun
+from repro.btree import SortedRun, sorted_run
 from repro.core import IndexManager
 
 #: Few distinct keys and nids: duplicates of a key, re-inserts of a
@@ -374,6 +377,61 @@ class TestCursorsRaceWrites:
             assert sorted(snap.nids_between(None, None).tolist()) == list(
                 range(count)
             )
+
+
+class TestCursorBlocks:
+    """The cursors merge the delta one base block at a time: every
+    block edge must hand each insert and each dead position to exactly
+    one block, and a cursor that stops early merges only what it read."""
+
+    @pytest.mark.parametrize("dtype", sorted(KEYS))
+    def test_cursors_merge_across_block_edges(self, dtype, monkeypatch):
+        monkeypatch.setattr(sorted_run, "_BLOCK", 4)
+        rng = random.Random(dtype)
+        space = [(key, nid) for key in KEYS[dtype] for nid in range(12)]
+        for _trial in range(20):
+            model = set(rng.sample(space, rng.randrange(len(space))))
+            run = SortedRun(dtype)
+            if model:
+                keys, nids = zip(*model)
+                run.merge(list(keys), list(nids))
+            for _batch in range(rng.randrange(1, 4)):
+                inserts = rng.sample(space, rng.randrange(10))
+                deletes = rng.sample(space, rng.randrange(10))
+                run.apply(inserts, deletes)
+                model = (model - set(deletes)) | set(inserts)
+            run.check_invariants()
+            entries = check_reads(run, model)
+            for _probe in range(10):
+                low, high = rng.choice(space), rng.choice(space)
+                inclusion = rng.choice(INCLUSION)
+                cursor = run.range(low, high, *inclusion)
+                assert [entry for entry, _none in cursor] == between(
+                    entries, low, high, *inclusion
+                )
+
+    def test_a_cursor_that_stops_early_merges_one_block(self, monkeypatch):
+        run = SortedRun("<u4")
+        size = 20 * sorted_run._BLOCK
+        run.merge(list(range(size)), list(range(size)))
+        run.apply([(3, size), (size - 3, size)], [(1, 1), (size - 2, size - 2)])
+        merged = []
+        stretch = sorted_run.RunSnapshot._slice
+
+        def counted(snapshot, *bounds):
+            merged.append(bounds)
+            return stretch(snapshot, *bounds)
+
+        monkeypatch.setattr(sorted_run.RunSnapshot, "_slice", counted)
+        cursor = run.items_reversed()
+        assert [next(cursor)[0] for _ in range(3)] == [
+            (size - 1, size - 1), (size - 3, size), (size - 3, size - 3),
+        ]
+        cursor = run.keys()
+        assert [next(cursor) for _ in range(3)] == [(0, 0), (2, 2), (3, 3)]
+        assert [hi - lo for lo, hi, _first, _last in merged] == [
+            sorted_run._BLOCK, sorted_run._BLOCK,
+        ]
 
 
 class TestThreadedScans:

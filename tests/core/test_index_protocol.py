@@ -97,6 +97,7 @@ class TestProtocolConformance:
         bulk, incremental = make_index(), make_index()
         build_document(doc, [bulk])
         compute_fields(doc, 0, len(doc) - 1, [incremental], bulk=False)
+        incremental.set_entries()
         assert state_of(incremental) == state_of(bulk)
         assert len(bulk) > 0
 
