@@ -33,6 +33,7 @@ scopes as a served database.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import deque
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterator
@@ -282,7 +283,10 @@ class ConcurrencyController:
     """
 
     def __init__(self, manager: "IndexManager"):
-        self.manager = manager
+        #: A weak proxy: the manager owns its controller, and a strong
+        #: back-reference would make the pair a cycle that only the
+        #: cyclic collector frees once the engine is closed and dropped.
+        self.manager = weakref.proxy(manager)
         self.latch = ReadWriteLatch()
         #: Serializes writers (text and structural); reentrant so the
         #: Database layer can hold it across WAL append + apply.

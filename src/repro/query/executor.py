@@ -7,8 +7,10 @@ executor has one path either way.  Operators exchange sorted,
 duplicate-free int64 row arrays and evaluate the structural operators
 with the merge/interval kernels of :mod:`repro.query.kernels`:
 
-* ``IndexLookup`` scans its index once and maps the nid slice to the
-  view's rows by arithmetic over the nid runs;
+* ``IndexLookup`` scans its index once, maps the nid slice to the
+  view's rows by arithmetic over the nid runs and keeps the rows that
+  pass the node tests of the walk above it (a generic index holds every
+  node of a value, whatever its name), so only those are sorted;
 * ``AncestorWalk`` / ``StructuralVerify`` become O(depth) batched
   column gathers plus interval stabbing (``anc < row <= end[anc]``);
 * ``Intersect`` / ``Union`` are single ``np.intersect1d`` /
@@ -22,12 +24,16 @@ heap (:meth:`~repro.xmldb.document.Document.read_texts`).
 
 **Sortedness invariant**: every array handed between operators is
 sorted ascending with no duplicates.  All kernels both rely on it
-(binary-search probes) and preserve it, so no operator ever re-sorts.
+(binary-search probes) and preserve it, so no operator ever re-sorts;
+the one sort is an ``IndexLookup``'s, after its node test.
 
 Each operator records its output cardinality and (inclusive) wall time
-into an ``actuals`` dict keyed by the node's ``op_id``; the manager's
-metrics registry receives them once per plan, so repeated queries show
-up in :meth:`repro.database.Database.metrics`.
+into an ``actuals`` dict keyed by the node's ``op_id`` — an
+``IndexLookup`` records the rows its scan mapped to as ``rows`` and its
+output as ``tested``; the manager's metrics registry receives them once
+per plan (the lookups' two as ``query.index.candidates`` and
+``query.index.tested``), so repeated queries show up in
+:meth:`repro.database.Database.metrics`.
 
 Correctness invariant: whatever the plan shape, the result equals
 :func:`repro.query.evaluator.evaluate_naive` — index operators only
@@ -46,9 +52,14 @@ import numpy as np
 from ..core.manager import IndexManager
 from ..xmldb.columns import EMPTY_PRES, DocColumns, string_equal_pres
 from ..xmldb.document import Document
-from .ast import FunctionPredicate
+from .ast import AnyTest, FunctionPredicate, SelfTest
 from .evaluator import evaluate_naive
-from .kernels import ancestor_walk, filter_predicates, structural_verify
+from .kernels import (
+    ancestor_walk,
+    filter_predicates,
+    match_test,
+    structural_verify,
+)
 from .plan import (
     AncestorWalk,
     FullScan,
@@ -79,15 +90,44 @@ def _scan(manager: IndexManager, node: IndexLookup) -> "np.ndarray":
     return manager.lookup_typed_range_nids(node.kind, **node.bounds)
 
 
+def _walk_tests(walk: AncestorWalk) -> tuple:
+    """The walk's first filter: its operands' distinct last-step node
+    tests, or ``()`` when some operand's last step selects any node."""
+    tests = {}
+    for steps in walk.operands:
+        if not steps or isinstance(steps[-1].test, (SelfTest, AnyTest)):
+            return ()
+        tests[steps[-1].test] = None
+    return tuple(tests)
+
+
 def _index_pres(
-    manager: IndexManager, cols: DocColumns, node: IndexLookup
-) -> "np.ndarray":
-    """Rows of the value-matching nodes of one ``IndexLookup``: one
-    index scan, mapped to the view's rows (nids outside it drop)."""
+    manager: IndexManager, cols: DocColumns, node: IndexLookup, tests: tuple
+) -> tuple["np.ndarray", int]:
+    """Sorted rows of the value-matching nodes of one ``IndexLookup``
+    that pass one of the node ``tests`` (every row passes ``()``), and
+    how many rows the scan mapped to before the test.  One index scan,
+    mapped to the view's rows (nids outside it drop); the test runs
+    before the sort and, for a string lookup, before collision
+    verification, so neither pays for rows the walk would drop."""
     nids = _scan(manager, node)
+    mapped = 0
+
+    def test(rows: "np.ndarray") -> "np.ndarray":
+        nonlocal mapped
+        mapped = rows.size
+        if not tests:
+            return np.ones(rows.size, dtype=bool)
+        mask = match_test(cols, rows, tests[0])
+        for other in tests[1:]:
+            mask |= match_test(cols, rows, other)
+        return mask
+
     if node.kind == "string":
-        return string_equal_pres(cols, nids, node.driver.literal)
-    return cols.pres_of_nids(nids)
+        pres = string_equal_pres(cols, nids, node.driver.literal, test)
+    else:
+        pres = cols.pres_of_nids(nids, test)
+    return pres, mapped
 
 
 def _full_scan(cols: DocColumns, node: FullScan) -> "np.ndarray":
@@ -105,17 +145,22 @@ def _run(
     cols: DocColumns,
     node: PlanNode,
     actuals: dict[int, dict],
+    tests: tuple = (),
 ) -> "np.ndarray":
     """Execute one operator; returns its sorted output rows (inclusive
-    time and output cardinality are recorded into ``actuals``)."""
+    time and output cardinality are recorded into ``actuals``).
+    ``tests`` is the first filter of the walk above an ``IndexLookup``."""
     start = time.perf_counter()
+    actual = {}
     if isinstance(node, FullScan):  # always the whole plan
         pres = _full_scan(cols, node)
         manager.metrics.counter("query.plans.scan").inc()
     elif isinstance(node, IndexLookup):
-        pres = _index_pres(manager, cols, node)
+        pres, mapped = _index_pres(manager, cols, node, tests)
+        actual = {"rows": mapped, "tested": int(pres.size)}
     elif isinstance(node, AncestorWalk):
-        hits = _run(manager, cols, node.children[0], actuals)
+        hits = _run(manager, cols, node.children[0], actuals,
+                    _walk_tests(node))
         pres = ancestor_walk(cols, hits, node.operands[0])
         for steps in node.operands[1:]:
             pres = np.union1d(pres, ancestor_walk(cols, hits, steps))
@@ -142,6 +187,7 @@ def _run(
         raise TypeError(f"unknown plan node {node!r}")
     actuals[node.op_id] = {
         "rows": int(pres.size),
+        **actual,
         "seconds": time.perf_counter() - start,
     }
     return pres
@@ -165,8 +211,13 @@ def execute_pres(
     metrics = manager.metrics
     metrics.counter("query.exec.vectorized_ops").inc(len(operators))
     batch_rows = metrics.histogram("query.exec.batch_rows")
+    candidates = metrics.counter("query.index.candidates")
+    tested = metrics.counter("query.index.tested")
     for operator in operators.values():
         batch_rows.observe(operator["rows"])
+        if "tested" in operator:
+            candidates.inc(operator["rows"])
+            tested.inc(operator["tested"])
     metrics.counter("query.rows").inc(int(pres.size))
     return pres
 

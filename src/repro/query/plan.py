@@ -348,10 +348,10 @@ def render_plan(
         )
         if actuals is not None and node.op_id in actuals:
             actual = actuals[node.op_id]
-            line += (
-                f" | actual rows={actual['rows']} "
-                f"time={actual['seconds'] * 1000:.2f}ms"
-            )
+            line += f" | actual rows={actual['rows']} "
+            if "tested" in actual:
+                line += f"tested={actual['tested']} "
+            line += f"time={actual['seconds'] * 1000:.2f}ms"
         lines.append(line + ")")
         for child in node.children:
             visit(child, depth + 1)

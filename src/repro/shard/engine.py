@@ -598,7 +598,10 @@ class ShardEngine:
         The handle is released even when the checkpoint or the group
         drain raises (e.g. a poisoned :class:`GroupCommitLog`
         re-raising its injected crash): a server restarting after a
-        poison must not hold the old file open.
+        poison must not hold the old file open.  Each document's cached
+        column view is dropped too: the view holds its document, so the
+        pair is a cycle, and a closed engine is freed by reference
+        counting once dropped, not by the cyclic collector.
         """
         try:
             if checkpoint:
@@ -607,6 +610,8 @@ class ShardEngine:
                 self._group.drain()
         finally:
             self._wal.close()
+            for doc in self.manager.store.documents.values():
+                doc.invalidate_columns()
 
     def __enter__(self) -> "ShardEngine":
         return self

@@ -18,8 +18,8 @@ contiguous numpy arrays, plus the derived arrays the kernels need:
   end nid (exclusive).  Nids are minted in pre order, so a loaded or
   reopened document is one run, and each splice adds at most two.  A
   batch of index-supplied nids maps to rows by one ``searchsorted``
-  over the runs and one subtraction per nid — no per-nid probe into an
-  n-long array, and O(runs) memory.
+  over the runs (none when there is one run) and one subtraction per
+  nid — no per-nid probe into an n-long array, and O(runs) memory.
 
 A view covers one document (:meth:`Document.columns`, rows are its
 pres) or every document of a store (what :meth:`Store.columns`
@@ -43,7 +43,7 @@ has changed.
 from __future__ import annotations
 
 from itertools import accumulate, chain, repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -253,28 +253,42 @@ class DocColumns:
         """``(rows, held)`` of ``nids``, all of them :meth:`_inside`:
         each nid's row counted from the last run starting at or below
         it, and whether that run reaches it (False in a gap between
-        runs, where the row means nothing)."""
-        run = np.searchsorted(self.run_nid, nids, side="right") - 1
+        runs, where the row means nothing).  A view of one run (a
+        document no splice has touched) skips the ``searchsorted``: its
+        run is the scalar 0, and the same formula broadcasts."""
+        run = 0
+        if self.run_nid.size != 1:
+            run = np.searchsorted(self.run_nid, nids, side="right") - 1
         pres = nids - self.run_nid[run] + self.run_pre[run]
         return pres, nids < self.run_end[run]
 
-    def pres_of_nids(self, nids: "np.ndarray") -> "np.ndarray":
-        """Sorted rows of the view's share of one index scan: ``nids``
-        is an int64 array of distinct nids in any order, and those of
-        documents outside the view (or deleted) simply do not resolve —
-        the nid space is store-wide unique.
+    def pres_of_nids(
+        self,
+        nids: "np.ndarray",
+        test: "Callable[[np.ndarray], np.ndarray] | None" = None,
+    ) -> "np.ndarray":
+        """Sorted rows of the view's share of one index scan that pass
+        ``test``: ``nids`` is an int64 array of distinct nids in any
+        order, and those of documents outside the view (or deleted)
+        simply do not resolve — the nid space is store-wide unique.
+        ``test`` (all rows pass without one) maps an array of the
+        view's rows, in no particular order, to a boolean mask over it;
+        the executor passes the node tests of the walk above the scan.
 
         A scan spans every document; a view over all of them maps the
-        whole scan with one ``searchsorted`` over the merged runs, and
-        a one-document view first drops the nids outside its nid span
-        with two comparisons, so it maps its own share only.  Distinct
-        nids map to distinct rows, so a plain sort restores the batch
-        invariant.
+        whole scan by arithmetic over the merged runs, and a
+        one-document view first drops the nids outside its nid span
+        with two comparisons, so it maps its own share only.  The test
+        sees only rows of held nids, and runs before the sort, so only
+        its survivors are sorted: distinct nids map to distinct rows,
+        so a plain sort restores the batch invariant.
         """
         if nids.size == 0 or self.n == 0:
             return EMPTY_PRES
         pres, held = self._map(nids[self._inside(nids)])
         pres = pres[held]
+        if test is not None:
+            pres = pres[test(pres)]
         pres.sort()
         return pres
 
@@ -380,20 +394,24 @@ def _value_rows(cols: DocColumns, pres: "np.ndarray") -> "np.ndarray":
 
 
 def string_equal_pres(
-    cols: DocColumns, nids: "np.ndarray", value: str
+    cols: DocColumns,
+    nids: "np.ndarray",
+    value: str,
+    test: "Callable[[np.ndarray], np.ndarray] | None" = None,
 ) -> "np.ndarray":
-    """Rows whose XDM string value equals ``value``, out of the hash
-    bucket ``nids`` of ``value``.
+    """Rows that pass ``test`` and whose XDM string value equals
+    ``value``, out of the hash bucket ``nids`` of ``value``.
 
     The one string-equality check, shared by
     ``IndexManager.lookup_string`` and the executor's string
-    ``IndexLookup``: nid→row mapping via ``pres_of_nids``, then
-    collision verification per document segment — one batch heap read
+    ``IndexLookup``: nid→row mapping and the test via
+    ``pres_of_nids``, then collision verification of the survivors per
+    document segment — one batch heap read
     (:meth:`Document.read_texts`) for every candidate whose value is
     one slot, ``string_value`` for the multi-text containers only, and
     for every candidate of a bucket of at most :data:`SMALL_BUCKET`.
     """
-    pres = cols.pres_of_nids(nids)
+    pres = cols.pres_of_nids(nids, test)
     if pres.size == 0:
         return pres
     if pres.size <= SMALL_BUCKET:

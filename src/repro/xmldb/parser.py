@@ -168,7 +168,13 @@ class StreamingParser:
         if self._closed:
             return []
         self._closed = True
-        return self._parse("", True)
+        try:
+            return self._parse("", True)
+        finally:
+            # expat's handlers are bound methods of this parser: drop
+            # the cycle, so a finished parse is freed without the
+            # cyclic collector.
+            self._parser = None
 
 
 def parse_events(xml: str) -> Iterator[tuple]:

@@ -12,10 +12,15 @@ Each test pins one bug a long-running server would trip over daily:
   structural writer), and ``__exit__`` discarding the real exception
   triple on the way out;
 * ``GroupCommitLog`` promising per-batch size metrics but recording
-  only counters.
+  only counters;
+* a closed, dropped ``Database`` waiting for the cyclic collector to
+  free it (its manager and concurrency controller referred to each
+  other, and each document to its cached column view).
 """
 
+import gc
 import threading
+import weakref
 from contextlib import contextmanager
 
 import pytest
@@ -55,6 +60,30 @@ class TestCloseReleasesWal:
         db2 = Database(str(tmp_path / "db"))
         assert db2.verify().ok
         db2.close()
+
+
+class TestCloseFreesTheEngine:
+    def test_closed_database_is_freed_without_the_collector(self, tmp_path):
+        gc.collect()
+        gc.disable()
+        try:
+            db = _open(tmp_path)
+            doc = db.load("people", fixture_xml())
+            (nid, *_), _ = classified_text_nids(doc)
+            db.update_text(nid, "0")
+            assert db.query("//p[age >= 0]")  # builds column views
+            db.checkpoint()
+            manager = db.manager
+            alive = {
+                "manager": weakref.ref(manager),
+                "controller": weakref.ref(manager.concurrency),
+                "document": weakref.ref(doc),
+            }
+            db.close()
+            del db, doc, manager
+            assert [name for name, ref in alive.items() if ref()] == []
+        finally:
+            gc.enable()
 
 
 class TestAutoCheckpointArmsOnce:

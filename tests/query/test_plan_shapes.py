@@ -14,6 +14,7 @@ from repro.query import (
     parse_query,
     query,
 )
+from repro.workloads import DATASETS
 
 XML = (
     "<people>"
@@ -160,6 +161,21 @@ class TestExplain:
         plan = result.reports[0].plan
         assert isinstance(plan, StructuralVerify)
         assert plan.describe() == build_plan(m, None, path, True).describe()
+
+    def test_lookup_counts_candidates_and_tested(self):
+        # A generic index holds every numeric node in range, whatever
+        # its name: the lookup maps 374 of them for 11 prices, and only
+        # those 11 reach the walk.  The counts are deterministic.
+        m = IndexManager(typed=("double",))
+        m.load("x", DATASETS["XMark1"].build(0.5))
+        text = "//item[price < 100]"
+        assert len(query(m, text)) == 11
+        counters = m.metrics.snapshot()["counters"]
+        assert counters["query.index.candidates"] == 374
+        assert counters["query.index.tested"] == 11
+        lookup = explain(m, text, execute=True).tree().splitlines()[-1]
+        assert lookup.lstrip().startswith("IndexLookup[double] < 100.0")
+        assert "actual rows=374 tested=11 " in lookup
 
     def test_no_documents(self):
         m = IndexManager(typed=("double",))

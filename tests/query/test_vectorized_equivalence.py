@@ -176,12 +176,17 @@ class TestOracleIsNotBlind:
     ):
         # The axis-confusion bugs are injected in
         # test_vectorized_kernels_property.py: these flat corpora are
-        # blind to them.
+        # blind to them.  The lookup under the walk applies the walk's
+        # last-step tests too, so the skip goes in both places.
         def buggy(cols, hits, steps):
             untested = tuple(replace(step, test=AnyTest()) for step in steps)
             return kernels.ancestor_walk(cols, hits, untested)
 
         monkeypatch.setattr(executor, "ancestor_walk", buggy)
+        monkeypatch.setattr(
+            executor, "match_test",
+            lambda cols, pres, test: kernels.match_test(cols, pres, AnyTest()),
+        )
         assert _divergences(managers, oracle)
 
 
@@ -193,8 +198,14 @@ COPIES = 3
 #: for both; the workload queries have none (their one disjunction
 #: matches nothing), so without these a planner sharing one lookup
 #: between disjuncts of equal probes could confuse two scans unnoticed.
+#: XMark1's second query is one shared probe walked through two names
+#: (``quantity`` and ``price``, each with hits the other lacks), so the
+#: lookup must keep the rows of either operand's last-step test.
 TWO_PROBES = {
-    "XMark1": ["//item[price < 10 or price > 500]"],
+    "XMark1": [
+        "//item[price < 10 or price > 500]",
+        "//item[quantity < 1 or price < 1]",
+    ],
     "DBLP": [
         "//article[year = 1999 or year = 2001]",
         '//article[journal = "EDBT" or journal = "VLDB"]',

@@ -5,7 +5,10 @@ structural splice, renames, text updates and checkpoint + reopen.  After
 every step each document's ``pres_of_nids`` and ``parent_pre`` must
 equal what ``{nid: pre for pre, nid in enumerate(doc.nid)}`` says, for
 probe batches that mix the document's own nids with the other
-document's, deleted ones and never-minted ones, in random order.  The
+document's, deleted ones and never-minted ones, in random order; and
+``pres_of_nids`` with a node test must equal the untested map followed
+by :func:`~repro.query.kernels.match_test`, as the executor's index
+lookups use it.  The
 run count is pinned too: one run after a load, unchanged by text
 updates, renames and reopens, and at most two more per splice.
 """
@@ -25,10 +28,21 @@ from hypothesis.stateful import (
 )
 
 from repro.core import IndexManager
+from repro.query.ast import (
+    AttributeTest,
+    NameTest,
+    TextTest,
+    WildcardTest,
+)
+from repro.query.kernels import match_test
 from repro.storage.persist import load_manager, save_manager
 from repro.xmldb import ATTR, DOC, ELEM, TEXT
 
 NAMES = ("a", "b")
+#: Node tests over the documents' shapes: names present (``v``, ``x``,
+#: ``k``), one only a rename makes (``z``), one never present (``q``).
+TESTS = (NameTest("v"), NameTest("x"), NameTest("z"), NameTest("q"),
+         WildcardTest(), TextTest(), AttributeTest("k"), AttributeTest("*"))
 _VALUES = ["", "7", "x y", "2.5"]
 
 
@@ -179,9 +193,16 @@ class NidRunsMachine(RuleBasedStateMachine):
                     + rng.sample(never, rng.randint(0, len(never)))
                 )
                 rng.shuffle(batch)
-                got = cols.pres_of_nids(np.asarray(batch, dtype=np.int64))
+                nids = np.asarray(batch, dtype=np.int64)
+                got = cols.pres_of_nids(nids)
                 want = sorted(reference[n] for n in batch if n in reference)
                 assert got.tolist() == want
+                test = rng.choice(TESTS)
+                tested = cols.pres_of_nids(
+                    nids, lambda rows: match_test(cols, rows, test)
+                )
+                assert tested.tolist() == got[
+                    match_test(cols, got, test)].tolist(), test
 
 
 NidRunsMachine.TestCase.settings = settings(
