@@ -24,19 +24,15 @@
 #   make stress  — bounded, seeded reader/writer soak (default 30s;
 #                  tune with STRESS_SECONDS / STRESS_SEED)
 #   make paper   — tier-2: every paper experiment + ablation at
-#                  REPRO_BENCH_SCALE; prints the tables and claims, writes
+#                  REPRO_BENCH_SCALE, and the group-commit sweep
+#                  (writers 1/2/4 beside two readers, fsync durability);
+#                  prints the tables and claims, writes
 #                  PAPER_RESULTS.json, fails when a claim does not hold
-#   make bench-concurrent — concurrent serving sweep
-#                  (emits BENCH_concurrent_serve.json; fails when a
-#                  group-commit claim does not hold)
 #   make bench-shard — scatter-gather scale-out sweep over shard
 #                  counts, differential-verified against the
 #                  single-engine oracle (emits BENCH_shard_scaleout.json)
 #   make bench-repl — read scale-out over followers + steady-state
 #                  replication lag (emits BENCH_replication.json)
-#   make bench-elastic — read throughput under continuous migrations
-#                  vs quiesced + per-migration cost
-#                  (emits BENCH_elastic.json)
 #   make pairs PARENT=<rev> WORKLOAD=<w|all> [PAIRS=10] [OUT=file.json]
 #                  — alternating parent/change runs of the BENCHMARK.json
 #                  command (tools/pairs.py) on one workload or all of
@@ -52,8 +48,7 @@ STRESS_SEED ?= 777
 PAIRS ?= 10
 
 .PHONY: test lint faults concurrent serve-test shard-test repl-test \
-	elastic-test stress paper bench-concurrent \
-	bench-shard bench-repl bench-elastic pairs
+	elastic-test stress paper bench-shard bench-repl pairs
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -93,17 +88,11 @@ test: lint
 paper:
 	REPRO_BENCH_SCALE=$(REPRO_BENCH_SCALE) $(PYTHON) -m repro.bench.paper
 
-bench-concurrent:
-	$(PYTHON) -m repro.bench.concurrent
-
 bench-shard:
 	$(PYTHON) -m repro.bench.shard
 
 bench-repl:
 	$(PYTHON) -m repro.bench.repl
-
-bench-elastic:
-	$(PYTHON) -m repro.bench.elastic
 
 pairs:
 	$(PYTHON) tools/pairs.py --parent $(PARENT) --workload $(WORKLOAD) \

@@ -11,6 +11,7 @@ claim does not hold.  Any one of them runs alone too::
     python -m repro.bench.figure10
     python -m repro.bench.figure11
     python -m repro.bench.ablations
+    python -m repro.bench.group_commit
 """
 
 from .harness import format_bytes, measure_seconds, render_table

@@ -1,10 +1,10 @@
 """The paper's evaluation as one checked artefact (``make paper``).
 
-Runs every driver — Table 1, Figures 9-11, the ablations — at
-``REPRO_BENCH_SCALE``, prints each driver's report and claims, and
-writes ``PAPER_RESULTS.json``: per driver its results and its printed
-report, plus every claim record.  Exits 1 when any claim does not
-hold::
+Runs every driver — Table 1, Figures 9-11, the ablations and the
+group-commit sweep — at ``REPRO_BENCH_SCALE``, prints each driver's
+report and claims, and writes ``PAPER_RESULTS.json``: per driver its
+results and its printed report, plus every claim record.  Exits 1 when
+any claim does not hold::
 
     python -m repro.bench.paper
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 
 from ..workloads import bench_scale
-from . import ablations, figure9, figure10, figure11, table1
+from . import ablations, figure9, figure10, figure11, group_commit, table1
 from .harness import print_claims
 from .report import emit
 
@@ -26,6 +26,7 @@ DRIVERS = {
     "figure10": figure10,
     "figure11": figure11,
     "ablations": ablations,
+    "group_commit": group_commit,
 }
 
 JSON_PATH = "PAPER_RESULTS.json"
@@ -60,7 +61,8 @@ def main() -> int:
     emit(JSON_PATH, "paper", {
         "drivers": drivers, "claims": records, "failed": failed,
     }, workload="Table 1, Figures 9-11 and the ablations over the eight "
-                "catalog corpora", config={"scale": scale})
+                "catalog corpora, and the group-commit sweep",
+       config={"scale": scale})
     print(f"{len(records) - len(failed)}/{len(records)} claims hold"
           f"{': failed ' + ', '.join(failed) if failed else ''}; "
           f"wrote {JSON_PATH}")

@@ -378,18 +378,15 @@ def cmd_resize(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .bench import concurrent, elastic, figure9, figure10, figure11, \
-        repl, shard, table1
+    from .bench import figure9, figure10, figure11, repl, shard, table1
 
     module = {
         "table1": table1,
         "figure9": figure9,
         "figure10": figure10,
         "figure11": figure11,
-        "concurrent": concurrent,
         "shard": shard,
         "repl": repl,
-        "elastic": elastic,
     }[args.experiment]
     return module.main() or 0
 
@@ -532,10 +529,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("shards", type=int)
     p.set_defaults(fn=cmd_resize)
 
-    p = sub.add_parser("bench", help="run a paper experiment")
+    p = sub.add_parser(
+        "bench",
+        help="run one paper experiment, or a shard/replica sweep "
+             "(make paper runs every paper driver and claim)")
     p.add_argument("experiment",
                    choices=["table1", "figure9", "figure10", "figure11",
-                            "concurrent", "shard", "repl", "elastic"])
+                            "shard", "repl"])
     p.set_defaults(fn=cmd_bench)
     return parser
 

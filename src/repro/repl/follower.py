@@ -28,6 +28,7 @@ import os
 import threading
 
 from ..client import Client, ClientError
+from ..server import DatabaseServer, RequestError, ServerThread
 from ..shard.engine import ShardEngine
 from ..storage.wal import decode_frames
 
@@ -266,72 +267,9 @@ class FollowerServer:
     """
 
     def __init__(self, follower: Follower):
-        from ..server import DatabaseServer, RequestError
-
         self.follower = follower
         self._proxy_lock = threading.Lock()
         self._proxy_client: Client | None = None
-        outer = self
-
-        class _FollowerFacingServer(DatabaseServer):
-            async def _proxied(self, op, message):
-                """Forward one update-shaped op to the primary; None
-                means "run it locally" (follower was promoted)."""
-                if outer.follower.promoted:
-                    return None
-                params = {
-                    k: v for k, v in message.items()
-                    if k not in ("id", "op")
-                }
-                try:
-                    return await self._offload(
-                        lambda: outer._forward(op, params))
-                except ClientError as exc:
-                    extra = {}
-                    if exc.retry_after_ms is not None:
-                        extra["retry_after_ms"] = exc.retry_after_ms
-                    raise RequestError(
-                        exc.code, f"primary: {exc.message}", **extra
-                    ) from exc
-                except (ConnectionError, OSError) as exc:
-                    raise RequestError(
-                        "primary_unreachable",
-                        f"cannot reach primary: {exc}",
-                    ) from exc
-
-            async def _op_update(self, session, message):
-                proxied = await self._proxied("update", message)
-                if proxied is None:
-                    proxied = await super()._op_update(session, message)
-                return proxied
-
-            async def _op_load(self, session, message):
-                proxied = await self._proxied("load", message)
-                if proxied is None:
-                    proxied = await super()._op_load(session, message)
-                return proxied
-
-            async def _op_unload(self, session, message):
-                proxied = await self._proxied("unload", message)
-                if proxied is None:
-                    proxied = await super()._op_unload(session, message)
-                return proxied
-
-            async def _op_checkpoint(self, session, message):
-                proxied = await self._proxied("checkpoint", message)
-                if proxied is None:
-                    proxied = await super()._op_checkpoint(session, message)
-                return proxied
-
-            # Dispatch goes through the class-level table, not method
-            # resolution — rebind the intercepted ops.
-            _OPS = dict(DatabaseServer._OPS)
-            _OPS["update"] = _op_update
-            _OPS["load"] = _op_load
-            _OPS["unload"] = _op_unload
-            _OPS["checkpoint"] = _op_checkpoint
-
-        self._server_cls = _FollowerFacingServer
         self._server_thread = None
 
     def _forward(self, op: str, params: dict) -> dict:
@@ -356,14 +294,13 @@ class FollowerServer:
                 raise
 
     def start(self) -> tuple[str, int]:
-        from ..server import ServerThread
-
         if self.follower.engine is None:
             raise ReplicationError(
                 "follower has no engine; run Follower.start()/sync() first"
             )
         self._server_thread = ServerThread(
-            self.follower.engine, server_cls=self._server_cls,
+            self.follower.engine, server_cls=_FollowerFacingServer,
+            outer=self,
         )
         return self._server_thread.start()
 
@@ -378,3 +315,71 @@ class FollowerServer:
                 except OSError:
                     pass
                 self._proxy_client = None
+
+
+class _FollowerFacingServer(DatabaseServer):
+    """A :class:`~repro.server.DatabaseServer` whose update-shaped ops
+    go to the primary through ``outer`` until the follower is promoted.
+
+    Module-level on purpose: a class object is a reference cycle of its
+    own, so one built per :class:`FollowerServer` with methods closing
+    over it would keep it and its follower alive until the cyclic
+    collector ran.
+    """
+
+    def __init__(self, db, outer: "FollowerServer", **kwargs):
+        super().__init__(db, **kwargs)
+        self._outer = outer
+
+    async def _proxied(self, op, message):
+        """Forward one update-shaped op to the primary; None means
+        "run it locally" (follower was promoted)."""
+        outer = self._outer
+        if outer.follower.promoted:
+            return None
+        params = {k: v for k, v in message.items() if k not in ("id", "op")}
+        try:
+            return await self._offload(lambda: outer._forward(op, params))
+        except ClientError as exc:
+            extra = {}
+            if exc.retry_after_ms is not None:
+                extra["retry_after_ms"] = exc.retry_after_ms
+            raise RequestError(
+                exc.code, f"primary: {exc.message}", **extra
+            ) from exc
+        except (ConnectionError, OSError) as exc:
+            raise RequestError(
+                "primary_unreachable", f"cannot reach primary: {exc}",
+            ) from exc
+
+    async def _op_update(self, session, message):
+        proxied = await self._proxied("update", message)
+        if proxied is None:
+            proxied = await super()._op_update(session, message)
+        return proxied
+
+    async def _op_load(self, session, message):
+        proxied = await self._proxied("load", message)
+        if proxied is None:
+            proxied = await super()._op_load(session, message)
+        return proxied
+
+    async def _op_unload(self, session, message):
+        proxied = await self._proxied("unload", message)
+        if proxied is None:
+            proxied = await super()._op_unload(session, message)
+        return proxied
+
+    async def _op_checkpoint(self, session, message):
+        proxied = await self._proxied("checkpoint", message)
+        if proxied is None:
+            proxied = await super()._op_checkpoint(session, message)
+        return proxied
+
+    # Dispatch goes through the class-level table, not method
+    # resolution — rebind the intercepted ops.
+    _OPS = dict(DatabaseServer._OPS)
+    _OPS["update"] = _op_update
+    _OPS["load"] = _op_load
+    _OPS["unload"] = _op_unload
+    _OPS["checkpoint"] = _op_checkpoint

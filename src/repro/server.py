@@ -198,6 +198,10 @@ class DatabaseServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+            # The asyncio server keeps its protocol factory, which
+            # holds ``self._handle_connection``: drop it so a stopped
+            # server is freed by refcount, not the cyclic collector.
+            self._server = None
         if self._inflight:
             await asyncio.gather(*tuple(self._inflight),
                                  return_exceptions=True)

@@ -40,7 +40,8 @@ and presents the familiar engine API on top:
 
 ``docs/sharding.md`` specifies placement, snapshots, migration and
 failure semantics; ``repro.bench.shard`` measures the scale-out
-claim and ``repro.bench.elastic`` the cost of a live migration.
+claim, and :meth:`ShardCluster.migrate` reports each migration's
+duration and update pause.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ from .persist import (
     manifest_epoch,
     read_manifest,
     save_manager,
-    save_store,
 )
 
 __all__ = [
@@ -22,5 +21,4 @@ __all__ = [
     "manifest_epoch",
     "read_manifest",
     "save_manager",
-    "save_store",
 ]

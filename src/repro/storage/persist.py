@@ -1,4 +1,4 @@
-"""Persistence: save/load stores and index managers to disk.
+"""Persistence: save/load index managers (store and indices) to disk.
 
 Layout of a database directory::
 
@@ -58,7 +58,6 @@ from .format import (
 )
 
 __all__ = [
-    "save_store",
     "load_store",
     "save_manager",
     "load_manager",
@@ -303,34 +302,6 @@ def _read_document(name: str, path: str) -> Document:
 # ---------------------------------------------------------------------------
 
 
-def _store_manifest(store: Store, stems: dict[str, str], epoch: int) -> dict:
-    return {
-        "format": "repro-xmldb",
-        "version": _MANIFEST_VERSION,
-        "epoch": epoch,
-        "documents": stems,
-        "next_nid": store._next_nid,
-    }
-
-
-def save_store(store: Store, path: str, epoch: int | None = None) -> int:
-    """Atomically snapshot all documents plus the manifest to directory
-    ``path``; returns the committed checkpoint epoch."""
-    os.makedirs(path, exist_ok=True)
-    if epoch is None:
-        epoch = _next_epoch(path)
-    stems = _assign_stems(store.documents, epoch)
-    files = {
-        f"{stems[name]}.doc": _document_bytes(doc)
-        for name, doc in store.documents.items()
-    }
-    manifest = _store_manifest(store, stems, epoch)
-    _commit_files(path, files)
-    _commit_manifest(path, manifest)
-    _gc_stale_files(path, manifest)
-    return epoch
-
-
 def _read_manifest(path: str) -> dict:
     manifest = read_manifest(path)
     if manifest is None:
@@ -339,7 +310,7 @@ def _read_manifest(path: str) -> dict:
 
 
 def load_store(path: str, manifest: dict | None = None) -> Store:
-    """Open a directory written by :func:`save_store`.
+    """The store of a directory written by :func:`save_manager`.
 
     ``manifest`` is the directory's committed manifest when the caller
     has already read it; by default it is read here.
@@ -431,8 +402,14 @@ def save_manager(manager: IndexManager, path: str,
             if index.column is not None:
                 files[stem + index.column[0]] = index_bytes(index, doc)
     stems = {name: reuse.get(name) or written[name] for name in documents}
-    manifest = _store_manifest(manager.store, stems, epoch)
-    manifest["indexes"] = index_config(manager)
+    manifest = {
+        "format": "repro-xmldb",
+        "version": _MANIFEST_VERSION,
+        "epoch": epoch,
+        "documents": stems,
+        "next_nid": manager.store._next_nid,
+        "indexes": index_config(manager),
+    }
     _commit_files(path, files)
     _commit_manifest(path, manifest)
     _gc_stale_files(path, manifest)
@@ -450,11 +427,7 @@ def load_manager(path: str, manifest: dict | None = None) -> IndexManager:
     """
     if manifest is None:
         manifest = _read_manifest(path)
-    config = manifest.get("indexes")
-    if config is None:
-        raise ReproError(
-            f"{path!r} was saved with save_store; use load_store instead"
-        )
+    config = manifest["indexes"]
     store = load_store(path, manifest)
     manager = IndexManager(
         store=store,

@@ -85,6 +85,7 @@ class RunMachine(RuleBasedStateMachine):
         self.run = SortedRun(self.dtype)
         self.model: set[tuple] = set()
         self.pinned: list[tuple] = []  # (snapshot, its entries)
+        self.checked: dict = {}  # see _check_ranges
 
     def entries(self):
         return st.tuples(st.sampled_from(KEYS[self.dtype]), NIDS)
@@ -206,6 +207,18 @@ class RunMachine(RuleBasedStateMachine):
             self._check_ranges(snapshot, entries)
 
     def _check_ranges(self, reader, entries):
+        # A version is immutable: five write-protected columns and no
+        # other state.  So each (reader, version, expected entries) gets
+        # every bound combination once, and a step that leaves a reader
+        # on the version it had skips them; check_reads still re-reads
+        # every reader's whole contents after every step.
+        state = reader.snapshot() if isinstance(reader, SortedRun) else reader
+        version = (reader, state, state.base_keys, state.base_nids,
+                   state.dead, state.ins_keys, state.ins_nids)
+        checked = (tuple(map(id, version)), tuple(entries))
+        if checked in self.checked:
+            return
+        self.checked[checked] = version  # held, so no id is reused
         keys = KEYS[self.dtype]
         bounds = [None, (keys[1], -1), (keys[-2], 1 << 62)]
         bounds += entries[len(entries) // 2:][:1]  # a bound that is an entry

@@ -15,7 +15,9 @@ Each test pins one bug a long-running server would trip over daily:
   only counters;
 * a closed, dropped ``Database`` waiting for the cyclic collector to
   free it (its manager and concurrency controller referred to each
-  other, and each document to its cached column view).
+  other, and each document to its cached column view), and a stopped
+  server doing the same (asyncio's server kept the handler bound to
+  it, and each follower server its own class closed over it).
 """
 
 import gc
@@ -25,8 +27,12 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.client import Client
 from repro.core import concurrency as concurrency_module
 from repro.database import Database
+from repro.repl import Follower, FollowerServer
+from repro.server import ServerThread
+from repro.shard import ShardCluster
 from repro.storage import faults, groupcommit
 
 from .harness import classified_text_nids, fixture_xml
@@ -62,11 +68,23 @@ class TestCloseReleasesWal:
         db2.close()
 
 
+@contextmanager
+def _collector_off():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _alive(refs: dict) -> list[str]:
+    return [name for name, ref in refs.items() if ref()]
+
+
 class TestCloseFreesTheEngine:
     def test_closed_database_is_freed_without_the_collector(self, tmp_path):
-        gc.collect()
-        gc.disable()
-        try:
+        with _collector_off():
             db = _open(tmp_path)
             doc = db.load("people", fixture_xml())
             (nid, *_), _ = classified_text_nids(doc)
@@ -81,9 +99,70 @@ class TestCloseFreesTheEngine:
             }
             db.close()
             del db, doc, manager
-            assert [name for name, ref in alive.items() if ref()] == []
+            assert _alive(alive) == []
+
+    def test_stopped_server_is_freed_without_the_collector(self, tmp_path):
+        with _collector_off():
+            db = _open(tmp_path)
+            db.load("people", fixture_xml())
+            thread = ServerThread(db)
+            with Client(*thread.start()) as client:
+                client.handshake()
+                assert client.query("//p[age >= 0]")
+            alive = {
+                "server": weakref.ref(thread.server),
+                "database": weakref.ref(db),
+                "manager": weakref.ref(db.manager),
+            }
+            thread.stop()
+            db.close()
+            del db, thread, client
+            assert _alive(alive) == []
+
+    def test_stopped_follower_server_is_freed_without_the_collector(
+        self, tmp_path
+    ):
+        primary = _open(tmp_path)
+        primary.load("people", fixture_xml())
+        primary_thread = ServerThread(primary)
+        addr = primary_thread.start()
+        try:
+            with _collector_off():
+                follower = Follower(str(tmp_path / "follower"), addr)
+                follower.sync()
+                served = FollowerServer(follower)
+                with Client(*served.start()) as client:
+                    client.handshake()
+                    assert client.query("//p[age >= 0]")
+                alive = {
+                    "follower server": weakref.ref(served),
+                    "server": weakref.ref(served._server_thread.server),
+                    "follower": weakref.ref(follower),
+                    "engine": weakref.ref(follower.engine),
+                }
+                served.stop()
+                follower.close()
+                del follower, served, client
+                assert _alive(alive) == []
         finally:
-            gc.enable()
+            primary_thread.stop()
+            primary.close()
+
+    def test_stopped_thread_cluster_is_freed_without_the_collector(
+        self, tmp_path
+    ):
+        with _collector_off():
+            cluster = ShardCluster(str(tmp_path / "cluster"), shards=2,
+                                   transport="thread").start()
+            cluster.load("people", fixture_xml())
+            assert cluster.query("//p[age >= 0]")
+            alive = {"cluster": weakref.ref(cluster)}
+            for shard, worker in cluster._workers.items():
+                alive[f"server {shard}"] = weakref.ref(worker.thread.server)
+                alive[f"engine {shard}"] = weakref.ref(worker.engine)
+            cluster.stop()
+            del cluster, worker
+            assert _alive(alive) == []
 
 
 class TestAutoCheckpointArmsOnce:
@@ -239,5 +318,6 @@ class TestBatchSizeHistogram:
         # counter — the histogram and the counters advance together.
         assert histogram["count"] == counters["wal.group.batches"]
         assert histogram["total"] == counters["wal.group.records"]
+        assert counters["wal.group.records"] == 30  # every commit batched
         assert 1 <= histogram["max"] <= 4
         db.close()

@@ -9,10 +9,12 @@ import socket
 import struct
 import time
 
+import numpy as np
 import pytest
 
 from repro import wire
 from repro.client import Client, ClientError
+from repro.xmldb.columns import RowColumns
 
 from ..concurrent.harness import classified_text_nids, fixture_xml
 
@@ -212,7 +214,17 @@ class TestErrors:
 class TestFrameCap:
     def test_oversized_response_fails_its_request(self, served, monkeypatch):
         """An answer over the frame cap fails its own request, with its
-        request id: the client does not wait out its timeout."""
+        request id: the client does not wait out its timeout.  At the
+        real cap that is any answer over 1,048,568 rows
+        (docs/serving.md): 16 tail bytes a row, plus the JSON."""
+        def answer(rows: int) -> dict:
+            zeros = np.zeros(rows, np.int64)
+            return wire.ok_response(
+                1, wire.pack_rows(RowColumns(["d"], [rows], zeros, zeros)))
+
+        assert wire.encode_frame(answer(1_048_568))
+        with pytest.raises(wire.WireError, match="exceeds"):
+            wire.encode_frame(answer(1_048_569))
         served.db.load("big", fixture_xml(3000))
         monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 20_000)
         with Client(served.host, served.port, timeout=5.0) as client:

@@ -7,10 +7,10 @@ import pytest
 
 from repro.core import IndexManager
 from repro.errors import ReproError
-from repro.storage import FormatError, load_manager, load_store, save_manager, save_store
+from repro.storage import FormatError, load_manager, save_manager
 from repro.storage.format import decode_varint, encode_varint
 from repro.workloads import generate_xmark
-from repro.xmldb import Store, TEXT
+from repro.xmldb import TEXT
 
 PERSON = (
     '<person id="p1">'
@@ -39,13 +39,16 @@ class TestVarint:
             decode_varint(b"\x80", 0)
 
 
+def _reloaded(manager: IndexManager, path) -> IndexManager:
+    save_manager(manager, str(path))
+    return load_manager(str(path))
+
+
 class TestStoreRoundtrip:
     def test_single_document(self, tmp_path):
-        store = Store()
-        doc = store.add_document("person", PERSON)
-        save_store(store, str(tmp_path / "db"))
-        loaded = load_store(str(tmp_path / "db"))
-        again = loaded.document("person")
+        manager = IndexManager()
+        doc = manager.load("person", PERSON)
+        again = _reloaded(manager, tmp_path / "db").store.document("person")
         assert again.serialize() == doc.serialize()
         assert again.kind == doc.kind
         assert again.size == doc.size
@@ -57,31 +60,27 @@ class TestStoreRoundtrip:
         again.check_invariants()
 
     def test_multiple_documents_and_nid_counter(self, tmp_path):
-        store = Store()
-        store.add_document("a", "<x>1</x>")
-        store.add_document("b", "<y>2</y>")
-        save_store(store, str(tmp_path / "db"))
-        loaded = load_store(str(tmp_path / "db"))
+        manager = IndexManager()
+        manager.load("a", "<x>1</x>")
+        manager.load("b", "<y>2</y>")
+        loaded = _reloaded(manager, tmp_path / "db").store
         assert set(loaded.documents) == {"a", "b"}
-        assert loaded._next_nid == store._next_nid
+        assert loaded._next_nid == manager.store._next_nid
         # New nids don't collide with existing ones.
         fresh = loaded.allocate_nid()
         assert fresh not in set(loaded.nids())
 
     def test_unicode_content(self, tmp_path):
-        store = Store()
-        store.add_document("u", "<a>héllo wörld — ünïcode</a>")
-        save_store(store, str(tmp_path / "db"))
-        loaded = load_store(str(tmp_path / "db"))
-        doc = loaded.document("u")
+        manager = IndexManager()
+        manager.load("u", "<a>héllo wörld — ünïcode</a>")
+        doc = _reloaded(manager, tmp_path / "db").store.document("u")
         assert doc.string_value(0) == "héllo wörld — ünïcode"
 
     def test_updates_after_reload(self, tmp_path):
-        store = Store()
-        store.add_document("d", "<a><b>x</b></a>")
-        save_store(store, str(tmp_path / "db"))
-        loaded = load_store(str(tmp_path / "db"))
-        doc = loaded.document("d")
+        manager = IndexManager()
+        manager.load("d", "<a><b>x</b></a>")
+        loaded = _reloaded(manager, tmp_path / "db")
+        doc = loaded.store.document("d")
         nid = next(
             doc.nid[p] for p in range(len(doc)) if doc.kind[p] == TEXT
         )
@@ -90,26 +89,27 @@ class TestStoreRoundtrip:
         loaded.insert_xml(root_nid, "<c>z</c>")
         assert doc.string_value(0) == "yz"
         doc.check_invariants()
+        loaded.check_consistency()
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ReproError):
-            load_store(str(tmp_path))
+            load_manager(str(tmp_path))
 
     def test_foreign_manifest_rejected(self, tmp_path):
         (tmp_path / "MANIFEST.json").write_text(json.dumps({"format": "other"}))
         with pytest.raises(FormatError):
-            load_store(str(tmp_path))
+            load_manager(str(tmp_path))
 
     def test_corrupt_document_file(self, tmp_path):
-        store = Store()
-        store.add_document("d", "<a/>")
-        save_store(store, str(tmp_path / "db"))
+        manager = IndexManager()
+        manager.load("d", "<a/>")
+        save_manager(manager, str(tmp_path / "db"))
         doc_file = next(
             p for p in (tmp_path / "db").iterdir() if p.suffix == ".doc"
         )
         doc_file.write_bytes(b"garbage")
         with pytest.raises(FormatError):
-            load_store(str(tmp_path / "db"))
+            load_manager(str(tmp_path / "db"))
 
 
 class TestManagerRoundtrip:
@@ -155,13 +155,6 @@ class TestManagerRoundtrip:
         loaded = load_manager(str(tmp_path / "db"))
         assert loaded.substring_index is not None
         assert loaded.substring_index.q == manager.substring_index.q
-
-    def test_store_only_save_refuses_manager_load(self, tmp_path):
-        store = Store()
-        store.add_document("d", "<a/>")
-        save_store(store, str(tmp_path / "db"))
-        with pytest.raises(ReproError, match="save_store"):
-            load_manager(str(tmp_path / "db"))
 
     def test_larger_document(self, tmp_path):
         m = IndexManager(typed=("double",))
