@@ -21,8 +21,9 @@
 #                  interleavings, rebalance plans and resize, and the
 #                  follower-resync cases
 #                  (docs/sharding.md, elastic shards)
-#   make stress  — bounded, seeded reader/writer soak (default 30s;
-#                  tune with STRESS_SECONDS / STRESS_SEED)
+#   make stress  — bounded, seeded reader/writer soak and the
+#                  migration soak (default 30s each; tune with
+#                  STRESS_SECONDS / STRESS_SEED)
 #   make paper   — tier-2: every paper experiment + ablation at
 #                  REPRO_BENCH_SCALE, and the group-commit sweep
 #                  (writers 1/2/4 beside two readers, fsync durability);
@@ -80,7 +81,8 @@ elastic-test:
 
 stress:
 	REPRO_STRESS_SECONDS=$(STRESS_SECONDS) REPRO_STRESS_SEED=$(STRESS_SEED) \
-	$(PYTHON) -m pytest tests/concurrent -q -s
+	$(PYTHON) -m pytest tests/concurrent \
+	    tests/shard/test_migration_faults.py::test_migration_soak -q -s
 
 test: lint
 	$(PYTHON) -m pytest -x -q

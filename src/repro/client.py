@@ -237,10 +237,6 @@ class Client:
 
     # -- elasticity (shard migration; docs/sharding.md) ------------------
 
-    def set_placement(self, version: int) -> dict:
-        """Tell the shard about a newer cluster layout version."""
-        return self.call("placement", version=version)
-
     def document_stats(self) -> dict:
         """Per-document ``{nodes, bytes}`` stats (rebalance inputs)."""
         return self.call("doc.stats")["documents"]

@@ -52,11 +52,10 @@ from typing import Any, Awaitable, Callable
 from . import wire
 from .core.concurrency import EpochNotRetained, active_view
 from .database import Database
-from .errors import ReproError
+from .errors import DocumentError, ReproError
 from .wire import (
     E_BAD_REQUEST,
     E_BUSY,
-    E_DOC_MOVED,
     E_ENGINE,
     E_INTERNAL,
     E_NO_EPOCH,
@@ -117,13 +116,6 @@ class DatabaseServer:
             :attr:`port` holds the bound one after :meth:`start`).
         max_pending_updates: Admission-control bound on in-flight
             updates; beyond it requests fail fast with ``busy``.
-        placement_version: The cluster layout version this shard was
-            (re)started under, or ``None`` when serving stand-alone.
-            Scatter requests stamped with an older version are
-            rejected with retryable ``doc_moved`` instead of being
-            answered from the wrong side of a migration; the
-            coordinator advances it with the ``placement`` op after
-            each manifest flip (docs/sharding.md).
     """
 
     def __init__(
@@ -132,7 +124,6 @@ class DatabaseServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_pending_updates: int = 64,
-        placement_version: int | None = None,
     ):
         self.db = db
         self.host = host
@@ -144,7 +135,6 @@ class DatabaseServer:
             max_workers=WORKERS, thread_name_prefix="serve-worker"
         )
         self._pending_updates = 0
-        self.placement_version = placement_version
         self._state = "new"  # new -> serving -> draining -> closed
         self._server: asyncio.base_events.Server | None = None
         self._sessions: set[_Session] = set()
@@ -414,54 +404,22 @@ class DatabaseServer:
             "epoch": self._controller.published().epoch,
             "shard": self.db.shard_id,
             "documents": sorted(self.db.store.documents),
-            "placement": self.placement_version,
         }
 
     async def _op_ping(self, session, message) -> dict:
         return {}
 
-    def _check_placement(self, message: dict) -> None:
-        """Reject a scatter request routed under a stale cluster layout.
-
-        The coordinator stamps scatter requests with the manifest
-        version its routing decision used; when this shard has since
-        been told about a newer layout (``placement`` op after a
-        migration flip) the request is answered with retryable
-        ``doc_moved`` — the caller re-routes against the current
-        manifest.  Requests pinned to a session view skip the gate:
-        a pinned view deliberately keeps answering from the placement
-        it captured (the source copy is only unloaded once no view
-        pins it — docs/sharding.md).
-        """
-        stamped = message.get("placement")
-        if stamped is None or message.get("view") is not None:
-            return
-        current = self.placement_version
-        if current is None or stamped > current:
-            # The coordinator planned under a layout newer than this
-            # shard has been told about (it missed the broadcast —
-            # restart race, or a coordinator that died right after
-            # flipping): adopt it, versions only ever grow.
-            self.placement_version = stamped
-            return
-        if stamped < current:
-            raise RequestError(
-                E_DOC_MOVED,
-                f"request routed under placement version {stamped}, "
-                f"shard now at {current}; re-route and retry",
-                placement=current,
-            )
-
     def _columns_of(self, text: str, document, documents: list | None,
                     use_indexes, as_of) -> RowColumns:
         """``query_columns`` over the store view.  With ``documents`` (a
         coordinator scatter) the same pinned view also checks that
-        every listed document is here — else ``doc_moved`` — and keeps
-        only their segments.  A document mid-migration exists on *two*
-        shards and the coordinator's placement snapshot names the one
-        that answers for it, so a shard must never answer for a
-        document it merely happens to hold (double count), nor
-        silently skip one it no longer holds (dropped rows)."""
+        every listed document is here and keeps only their segments.
+        A document mid-migration exists on *two* shards and the
+        coordinator's plan names the one that answers for it, so a
+        shard must never answer for a document it merely happens to
+        hold (double count), nor silently skip one it does not hold
+        (dropped rows): the coordinator keeps every copy a live plan
+        names, so a missing one is an engine error."""
         if documents is None:
             return self.db.query_columns(text, document, use_indexes,
                                          as_of=as_of)
@@ -471,13 +429,8 @@ class DatabaseServer:
             held = self.db.store.documents
             for name in documents:
                 if name not in held:
-                    raise RequestError(
-                        E_DOC_MOVED,
-                        f"document {name!r} is not on this shard; "
-                        "re-route and retry",
-                        document=name,
-                        placement=self.placement_version,
-                    )
+                    raise DocumentError(
+                        f"document {name!r} is not on this shard")
             columns = self.db.query_columns(text, None, use_indexes,
                                             as_of=as_of)
             listed = set(documents)
@@ -502,7 +455,6 @@ class DatabaseServer:
             raise RequestError(E_BAD_REQUEST, "as_of must be an epoch int")
         if documents is not None and not isinstance(documents, list):
             raise RequestError(E_BAD_REQUEST, "documents must be a list")
-        self._check_placement(message)
         # (document, pre) addresses survive re-placement, bare nids
         # don't: every answer carries both, as packed columns.
         return self._run_read(
@@ -645,18 +597,6 @@ class DatabaseServer:
 
     # -- elasticity (shard migration; see docs/sharding.md) --------------
 
-    async def _op_placement(self, session, message) -> dict:
-        """Advance this shard's cluster layout version (manifest flip).
-
-        Monotonic: a late-arriving older stamp never rolls the shard
-        back behind a flip it has already been told about.
-        """
-        version = self._int_param(message, "version")
-        previous = self.placement_version
-        if previous is None or version > previous:
-            self.placement_version = version
-        return {"placement": self.placement_version, "previous": previous}
-
     async def _op_doc_export(self, session, message) -> dict:
         """Chunked read of one document's snapshot encoding.
 
@@ -671,12 +611,8 @@ class DatabaseServer:
         def call():
             if offset == 0:
                 if name not in self.db.store.documents:
-                    raise RequestError(
-                        E_DOC_MOVED,
-                        f"document {name!r} is not on this shard",
-                        document=name,
-                        placement=self.placement_version,
-                    )
+                    raise DocumentError(
+                        f"document {name!r} is not on this shard")
                 session.exports[name] = self.db.export_document(name)
             payload = session.exports.get(name)
             if payload is None:
@@ -775,7 +711,6 @@ class DatabaseServer:
         "metrics": _op_metrics,
         "checkpoint": _op_checkpoint,
         "epochs": _op_epochs,
-        "placement": _op_placement,
         "doc.export": _op_doc_export,
         "doc.import": _op_doc_import,
         "doc.stats": _op_doc_stats,
@@ -843,8 +778,7 @@ class ServerThread:
 
 
 async def serve(db: Database, host: str, port: int,
-                max_pending_updates: int = 64,
-                placement_version: int | None = None) -> None:
+                max_pending_updates: int = 64) -> None:
     """Serve until SIGTERM/SIGINT, then drain.
 
     Once bound, prints one line, ``serving PATH on HOST:PORT (...)``;
@@ -852,8 +786,7 @@ async def serve(db: Database, host: str, port: int,
     address from it.
     """
     server = DatabaseServer(db, host=host, port=port,
-                            max_pending_updates=max_pending_updates,
-                            placement_version=placement_version)
+                            max_pending_updates=max_pending_updates)
     await server.start()
     print(f"serving {db.path!r} on {server.host}:{server.port} "
           f"(protocol v{PROTOCOL_VERSION}; SIGTERM drains)", flush=True)

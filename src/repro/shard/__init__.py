@@ -19,7 +19,6 @@ The package splits the serving engine into three layers
 
 from .coordinator import (
     ClusterView,
-    DocumentMovedError,
     ShardCluster,
     ShardDownError,
     ShardError,
@@ -30,7 +29,6 @@ from .manifest import ShardingManifest
 
 __all__ = [
     "ClusterView",
-    "DocumentMovedError",
     "RecoveryReport",
     "ShardCluster",
     "ShardDownError",

@@ -31,17 +31,17 @@ and presents the familiar engine API on top:
   import on the destination, an atomic manifest flip, then the source
   unload), :meth:`rebalance` re-levels placement with
   :func:`greedy_balance`, and :meth:`resize` grows or shrinks the
-  worker pool.  Queries racing a flip see the old or the new
-  placement, never both: every scatter is stamped with the manifest
-  version it was planned under and a shard that has moved on answers
-  with the retryable ``doc_moved`` code
-  (:class:`DocumentMovedError`), which :meth:`query` absorbs by
-  re-planning.
+  worker pool.  The coordinator alone decides which copy of a
+  migrating document answers: every read plan registers the manifest
+  version it was snapshotted at, and a copy superseded by a flip or an
+  unload stays on its shard until no registered plan older than the
+  superseding version is left, so a query racing a flip sees the old
+  or the new placement, never both.
 
 ``docs/sharding.md`` specifies placement, snapshots, migration and
 failure semantics; ``repro.bench.shard`` measures the scale-out
-claim, and :meth:`ShardCluster.migrate` reports each migration's
-duration and update pause.
+claim, and :meth:`ShardCluster.migrate_document` reports each
+migration's duration and update pause.
 """
 
 from __future__ import annotations
@@ -65,18 +65,12 @@ from .engine import ShardEngine, require_one_mode
 from .manifest import ShardingManifest
 
 __all__ = [
-    "ShardCluster", "ShardError", "ShardDownError", "DocumentMovedError",
-    "ClusterView", "greedy_balance",
+    "ShardCluster", "ShardError", "ShardDownError", "ClusterView",
+    "greedy_balance",
 ]
 
 #: Attempts at a stable epoch vector before giving up.
 PIN_ATTEMPTS = 16
-
-#: Extra attempts a plain (un-pinned) query makes after a ``doc_moved``
-#: rejection before surfacing the error; each retry re-plans against
-#: the then-current manifest, so one in-flight migration costs at most
-#: one bounce.
-MOVED_RETRIES = 4
 
 #: The address in the line ``repro.server.serve`` prints once bound.
 _SERVING = re.compile(r" on ([\d.]+):(\d+) ")
@@ -103,38 +97,27 @@ class ShardDownError(ShardError):
     code = wire.E_SHARD_DOWN
 
 
-class DocumentMovedError(ShardError):
-    """A scatter was planned under a manifest version a shard has
-    already left behind (stable code ``doc_moved``): a migration
-    flipped placement between planning and execution.  Transient —
-    re-plan against the current manifest and retry, which
-    :meth:`ShardCluster.query` does automatically."""
-
-    code = wire.E_DOC_MOVED
-
-
 class ClusterView:
     """A pinned cross-shard read view: one epoch per shard, one
     consistent cut overall (see module docstring).
 
     The view also freezes the *placement* it was pinned under
-    (``plan``/``placement_version``): queries through the view scatter
-    to the shards that owned each document at pin time, so a migration
-    that flips the manifest mid-view cannot split or duplicate the
-    view's result rows.  The source copy of a migrated document
-    outlives the flip for as long as any view is open (deferred
-    unload), so those pinned placements keep answering.
+    (``plan``/``version``): queries through the view scatter to the
+    shards that owned each document at pin time, so a migration that
+    flips the manifest mid-view cannot split or duplicate the view's
+    result rows.  The view's plan stays registered while it is open,
+    so every copy it names outlives a later flip or unload.
     """
 
     def __init__(self, pins: dict[int, tuple[int, int]],
-                 plan: dict[int, list[str]] | None = None,
-                 version: int | None = None):
+                 plan: dict[str, int], version: int):
         #: shard → (server view token, pinned epoch)
         self.pins = pins
-        #: shard → documents it served when the view was pinned
-        self.plan = plan if plan is not None else {}
+        #: document → the shard that served it when the view was
+        #: pinned, in global document order
+        self.plan = plan
         #: manifest version the plan was snapshotted at
-        self.placement_version = version
+        self.version = version
 
     @property
     def epochs(self) -> dict[int, int]:
@@ -158,8 +141,7 @@ class _ProcessWorker:
     def __init__(self, path: str, shard_id: int, *, sync: str,
                  checkpoint_every: int,
                  kill_at: str | None = None,
-                 kill_keep_bytes: int | None = None,
-                 placement_version: int | None = None):
+                 kill_keep_bytes: int | None = None):
         cmd = [
             sys.executable, "-m", "repro.shard.worker",
             "--path", path,
@@ -167,8 +149,6 @@ class _ProcessWorker:
             "--sync", sync,
             "--checkpoint-every", str(checkpoint_every),
         ]
-        if placement_version is not None:
-            cmd += ["--placement-version", str(placement_version)]
         if kill_at is not None:
             cmd += ["--kill-at", kill_at]
             if kill_keep_bytes is not None:
@@ -216,8 +196,7 @@ class _ThreadWorker:
     def __init__(self, path: str, shard_id: int, *, sync: str,
                  checkpoint_every: int,
                  kill_at: str | None = None,
-                 kill_keep_bytes: int | None = None,
-                 placement_version: int | None = None):
+                 kill_keep_bytes: int | None = None):
         if kill_at is not None:
             raise ShardError(
                 shard_id, "kill injection requires the process transport"
@@ -228,8 +207,7 @@ class _ThreadWorker:
             path, sync=sync, checkpoint_every=checkpoint_every,
             shard_id=shard_id,
         )
-        self.thread = ServerThread(self.engine,
-                                   placement_version=placement_version)
+        self.thread = ServerThread(self.engine)
         self.host, self.port = self.thread.start()
         self._stopped = False
 
@@ -298,14 +276,18 @@ class ShardCluster:
         self._client_locks: dict[int, threading.Lock] = {}
         self._kill_specs: dict[int, tuple[str, int | None]] = {}
         # Elasticity state (docs/sharding.md "Elastic shards"): the
-        # route lock guards manifest mutation + plan snapshots; the
-        # condition gates updates during a migration cutover.
+        # route lock guards manifest mutation, plan snapshots and their
+        # registration; the condition gates updates during a migration
+        # cutover and wakes forced unloads when a plan ends.
         self._route_lock = threading.RLock()
         self._route_cond = threading.Condition(self._route_lock)
         self._paused_shards: set[int] = set()
         self._inflight_updates: dict[int, int] = {}
-        self._views_open = 0
-        self._pending_unloads: list[tuple[int, str]] = []
+        #: (manifest version, pinned by a view) of every live plan.
+        self._plans: list[tuple[int, bool]] = []
+        #: (superseding manifest version, shard, name) of every copy a
+        #: flip or an unload left behind for an older live plan.
+        self._pending_unloads: list[tuple[int, int, str]] = []
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -354,7 +336,6 @@ class ShardCluster:
             self.manifest.shard_dir(self.root, shard), shard,
             sync=self.sync, checkpoint_every=self.checkpoint_every,
             kill_at=kill_at, kill_keep_bytes=keep,
-            placement_version=self.manifest.version,
         )
         self._workers[shard] = worker
         self._client_locks.setdefault(shard, threading.Lock())
@@ -364,10 +345,13 @@ class ShardCluster:
 
     def stop(self) -> None:
         """Drain every worker (graceful: in-flight work finishes, each
-        shard checkpoints and truncates its WAL) and save the manifest."""
+        shard checkpoints and truncates its WAL) and save the manifest.
+        Superseded copies still queued are unloaded first, whatever
+        plans name them."""
         with self._route_lock:
-            self._views_open = 0
-        self._flush_unloads()
+            pending, self._pending_unloads = self._pending_unloads, []
+        for _version, shard, name in pending:
+            self._unload_copy(shard, name)
         for client in self._clients.values():
             if client is not None:
                 client.close()
@@ -527,7 +511,7 @@ class ShardCluster:
         crash between the two leaves a placed-but-empty name, never an
         orphan document.
         """
-        self._flush_unloads(name=name)
+        self._flush_unloads(lambda _shard, doc: doc == name)
         with self._route_lock:
             target = self.manifest.place(name, shard)
             self.manifest.save(self.root)
@@ -542,12 +526,15 @@ class ShardCluster:
         return target
 
     def unload(self, name: str) -> None:
-        shard = self._owner(name)
-        self._flush_unloads(name=name)
-        self._routed(shard, lambda c: c.call("unload", name=name))
+        """Unplace ``name``; its owner drops the copy once no plan
+        that names it is in flight."""
         with self._route_lock:
-            self.manifest.unplace(name)
+            if name not in self.manifest.placement:
+                raise ShardError(None, f"unknown document {name!r}")
+            shard = self.manifest.unplace(name)
+            version = self.manifest.version
             self.manifest.save(self.root)
+        self._queue_unload(shard, name, version)
 
     def update_text(self, document: str, nid: int, text: str,
                     busy_retries: int = 0) -> dict:
@@ -587,12 +574,15 @@ class ShardCluster:
         return shards
 
     def _placement_plan(
-        self, document: str | None = None
-    ) -> tuple[int, dict[int, list[str]]]:
+        self, document: str | None = None, pinned: bool = False
+    ) -> tuple[int, dict[str, int]]:
         """An atomic snapshot of routing: the manifest version plus
-        shard → owned documents (in document order).  Scatters built
-        from one snapshot are internally consistent; the version stamp
-        lets shards veto a plan a migration has already outrun."""
+        document → owning shard (in global document order), registered
+        as a live plan in the same critical section.  Until the caller
+        hands it to :meth:`_release_plan`, no copy the plan names is
+        unloaded by a later flip or unload (see :meth:`_queue_unload`).
+        ``pinned`` marks a view's plan, which a forced unload does not
+        wait for."""
         with self._route_lock:
             version = self.manifest.version
             if document is not None:
@@ -600,12 +590,20 @@ class ShardCluster:
                 if shard is None:
                     raise ShardError(
                         None, f"unknown document {document!r}")
-                return version, {shard: [document]}
-            plan: dict[int, list[str]] = {}
-            for name in self.manifest.doc_order:
-                plan.setdefault(self.manifest.placement[name],
-                                []).append(name)
+                plan = {document: shard}
+            else:
+                plan = {name: self.manifest.placement[name]
+                        for name in self.manifest.doc_order}
+            self._plans.append((version, pinned))
         return version, plan
+
+    def _release_plan(self, version: int, pinned: bool = False) -> None:
+        """End a plan from :meth:`_placement_plan`: unload the copies
+        only it (or plans as old) still kept."""
+        with self._route_cond:
+            self._plans.remove((version, pinned))
+            self._route_cond.notify_all()
+        self._drain_unloads()
 
     def _scatter(self, shards: list[int], op: str, params) -> dict[int, dict]:
         """Pipeline one request to every shard, then gather: the sends
@@ -613,8 +611,7 @@ class ShardCluster:
         evaluate concurrently in their own processes.  Every response
         is drained before a failed one is raised (a request left in
         flight would desynchronize the pipelined per-shard
-        connections); a ``doc_moved`` answer raises
-        :class:`DocumentMovedError`."""
+        connections)."""
         sent = {
             shard: self._routed(
                 shard, lambda c, s=shard: c.send(op, **params(s)))
@@ -627,9 +624,7 @@ class ShardCluster:
                 results[shard] = self._routed(
                     shard, lambda c, rid=request_id: c.receive(rid))
             except ClientError as exc:
-                failure = failure or (DocumentMovedError(shard, str(exc))
-                                      if exc.code == wire.E_DOC_MOVED
-                                      else exc)
+                failure = failure or exc
         if failure is not None:
             raise failure
         return results
@@ -640,57 +635,46 @@ class ShardCluster:
         """Scatter the query, gather ``(document, pre, nid)`` rows in
         global single-engine order (document load order, then pre).
 
-        Un-pinned queries run against a placement-plan snapshot
-        stamped with its manifest version; when a migration flips
-        placement mid-scatter the outrun shard answers ``doc_moved``
-        and the query transparently re-plans (up to
-        :data:`MOVED_RETRIES` times).  Queries through a
-        :class:`ClusterView` use the view's frozen plan instead — the
-        pinned epochs predate any flip, and the source copy is kept
-        loaded while the view is open.
+        Un-pinned queries run against a placement-plan snapshot that
+        stays registered until the scatter ends, so every copy it names
+        is still loaded when its shard answers, whatever migration
+        flips in between.  Queries through a :class:`ClusterView` use
+        the view's frozen plan instead, registered for the view's life.
         """
         if view is not None:
-            plan = dict(view.plan)
+            plan = view.plan
             if document is not None:
-                owner = next(
-                    (s for s, docs in plan.items() if document in docs),
-                    None)
-                if owner is None:
+                if document not in plan:
                     raise ShardError(
                         None, f"unknown document {document!r}")
-                plan = {owner: [document]}
+                plan = {document: plan[document]}
             if not plan:
                 return []
-            return self._scatter_query(xpath, use_indexes, plan,
-                                       view=view, version=None)
-        for attempt in range(1 + MOVED_RETRIES):
-            version, plan = self._placement_plan(document)
+            return self._scatter_query(xpath, use_indexes, plan, view)
+        version, plan = self._placement_plan(document)
+        try:
             if not plan:
                 return []
-            try:
-                return self._scatter_query(xpath, use_indexes, plan,
-                                           view=None, version=version)
-            except DocumentMovedError:
-                if attempt == MOVED_RETRIES:
-                    raise
-        raise AssertionError("unreachable")
+            return self._scatter_query(xpath, use_indexes, plan, None)
+        finally:
+            self._release_plan(version)
 
     def _scatter_query(self, xpath: str, use_indexes: bool | str,
-                       plan: dict[int, list[str]],
-                       view: ClusterView | None,
-                       version: int | None) -> list[tuple[str, int, int]]:
+                       plan: dict[str, int],
+                       view: ClusterView | None) -> list[tuple[str, int, int]]:
         """One scatter round over an explicit placement plan: each
         shard answers with the column segments of the documents the
-        plan lists for it, and the gather concatenates them document by
-        document in global order.  Placements are disjoint and a
-        shard's segment holds a document's rows in pre order, so
-        document order is the whole merge."""
+        plan assigns it, and the gather concatenates them document by
+        document in the plan's (global) order.  Placements are
+        disjoint and a shard's segment holds a document's rows in pre
+        order, so document order is the whole merge."""
+        documents: dict[int, list[str]] = {}
+        for name, shard in plan.items():
+            documents.setdefault(shard, []).append(name)
 
         def params(shard: int) -> dict:
             p: dict[str, Any] = {"xpath": xpath, "use_indexes": use_indexes,
-                                 "documents": plan[shard]}
-            if version is not None:
-                p["placement"] = version
+                                 "documents": documents[shard]}
             if view is not None:
                 token = view.token(shard)
                 if token is not None:
@@ -698,12 +682,11 @@ class ShardCluster:
             return p
 
         segments: dict[str, tuple] = {}
-        for result in self._scatter(sorted(plan), "query", params).values():
+        for result in self._scatter(sorted(documents), "query",
+                                    params).values():
             segments.update(wire.unpack_rows(result).split())
-        with self._route_lock:
-            order = list(self.manifest.doc_order)
         return RowColumns.join(
-            (name, *segments[name]) for name in order if name in segments
+            (name, *segments[name]) for name in plan if name in segments
         ).rows()
 
     def query_pres(self, xpath: str, document: str | None = None,
@@ -753,19 +736,13 @@ class ShardCluster:
         cut.  On interference all pins are dropped and both phases
         retry.
 
-        The view registers itself with the coordinator: while any
-        view is open, the source copy of a migrated document is only
-        *queued* for unload (see :meth:`migrate_document`), so the
-        view's frozen placement plan keeps answering at its pinned
-        epochs.  The queue drains when the last view closes.
+        The view's placement plan stays registered until it closes, so
+        a copy it names that a later flip or unload supersedes stays
+        loaded at its pinned epoch until then (see
+        :meth:`_queue_unload`).  A view opened after a flip names only
+        the new copy and holds nothing back.
         """
-        with self._route_lock:
-            self._views_open += 1
-        try:
-            view = self._pin_vector(attempts)
-        except BaseException:
-            self._release_view()
-            raise
+        view = self._pin_vector(attempts)
         try:
             yield view
         finally:
@@ -774,19 +751,13 @@ class ShardCluster:
                     self._routed(shard, lambda c, t=token: c.close_view(t))
                 except (ShardError, ClientError, OSError):
                     pass  # dead or restarted shard dropped the pin itself
-            self._release_view()
-
-    def _release_view(self) -> None:
-        with self._route_lock:
-            self._views_open -= 1
-            if self._views_open:
-                return
-        self._flush_unloads()
+            self._release_plan(view.version, pinned=True)
 
     def _pin_vector(self, attempts: int) -> ClusterView:
         shards = list(range(self.manifest.shards))
         for _attempt in range(attempts):
             pins: dict[int, tuple[int, int]] = {}
+            version = None
             stable = False
             try:
                 for shard in shards:
@@ -798,8 +769,8 @@ class ShardCluster:
                 # its pin, so the verify below fails and the attempt
                 # retries.  A flip *after* the verify leaves this plan
                 # routing to the source shard, whose copy stays loaded
-                # (deferred unload) at an epoch the pin covers.
-                version, plan = self._placement_plan()
+                # (registered plan) at an epoch the pin covers.
+                version, plan = self._placement_plan(pinned=True)
                 stable = all(
                     self._routed(shard, lambda c: c.hello())["epoch"]
                     == pins[shard][1]
@@ -817,8 +788,10 @@ class ShardCluster:
                                 shard, lambda c, t=token: c.close_view(t))
                         except (ShardError, ClientError, OSError):
                             pass
+                    if version is not None:
+                        self._release_plan(version, pinned=True)
             if stable:
-                return ClusterView(pins, plan=plan, version=version)
+                return ClusterView(pins, plan, version)
         raise ShardError(
             None,
             f"no consistent epoch vector after {attempts} attempts "
@@ -845,10 +818,9 @@ class ShardCluster:
         source copy is unloaded only *after* — so at every crash point
         the manifest's owner actually holds the document
         (:meth:`reconcile` repairs the redundant copy either side of
-        the flip).  Queries in flight across the flip either carry the
-        old manifest version (the source still answers, or ``dst``
-        rejects with retryable ``doc_moved``) or a pinned view plan
-        (the source copy is retained until the last view closes).
+        the flip).  A plan snapshotted before the flip names the
+        source, which keeps its copy until every such plan ends; a plan
+        snapshotted after it names ``dst``.
         """
         with self._route_lock:
             if not 0 <= dst < self.manifest.shards:
@@ -859,9 +831,9 @@ class ShardCluster:
         report = {"document": name, "src": src, "dst": dst, "moved": False}
         if src == dst:
             return report
-        # A queued-but-unflushed unload of this name on dst (the doc
-        # bounced back) would collide with the import: force it now.
-        self._flush_unloads(name=name)
+        # A queued unload of this name on dst (the doc bounced back)
+        # would collide with the import: force it now.
+        self._flush_unloads(lambda _shard, doc: doc == name)
         started = time.monotonic()
         with self._pause_updates(src):
             paused = time.monotonic()
@@ -904,60 +876,60 @@ class ShardCluster:
             client.close()
 
     def _flip(self, name: str, src: int, dst: int) -> None:
-        """Atomically repoint the manifest at ``dst`` and tell the
-        shards about the new layout version; called with updates to
-        ``src`` paused, so no update can land on the stale owner
-        between the flip and the broadcast."""
+        """Atomically repoint the manifest at ``dst`` and queue the
+        source copy; called with updates to ``src`` paused, so no
+        update can land on the stale owner after the flip."""
         faults.crashpoint("migrate.before_flip")
         with self._route_lock:
             self.manifest.move(name, dst)
             version = self.manifest.version
             self.manifest.save(self.root)
         faults.crashpoint("migrate.after_flip")
-        self._broadcast_placement(version)
-        self._queue_unload(src, name)
+        self._queue_unload(src, name, version)
 
-    def _broadcast_placement(self, version: int | None = None) -> None:
-        """Best-effort: push the manifest version to every live worker
-        so stale-stamped scatters get ``doc_moved`` vetoes.  A worker
-        that misses the broadcast (down, racing a restart) adopts the
-        version from the first newer-stamped request it sees."""
-        if version is None:
-            with self._route_lock:
-                version = self.manifest.version
-        for shard in sorted(self._workers):
-            try:
-                self._routed(
-                    shard, lambda c: c.set_placement(version))
-            except (ShardError, ClientError, OSError):
-                pass
+    def _plans_before(self, version: int, views: bool = True) -> bool:
+        """Whether a live plan older than ``version`` remains (with
+        ``views=False``, an un-pinned one).  Caller holds the route
+        lock."""
+        return any(planned < version and (views or not pinned)
+                   for planned, pinned in self._plans)
 
-    def _queue_unload(self, shard: int, name: str) -> None:
-        """Unload the superseded source copy — immediately when no
-        cluster views are open, else deferred until the last closes
-        (their frozen plans still route this document to ``shard``)."""
+    def _queue_unload(self, shard: int, name: str, version: int) -> None:
+        """Unload ``shard``'s copy of ``name``, superseded at manifest
+        ``version``, once no live plan older than ``version`` (which
+        may still name that copy) remains; plans at ``version`` or
+        later cannot name it."""
         with self._route_lock:
-            if self._views_open:
-                self._pending_unloads.append((shard, name))
+            self._pending_unloads.append((version, shard, name))
+        self._drain_unloads()
+
+    def _drain_unloads(self) -> None:
+        with self._route_lock:
+            ready = [entry for entry in self._pending_unloads
+                     if not self._plans_before(entry[0])]
+            self._pending_unloads = [entry for entry in self._pending_unloads
+                                     if entry not in ready]
+        for _version, shard, name in ready:
+            self._unload_copy(shard, name)
+
+    def _flush_unloads(self, match) -> None:
+        """Unload the queued copies ``match(shard, name)`` selects now
+        (a reload or re-import of the name is about to collide with
+        one, or its shard is being removed): wait for the un-pinned
+        plans older than them to end, so a racing query still
+        answers, then unload even if an open view still names one."""
+        with self._route_cond:
+            forced = [entry for entry in self._pending_unloads
+                      if match(entry[1], entry[2])]
+            if not forced:
                 return
-        self._unload_copy(shard, name)
-
-    def _flush_unloads(self, name: str | None = None) -> None:
-        """Drain queued source-copy unloads: all of them when the last
-        view closes, or just ``name``'s (forced, regardless of open
-        views) when a reload/re-import is about to collide with it."""
-        with self._route_lock:
-            if name is None:
-                if self._views_open:
-                    return
-                drained, self._pending_unloads = self._pending_unloads, []
-            else:
-                drained = [(s, n) for s, n in self._pending_unloads
-                           if n == name]
-                self._pending_unloads = [
-                    (s, n) for s, n in self._pending_unloads if n != name]
-        for shard, doc in drained:
-            self._unload_copy(shard, doc)
+            self._pending_unloads = [entry for entry in self._pending_unloads
+                                     if entry not in forced]
+            newest = max(version for version, _shard, _name in forced)
+            while self._plans_before(newest, views=False):
+                self._route_cond.wait()
+        for _version, shard, name in forced:
+            self._unload_copy(shard, name)
 
     def _unload_copy(self, shard: int, name: str) -> None:
         try:
@@ -993,8 +965,6 @@ class ShardCluster:
             if flipped:
                 self.manifest.save(self.root)
             placement = dict(self.manifest.placement)
-        if flipped:
-            self._broadcast_placement()
         unloaded: list[tuple[int, str]] = []
         for shard, docs in sorted(holders.items()):
             for name in sorted(docs):
@@ -1083,7 +1053,6 @@ class ShardCluster:
             for shard in range(current, shards):
                 self._ensure_shard_dir(shard)
                 self._spawn(shard)
-            self._broadcast_placement()
             plan = self.rebalance()
             return {"shards": shards,
                     "moves": [(name, before[name], dst)
@@ -1103,20 +1072,16 @@ class ShardCluster:
             if self.migrate_document(name, dst)["moved"]:
                 loads[dst] += weights.get(name, 0)
                 moves.append((name, src, dst))
-        # Doomed shards may still hold view-deferred source copies;
-        # they die with the workers and are swept on any reconcile.
+        # Doomed shards may still hold copies older plans name.
+        self._flush_unloads(lambda shard, _doc: shard in doomed)
         for shard in doomed:
             worker = self._workers.pop(shard, None)
             if worker is not None:
                 worker.stop()
             self._drop_client(shard)
-            with self._route_lock:
-                self._pending_unloads = [
-                    (s, n) for s, n in self._pending_unloads if s != shard]
         with self._route_lock:
             self.manifest.set_shards(shards)
             self.manifest.save(self.root)
-        self._broadcast_placement()
         return {"shards": shards, "moves": moves,
                 "loads_after": _shard_loads(self._assignment(), weights,
                                             shards)}

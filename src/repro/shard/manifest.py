@@ -17,16 +17,16 @@ layout:
   per-shard one;
 * ``config`` — the index configuration every shard was created with.
 * ``version`` — a monotonic counter bumped by every placement change
-  (place, unplace, move, resize).  The coordinator stamps scatter
-  requests with the version its routing decision was made under, so a
-  worker can reject a request routed under a stale layout
-  (``doc_moved``) instead of silently answering from the wrong side
-  of a migration — see ``docs/sharding.md``.
+  (place, unplace, move, resize).  The coordinator registers the
+  version each read plan was snapshotted at, and keeps a copy a flip
+  or an unload superseded until no older plan is left — see
+  ``docs/sharding.md``.
 
-The file is written atomically (temp + rename, like the per-shard
-manifests in :mod:`repro.storage.persist`) and re-written whenever a
-document is placed, unloaded or moved, i.e. checkpointed alongside
-each shard's own manifest.
+The file is written atomically and durably (temp + fsync + rename +
+directory fsync, the per-shard manifests' path in
+:mod:`repro.storage.persist`) and re-written whenever a document is
+placed, unloaded or moved, i.e. checkpointed alongside each shard's
+own manifest.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ import json
 import os
 import zlib
 from typing import Any
+
+from ..storage.persist import _atomic_write, _fsync_dir
 
 __all__ = ["ShardingManifest", "SHARDING_FILE"]
 
@@ -187,15 +189,13 @@ class ShardingManifest:
         return manifest
 
     def save(self, root: str) -> None:
-        """Atomically write ``SHARDING.json`` under ``root``."""
+        """Atomically and durably write ``SHARDING.json`` under
+        ``root``."""
         os.makedirs(root, exist_ok=True)
-        final = os.path.join(root, SHARDING_FILE)
-        tmp = final + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, final)
+        data = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
+        _atomic_write(os.path.join(root, SHARDING_FILE), data,
+                      "sharding.manifest")
+        _fsync_dir(root)
 
     @classmethod
     def load(cls, root: str) -> "ShardingManifest":

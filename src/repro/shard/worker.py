@@ -84,9 +84,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--retain-epochs", type=int, default=0,
                         help="time-travel window for as_of queries "
                              "(docs/replication.md)")
-    parser.add_argument("--placement-version", type=int, default=None,
-                        help="cluster layout version this worker serves "
-                             "under (stale-stamped scatters get doc_moved)")
     parser.add_argument("--kill-at", default=None, metavar="POINT[:OCC]",
                         help="os._exit at the OCCth hit of crashpoint POINT")
     parser.add_argument("--kill-keep-bytes", type=int, default=None,
@@ -108,8 +105,7 @@ def main(argv: list[str] | None = None) -> int:
         retain_epochs=args.retain_epochs,
     )
 
-    asyncio.run(serve(engine, args.host, args.port,
-                      placement_version=args.placement_version))
+    asyncio.run(serve(engine, args.host, args.port))
     return 0
 
 

@@ -136,7 +136,7 @@ def _commit_files(path: str, files: dict[str, bytes]) -> None:
 
 
 def _commit_manifest(path: str, manifest: dict) -> None:
-    data = json.dumps(manifest, indent=2).encode("utf-8")
+    data = json.dumps(manifest).encode("utf-8")
     faults.crashpoint("persist.before_manifest")
     _atomic_write(os.path.join(path, _MANIFEST), data, "persist.manifest")
     _fsync_dir(path)

@@ -83,13 +83,13 @@ __all__ = [
     "E_UNSUPPORTED_VERSION",
     "E_SHARD_DOWN",
     "E_NO_EPOCH",
-    "E_DOC_MOVED",
 ]
 
 #: Bumped on incompatible protocol changes; exchanged in ``hello``.
 #: Version 2: every ``query`` answer is packed columns.  Version 3:
-#: every byte payload rides the frame tail.
-PROTOCOL_VERSION = 3
+#: every byte payload rides the frame tail.  Version 4: no
+#: ``placement`` op, request field or ``doc_moved`` code.
+PROTOCOL_VERSION = 4
 
 #: Optional capabilities this protocol version serves.  A client may
 #: name the features it needs in its ``hello``; a server that lacks
@@ -135,7 +135,6 @@ E_INTERNAL = "internal"            # unexpected server-side failure
 E_UNSUPPORTED_VERSION = "unsupported_version"  # hello version/feature mismatch
 E_SHARD_DOWN = "shard_down"        # coordinator: owning shard unreachable
 E_NO_EPOCH = "epoch_not_retained"  # as_of epoch outside the retained window
-E_DOC_MOVED = "doc_moved"          # placement changed under the request; retry
 
 
 class WireError(Exception):

@@ -1,12 +1,15 @@
 """Every committed result file carries one envelope: the one
 :func:`repro.bench.report.emit` stamps (``schema_version``, ``bench``,
-``workload``, ``config``), with ``bench`` naming the file."""
+``workload``, ``config``), with ``bench`` naming the file; and the
+committed ``PAPER_RESULTS.json`` is a run of every driver ``make
+paper`` runs."""
 
 import json
 import pathlib
 
 import pytest
 
+from repro.bench.paper import DRIVERS
 from repro.bench.report import SCHEMA_VERSION
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -20,3 +23,9 @@ def test_committed_result_file_carries_the_envelope(path):
     assert {"bench", "workload", "config"} <= set(data)
     assert path.name == ("PAPER_RESULTS.json" if data["bench"] == "paper"
                          else f"BENCH_{data['bench']}.json")
+
+
+def test_committed_paper_results_cover_every_driver():
+    data = json.loads((ROOT / "PAPER_RESULTS.json").read_text(
+        encoding="utf-8"))
+    assert sorted(data["drivers"]) == sorted(DRIVERS)

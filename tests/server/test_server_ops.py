@@ -192,10 +192,11 @@ class TestErrors:
         ("repl.wal", {"epoch": "live", "offset": -5}),
         ("repl.wal", {"epoch": "live", "offset": "x"}),
         ("repl.wal", {"epoch": "x", "offset": 16}),
-        ("placement", {"version": "x"}),
-        ("update", {"action": "delete_subtree", "nid": "x"}),
-        ("update", {"action": "insert_xml", "nid": 1, "fragment": "<b/>",
-                    "before": "x"}),
+        pytest.param("update", {"action": "delete_subtree", "nid": "x"},
+                     id="update-params11"),
+        pytest.param("update", {"action": "insert_xml", "nid": 1,
+                                "fragment": "<b/>", "before": "x"},
+                     id="update-params12"),
     ])
     def test_malformed_integer_is_a_bad_request(self, served, op, params):
         """A parameter that should be an integer and is not (or is out

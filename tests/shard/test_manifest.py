@@ -1,11 +1,14 @@
 """Sharding manifest: placement, ordering, persistence."""
 
+import gc
 import json
 import os
 
 import pytest
 
+from repro.database import Database
 from repro.shard.manifest import SHARDING_FILE, ShardingManifest
+from repro.storage import persist
 
 
 class TestPlacement:
@@ -104,3 +107,54 @@ class TestPersistence:
     def test_shard_dir_naming(self, tmp_path):
         manifest = ShardingManifest(2)
         assert manifest.shard_dir(str(tmp_path), 1).endswith("shard-001")
+
+
+class TestDurableWrite:
+    def test_save_fsyncs_the_cluster_root(self, tmp_path, monkeypatch):
+        """The rename that publishes ``SHARDING.json`` is durable only
+        once the directory holding it is fsynced."""
+        root = str(tmp_path)
+        opened: dict[int, str] = {}
+        synced: list[str] = []
+        real_open, real_fsync = os.open, os.fsync
+
+        def spy_open(path, flags, *args, **kwargs):
+            fd = real_open(path, flags, *args, **kwargs)
+            opened[fd] = os.fspath(path)
+            return fd
+
+        def spy_fsync(fd):
+            synced.append(opened.get(fd, "file"))
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "open", spy_open)
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        manifest = ShardingManifest(2)
+        manifest.place("doc")
+        manifest.save(root)
+        assert root in synced
+
+    @pytest.mark.parametrize("which", ["sharding", "shard"])
+    def test_saving_a_manifest_leaves_no_cyclic_garbage(self, tmp_path,
+                                                        which):
+        """Both manifests are encoded by the C JSON encoder: the
+        pure-Python one (``indent=``) leaves cyclic garbage behind on
+        every save."""
+        if which == "sharding":
+            manifest = ShardingManifest(2, config={"typed": ["double"]})
+            manifest.place("doc")
+            save = lambda: manifest.save(str(tmp_path))  # noqa: E731
+        else:
+            path = str(tmp_path / "db")
+            with Database(path) as db:
+                db.load("doc", "<a><b>1</b></a>")
+            with open(os.path.join(path, "MANIFEST.json")) as fh:
+                data = json.load(fh)
+            save = lambda: persist._commit_manifest(path, data)  # noqa: E731
+        gc.collect()
+        gc.disable()
+        try:
+            save()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

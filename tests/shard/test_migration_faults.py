@@ -22,8 +22,7 @@ import time
 
 import pytest
 
-from repro.shard import DocumentMovedError, ShardCluster, ShardError, \
-    ShardDownError
+from repro.shard import ShardCluster, ShardDownError
 from repro.shard.manifest import ShardingManifest
 from repro.storage import faults
 
@@ -223,7 +222,8 @@ class TestStaleManifest:
         in-memory placement it was spawned under.  After another
         coordinator (here: forged by rewinding the in-memory copy)
         migrates a document, the restart must re-read SHARDING.json —
-        pre-fix this query raises ``doc_moved`` forever."""
+        pre-fix every query plans ``b`` onto shard 1, which no longer
+        holds it, and fails."""
         cluster = make_cluster(tmp_path, shards=2)
         try:
             cluster.load("a", fixture_xml(), shard=0)
@@ -251,11 +251,12 @@ SOAK_SECONDS = float(os.environ.get("REPRO_STRESS_SECONDS", "0"))
                     reason="set REPRO_STRESS_SECONDS to run the "
                            "migration soak")
 def test_migration_soak(tmp_path):
-    """REPRO_STRESS_SECONDS of migrations racing readers and a writer;
-    every read bit-identical to the frozen corpus, every update either
-    acked-and-visible or cleanly rejected as ``doc_moved``."""
+    """REPRO_STRESS_SECONDS of migrations racing readers and a writer:
+    every read bit-identical to the frozen corpus and every update
+    acked."""
     cluster = make_cluster(tmp_path, shards=3)
     failures: list[str] = []
+    acked = 0
     stop = threading.Event()
     try:
         cluster.load("mover", fixture_xml(), shard=0)
@@ -268,23 +269,21 @@ def test_migration_soak(tmp_path):
                     if cluster.query_pres("//p") != structure:
                         failures.append("reader diverged")
                         return
-                except ShardError as exc:
-                    failures.append(f"reader failed: {exc}")
+                except Exception as exc:
+                    failures.append(f"reader failed: {exc!r}")
                     return
 
         def writer():
-            i = 0
+            nonlocal acked
             while not stop.is_set():
                 try:
                     row = cluster.query("//age/text()",
                                         document="mover")[0]
-                    cluster.update_text("mover", row[2], str(i % 50))
-                except DocumentMovedError:
-                    continue  # transient, by contract
-                except ShardError as exc:
-                    failures.append(f"writer failed: {exc}")
+                    cluster.update_text("mover", row[2], str(acked % 50))
+                except Exception as exc:
+                    failures.append(f"writer failed: {exc!r}")
                     return
-                i += 1
+                acked += 1
 
         threads = [threading.Thread(target=reader) for _ in range(2)]
         threads.append(threading.Thread(target=writer))
@@ -301,6 +300,8 @@ def test_migration_soak(tmp_path):
         stop.set()
         for thread in threads:
             thread.join(timeout=60)
+        print(f"\nmigration soak: {moves} moves, {acked} acked updates, "
+              f"{len(failures)} failures {failures[:3]}")
         assert not failures, failures
         assert moves > 0
         _assert_owner_holds(cluster)
